@@ -1,51 +1,38 @@
-r"""Hot loops for the Rademacher tail: Kloosterman-type phase sums.
+r"""Hot loop for the Rademacher tail: Kloosterman-type phase sums.
 
-Each function is written in a numba-compilable subset of Python and wrapped
-with @njit unless the environment variable MOONMOD_NO_NUMBA is set (or numba
-is unavailable), in which case the same source runs as plain Python.
+kloosterman_grades is numpy code vectorised over blocks of (c, d) pairs; it
+is the only kernel path.  The scalar dedekind_six_c and kloosterman_sum are
+plain-Python references that compute the same numbers one term at a time.
 
 The Dedekind sum s(d, c) is evaluated through the reciprocity recursion in
 float64 and then snapped to the exact integer 6*c*s(d, c): the recursion
 accumulates at most ~log(c) terms each bounded by ~c/12, so the absolute
 error stays far below the 1/2 needed for exact rounding (the test suite
-compares against the exact rational implementation).  The same Euclidean
-descent doubles as the coprimality test for d.  Phases
+compares against the exact rational implementation).  The vectorised
+recursion performs the same float operations in the same order as the
+scalar one, so both give identical integers.  Phases
 n*d/c - 3*s(d,c)/2 - c*d/(ng*hg) are then reduced mod 1 in exact int64
 arithmetic, so the tail is immune to phase drift; only the final cos/sin
-and the Bessel factor are floating point.
+and the Bessel factor are floating point.  Per-c sums accumulate in d
+order, so a single grade reproduces kloosterman_sum bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("MOONMOD_NO_NUMBA", "") == ""
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
-
-if not USE_NUMBA:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# There is no compiled path; kept as a constant for callers that report it.
+USE_NUMBA = False
 
 NOT_COPRIME = -(1 << 62)
 
-
-@njit(cache=True, nogil=True)
-def _gcd64(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+# (c, d) pairs per vectorised block.  It bounds the kernel's working memory,
+# and with it the peak RSS of a cold coefficient computation.
+_BLOCK = 4096
 
 
-@njit(cache=True, nogil=True)
 def dedekind_six_c(d: int, c: int) -> int:
     """6*c*s(d, c) classical, or NOT_COPRIME when gcd(d, c) > 1."""
     c0 = c
@@ -61,14 +48,13 @@ def dedekind_six_c(d: int, c: int) -> int:
     return int(round(6.0 * c0 * s))
 
 
-@njit(cache=True, nogil=True)
 def kloosterman_sum(n: int, c: int, ng: int, hg: int, literal: int) -> complex:
     """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg)).
 
     literal selects the Dedekind variant: 0 classical, 1 the omega form.
     """
     m = ng * hg
-    base = (12 * c // _gcd64(12 * c, m)) * m
+    base = (12 * c // math.gcd(12 * c, m)) * m
     total = 0j
     two_pi = 2.0 * math.pi
     if c == 1:
@@ -89,54 +75,118 @@ def kloosterman_sum(n: int, c: int, ng: int, hg: int, literal: int) -> complex:
     return total
 
 
-@njit(cache=True, nogil=True)
-def kloosterman_batch(n: int, cs: np.ndarray, ng: int, hg: int, literal: int,
-                      out_re: np.ndarray, out_im: np.ndarray) -> None:
-    for k in range(cs.shape[0]):
-        z = kloosterman_sum(n, int(cs[k]), ng, hg, literal)
-        out_re[k] = z.real
-        out_im[k] = z.imag
+def _check_int64(n0: int, n1: int, c_max: int, m: int, literal: int) -> None:
+    """Raise ValueError unless every intermediate of the phase fits in int64.
+
+    Bounds, for d < c <= c_max: base <= 12*c*m, so base/c <= 12*m,
+    base/(4c) <= 3*m and base/m <= 12*c; |6c*s(d,c)| < c^2, and the omega
+    form adds at most 2*c^3 + 3*c^2.
+    """
+    n = max(abs(n0), abs(n1))
+    s6c = c_max * c_max
+    if literal == 1:
+        s6c += 2 * c_max ** 3 + 3 * c_max * c_max
+    base = 12 * c_max * m
+    num = 12 * m * n * c_max + 3 * m * s6c + 12 * c_max ** 3
+    if num + (n1 - n0 + 1) * base > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"phases for c <= {c_max}, n <= {n}, ng*hg = {m} overflow int64")
 
 
-@njit(cache=True, nogil=True)
+def _dedekind_six_c_array(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Vectorised dedekind_six_c for coprime pairs 0 < d < c.
+
+    Pairs whose descent has ended (c <= 1) are masked out of the update and
+    dropped from the arrays once they make up half of them; the integer
+    division by their d = 0 is harmless and silenced.  The integers ahead
+    of the float division stay below 2**53, so they convert exactly.
+    """
+    c0 = c
+    out = np.zeros(len(c))
+    pos = np.arange(len(c))
+    s = out
+    cc = c * c
+    sign = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            live = c > 1
+            n_live = np.count_nonzero(live)
+            if 2 * n_live <= len(c):
+                out[pos] = s
+                if not n_live:
+                    break
+                pos, c, d, s, cc = pos[live], c[live], d[live], s[live], cc[live]
+                live = True
+            dd = d * d
+            num = dd + cc
+            num += 1
+            term = num / (12.0 * d * c)
+            term -= 0.25
+            if sign > 0:
+                np.add(s, term, out=s, where=live)
+            else:
+                np.subtract(s, term, out=s, where=live)
+            sign = -sign
+            c, d, cc = d, c % d, dd
+    return np.rint(6.0 * c0 * out).astype(np.int64)
+
+
 def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
                        literal: int, out_re: np.ndarray, out_im: np.ndarray) -> None:
     """K_c(n) for all grades n0 <= n <= n1 at once; out has shape (len(cs), n1-n0+1).
 
-    The n-dependence of each term is e(n d / c), so consecutive grades differ
-    by one exact phase step; the Dedekind recursion runs once per (c, d) and
-    the grade sweep is a complex multiply per grade.
+    The (c, d) pairs of all cs are laid end to end and processed in blocks
+    of at most _BLOCK pairs.  The n-dependence of each term is e(n d / c),
+    so grade n0 + j has the exact phase numerator num0 + j*step mod base.
+    Raises ValueError, before any work, if those numerators could overflow
+    int64.
     """
-    m = ng * hg
-    two_pi = 2.0 * math.pi
+    cs = np.asarray(cs, dtype=np.int64)
     ncols = n1 - n0 + 1
-    for k in range(cs.shape[0]):
-        c = int(cs[k])
-        for j in range(ncols):
-            out_re[k, j] = 0.0
-            out_im[k, j] = 0.0
-        if c == 1:
-            for j in range(ncols):
-                out_re[k, j] = 1.0
+    m = ng * hg
+    if len(cs):
+        _check_int64(n0, n1, int(cs.max()), m, literal)
+    out_re[:] = 0.0
+    out_im[:] = 0.0
+    out_re[cs == 1] = 1.0
+    if not len(cs):
+        return
+    two_pi = 2.0 * math.pi
+    base = (12 * cs // np.gcd(12 * cs, m)) * m
+    bc = base // cs
+    b4c = base // (4 * cs)
+    bm = base // m
+    ends = np.cumsum(cs - 1)
+    starts = ends - (cs - 1)
+    grades = np.arange(ncols, dtype=np.int64)
+    total = int(ends[-1])
+    for p0 in range(0, total, _BLOCK):
+        p1 = min(p0 + _BLOCK, total)
+        ks = np.arange(np.searchsorted(ends, p0, side="right"),
+                       np.searchsorted(starts, p1, side="left"))
+        k = np.repeat(ks, np.minimum(ends[ks], p1) - np.maximum(starts[ks], p0))
+        pos = np.arange(p0, p1, dtype=np.int64)
+        c = cs[k]
+        d = pos - starts[k] + 1
+        coprime = np.gcd(d, c) == 1
+        k, c, d = k[coprime], c[coprime], d[coprime]
+        if not len(k):
             continue
-        base = (12 * c // _gcd64(12 * c, m)) * m
-        bc = base // c
-        b4c = base // (4 * c)
-        bm = base // m
-        for d in range(1, c):
-            s6c = dedekind_six_c(d, c)
-            if s6c == NOT_COPRIME:
-                continue
-            if literal == 1:
-                s6c = d * (c - 1) * (2 * c - 1) - s6c - 3 * c * (c - 1)
-            num0 = (bc * n0 * d - b4c * s6c - bm * c * d) % base
-            ang0 = two_pi * (num0 / base)
-            zr = math.cos(ang0)
-            zi = math.sin(ang0)
-            step = two_pi * ((bc * d) % base) / base
-            sr = math.cos(step)
-            si = math.sin(step)
-            for j in range(ncols):
-                out_re[k, j] += zr
-                out_im[k, j] += zi
-                zr, zi = zr * sr - zi * si, zr * si + zi * sr
+        s6c = _dedekind_six_c_array(c, d)
+        if literal == 1:
+            s6c = d * (c - 1) * (2 * c - 1) - s6c - 3 * c * (c - 1)
+        kb = base[k]
+        num0 = (bc[k] * n0 * d - b4c[k] * s6c - bm[k] * c * d) % kb
+        step = (bc[k] * d) % kb
+        num = (num0[:, None] + grades * step[:, None]) % kb[:, None]
+        ang = two_pi * (num / kb[:, None])
+        # bincount adds in input order; each c's running total goes first,
+        # so a c split across blocks still sums its d terms sequentially.
+        k_lo, k_hi = int(k[0]), int(k[-1]) + 1
+        rows = slice(k_lo, k_hi)
+        size = (k_hi - k_lo) * ncols
+        bins = np.concatenate([np.arange(size),
+                               ((k - k_lo)[:, None] * ncols + grades).ravel()])
+        for out, f in ((out_re, np.cos), (out_im, np.sin)):
+            w = np.concatenate([out[rows].ravel(), f(ang).ravel()])
+            out[rows] = np.bincount(bins, w, size).reshape(-1, ncols)

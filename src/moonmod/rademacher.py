@@ -377,7 +377,7 @@ class RademacherEngine:
         tail_start = self._head_terms(params, mode, states, step)
         window = pol.stability_window
 
-        lo, hi = 1, min(2000, pol.c_max_limit)
+        lo, hi = 1, min(max(pol.c_max_initial, step), pol.c_max_limit)
         while True:
             active = [n for n, st in states.items() if not st.done]
             if not active:
@@ -439,7 +439,7 @@ class RademacherEngine:
                     if not st.done:
                         st.cum = float(cum[-1])
                         st.cum_im = float(cum_im[-1])
-                        st.rounded_tail = list(rounded[-(window - 1):]) if window > 1 else []
+                        st.rounded_tail = list(allr[-(window - 1):]) if window > 1 else []
                         changes = np.nonzero(np.diff(rounded))[0]
                         if len(changes):
                             st.stable_run = len(rounded) - (int(changes[-1]) + 1)

@@ -1,10 +1,12 @@
-"""Compiled kernels against the exact-rational reference implementations."""
+"""Tail kernels against the exact-rational and scalar reference implementations."""
 
+import json
 import math
 import os
 import random
 import subprocess
 import sys
+from importlib import resources
 
 import mpmath
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 
 from moonmod import kernels
 from moonmod.numerics import DedekindMode, dedekind_sum
-from moonmod.rademacher import ClassParams, partial_kloosterman
+from moonmod.rademacher import (ClassParams, CoefficientCache, RademacherEngine,
+                                partial_kloosterman)
 
 
 def test_dedekind_six_c_exact():
@@ -63,15 +66,13 @@ def test_grade_batch_matches_single():
 
 
 def test_python_fallback_agrees():
-    """Same numbers with MOONMOD_NO_NUMBA set in a child interpreter.
+    """Same numbers from a fresh child interpreter.
 
-    The child inherits the parent's environment, with the directory that
-    holds the parent's ``moonmod`` first on ``PYTHONPATH`` so that both
-    interpreters test the same copy.  Where numba is installed this compares
-    the compiled kernels against the pure-Python fallback.  Where numba is
-    missing both interpreters run the fallback, and the test checks that the
-    environment switch takes effect and that a fresh interpreter gives the
-    same sums.
+    There is one kernel path, so this checks that a fresh interpreter gives
+    the same sums.  The child inherits the parent's environment, with the
+    directory that holds the parent's ``moonmod`` first on ``PYTHONPATH`` so
+    that both interpreters test the same copy.  MOONMOD_NO_NUMBA is still
+    set in the child; no module reads it any more.
     """
     code = (
         "import numpy as np\n"
@@ -101,3 +102,89 @@ def test_python_fallback_agrees():
 
 def test_c_equals_one():
     assert kernels.kloosterman_sum(5, 1, 1, 1, 0) == 1 + 0j
+
+
+def _grades(n0, n1, cs, ng, hg, literal):
+    out_re = np.empty((len(cs), n1 - n0 + 1))
+    out_im = np.empty_like(out_re)
+    kernels.kloosterman_grades(n0, n1, np.asarray(cs, dtype=np.int64), ng, hg,
+                               literal, out_re, out_im)
+    return out_re, out_im
+
+
+@pytest.mark.parametrize("mode,literal", [(DedekindMode.Classical, 0),
+                                          (DedekindMode.OmegaFloor, 1)])
+def test_grades_match_exact_random(mode, literal):
+    rng = random.Random(11 + literal)
+    for _ in range(6):
+        ng, hg = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 23]), rng.choice([1, 2, 3, 12])
+        params = ClassParams(ng, hg, "test")
+        cs = [1] + sorted(rng.sample(range(2, 70), 5))
+        n0 = rng.randrange(1, 40)
+        n1 = n0 + rng.randrange(8)
+        out_re, out_im = _grades(n0, n1, cs, ng, hg, literal)
+        for k, c in enumerate(cs):
+            for j, n in enumerate(range(n0, n1 + 1)):
+                exact = partial_kloosterman(n, c, params, mode)
+                assert abs(out_re[k, j] - float(exact.real)) < 1e-9, (ng, hg, n, c)
+                assert abs(out_im[k, j] - float(exact.imag)) < 1e-9, (ng, hg, n, c)
+
+
+def test_grades_across_blocks():
+    cs = [1, 3, 4100, 7, 2 * kernels._BLOCK + 17, 12, 1]
+    assert sum(cs) > 3 * kernels._BLOCK
+    out_re, out_im = _grades(4, 6, cs, 3, 1, 0)
+    for k, c in enumerate(cs):
+        for j, n in enumerate(range(4, 7)):
+            z = kernels.kloosterman_sum(n, c, 3, 1, 0)
+            assert abs(out_re[k, j] - z.real) < 1e-9
+            assert abs(out_im[k, j] - z.imag) < 1e-9
+
+
+def test_single_grade_equals_scalar_sum():
+    rng = random.Random(17)
+    for literal in (0, 1):
+        ng, hg = rng.choice([(1, 1), (2, 1), (4, 2), (12, 12), (23, 1)])
+        cs = [1] + sorted(rng.sample(range(2, 6000), 4))
+        n = rng.randrange(1, 60)
+        out_re, out_im = _grades(n, n, cs, ng, hg, literal)
+        for k, c in enumerate(cs):
+            z = kernels.kloosterman_sum(n, c, ng, hg, literal)
+            assert out_re[k, 0] == z.real and out_im[k, 0] == z.imag, (c, literal)
+
+
+@pytest.mark.parametrize("literal", [0, 1])
+def test_int64_overflow_guard(literal):
+    cs = np.array([5, 60], dtype=np.int64)
+    out_re = np.full((2, 1), 7.0)
+    out_im = np.full((2, 1), 7.0)
+    n = 10 ** 17
+    with pytest.raises(ValueError, match="overflow"):
+        kernels.kloosterman_grades(n, n, cs, 23, 1, literal, out_re, out_im)
+    assert (out_re == 7.0).all() and (out_im == 7.0).all()
+    # The largest c and level of the engine's sweeps stay well inside.
+    _grades(100, 100, [60000], 12, 12, literal)
+
+
+def test_store_records_recompute(m24_table):
+    """A cold engine recomputes stored dip records: same value, same c."""
+    store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
+    lines = [line for line in store.read_text(encoding="utf-8").splitlines()
+             if line.strip()]
+    recs = [json.loads(line) for line in lines]
+    # Per class, the stored dip record accepted at the largest c <= 2000.
+    picks = {}
+    for cls in m24_table.classes:
+        r = max((r for r in recs if r["class"] == cls.name and r["gate"] == "dip"
+                 and r["c_max_used"] <= 2000
+                 # Stored as 1; the true c_21A(27) = c_21B(27) is 2.
+                 and not (cls.name in ("21A", "21B") and r["n"] == 27)),
+                key=lambda r: (r["c_max_used"], r["n"]))
+        picks[cls.name, r["n"]] = r
+    cache = CoefficientCache(None)
+    cache.seed(line for line, r in zip(lines, recs) if (r["class"], r["n"]) not in picks)
+    engine = RademacherEngine(m24_table, cache=cache)
+    for (cls, n), stored in picks.items():
+        got = engine.coefficient(engine.params_for(cls), n)
+        assert (got.value, got.c_max_used, got.gate) == \
+            (int(stored["value"]), stored["c_max_used"], "dip"), (cls, n)

@@ -145,3 +145,16 @@ def test_coefficient_range_deterministic(engine):
     b = engine.coefficient_range("2A", -1, 5)
     assert [r.value for r in a] == [r.value for r in b]
     assert a[0].value == -2
+
+
+def test_stability_window_spans_sweep_chunks(m24_table):
+    """Chunks holding a single admissible c keep the window's older history."""
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    # n_g = 23: the chunks c <= 23 and 24 <= c <= 46 hold one admissible c
+    # each; nothing can pass the 1e-12 dip or the disabled fallback gate.
+    policy = TruncationPolicy(c_max_initial=23, c_max_limit=46,
+                              residual_tolerance=1e-12, stability_tolerance=0.0)
+    states = engine._sweep(engine.params_for("23A"), [5], DedekindMode.Classical,
+                           restricted=True, policy=policy)
+    assert not states[5].done
+    assert len(states[5].rounded_tail) == policy.stability_window - 1
