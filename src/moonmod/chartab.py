@@ -236,6 +236,25 @@ def distinct_orders(table: CharacterTable) -> list[int]:
     return sorted({c.element_order for c in table.classes})
 
 
+def class_sums(table: CharacterTable, weights) -> list[QExact]:
+    """sum_k weights[k] chi_i(g_k) for every irrep i, exactly.
+
+    weights are integers parallel to the classes.  Sums run over the
+    integer numerators of (a + b sqrt(d))/2 and are halved once at the end.
+    """
+    nonzero = [(k, w) for k, w in enumerate(weights) if w]
+    out = []
+    for chi in table.irreps:
+        twice: dict[int, int] = {}
+        for k, w in nonzero:
+            v = chi.values[k]
+            twice[1] = twice.get(1, 0) + w * v.a
+            if v.b:
+                twice[v.d] = twice.get(v.d, 0) + w * v.b
+        out.append(QExact({s: Fraction(t, 2) for s, t in twice.items()}))
+    return out
+
+
 class FusedProvider:
     """Coefficient provider for a subgroup, delegating along fusion targets."""
 
@@ -253,7 +272,3 @@ class FusedProvider:
         if target is None:
             raise FusionError(f"class {class_name} has no fusion_target")
         return self.ambient.value(target, n)
-
-
-def fuse_subgroup(sub: CharacterTable, ambient_provider) -> FusedProvider:
-    return FusedProvider(sub, ambient_provider)

@@ -6,8 +6,9 @@ with a warm cache produces byte-identical output.  Exit status is 0 only
 when every gate (orthogonality, integrality, reconstruction) passes.
 
 Cache resolution precedence: --cache flag, then the MOONMOD_CACHE
-environment variable (a directory holding <group>_coeffs.ldjson), then the
-packaged precomputed store when present.
+environment variable (a directory holding <group>_coeffs.ldjson).  With
+neither, commands read the packaged precomputed store into memory and
+never write to it.
 """
 
 from __future__ import annotations
@@ -18,42 +19,23 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from importlib import resources
 
-from . import chartab, decomp, filtration
+from . import decomp, filtration
 from .chartab import CharacterTable, FusedProvider, TableError, bundled_table, load_table
 from .numerics import PrecisionContext
 from .rademacher import (CoefficientCache, NonConvergent, RademacherEngine,
-                         TruncationPolicy, ENGINE_C_LIMIT)
+                         TruncationPolicy, ENGINE_C_LIMIT, bundled_cache)
 
 BUNDLED_GROUPS = ("m24", "a5")
 
 
-@dataclass
-class RunConfig:
-    group: str
-    cache_path: str | None
-    precision: int | None
-    tolerance: float | None
-    fmt: str
-    out: str | None
-    jobs: int
-
-
 def _resolve_cache(args, group: str) -> str | None:
+    """The writable cache file, or None when only the packaged store applies."""
     if args.cache:
         return args.cache
     env_dir = os.environ.get("MOONMOD_CACHE")
     if env_dir:
         return os.path.join(env_dir, f"{group}_coeffs.ldjson")
-    try:
-        ref = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
-        if ref.is_file():
-            return str(ref)
-    except (FileNotFoundError, ModuleNotFoundError):
-        pass
     return None
 
 
@@ -81,7 +63,8 @@ def _make_engine(args, table: CharacterTable):
     if args.tol:
         policy = TruncationPolicy(c_max_limit=ENGINE_C_LIMIT,
                                   residual_tolerance=args.tol)
-    cache = CoefficientCache(_resolve_cache(args, ambient.group_name.lower()))
+    path = _resolve_cache(args, ambient.group_name.lower())
+    cache = CoefficientCache(path) if path else bundled_cache()
     engine = RademacherEngine(ambient, policy=policy, ctx=ctx, cache=cache)
     provider = FusedProvider(table, engine) if fused else engine
     return engine, provider
@@ -141,22 +124,10 @@ def cmd_coeff(args) -> int:
                    else [c.name for c in table.classes])
     grades = _parse_grades(args.n)
     rows = []
-
-    def fetch(name):
-        if isinstance(provider, FusedProvider):
-            target = provider.fusion[name]
-            return [(name, engine.coefficient(engine.params_for(target), n))
-                    for n in grades]
-        return [(name, engine.coefficient(engine.params_for(name), n))
-                for n in grades]
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for batch in pool.map(fetch, class_names):
-                rows.extend(batch)
-    else:
-        for name in class_names:
-            rows.extend(fetch(name))
+    for name in class_names:
+        target = provider.fusion[name] if isinstance(provider, FusedProvider) else name
+        rows.extend((name, engine.coefficient(engine.params_for(target), n))
+                    for n in grades)
     rows.sort(key=lambda item: (class_names.index(item[0]), item[1].n))
     if args.format == "json":
         doc = {
@@ -260,7 +231,7 @@ def cmd_filtrate(args) -> int:
         for lvl in result.chain:
             for i, coeff in lvl.direction.items():
                 total[i] -= lvl.r * coeff
-        if not result.approximate and tuple(total) != result.residual:
+        if tuple(total) != result.residual:
             print("reconstruction check failed", file=sys.stderr)
             return 1
     _emit(filtration.result_to_json(result, table) + "\n", args.out)
@@ -293,19 +264,23 @@ def cmd_asympt(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    path = args.cache or _resolve_cache(args, (args.group or "m24").lower())
-    if path is None or not os.path.exists(path):
+    path = _resolve_cache(args, (args.group or "m24").lower())
+    if path is None and args.clear:
+        print("no cache file to clear: the packaged store is read-only; "
+              "name one with --cache or MOONMOD_CACHE", file=sys.stderr)
+        return 1
+    if path is not None and not os.path.exists(path):
         print("no cache file", file=sys.stderr)
         return 1
     if args.clear:
         os.remove(path)
         _emit(f"removed {path}\n", args.out)
         return 0
-    cache = CoefficientCache(path)
+    cache = CoefficientCache(path) if path else bundled_cache()
     by_class: dict[str, int] = {}
     for (_, cls, _n) in cache.records:
         by_class[cls] = by_class.get(cls, 0) + 1
-    lines = [f"{path}: {len(cache)} records"]
+    lines = [f"{path or 'packaged store'}: {len(cache)} records"]
     for cls in sorted(by_class):
         lines.append(f"  {cls}: {by_class[cls]}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -322,8 +297,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, help="integrality residual tolerance")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel coefficient workers")
 
 
 def build_parser() -> argparse.ArgumentParser:

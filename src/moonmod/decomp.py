@@ -15,13 +15,11 @@ n >= 1 are an error signal, not a warning.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chartab import CharacterTable
+from .chartab import CharacterTable, class_sums
 from .numerics import PrecisionContext, DEFAULT_CONTEXT
-from .quadratic import QExact
 
 
 class DecompositionError(Exception):
@@ -68,16 +66,14 @@ def multiplicities(table: CharacterTable, n: int, coeffs,
     coeffs is either a mapping from class name to the integer c_g(n) or a
     provider object with a value(class_name, n) method.
     """
-    order = table.group_order
-    values = {c.name: _coeff_lookup(coeffs, c.name, n) for c in table.classes}
+    values = [_coeff_lookup(coeffs, c.name, n) for c in table.classes]
+    # Without the conjugation: the rational part is the same, and the
+    # irrational part vanishes exactly when the conjugated one does.
+    sums = class_sums(table, [c.size * v for c, v in zip(table.classes, values)])
     ms = []
     residuals = []
-    for chi in table.irreps:
-        acc = QExact()
-        for k, c in enumerate(table.classes):
-            term = chi.values[k].conjugate().exact().scale(c.size * values[c.name])
-            acc = acc + term
-        raw = acc.scale(Fraction(1, order))
+    for chi, acc in zip(table.irreps, sums):
+        raw = acc.scale(Fraction(1, table.group_order))
         if not raw.irrational_part().is_zero:
             raise NonIntegral(n, chi.name, f"irrational part {raw.irrational_part()!r}")
         q = raw.rational_part()
@@ -137,18 +133,3 @@ def free_part_split(mv: MultiplicityVector, table: CharacterTable
     rest = tuple(mv.m[i] - r1 * chi.dim for i, chi in enumerate(table.irreps))
     return r1, MultiplicityVector(mv.n, rest, mv.residuals)
 
-
-def write_csv(table: CharacterTable, profiles: list[RatioProfile], stream) -> None:
-    """One row per (n, irrep): n, irrep name, dim, m_i, ratio, limit ratio."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["n", "irrep", "dim", "multiplicity", "ratio", "limit_ratio"])
-    for prof in profiles:
-        for i, chi in enumerate(table.irreps):
-            writer.writerow([
-                prof.n,
-                chi.name,
-                chi.dim,
-                prof.mv.m[i],
-                f"{float(prof.observed[i]):.12g}",
-                f"{float(prof.limits[i]):.12g}",
-            ])

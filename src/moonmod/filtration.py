@@ -10,10 +10,11 @@ partial order on the irreducibles: the blocks X_j \ X_{j+1}.
 
 Two modes: exact (a concrete grade n, integer arithmetic throughout, the
 reconstruction identity enforced) and asymptotic (a residue class n0 mod
-N, sign patterns only, no multiplicities).  All level algebra runs in
-exact quadratic arithmetic; directions are normalized to canonical
-nonnegative integer vectors when the entries are rational, and the chain
-degrades to an approximate float mode when they are not.
+N, sign patterns only, no multiplicities).  The level algebra is exact
+and rational: each level keeps its class functions as integer rows over
+the character basis, the sign-weighted class sums of one element order are
+rational because coefficients are Galois-invariant, and directions are
+normalized to canonical nonnegative integer vectors.
 """
 
 from __future__ import annotations
@@ -23,11 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .chartab import CharacterTable, distinct_orders
+from .chartab import CharacterTable, class_sums, distinct_orders
 from .decomp import MultiplicityVector
-from .quadratic import QExact
 
 
 class FiltrationError(Exception):
@@ -44,7 +42,8 @@ class DegenerateLevel(FiltrationError):
 
 
 class IrrationalDirection(FiltrationError):
-    """Direction entries are not commensurable rationals."""
+    """A sign-weighted class sum is irrational: the signs differ on
+    Galois-conjugate classes of one element order."""
 
     def __init__(self, order: int, raw: tuple):
         super().__init__(f"direction at order {order} is irrational: {raw}")
@@ -169,162 +168,88 @@ def _sign_lookup(signs, class_name: str, n: int | None) -> int:
 
 @dataclass
 class ClassFunctionLevel:
-    """State after l elimination steps: f_i^{(l)} on every class, plus the
-    active (surviving) irrep indices and the current direction L over them."""
+    """State after l elimination steps: f_i^{(l)} = sum_k rows[i][k] chi_k as
+    integer rows over the character basis, the active (surviving) irrep
+    indices and the current integer direction L over them.  Rows of irreps
+    no longer active are left as they were and never read."""
 
     level: int
     order: int  # element order e_l this level's direction belongs to
-    values: list[dict[str, QExact]]  # f_i^{(level)} per irrep, keyed by class
+    rows: list[tuple[int, ...]]
     active: tuple[int, ...]
-    direction: dict[int, object]  # active index -> int (or float when approximate)
-    approximate: bool = False
+    direction: dict[int, int]  # active index -> coefficient
 
 
 def _character_level(table: CharacterTable) -> ClassFunctionLevel:
-    values = [
-        {c.name: chi.values[k].exact() for k, c in enumerate(table.classes)}
-        for chi in table.irreps
-    ]
-    active = tuple(range(len(table.irreps)))
+    s = len(table.irreps)
+    rows = [tuple(int(i == k) for k in range(s)) for i in range(s)]
+    active = tuple(range(s))
     direction = {i: table.irreps[i].dim for i in active}
-    return ClassFunctionLevel(1, 1, values, active, direction)
+    return ClassFunctionLevel(1, 1, rows, active, direction)
 
 
-def _q_float(q: QExact) -> float:
-    total = 0.0
-    for s, c in q.terms.items():
-        if s < 0:
-            raise StructureViolation(f"nonreal weighted sum {q!r}")
-        total += float(c) * math.sqrt(s)
-    return total
+def _order_sums(table: CharacterTable, signs, n: int | None, order: int
+                ) -> list[Fraction]:
+    """w_k = sum over classes of the given order of |[g]| sgn(c_g) chi_k(g).
 
-
-def _q_mpf(q: QExact) -> mpmath.mpf:
-    with mpmath.workdps(60):
-        total = mpmath.mpf(0)
-        for s, c in q.terms.items():
-            if s < 0:
-                raise StructureViolation(f"nonreal weighted sum {q!r}")
-            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.sqrt(s)
-        return total
-
-
-def _weighted_sums(table: CharacterTable, level: ClassFunctionLevel,
-                   signs, n: int | None, order: int) -> dict[int, QExact]:
-    """nu_i = sum over classes of the given order of |[g]| f_i(g) sgn(c_g)."""
-    out: dict[int, QExact] = {}
-    for i in level.active:
-        acc = QExact()
-        for k, c in enumerate(table.classes):
-            if c.element_order != order:
-                continue
-            s = _sign_lookup(signs, c.name, n)
-            if s == 0:
-                continue
-            acc = acc + level.values[i][c.name].scale(c.size * s)
-        out[i] = acc
-    return out
+    Coefficients are Galois-invariant, so their signs agree on conjugate
+    classes and every w_k is rational; signs that differ there can only
+    come from hand-made input, which is refused.
+    """
+    weights = [c.size * _sign_lookup(signs, c.name, n) if c.element_order == order
+               else 0 for c in table.classes]
+    sums = class_sums(table, weights)
+    if not all(q.is_rational for q in sums):
+        raise IrrationalDirection(order, tuple(sums))
+    return [q.rational_part() for q in sums]
 
 
 def minimizer_set(table: CharacterTable, level: ClassFunctionLevel,
                   signs, n: int | None, order: int
-                  ) -> tuple[tuple[int, ...], dict[int, QExact]]:
-    """Active indices minimizing nu_i / L(i) over entries with L(i) > 0.
-
-    Ties are resolved by exact equality of the quadratic values, with a
-    high-precision comparison fallback for distinct-but-close entries.
-    Returns (J, nu).
-    """
-    nu = _weighted_sums(table, level, signs, n, order)
+                  ) -> tuple[tuple[int, ...], dict[int, Fraction]]:
+    """Active indices minimizing nu_i / L(i) over entries with L(i) > 0,
+    where nu_i = sum_k rows[i][k] w_k.  Returns (J, nu)."""
+    w = _order_sums(table, signs, n, order)
+    nu = {i: sum((a * wk for a, wk in zip(level.rows[i], w) if a), Fraction(0))
+          for i in level.active}
     candidates = [i for i in level.active if level.direction[i] > 0]
     if not candidates:
         raise DegenerateLevel(order, "all normalizers zero")
-    if all(nu[i].is_zero for i in level.active):
+    if not any(nu.values()):
         raise DegenerateLevel(order)
-    if level.approximate:
-        vals = {i: _q_float(nu[i]) / float(level.direction[i]) for i in candidates}
-        best = min(vals.values())
-        scale = max(1.0, abs(best))
-        J = tuple(sorted(i for i in candidates if vals[i] <= best + 1e-9 * scale))
-        return J, nu
-    ratios = {i: nu[i].scale(Fraction(1, level.direction[i])) for i in candidates}
-    floats = {i: _q_float(ratios[i]) for i in candidates}
-    i0 = min(candidates, key=lambda i: floats[i])
-    J = [i for i in candidates if (ratios[i] - ratios[i0]).is_zero]
-    # Guard against float ties that are not exact ties.
-    near = [i for i in candidates if i not in J
-            and abs(floats[i] - floats[i0]) <= 1e-9 * max(1.0, abs(floats[i0]))]
-    if near:
-        base = _q_mpf(ratios[i0])
-        for i in near:
-            if _q_mpf(ratios[i]) < base:
-                raise StructureViolation(
-                    f"minimizer ordering unresolved between {i0} and {i} at order {order}"
-                )
-    return tuple(sorted(J)), nu
+    ratios = {i: nu[i] / level.direction[i] for i in candidates}
+    best = min(ratios.values())
+    return tuple(i for i in candidates if ratios[i] == best), nu
 
 
-def next_class_function(table: CharacterTable, level: ClassFunctionLevel,
-                        J: tuple[int, ...], nu: dict[int, QExact], order: int
-                        ) -> ClassFunctionLevel:
+def next_class_function(level: ClassFunctionLevel, J: tuple[int, ...],
+                        nu: dict[int, Fraction], order: int) -> ClassFunctionLevel:
     """Eliminate the minimizer: f_i' = f_i L(j') - L(i) f_{j'}, with the new
     direction L'(i) = L(j') nu_i - L(i) nu_{j'} over the shrunken active set."""
     jp = min(J)
     Ljp = level.direction[jp]
     new_active = tuple(i for i in level.active if i not in J)
-    new_values: list[dict[str, QExact]] = [dict() for _ in table.irreps]
+    rows = list(level.rows)
     for i in new_active:
-        fi = level.values[i]
-        fj = level.values[jp]
         Li = level.direction[i]
-        new_values[i] = {
-            cname: fi[cname].scale(Ljp) - fj[cname].scale(Li)
-            for cname in fi
-        }
-    if level.approximate:
-        floats = {i: _q_float(nu[i]) * float(Ljp)
-                  - _q_float(nu[jp]) * float(level.direction[i])
-                  for i in new_active}
-        positive = [v for v in floats.values() if v > 0]
-        scale = min(positive) if positive else 1.0
-        direction: dict[int, object] = {i: max(v, 0.0) / scale for i, v in floats.items()}
-        approx = True
-    else:
-        raw = {i: nu[i].scale(Ljp) - nu[jp].scale(level.direction[i]) for i in new_active}
-        direction, approx = direction_vector(raw, order)
-    return ClassFunctionLevel(level.level + 1, order, new_values, new_active,
-                              direction, level.approximate or approx)
+        rows[i] = tuple(Ljp * a - Li * b for a, b in zip(level.rows[i], level.rows[jp]))
+    raw = {i: Ljp * nu[i] - level.direction[i] * nu[jp] for i in new_active}
+    return ClassFunctionLevel(level.level + 1, order, rows, new_active,
+                              direction_vector(raw, order))
 
 
-def direction_vector(raw: dict[int, QExact], order: int
-                     ) -> tuple[dict[int, object], bool]:
-    """Canonical integer direction from exact raw entries.
-
-    Rational entries are cleared to coprime nonnegative integers; a negative
-    entry is a structure violation; irrational entries degrade the chain to
-    approximate floats normalized by the smallest positive entry.
-    """
-    if all(q.is_rational for q in raw.values()):
-        fracs = {i: q.rational_part() for i, q in raw.items()}
-        neg = {i: f for i, f in fracs.items() if f < 0}
-        if neg:
-            raise StructureViolation(
-                f"negative direction entries at order {order}: {neg}"
-            )
-        denom = math.lcm(*(f.denominator for f in fracs.values())) if fracs else 1
-        ints = {i: int(f * denom) for i, f in fracs.items()}
-        g = math.gcd(*ints.values()) if any(ints.values()) else 1
-        if g > 1:
-            ints = {i: v // g for i, v in ints.items()}
-        return ints, False
-    floats = {i: _q_float(q) for i, q in raw.items()}
-    if any(v < -1e-12 * max(1.0, max(map(abs, floats.values()))) for v in floats.values()):
+def direction_vector(raw: dict[int, Fraction], order: int) -> dict[int, int]:
+    """Canonical direction: rational raw entries cleared to coprime
+    nonnegative integers; a negative entry is a structure violation."""
+    neg = {i: f for i, f in raw.items() if f < 0}
+    if neg:
         raise StructureViolation(
-            f"negative direction entries at order {order}: {floats}"
+            f"negative direction entries at order {order}: {neg}"
         )
-    positive = [v for v in floats.values() if v > 0]
-    scale = min(positive) if positive else 1.0
-    return {i: max(v, 0.0) / scale for i, v in floats.items()}, True
+    denom = math.lcm(*(f.denominator for f in raw.values()))
+    ints = {i: int(f * denom) for i, f in raw.items()}
+    g = math.gcd(*ints.values()) or 1
+    return {i: v // g for i, v in ints.items()}
 
 
 # -- filtration results ------------------------------------------------------
@@ -333,7 +258,7 @@ def direction_vector(raw: dict[int, QExact], order: int
 class ChainLevel:
     level_order: int
     r: int | None  # None in asymptotic mode
-    direction: dict[int, object]  # support index -> coefficient
+    direction: dict[int, int]  # support index -> coefficient
     support: tuple[int, ...]  # X_j
     J: tuple[int, ...]  # minimizer set defining the next level (empty at the end)
 
@@ -347,8 +272,7 @@ class FiltrationResult:
     residual: tuple[int, ...] | None  # L_eps over all irreps (exact mode)
     order_blocks: tuple[tuple[int, ...], ...]
     skipped_orders: tuple[int, ...]
-    approximate: bool = False
-    notes: tuple[str, ...] = ()
+    approximate = False  # schema 1 field; the level algebra is always exact
 
 
 def _advance(table: CharacterTable, level: ClassFunctionLevel, signs,
@@ -366,7 +290,7 @@ def _advance(table: CharacterTable, level: ClassFunctionLevel, signs,
         except DegenerateLevel as exc:
             skipped.append(exc.order)
             continue
-        return next_class_function(table, level, J, nu, order), J
+        return next_class_function(level, J, nu, order), J
     return None, ()
 
 
@@ -386,21 +310,13 @@ def filtrate_exact(mv: MultiplicityVector, table: CharacterTable, signs
     chain: list[ChainLevel] = []
     blocks: list[tuple[int, ...]] = []
     skipped: list[int] = []
-    notes: list[str] = []
     while True:
         support = level.active
-        if level.approximate:
-            pos = [(i, level.direction[i]) for i in support if level.direction[i] > 0]
-            r = min(int(remaining[i] // Li) for i, Li in pos) if pos else 0
-            r = max(r, 0)
-            for i, Li in pos:
-                remaining[i] -= int(round(r * Li))
-        else:
-            pos = [(i, level.direction[i]) for i in support if level.direction[i] > 0]
-            r = min(remaining[i] // Li for i, Li in pos) if pos else 0
-            r = max(r, 0)
-            for i, Li in pos:
-                remaining[i] -= r * Li
+        pos = [(i, level.direction[i]) for i in support if level.direction[i] > 0]
+        r = min(remaining[i] // Li for i, Li in pos) if pos else 0
+        r = max(r, 0)
+        for i, Li in pos:
+            remaining[i] -= r * Li
         nxt, J = _advance(table, level, signs, n, orders, skipped)
         chain.append(ChainLevel(level.order, r, dict(level.direction), support, J))
         if J:
@@ -411,15 +327,11 @@ def filtrate_exact(mv: MultiplicityVector, table: CharacterTable, signs
                 blocks.append(final)
             break
         level = nxt
-    approx = level.approximate
-    if approx:
-        notes.append("direction entries irrational from some level; "
-                     "remainders absorb rounding")
     residual = tuple(remaining)
-    if not approx and any(v < 0 for v in residual):
+    if any(v < 0 for v in residual):
         raise StructureViolation(f"negative residual entries: {residual}")
     return FiltrationResult("exact", n, None, tuple(chain), residual,
-                            tuple(blocks), tuple(skipped), approx, tuple(notes))
+                            tuple(blocks), tuple(skipped))
 
 
 def filtrate_asymptotic(table: CharacterTable, profile: SignProfile,
@@ -453,7 +365,7 @@ def filtrate_asymptotic(table: CharacterTable, profile: SignProfile,
             break
         level = nxt
     return FiltrationResult("asymptotic", None, (n0 % N, N), tuple(chain), None,
-                            tuple(blocks), tuple(skipped), level.approximate)
+                            tuple(blocks), tuple(skipped))
 
 
 def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
@@ -482,8 +394,8 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
                  * math.exp(math.pi * math.sqrt(q8) / (2 * e2))) / table.group_order
     out = []
     for i in range(len(table.irreps)):
-        bracket = nu[i] - nu[jp].scale(Fraction(dims[i], dims[jp]))
-        out.append(prefactor * _q_float(bracket))
+        bracket = nu[i] - nu[jp] * Fraction(dims[i], dims[jp])
+        out.append(prefactor * float(bracket))
     return out
 
 
@@ -513,6 +425,4 @@ def result_to_json(result: FiltrationResult, table: CharacterTable) -> str:
     doc["order_blocks"] = [[names[i] for i in block] for block in result.order_blocks]
     doc["skipped_orders"] = list(result.skipped_orders)
     doc["approximate"] = result.approximate
-    if result.notes:
-        doc["notes"] = list(result.notes)
     return json.dumps(doc, indent=1, sort_keys=True)

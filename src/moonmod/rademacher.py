@@ -531,8 +531,8 @@ class RademacherEngine:
     def value(self, class_name: str, n: int) -> int:
         return self.coefficient(self.params_for(class_name), n).value
 
-    def coefficient_range(self, class_name: str, n_lo: int, n_hi: int,
-                          jobs: int = 1) -> list[CoefficientRecord]:
+    def coefficient_range(self, class_name: str, n_lo: int, n_hi: int
+                          ) -> list[CoefficientRecord]:
         params = self.params_for(class_name)
         recs = self._coefficients(params, range(n_lo, n_hi + 1))
         return [recs[n] for n in range(n_lo, n_hi + 1)]

@@ -1,21 +1,32 @@
 """End-to-end command-line behavior on the warm cache."""
 
+import hashlib
 import json
 import os
+import shutil
+from importlib import resources
 
 import pytest
 
-from moonmod.cli import main
+from moonmod.chartab import bundled_table
+from moonmod.cli import _make_engine, build_parser, main
+from moonmod.rademacher import bundled_cache
 
 REPO_CACHE = os.path.join(os.path.dirname(__file__), "..", "src", "moonmod", "data",
                           "m24_coeffs.ldjson")
-
-CACHE_ARGS = ["--cache", REPO_CACHE]
 
 pytestmark = pytest.mark.skipif(
     not os.path.exists(REPO_CACHE),
     reason="precomputed coefficient store not present",
 )
+
+
+@pytest.fixture(scope="module")
+def cache_args(tmp_path_factory):
+    """A writable copy of the precomputed store, so no test writes package data."""
+    copy = tmp_path_factory.mktemp("store") / "m24_coeffs.ldjson"
+    shutil.copyfile(REPO_CACHE, copy)
+    return ["--cache", str(copy)]
 
 
 def run(capsys, argv):
@@ -38,25 +49,25 @@ def test_validate_corrupt(tmp_path, capsys):
     assert code == 1 and "FAIL" in err
 
 
-def test_coeff_csv(capsys):
-    code, out, _ = run(capsys, ["coeff", "--class", "1A", "--n", "1"] + CACHE_ARGS)
+def test_coeff_csv(capsys, cache_args):
+    code, out, _ = run(capsys, ["coeff", "--class", "1A", "--n", "1"] + cache_args)
     assert code == 0
     lines = out.splitlines()
     assert lines[0].startswith("class,n,value")
     assert lines[1].split(",")[:3] == ["1A", "1", "90"]
 
 
-def test_coeff_polar_and_range(capsys):
+def test_coeff_polar_and_range(capsys, cache_args):
     code, out, _ = run(capsys, ["coeff", "--class", "1A", "--n=-1..1"]
-                       + CACHE_ARGS)
+                       + cache_args)
     assert code == 0
     values = [line.split(",")[2] for line in out.splitlines()[1:]]
     assert values == ["-2", "0", "90"]
 
 
-def test_coeff_json_schema(capsys):
+def test_coeff_json_schema(capsys, cache_args):
     code, out, _ = run(capsys, ["coeff", "--class", "2A,2B", "--n", "1..4",
-                                "--format", "json"] + CACHE_ARGS)
+                                "--format", "json"] + cache_args)
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == 1
@@ -64,33 +75,34 @@ def test_coeff_json_schema(capsys):
     assert rec["class"] == "2A" and rec["value"] == "-6"
 
 
-def test_coeff_deterministic_rerun(capsys):
-    argv = ["coeff", "--class", "2A", "--n", "1..10"] + CACHE_ARGS
+def test_coeff_deterministic_rerun(capsys, cache_args):
+    argv = ["coeff", "--class", "2A", "--n", "1..10"] + cache_args
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
 
 
-def test_decompose_polar(capsys):
-    code, out, _ = run(capsys, ["decompose", "--n=-1"] + CACHE_ARGS)
+def test_decompose_polar(capsys, cache_args):
+    code, out, _ = run(capsys, ["decompose", "--n=-1"] + cache_args)
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert rows[0][3] == "-2"
     assert all(r[3] == "0" for r in rows[1:])
 
 
-def test_decompose_n1(capsys):
-    code, out, _ = run(capsys, ["decompose", "--n", "1"] + CACHE_ARGS)
+def test_decompose_n1(capsys, cache_args):
+    code, out, _ = run(capsys, ["decompose", "--n", "1"] + cache_args)
     assert code == 0
+    assert out.splitlines()[0] == "n,irrep,dim,multiplicity,ratio,limit_ratio"
     rows = [line.split(",") for line in out.splitlines()[1:]]
     nonzero = [(r[1], r[2], r[3]) for r in rows if r[3] != "0"]
     assert len(nonzero) == 2
     assert all(dim == "45" and mult == "1" for _, dim, mult in nonzero)
 
 
-def test_filtrate_a5_asymptotic(capsys):
+def test_filtrate_a5_asymptotic(capsys, cache_args):
     code, out, _ = run(capsys, ["filtrate", "--group", "a5", "--residue", "10",
-                                "--modulus", "30"] + CACHE_ARGS)
+                                "--modulus", "30"] + cache_args)
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == 1
@@ -98,25 +110,25 @@ def test_filtrate_a5_asymptotic(capsys):
                                    ["chi1", "chi5"]]
 
 
-def test_filtrate_exact_m24(capsys):
+def test_filtrate_exact_m24(capsys, cache_args):
     code, out, _ = run(capsys, ["filtrate", "--group", "m24", "--n", "30"]
-                       + CACHE_ARGS)
+                       + cache_args)
     assert code == 0
     doc = json.loads(out)
     assert doc["mode"] == "exact" and doc["n"] == 30
     assert doc["chain"][0]["r"] >= 1
 
 
-def test_asympt_free_trend(capsys):
-    code, out, _ = run(capsys, ["asympt", "--free", "--n", "10,50"] + CACHE_ARGS)
+def test_asympt_free_trend(capsys, cache_args):
+    code, out, _ = run(capsys, ["asympt", "--free", "--n", "10,50"] + cache_args)
     assert code == 0
     rows = out.splitlines()[1:]
     dev = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
     assert dev[50] < dev[10]
 
 
-def test_asympt_nonfree(capsys):
-    code, out, _ = run(capsys, ["asympt", "--nonfree", "--n", "40"] + CACHE_ARGS)
+def test_asympt_nonfree(capsys, cache_args):
+    code, out, _ = run(capsys, ["asympt", "--nonfree", "--n", "40"] + cache_args)
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert len(rows) == 26
@@ -129,21 +141,41 @@ def test_asympt_nonfree(capsys):
     assert checked > 0
 
 
-def test_cache_info(capsys):
-    code, out, _ = run(capsys, ["cache"] + CACHE_ARGS)
+def test_cache_info(capsys, cache_args):
+    code, out, _ = run(capsys, ["cache"] + cache_args)
     assert code == 0
     assert "records" in out
 
 
-def test_out_flag_writes_file(tmp_path, capsys):
+def test_out_flag_writes_file(tmp_path, capsys, cache_args):
     target = tmp_path / "coeffs.csv"
     code, out, _ = run(capsys, ["coeff", "--class", "1A", "--n", "1..3",
-                                "--out", str(target)] + CACHE_ARGS)
+                                "--out", str(target)] + cache_args)
     assert code == 0 and out == ""
     assert target.read_text().splitlines()[1].split(",")[2] == "90"
 
 
-def test_bad_grade_spec(capsys):
+def test_bad_grade_spec(capsys, cache_args):
     code, _, err = run(capsys, ["coeff", "--class", "1A", "--n", "5..1"]
-                       + CACHE_ARGS)
+                       + cache_args)
     assert code == 1 and "error" in err
+
+
+def test_cache_clear_keeps_packaged_store(monkeypatch, capsys):
+    monkeypatch.delenv("MOONMOD_CACHE", raising=False)
+    store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
+    before = hashlib.sha256(store.read_bytes()).hexdigest()
+    code, out, err = run(capsys, ["cache", "--clear"])
+    assert store.is_file()
+    assert hashlib.sha256(store.read_bytes()).hexdigest() == before
+    assert code == 1 and out == "" and "read-only" in err
+
+
+def test_default_cache_is_the_packaged_store_in_memory(monkeypatch, capsys):
+    monkeypatch.delenv("MOONMOD_CACHE", raising=False)
+    engine, _ = _make_engine(build_parser().parse_args(["coeff", "--n", "1"]),
+                             bundled_table("m24"))
+    assert engine.cache.path is None and len(engine.cache) > 0
+    code, out, _ = run(capsys, ["cache"])
+    assert code == 0
+    assert out.startswith(f"packaged store: {len(bundled_cache())} records\n")

@@ -1,12 +1,10 @@
 """Multiplicity decomposition against orthogonality identities."""
 
-import io
-
 import pytest
 
 from moonmod.decomp import (MultiplicityVector, NegativeMultiplicity,
                             NonIntegral, dimension_limits, free_part_split,
-                            multiplicities, ratio_profile, write_csv)
+                            multiplicities, ratio_profile)
 
 
 def test_polar_grade_is_virtual_trivial(m24_table):
@@ -101,15 +99,3 @@ def test_ratio_profile_rejects_nonpositive_n(a5_table):
     with pytest.raises(ValueError):
         ratio_profile(a5_table, [0], Reg())
 
-
-def test_csv_emitter(a5_table):
-    class Reg:
-        def value(self, cn, n):
-            return 120 if cn == "1A" else 0
-    prof = ratio_profile(a5_table, [2], Reg())
-    buf = io.StringIO()
-    write_csv(a5_table, prof, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "n,irrep,dim,multiplicity,ratio,limit_ratio"
-    assert len(lines) == 1 + 5
-    assert lines[1].startswith("2,chi1,1,2,")

@@ -16,12 +16,11 @@ import pytest
 from moonmod.chartab import load_table
 from moonmod.decomp import MultiplicityVector, multiplicities
 from moonmod.filtration import (AperiodicClass, ClassSigns, DegenerateLevel,
-                                SignProfile, StructureViolation,
-                                _character_level, direction_vector,
-                                filtrate_asymptotic, filtrate_exact,
-                                minimizer_set, result_to_json, sign_profile,
-                                signs_at)
-from moonmod.quadratic import QExact
+                                IrrationalDirection, SignProfile,
+                                StructureViolation, _character_level,
+                                direction_vector, filtrate_asymptotic,
+                                filtrate_exact, minimizer_set, result_to_json,
+                                sign_profile, signs_at)
 
 
 # -- synthetic tables --------------------------------------------------------
@@ -265,10 +264,9 @@ def test_minimizer_scale_invariance(a5_table):
     level = _character_level(a5_table)
     signs = {"1A": 1, "2A": 1, "3A": 0, "5A": 0, "5B": 0}
     J1, nu1 = minimizer_set(a5_table, level, signs, None, 2)
-    # Scale all f values (and direction) by 3: same J, same canonical direction.
+    # Scale all f rows (and direction) by 3: same J, same canonical direction.
     scaled = _character_level(a5_table)
-    scaled.values = [{k: v.scale(3) for k, v in row.items()}
-                     for row in scaled.values]
+    scaled.rows = [tuple(3 * v for v in row) for row in scaled.rows]
     scaled.direction = {i: 3 * v for i, v in scaled.direction.items()}
     J2, nu2 = minimizer_set(a5_table, scaled, signs, None, 2)
     assert J1 == J2
@@ -282,11 +280,21 @@ def test_degenerate_level_raised(a5_table):
 
 
 def test_direction_vector_canonicalizes():
-    raw = {0: QExact.rational(Fraction(5, 2)), 1: QExact.rational(Fraction(15, 2))}
-    direction, approx = direction_vector(raw, 2)
-    assert direction == {0: 1, 1: 3} and not approx
+    raw = {0: Fraction(5, 2), 1: Fraction(15, 2)}
+    direction = direction_vector(raw, 2)
+    assert direction == {0: 1, 1: 3}
     with pytest.raises(StructureViolation):
-        direction_vector({0: QExact.rational(-1)}, 2)
+        direction_vector({0: Fraction(-1)}, 2)
+
+
+def test_signs_split_on_conjugate_classes_refused(a5_table):
+    # 5A and 5B are Galois conjugate: coefficient data gives them one sign,
+    # and opposite signs make the order-5 class sums irrational.
+    mv = MultiplicityVector(1, (5, 7, 7, 9, 11), (0.0,) * 5)
+    signs = {"1A": 1, "2A": 1, "3A": 0, "5A": 1, "5B": -1}
+    with pytest.raises(IrrationalDirection) as exc:
+        filtrate_exact(mv, a5_table, signs)
+    assert exc.value.order == 5
 
 
 def test_sign_profile_detection(s3):
