@@ -3,18 +3,19 @@ r"""Class data and character tables with exact validation.
 Tables are JSON documents: group_name, group_order, classes (name, size,
 element_order, ng, hg, optional fusion_target) and irreps (name, dim,
 values as {a, b, d} quadratic triples parallel to the classes).  Loading
-validates size sums and both orthogonality relations in exact quadratic
-arithmetic; bundled files for M24 and A5 live in the package data.
+validates size sums and both orthogonality relations exactly: every
+product of two values (a + b sqrt(d))/2 is summed as integer numerators
+keyed by squarefree radicand, so a class may mix values from several
+quadratic fields.  Bundled files for M24 and A5 live in the package data.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 
-from .quadratic import QExact, QuadraticValue
+from .quadratic import QuadraticValue, mul_roots
 
 
 class TableError(Exception):
@@ -118,31 +119,39 @@ def _validate(table: CharacterTable) -> None:
     for i, chi in enumerate(irreps):
         if i and irreps[i - 1].dim > chi.dim:
             raise TableParseError(f"irrep {chi.name}: dims not non-decreasing")
-    # Row orthogonality, exact.
+    # Both relations, exactly, on integer numerators (four times the sum).
+    conj = [[v.conjugate() for v in chi.values] for chi in irreps]
+    full = {1: 4 * order}
     for i, chi_i in enumerate(irreps):
         for j in range(i, len(irreps)):
-            chi_j = irreps[j]
-            acc = QExact()
-            for k, c in enumerate(classes):
-                term = chi_i.values[k].exact() * chi_j.values[k].conjugate().exact()
-                acc = acc + term.scale(c.size)
-            want = Fraction(order if i == j else 0)
-            if not (acc.is_rational and acc.rational_part() == want):
+            got = _four_products(zip((c.size for c in classes), chi_i.values, conj[j]))
+            if got != (full if i == j else {}):
                 raise OrthogonalityError(
-                    f"row orthogonality fails for ({chi_i.name}, {chi_j.name}): {acc!r}"
+                    f"row orthogonality fails for ({chi_i.name}, {irreps[j].name}): "
+                    f"four times the sum is {got}"
                 )
-    # Column orthogonality, exact.
-    for k in range(len(classes)):
+    for k, ck in enumerate(classes):
         for l in range(k, len(classes)):
-            acc = QExact()
-            for chi in irreps:
-                acc = acc + chi.values[k].conjugate().exact() * chi.values[l].exact()
-            want = Fraction(order, classes[k].size) if k == l else Fraction(0)
-            if not (acc.is_rational and acc.rational_part() == want):
+            got = _four_products((1, row[k], chi.values[l]) for row, chi in zip(conj, irreps))
+            ok = (got.keys() == {1} and got[1] * ck.size == 4 * order) if k == l else not got
+            if not ok:
                 raise OrthogonalityError(
-                    "column orthogonality fails for "
-                    f"({classes[k].name}, {classes[l].name}): {acc!r}"
+                    f"column orthogonality fails for ({ck.name}, {classes[l].name}): "
+                    f"four times the sum is {got}"
                 )
+
+
+def _four_products(terms) -> dict[int, int]:
+    """4 sum w u v over (w, u, v) triples of an integer and two values, as
+    integer numerators keyed by squarefree radicand, zeros dropped."""
+    acc: dict[int, int] = {}
+    for w, u, v in terms:
+        for s1, x in ((1, u.a), (u.d, u.b)):
+            for s2, y in ((1, v.a), (v.d, v.b)):
+                if x and y:
+                    k, s = mul_roots(s1, s2)
+                    acc[s] = acc.get(s, 0) + w * k * x * y
+    return {s: t for s, t in acc.items() if t}
 
 
 def load_table(source) -> CharacterTable:
@@ -236,11 +245,12 @@ def distinct_orders(table: CharacterTable) -> list[int]:
     return sorted({c.element_order for c in table.classes})
 
 
-def class_sums(table: CharacterTable, weights) -> list[QExact]:
-    """sum_k weights[k] chi_i(g_k) for every irrep i, exactly.
+def class_sums(table: CharacterTable, weights) -> list[dict[int, int]]:
+    """Twice sum_k weights[k] chi_i(g_k) for every irrep i, exactly.
 
-    weights are integers parallel to the classes.  Sums run over the
-    integer numerators of (a + b sqrt(d))/2 and are halved once at the end.
+    weights are integers parallel to the classes.  Each sum is returned as
+    integer numerators keyed by squarefree radicand (1 is the rational
+    part), with zero entries dropped.
     """
     nonzero = [(k, w) for k, w in enumerate(weights) if w]
     out = []
@@ -251,7 +261,7 @@ def class_sums(table: CharacterTable, weights) -> list[QExact]:
             twice[1] = twice.get(1, 0) + w * v.a
             if v.b:
                 twice[v.d] = twice.get(v.d, 0) + w * v.b
-        out.append(QExact({s: Fraction(t, 2) for s, t in twice.items()}))
+        out.append({s: t for s, t in twice.items() if t})
     return out
 
 

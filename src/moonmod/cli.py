@@ -6,9 +6,10 @@ with a warm cache produces byte-identical output.  Exit status is 0 only
 when every gate (orthogonality, integrality, reconstruction) passes.
 
 Cache resolution precedence: --cache flag, then the MOONMOD_CACHE
-environment variable (a directory holding <group>_coeffs.ldjson).  With
-neither, commands read the packaged precomputed store into memory and
-never write to it.
+environment variable (a directory holding <group>_coeffs.ldjson).  The
+named file overlays the packaged precomputed store, which is read into
+memory: file records win, and new values are appended to the file only.
+With neither, nothing is written.
 """
 
 from __future__ import annotations
@@ -53,18 +54,13 @@ def _make_engine(args, table: CharacterTable):
     """
     fused = all(c.fusion_target for c in table.classes) and table.group_name != "M24"
     ambient = bundled_table("m24") if fused else table
-    ctx = None
-    if args.precision or args.tol:
-        ctx = PrecisionContext(
-            working_precision=args.precision or 80,
-            truncation_tolerance=args.tol or 1e-4,
-        )
+    ctx = PrecisionContext(args.precision) if args.precision else None
     policy = None
     if args.tol:
         policy = TruncationPolicy(c_max_limit=ENGINE_C_LIMIT,
                                   residual_tolerance=args.tol)
     path = _resolve_cache(args, ambient.group_name.lower())
-    cache = CoefficientCache(path) if path else bundled_cache()
+    cache = bundled_cache(path)
     engine = RademacherEngine(ambient, policy=policy, ctx=ctx, cache=cache)
     provider = FusedProvider(table, engine) if fused else engine
     return engine, provider
@@ -294,7 +290,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="bundled group name (m24, a5) or a table file path")
     p.add_argument("--cache", help="coefficient cache file (ldjson)")
     p.add_argument("--precision", type=int, help="working precision in digits")
-    p.add_argument("--tol", type=float, help="integrality residual tolerance")
+    p.add_argument("--tol", type=float, help="dip-gate residual tolerance for new coefficients")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
 

@@ -5,11 +5,10 @@ the per-class coefficients c_g(n); orthogonality gives
 
     m_i(n) = (1/|G|) sum_{[g]} |[g]| conj(chi_i(g)) c_g(n).
 
-Coefficients are exact integers and character values exact quadratic
-irrationals, so the sum is evaluated exactly: the irrational part must
-vanish identically and the rational part must be an integer.  The
-tolerance in the context only cushions residuals inherited from upstream
-(it is not needed when the inputs are exact).  Negative multiplicities at
+Coefficients are exact integers and character values (a + b sqrt(d))/2
+with integer a, b, so twice the sum is kept as integer numerators keyed by
+radicand: every irrational numerator must vanish and the rational one must
+be divisible by 2|G|, with no tolerance.  Negative multiplicities at
 n >= 1 are an error signal, not a warning.
 """
 
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chartab import CharacterTable, class_sums
-from .numerics import PrecisionContext, DEFAULT_CONTEXT
 
 
 class DecompositionError(Exception):
@@ -47,7 +45,6 @@ class MultiplicityVector:
 
     n: int
     m: tuple[int, ...]
-    residuals: tuple[float, ...]
 
     def __iter__(self):
         return iter(self.m)
@@ -59,8 +56,7 @@ def _coeff_lookup(coeffs, class_name: str, n: int) -> int:
     return int(coeffs[class_name])
 
 
-def multiplicities(table: CharacterTable, n: int, coeffs,
-                   ctx: PrecisionContext = DEFAULT_CONTEXT) -> MultiplicityVector:
+def multiplicities(table: CharacterTable, n: int, coeffs) -> MultiplicityVector:
     """Decompose grade n given per-class coefficients.
 
     coeffs is either a mapping from class name to the integer c_g(n) or a
@@ -70,22 +66,21 @@ def multiplicities(table: CharacterTable, n: int, coeffs,
     # Without the conjugation: the rational part is the same, and the
     # irrational part vanishes exactly when the conjugated one does.
     sums = class_sums(table, [c.size * v for c, v in zip(table.classes, values)])
+    scale = 2 * table.group_order
     ms = []
-    residuals = []
-    for chi, acc in zip(table.irreps, sums):
-        raw = acc.scale(Fraction(1, table.group_order))
-        if not raw.irrational_part().is_zero:
-            raise NonIntegral(n, chi.name, f"irrational part {raw.irrational_part()!r}")
-        q = raw.rational_part()
-        nearest = round(q)
-        residual = abs(q - nearest)
-        if residual > ctx.truncation_tolerance:
-            raise NonIntegral(n, chi.name, f"raw value {q} has residual {float(residual):.3g}")
-        if n >= 1 and nearest < 0:
-            raise NegativeMultiplicity(n, chi.name, nearest)
-        ms.append(int(nearest))
-        residuals.append(float(residual))
-    return MultiplicityVector(n, tuple(ms), tuple(residuals))
+    for chi, twice in zip(table.irreps, sums):
+        irrational = {d: t for d, t in twice.items() if d != 1}
+        if irrational:
+            raise NonIntegral(n, chi.name,
+                              f"irrational numerators {irrational} over {scale}")
+        m, rem = divmod(twice.get(1, 0), scale)
+        if rem:
+            raise NonIntegral(n, chi.name,
+                              f"raw value {Fraction(twice[1], scale)} is not an integer")
+        if n >= 1 and m < 0:
+            raise NegativeMultiplicity(n, chi.name, m)
+        ms.append(m)
+    return MultiplicityVector(n, tuple(ms))
 
 
 @dataclass(frozen=True)
@@ -104,15 +99,14 @@ def dimension_limits(table: CharacterTable) -> tuple[Fraction, ...]:
     return tuple(Fraction(chi.dim, total) for chi in table.irreps)
 
 
-def ratio_profile(table: CharacterTable, n_list, coeff_provider,
-                  ctx: PrecisionContext = DEFAULT_CONTEXT) -> list[RatioProfile]:
+def ratio_profile(table: CharacterTable, n_list, coeff_provider) -> list[RatioProfile]:
     """Per-grade multiplicity shares m_i/sum m_j against dim chi_i/sum dims."""
     limits = dimension_limits(table)
     out = []
     for n in n_list:
         if n < 1:
             raise ValueError("ratio profiles require n >= 1")
-        mv = multiplicities(table, n, coeff_provider, ctx)
+        mv = multiplicities(table, n, coeff_provider)
         total = sum(mv.m)
         if total <= 0:
             raise DecompositionError(f"grade n={n} has nonpositive total multiplicity {total}")
@@ -131,5 +125,5 @@ def free_part_split(mv: MultiplicityVector, table: CharacterTable
     """
     r1 = min(mv.m[i] // chi.dim for i, chi in enumerate(table.irreps))
     rest = tuple(mv.m[i] - r1 * chi.dim for i, chi in enumerate(table.irreps))
-    return r1, MultiplicityVector(mv.n, rest, mv.residuals)
+    return r1, MultiplicityVector(mv.n, rest)
 

@@ -199,9 +199,9 @@ def _order_sums(table: CharacterTable, signs, n: int | None, order: int
     weights = [c.size * _sign_lookup(signs, c.name, n) if c.element_order == order
                else 0 for c in table.classes]
     sums = class_sums(table, weights)
-    if not all(q.is_rational for q in sums):
+    if any(s != 1 for twice in sums for s in twice):
         raise IrrationalDirection(order, tuple(sums))
-    return [q.rational_part() for q in sums]
+    return [Fraction(twice.get(1, 0), 2) for twice in sums]
 
 
 def minimizer_set(table: CharacterTable, level: ClassFunctionLevel,

@@ -32,16 +32,13 @@ class DedekindMode(Enum):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision (decimal digits) and the integrality tolerance."""
+    """Working precision in decimal digits."""
 
     working_precision: int = 80
-    truncation_tolerance: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.working_precision < 30:
             raise ValueError("working_precision must be at least 30")
-        if not (0.0 < self.truncation_tolerance < 0.5):
-            raise ValueError("truncation_tolerance must lie in (0, 0.5)")
 
 
 DEFAULT_CONTEXT = PrecisionContext()

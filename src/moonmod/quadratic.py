@@ -1,15 +1,15 @@
 r"""Exact arithmetic for quadratic-irrational character values.
 
 Character values are stored as triples (a, b, d) denoting (a + b*sqrt(d))/2
-with d squarefree (negative d means b*i*sqrt(|d|)).  Orthogonality checks
-multiply values from different quadratic fields, so sums are accumulated in
-QExact, a multi-quadratic number: a finite Fraction-linear combination of
-sqrt(s) over squarefree integers s (s = 1 is the rational part).
+with d squarefree (negative d means b*i*sqrt(|d|)).  Sums of products of
+such values live in a compositum of quadratic fields; callers keep them as
+integer numerators keyed by squarefree radicand s (s = 1 is the rational
+part), and mul_roots says where the product of two roots lands.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,99 +72,9 @@ class QuadraticValue:
             return QuadraticValue(self.a, -self.b, self.d)
         return self
 
-    def exact(self) -> "QExact":
-        terms = {1: Fraction(self.a, 2)}
-        if self.b:
-            terms[self.d] = Fraction(self.b, 2)
-        return QExact(terms)
 
-    def to_complex(self) -> complex:
-        root = math.sqrt(abs(self.d))
-        if self.d < 0:
-            return complex(self.a / 2, self.b * root / 2)
-        return complex((self.a + self.b * root) / 2, 0.0)
-
-
-class QExact:
-    """Exact element of the compositum of quadratic fields.
-
-    Represented as {s: coeff} with s squarefree, value sum coeff * sqrt(s),
-    where sqrt(s) = i*sqrt(|s|) for s < 0.  Zero coefficients are dropped.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        self.terms: dict[int, Fraction] = {}
-        if terms:
-            for s, c in terms.items():
-                if c:
-                    self.terms[s] = Fraction(c)
-
-    @classmethod
-    def rational(cls, v) -> "QExact":
-        return cls({1: Fraction(v)})
-
-    def __add__(self, other: "QExact") -> "QExact":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            acc = out.get(s, Fraction(0)) + c
-            if acc:
-                out[s] = acc
-            else:
-                out.pop(s, None)
-        res = QExact()
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "QExact") -> "QExact":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "QExact":
-        k = Fraction(k)
-        return QExact({s: c * k for s, c in self.terms.items()})
-
-    def __mul__(self, other: "QExact") -> "QExact":
-        out: dict[int, Fraction] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                coeff, s = _mul_roots(s1, s2)
-                acc = out.get(s, Fraction(0)) + c1 * c2 * coeff
-                if acc:
-                    out[s] = acc
-                else:
-                    out.pop(s, None)
-        res = QExact()
-        res.terms = out
-        return res
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def is_rational(self) -> bool:
-        return all(s == 1 for s in self.terms)
-
-    def rational_part(self) -> Fraction:
-        return self.terms.get(1, Fraction(0))
-
-    def irrational_part(self) -> "QExact":
-        return QExact({s: c for s, c in self.terms.items() if s != 1})
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QExact):
-            return self.terms == other.terms
-        return self.is_rational and self.rational_part() == Fraction(other)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "QExact(0)"
-        bits = [f"{c}*sqrt({s})" if s != 1 else str(c) for s, c in sorted(self.terms.items())]
-        return "QExact(" + " + ".join(bits) + ")"
-
-
-def _mul_roots(s1: int, s2: int) -> tuple[int, int]:
+@functools.lru_cache(maxsize=None)
+def mul_roots(s1: int, s2: int) -> tuple[int, int]:
     """sqrt(s1)*sqrt(s2) = coeff * sqrt(s); returns (coeff, s)."""
     if s1 == s2:
         return s1, 1

@@ -83,8 +83,8 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if self.c_max_initial > self.c_max_limit:
             raise ValueError("c_max_initial must not exceed c_max_limit")
-        if not self.residual_tolerance < 0.5:
-            raise ValueError("residual_tolerance must be below 0.5")
+        if not 0.0 < self.residual_tolerance < 0.5:
+            raise ValueError("residual_tolerance must lie in (0, 0.5)")
         if self.stability_window < 1:
             raise ValueError("stability_window must be positive")
         if not self.stability_tolerance < 0.5:
@@ -201,8 +201,10 @@ class CoefficientCache:
 def bundled_cache(path: str | os.PathLike | None = None) -> CoefficientCache:
     """Cache seeded from the packaged precomputed store.
 
-    With path=None the cache is in-memory only; fresh computations are kept
-    for the session but not persisted.
+    Records already in the file at path win over packaged ones, and fresh
+    computations are appended to that file only.  With path=None the cache
+    is in-memory only; fresh computations are kept for the session but not
+    persisted.
     """
     from importlib import resources
 
@@ -348,7 +350,7 @@ class RademacherEngine:
             head_im = 0.0
             c = step
             with mpmath.workdps(digits):
-                hp = PrecisionContext(digits, self.ctx.truncation_tolerance)
+                hp = PrecisionContext(digits)
                 while c <= c_head_max:
                     x = mpmath.pi * mpmath.sqrt(q8) / (2 * c)
                     fac = 4 * mpmath.pi * mpmath.sqrt(2 / (mpmath.pi * x)) \

@@ -16,7 +16,6 @@ from moonmod.decomp import free_part_split, multiplicities, ratio_profile
 from moonmod.filtration import (filtrate_asymptotic, filtrate_exact,
                                 nonfree_asymptotic, sign_profile, signs_at)
 from moonmod.numerics import DedekindMode
-from moonmod.quadratic import QExact
 from moonmod.rademacher import CoefficientCache, RademacherEngine
 
 
@@ -72,10 +71,15 @@ def test_criterion_4_decomposition(m24_table, engine):
         assert sum(v * chi.dim for v, chi in zip(mv.m, m24_table.irreps)) \
             == engine.value("1A", n)
         for k, c in enumerate(m24_table.classes):
-            acc = QExact()
+            # Over the numerators of (a + b sqrt(d))/2: the rational part is
+            # 2 c_g(n) and every sqrt(d) part is zero.
+            twice = {1: 0}
             for i, chi in enumerate(m24_table.irreps):
-                acc = acc + chi.values[k].exact().scale(mv.m[i])
-            assert acc == engine.value(c.name, n), (n, c.name)
+                v = chi.values[k]
+                twice[1] += mv.m[i] * v.a
+                twice[v.d] = twice.get(v.d, 0) + mv.m[i] * v.b
+            assert twice.pop(1) == 2 * engine.value(c.name, n), (n, c.name)
+            assert not any(twice.values()), (n, c.name)
     print("\nPASS criterion 4: m(-1) virtual-trivial; n=1..25 nonnegative, "
           "exact reconstruction on all 26 classes")
 

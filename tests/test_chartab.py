@@ -1,12 +1,14 @@
 """Table loading, validation gates, serialization, fusion."""
 
 import json
+import math
 
 import pytest
 
 from moonmod.chartab import (FusionError, FusedProvider, OrthogonalityError,
                              SizeSumError, TableParseError, bundled_table,
                              distinct_orders, load_table, serialize)
+from moonmod.quadratic import mul_roots
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,70 @@ def test_perturbed_value_fails_orthogonality(a5):
     with pytest.raises(OrthogonalityError) as err:
         load_table(doc)
     assert "chi5" in str(err.value) or "2A" in str(err.value)
+    # The irrational part: chi3a at 5A becomes (1 + 3 sqrt 5)/2.
+    doc = json.loads(serialize(a5))
+    assert doc["irreps"][1]["values"][3] == {"a": 1, "b": 1, "d": 5}
+    doc["irreps"][1]["values"][3]["b"] += 2
+    with pytest.raises(OrthogonalityError) as err:
+        load_table(doc)
+    assert "chi3a" in str(err.value) or "5A" in str(err.value)
+
+
+def _c4_times_d16() -> dict:
+    """The table of C4 x D16 (order 64, 28 classes), whose classes carry
+    sqrt(-1), sqrt(2) and sqrt(-2) on different irreps.
+
+    Each factor value is coeff * sqrt(radicand); so is each product.
+    """
+    c4 = {"orders": [1, 4, 2, 4], "sizes": [1, 1, 1, 1],
+          "irreps": [[(1, 1), (1, 1), (1, 1), (1, 1)],
+                     [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                     [(1, 1), (-1, 1), (1, 1), (-1, 1)],
+                     [(1, 1), (-1, -1), (-1, 1), (1, -1)]]}
+    # Classes 1, r^4, r^{+-1}, r^{+-2}, r^{+-3}, s, sr with r of order 8.
+    psi1 = [(2, 1), (-2, 1), (1, 2), (0, 1), (-1, 2), (0, 1), (0, 1)]
+    psi2 = [(2, 1), (2, 1), (0, 1), (-2, 1), (0, 1), (0, 1), (0, 1)]
+    psi3 = [(2, 1), (-2, 1), (-1, 2), (0, 1), (1, 2), (0, 1), (0, 1)]
+    d16 = {"orders": [1, 2, 8, 4, 8, 2, 2], "sizes": [1, 1, 2, 2, 2, 4, 4],
+           "irreps": [[(x, 1) for x in row] for row in (
+               [1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, -1, -1],
+               [1, 1, -1, 1, -1, 1, -1], [1, 1, -1, 1, -1, -1, 1])]
+           + [psi1, psi2, psi3]}
+
+    def triple(x, y):
+        k, s = mul_roots(x[1], y[1])
+        c = x[0] * y[0] * k
+        if c == 0:
+            return {"a": 0, "b": 0, "d": 1}
+        return {"a": 2 * c, "b": 0, "d": 1} if s == 1 else {"a": 0, "b": 2 * c, "d": s}
+
+    pairs = [(p, q) for p in range(4) for q in range(7)]
+    irreps = [{"name": f"chi{i}.{j}", "dim": row_d[0][0],
+               "values": [triple(row_c[p], row_d[q]) for p, q in pairs]}
+              for i, row_c in enumerate(c4["irreps"])
+              for j, row_d in enumerate(d16["irreps"])]
+    irreps.sort(key=lambda r: r["dim"])
+    classes = []
+    for p, q in pairs:
+        order = math.lcm(c4["orders"][p], d16["orders"][q])
+        classes.append({"name": f"c{p}.{q}", "size": c4["sizes"][p] * d16["sizes"][q],
+                        "element_order": order, "ng": order, "hg": 1})
+    return {"group_name": "C4xD16", "group_order": 64,
+            "classes": classes, "irreps": irreps}
+
+
+def test_mixed_radicand_columns():
+    doc = _c4_times_d16()
+    table = load_table(doc)
+    assert len(table.classes) == len(table.irreps) == 28
+    assert sum(chi.dim ** 2 for chi in table.irreps) == 64
+    column = {chi.values[table.class_index("c1.2")].d for chi in table.irreps}
+    assert column == {1, -1, 2, -2}  # the class of (g, r): one column, four fields
+    irrep, k = next((r, k) for r in doc["irreps"] for k, v in enumerate(r["values"])
+                    if v["d"] == -2)
+    irrep["values"][k]["b"] *= -1
+    with pytest.raises(OrthogonalityError):
+        load_table(doc)
 
 
 def test_bad_size_sum(a5):

@@ -179,3 +179,14 @@ def test_default_cache_is_the_packaged_store_in_memory(monkeypatch, capsys):
     code, out, _ = run(capsys, ["cache"])
     assert code == 0
     assert out.startswith(f"packaged store: {len(bundled_cache())} records\n")
+
+
+def test_cache_file_overlays_packaged_store(tmp_path, capsys):
+    # A new cache file starts from the packaged values: nothing is
+    # recomputed, so nothing is appended and the file is never created.
+    path = tmp_path / "m24_coeffs.ldjson"
+    code, out, _ = run(capsys, ["coeff", "--class", "1A", "--n", "1",
+                                "--cache", str(path)])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[:3] == ["1A", "1", "90"]
+    assert not path.exists()

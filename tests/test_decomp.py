@@ -12,7 +12,6 @@ def test_polar_grade_is_virtual_trivial(m24_table):
     mv = multiplicities(m24_table, -1, coeffs)
     assert mv.m[0] == -2
     assert all(v == 0 for v in mv.m[1:])
-    assert all(r == 0 for r in mv.residuals)
 
 
 def test_regular_representation(m24_table):
@@ -30,20 +29,46 @@ def test_n1_two_unit_entries_at_45s(m24_table, engine):
 
 
 def test_reconstruction_identity(m24_table, engine):
-    # sum_i m_i chi_i(g) recovers c_g(n) exactly on every class.
-    from moonmod.quadratic import QExact
+    # sum_i m_i chi_i(g) recovers c_g(n) exactly on every class: summed over
+    # the numerators of (a + b sqrt(d))/2, the rational part is 2 c_g(n) and
+    # every sqrt(d) part is zero.
     for n in (1, 2, 5):
         mv = multiplicities(m24_table, n, engine)
         for k, c in enumerate(m24_table.classes):
-            acc = QExact()
+            twice = {1: 0}
             for i, chi in enumerate(m24_table.irreps):
-                acc = acc + chi.values[k].exact().scale(mv.m[i])
-            assert acc == engine.value(c.name, n)
+                v = chi.values[k]
+                twice[1] += mv.m[i] * v.a
+                twice[v.d] = twice.get(v.d, 0) + mv.m[i] * v.b
+            assert twice.pop(1) == 2 * engine.value(c.name, n)
+            assert not any(twice.values())
+
+
+def test_every_stored_grade_decomposes(m24_table, warm_cache):
+    # The exact gate over the whole packaged store: each grade must give
+    # nonnegative integer multiplicities on all classes at once.
+    for n in range(1, 61):
+        coeffs = {c.name: int(warm_cache.get("M24", c.name, n)["value"])
+                  for c in m24_table.classes}
+        mv = multiplicities(m24_table, n, coeffs)
+        assert min(mv.m) >= 0, n
 
 
 def test_nonintegral_detected(m24_table):
     coeffs = {c.name: 0 for c in m24_table.classes}
     coeffs["1A"] = m24_table.group_order // 3  # m_i = dim/3, residual 1/3
+    with pytest.raises(NonIntegral):
+        multiplicities(m24_table, 2, coeffs)
+
+
+def test_small_fraction_is_not_integral(m24_table):
+    # Both multiplicity vectors are off an integer by a multiple of 1/|G|,
+    # far below any float tolerance: only an exact gate refuses them.
+    coeffs = {c.name: 0 for c in m24_table.classes}
+    coeffs["1A"] = 1
+    with pytest.raises(NonIntegral):
+        multiplicities(m24_table, 2, coeffs)
+    coeffs["1A"] = m24_table.group_order + 1
     with pytest.raises(NonIntegral):
         multiplicities(m24_table, 2, coeffs)
 
@@ -59,19 +84,19 @@ def test_negative_detected(m24_table):
 
 
 def test_free_part_split(a5_table):
-    mv = MultiplicityVector(7, (2, 6, 6, 8, 10), (0,) * 5)
+    mv = MultiplicityVector(7, (2, 6, 6, 8, 10))
     r1, rest = free_part_split(mv, a5_table)
     assert r1 == 2 and rest.m == (0, 0, 0, 0, 0)
-    mv = MultiplicityVector(7, (3, 6, 6, 8, 10), (0,) * 5)
+    mv = MultiplicityVector(7, (3, 6, 6, 8, 10))
     r1, rest = free_part_split(mv, a5_table)
     assert r1 == 2 and rest.m == (1, 0, 0, 0, 0)
-    mv = MultiplicityVector(7, (0, 6, 6, 8, 10), (0,) * 5)
+    mv = MultiplicityVector(7, (0, 6, 6, 8, 10))
     r1, rest = free_part_split(mv, a5_table)
     assert r1 == 0 and rest.m == mv.m
 
 
 def test_free_split_reconstructs(a5_table):
-    mv = MultiplicityVector(9, (5, 13, 12, 17, 21), (0,) * 5)
+    mv = MultiplicityVector(9, (5, 13, 12, 17, 21))
     r1, rest = free_part_split(mv, a5_table)
     dims = [chi.dim for chi in a5_table.irreps]
     assert tuple(rest.m[i] + r1 * dims[i] for i in range(5)) == mv.m

@@ -207,7 +207,7 @@ def test_exact_reconstruction(s3):
 
 
 def test_regular_multiple_trivial_chain(s3):
-    mv = MultiplicityVector(4, (5, 5, 10), (0.0,) * 3)
+    mv = MultiplicityVector(4, (5, 5, 10))
     signs = {"1A": 1, "2A": 1, "3A": 1}
     result = filtrate_exact(mv, s3, signs)
     assert result.chain[0].r == 5
@@ -290,7 +290,7 @@ def test_direction_vector_canonicalizes():
 def test_signs_split_on_conjugate_classes_refused(a5_table):
     # 5A and 5B are Galois conjugate: coefficient data gives them one sign,
     # and opposite signs make the order-5 class sums irrational.
-    mv = MultiplicityVector(1, (5, 7, 7, 9, 11), (0.0,) * 5)
+    mv = MultiplicityVector(1, (5, 7, 7, 9, 11))
     signs = {"1A": 1, "2A": 1, "3A": 0, "5A": 1, "5B": -1}
     with pytest.raises(IrrationalDirection) as exc:
         filtrate_exact(mv, a5_table, signs)

@@ -176,9 +176,7 @@ def test_store_records_recompute(m24_table):
     picks = {}
     for cls in m24_table.classes:
         r = max((r for r in recs if r["class"] == cls.name and r["gate"] == "dip"
-                 and r["c_max_used"] <= 2000
-                 # Stored as 1; the true c_21A(27) = c_21B(27) is 2.
-                 and not (cls.name in ("21A", "21B") and r["n"] == 27)),
+                 and r["c_max_used"] <= 2000),
                 key=lambda r: (r["c_max_used"], r["n"]))
         picks[cls.name, r["n"]] = r
     cache = CoefficientCache(None)

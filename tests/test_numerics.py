@@ -132,7 +132,5 @@ def test_bessel_domain():
 def test_precision_context_invariants():
     with pytest.raises(ValueError):
         PrecisionContext(working_precision=10)
-    with pytest.raises(ValueError):
-        PrecisionContext(truncation_tolerance=0.7)
     ctx = PrecisionContext()
     assert ctx.working_precision >= 50

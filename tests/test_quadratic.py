@@ -1,11 +1,8 @@
 """Exact quadratic arithmetic."""
 
-import math
-from fractions import Fraction
-
 import pytest
 
-from moonmod.quadratic import (QExact, QuadraticValue, is_squarefree,
+from moonmod.quadratic import (QuadraticValue, is_squarefree, mul_roots,
                                squarefree_decompose)
 
 
@@ -38,41 +35,14 @@ def test_conjugate_and_complex():
     v = QuadraticValue(-1, 1, -7)  # (-1 + i sqrt 7)/2
     w = v.conjugate()
     assert w == QuadraticValue(-1, -1, -7)
-    z = v.to_complex()
-    assert abs(z.real + 0.5) < 1e-15
-    assert abs(z.imag - math.sqrt(7) / 2) < 1e-15
     real = QuadraticValue(1, 1, 5)
     assert real.conjugate() == real
 
 
-def test_qexact_field_axioms():
-    a = QuadraticValue(1, 1, 5).exact()   # (1 + sqrt 5)/2, golden ratio
-    # phi^2 = phi + 1
-    assert a * a == a + QExact.rational(1)
-    b = QuadraticValue(0, 2, 2).exact()   # sqrt 2
-    assert b * b == QExact.rational(2)
-    c = QuadraticValue(0, 2, -7).exact()  # i sqrt 7
-    assert c * c == QExact.rational(-7)
-    # sqrt 2 * sqrt 3 = sqrt 6, mixed radicands
-    s3 = QuadraticValue(0, 2, 3).exact()
-    prod = b * s3
-    assert prod.terms == {6: Fraction(1)}
-    # i sqrt 2 * i sqrt 3 = -sqrt 6
-    i2 = QuadraticValue(0, 2, -2).exact()
-    i3 = QuadraticValue(0, 2, -3).exact()
-    assert (i2 * i3).terms == {6: Fraction(-1)}
-    # sqrt 2 * i sqrt 3 = i sqrt 6
-    assert (b * i3).terms == {-6: Fraction(1)}
-
-
-def test_qexact_sub_and_zero():
-    a = QuadraticValue(3, 1, 5).exact()
-    assert (a - a).is_zero
-    assert (a - a).is_rational
-    assert a.rational_part() == Fraction(3, 2)
-    assert a.irrational_part().terms == {5: Fraction(1, 2)}
-
-
-def test_qexact_scale_drops_zero():
-    a = QuadraticValue(1, 1, 5).exact()
-    assert a.scale(0).is_zero
+def test_mul_roots_mixed_radicands():
+    assert mul_roots(2, 3) == (1, 6)     # sqrt 2 * sqrt 3 = sqrt 6
+    assert mul_roots(-2, -3) == (-1, 6)  # i sqrt 2 * i sqrt 3 = -sqrt 6
+    assert mul_roots(2, -3) == (1, -6)   # sqrt 2 * i sqrt 3 = i sqrt 6
+    assert mul_roots(-7, -7) == (-7, 1)  # (i sqrt 7)^2 = -7
+    assert mul_roots(6, 10) == (2, 15)   # sqrt 60 = 2 sqrt 15
+    assert mul_roots(1, -5) == (1, -5)

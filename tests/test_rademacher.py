@@ -1,6 +1,8 @@
 """Coefficient engine: gates, cache, known values."""
 
+import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -21,7 +23,19 @@ def test_policy_invariants():
     with pytest.raises(ValueError):
         TruncationPolicy(residual_tolerance=0.7)
     with pytest.raises(ValueError):
+        TruncationPolicy(residual_tolerance=-1e-4)
+    with pytest.raises(ValueError):
         TruncationPolicy(stability_window=0)
+
+
+def test_store_has_one_record_per_key():
+    # CoefficientCache keeps the last duplicate and seed() the first, so a
+    # duplicated key would make the two disagree.
+    store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
+    recs = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()
+            if line.strip()]
+    keys = [(r["group"], r["class"], int(r["n"])) for r in recs]
+    assert len(keys) == len(set(keys))
 
 
 def test_class_params_invariants():
