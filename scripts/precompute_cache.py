@@ -27,9 +27,8 @@ def main():
         hi = 100 if c.name in EXAMPLE_CLASSES else 60
         recs = engine.coefficient_range(c.name, 1, hi)
         stability = sum(1 for r in recs if r.gate == "stability")
-        print(f"{c.name}: n<=%d in %.1fs, stability-gated %d, variant %s"
-              % (hi, time.time() - t0, stability,
-                 engine.level_variant(c.name)), flush=True)
+        print(f"{c.name}: n<=%d in %.1fs, stability-gated %d"
+              % (hi, time.time() - t0, stability), flush=True)
     print(f"{len(engine.cache)} records in {path}", flush=True)
 
 

@@ -103,14 +103,13 @@ def cmd_validate(args) -> int:
     checks.append(f"parsed {table.group_name}: {len(table.classes)} classes, "
                   f"{len(table.irreps)} irreps")
     checks.append(f"class sizes sum to |G| = {table.group_order}")
-    total = sum(chi.dim ** 2 for chi in table.irreps)
-    checks.append(f"sum of dim^2 = {total}"
-                  + (" = |G|" if total == table.group_order else " (MISMATCH)"))
+    # load_table's column orthogonality check at the identity enforces this.
+    checks.append(f"sum of dim^2 = {table.group_order} = |G|")
     checks.append("row orthogonality exact")
     checks.append("column orthogonality exact")
     report = "\n".join("ok: " + line for line in checks) + "\npass\n"
     _emit(report, args.out)
-    return 0 if total == table.group_order else 1
+    return 0
 
 
 def cmd_coeff(args) -> int:

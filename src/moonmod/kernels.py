@@ -48,11 +48,8 @@ def dedekind_six_c(d: int, c: int) -> int:
     return int(round(6.0 * c0 * s))
 
 
-def kloosterman_sum(n: int, c: int, ng: int, hg: int, literal: int) -> complex:
-    """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg)).
-
-    literal selects the Dedekind variant: 0 classical, 1 the omega form.
-    """
+def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> complex:
+    """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg))."""
     m = ng * hg
     base = (12 * c // math.gcd(12 * c, m)) * m
     total = 0j
@@ -63,9 +60,6 @@ def kloosterman_sum(n: int, c: int, ng: int, hg: int, literal: int) -> complex:
         s6c = dedekind_six_c(d, c)
         if s6c == NOT_COPRIME:
             continue
-        if literal == 1:
-            # 6*c*s_lit = d*(c-1)*(2c-1) - 6*c*s_cl - 3*c*(c-1)
-            s6c = d * (c - 1) * (2 * c - 1) - s6c - 3 * c * (c - 1)
         # theta = n*d/c - s6c/(4*c) - c*d/m over denominator base (a multiple
         # of both 4*c and m by construction)
         num = (base // c) * n * d - (base // (4 * c)) * s6c - (base // m) * c * d
@@ -75,17 +69,14 @@ def kloosterman_sum(n: int, c: int, ng: int, hg: int, literal: int) -> complex:
     return total
 
 
-def _check_int64(n0: int, n1: int, c_max: int, m: int, literal: int) -> None:
+def _check_int64(n0: int, n1: int, c_max: int, m: int) -> None:
     """Raise ValueError unless every intermediate of the phase fits in int64.
 
     Bounds, for d < c <= c_max: base <= 12*c*m, so base/c <= 12*m,
-    base/(4c) <= 3*m and base/m <= 12*c; |6c*s(d,c)| < c^2, and the omega
-    form adds at most 2*c^3 + 3*c^2.
+    base/(4c) <= 3*m and base/m <= 12*c; |6c*s(d,c)| < c^2.
     """
     n = max(abs(n0), abs(n1))
     s6c = c_max * c_max
-    if literal == 1:
-        s6c += 2 * c_max ** 3 + 3 * c_max * c_max
     base = 12 * c_max * m
     num = 12 * m * n * c_max + 3 * m * s6c + 12 * c_max ** 3
     if num + (n1 - n0 + 1) * base > np.iinfo(np.int64).max:
@@ -132,7 +123,7 @@ def _dedekind_six_c_array(c: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
-                       literal: int, out_re: np.ndarray, out_im: np.ndarray) -> None:
+                       out_re: np.ndarray, out_im: np.ndarray) -> None:
     """K_c(n) for all grades n0 <= n <= n1 at once; out has shape (len(cs), n1-n0+1).
 
     The (c, d) pairs of all cs are laid end to end and processed in blocks
@@ -145,7 +136,7 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     ncols = n1 - n0 + 1
     m = ng * hg
     if len(cs):
-        _check_int64(n0, n1, int(cs.max()), m, literal)
+        _check_int64(n0, n1, int(cs.max()), m)
     out_re[:] = 0.0
     out_im[:] = 0.0
     out_re[cs == 1] = 1.0
@@ -173,8 +164,6 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
         if not len(k):
             continue
         s6c = _dedekind_six_c_array(c, d)
-        if literal == 1:
-            s6c = d * (c - 1) * (2 * c - 1) - s6c - 3 * c * (c - 1)
         kb = base[k]
         num0 = (bc[k] * n0 * d - b4c[k] * s6c - bm[k] * c * d) % kb
         step = (bc[k] * d) % kb

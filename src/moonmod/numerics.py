@@ -1,10 +1,8 @@
 r"""Exact and high-precision numerical primitives.
 
 Provides the unit-circle exponential e(x) = exp(2*pi*i*x), the half-integer
-Bessel function I_{1/2}, and Dedekind sums in two variants: the classical
-sawtooth form entering the eta multiplier system, and a literal form built
-from omega(x) = floor(x) - 1/2.  Which variant the coefficient engine uses
-is decided downstream by an integrality gate; both are exact rationals here.
+Bessel function I_{1/2}, and the classical Dedekind sum of the eta
+multiplier system as an exact rational.
 """
 
 from __future__ import annotations
@@ -18,16 +16,13 @@ import mpmath
 
 
 class DedekindMode(Enum):
-    """Variant of the Dedekind sum s(d, c).
+    """The Dedekind sum variant, as named in the mode field of coefficient records.
 
-    Classical:    s(d,c) = sum_{m=1}^{c-1} ((m/c)) ((m d/c)) with ((x)) the
-                  sawtooth x - floor(x) - 1/2 (0 at integers).
-    OmegaFloor: s(d,c) = sum_{m=1}^{c-1} (m/c) omega(m d/c) with
-                  omega(x) = floor(x) - 1/2 (0 at integers).
+    Classical: s(d,c) = sum_{m=1}^{c-1} ((m/c)) ((m d/c)) with ((x)) the
+               sawtooth x - floor(x) - 1/2 (0 at integers).
     """
 
     Classical = "classical"
-    OmegaFloor = "omega-floor"
 
 
 @dataclass(frozen=True)
@@ -75,23 +70,8 @@ def bessel_i_half(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
         return mpmath.sqrt(2 / (mpmath.pi * xf)) * mpmath.sinh(xf)
 
 
-def _dedekind_classical(d: int, c: int) -> Fraction:
-    # Reciprocity recursion; O(log c), exact.
-    s = Fraction(0)
-    sign = 1
-    while c > 1:
-        d %= c
-        if d == 0:
-            break
-        # s(d,c) = -1/4 + (d^2 + c^2 + 1)/(12 d c) - s(c mod d, d)
-        s += sign * (Fraction(-1, 4) + Fraction(d * d + c * c + 1, 12 * d * c))
-        sign = -sign
-        c, d = d, c % d
-    return s
-
-
-def dedekind_sum(d: int, c: int, mode: DedekindMode = DedekindMode.Classical) -> Fraction:
-    """Exact Dedekind sum s(d, c) in the requested variant.
+def dedekind_sum(d: int, c: int) -> Fraction:
+    """Exact classical Dedekind sum s(d, c) by the reciprocity recursion, O(log c).
 
     Requires c >= 1 and gcd(d, c) = 1; d is reduced mod c first.
     """
@@ -100,11 +80,11 @@ def dedekind_sum(d: int, c: int, mode: DedekindMode = DedekindMode.Classical) ->
     d %= c
     if math.gcd(d, c) != 1:
         raise ValueError(f"dedekind_sum requires gcd(d, c) = 1, got d={d}, c={c}")
-    if c == 1:
-        return Fraction(0)
-    s_cl = _dedekind_classical(d, c)
-    if mode is DedekindMode.Classical:
-        return s_cl
-    # Literal omega form.  With omega(x) = ((x)) + floor-correction terms,
-    # sum_m (m/c) omega(m d/c) = d(c-1)(2c-1)/(6c) - s_cl - (c-1)/2.
-    return Fraction(d * (c - 1) * (2 * c - 1), 6 * c) - s_cl - Fraction(c - 1, 2)
+    s = Fraction(0)
+    sign = 1
+    while c > 1:
+        # s(d,c) = -1/4 + (d^2 + c^2 + 1)/(12 d c) - s(c mod d, d)
+        s += sign * (Fraction(-1, 4) + Fraction(d * d + c * c + 1, 12 * d * c))
+        sign = -sign
+        c, d = d, c % d
+    return s

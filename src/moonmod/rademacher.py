@@ -1,18 +1,17 @@
 r"""Fourier coefficients c_g(n) by truncated Rademacher series.
 
 The series for a class g with invariants (n_g, h_g) runs over c > 0 with
-c = 0 mod n_g (the level restriction, confirmed empirically), each term a
-Kloosterman-type phase sum times a weight-1/2 Bessel factor:
+c = 0 mod n_g, each term a Kloosterman-type phase sum times a weight-1/2
+Bessel factor:
 
     c_g(n) = 4*pi * sum_c  K_c(n) * I_{1/2}(pi*sqrt(8n-1)/(2c)) / (c*(8n-1)^{1/4})
 
-with K_c(n) = sum_{0<=d<c, (d,c)=1} e(n d/c - 3 s(d,c)/2) e(-c d/(n_g h_g)).
-The overall sign is fixed empirically by the integrality gate together with
-the required positivity of the identity-class coefficients; the same gate
-resolves the Dedekind-sum variant (classical wins) and the level
-restriction.  Terms with large Bessel argument are evaluated in mpmath with
-exact rational phases; the long oscillating tail runs through the float64
-kernels in moonmod.kernels.
+with K_c(n) = sum_{0<=d<c, (d,c)=1} e(n d/c - 3 s(d,c)/2) e(-c d/(n_g h_g))
+and s(d, c) the classical Dedekind sum of the eta multiplier.  These are the
+Rademacher sums for the M24 twining functions on Gamma_0(n_g) of
+Cheng-Duncan (arXiv:1110.3859).  Terms with large Bessel argument are
+evaluated in mpmath with exact rational phases; the long oscillating tail
+runs through the float64 kernels in moonmod.kernels.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
 like a random walk of step ~1/c), so truncation is adaptive: partial sums
@@ -99,7 +98,6 @@ class CoefficientRecord:
     residual: float
     c_max_used: int
     dedekind_mode_used: DedekindMode
-    raw_sum: object = None  # high-precision real when freshly computed
     gate: str = "dip"  # "dip" (residual tolerance met) or "stability"
 
 
@@ -127,23 +125,8 @@ class CoefficientCache:
             self._load()
 
     def _load(self) -> None:
-        good = []
         with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                key = (rec["group"], rec["class"], int(rec["n"]))
-                int(rec["value"])
-            except (ValueError, KeyError, TypeError):
-                continue  # corrupt (typically torn trailing) line
-            self.records[key] = rec
-            good.append(line)
-        if len(good) != len([l for l in lines if l.strip()]):
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write("".join(l + "\n" for l in good))
+            self.seed(fh.read().splitlines())
 
     def __len__(self) -> int:
         return len(self.records)
@@ -170,11 +153,24 @@ class CoefficientCache:
                 return
             self.records[(group, class_name, n)] = rec
             if self.path:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
+                # One unbuffered write per record; after a torn tail line the
+                # record starts on a line of its own.
+                with open(self.path, "a+b", buffering=0) as fh:
+                    end = fh.seek(0, os.SEEK_END)
+                    if end:
+                        fh.seek(end - 1)
+                        if fh.read(1) != b"\n":
+                            line = b"\n" + line
+                    fh.write(line)
 
     def seed(self, lines) -> None:
-        """Merge parsed records from an iterable of ldjson lines (no writes)."""
+        """Merge parsed records from an iterable of ldjson lines (no writes).
+
+        The first record of a key wins.  Lines that do not parse, typically
+        a torn trailing line, are skipped; the file they came from is never
+        rewritten.
+        """
         for line in lines:
             if not line.strip():
                 continue
@@ -217,7 +213,6 @@ def bundled_cache(path: str | os.PathLike | None = None) -> CoefficientCache:
 
 
 def partial_kloosterman(n: int, c: int, params: ClassParams,
-                        mode: DedekindMode = DedekindMode.Classical,
                         ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Exact-phase Kloosterman sum K_c(n) at working precision."""
     from fractions import Fraction
@@ -231,7 +226,7 @@ def partial_kloosterman(n: int, c: int, params: ClassParams,
     for d in range(c):
         if math.gcd(d, c) != 1:
             continue
-        s = dedekind_sum(d, c, mode) if c > 1 else Fraction(0)
+        s = dedekind_sum(d, c)
         theta = Fraction(n * d, c) - Fraction(3, 2) * s - Fraction(c * d, m)
         total += unit_exp(theta, ctx)
     return total
@@ -258,16 +253,14 @@ def _series_digits(n: int, ctx: PrecisionContext) -> int:
 
 
 class _GradeState:
-    __slots__ = ("n", "head_int", "head_frac", "head_im", "cum", "cum_im",
+    __slots__ = ("n", "head_int", "head_frac", "cum", "cum_im",
                  "rounded_tail", "done", "value", "residual", "c_used",
-                 "best_res", "best_raw", "raw", "gate", "stable_run",
-                 "last_rounded")
+                 "best_res", "best_raw", "gate", "stable_run", "last_rounded")
 
     def __init__(self, n: int):
         self.n = n
         self.head_int = 0
         self.head_frac = 0.0
-        self.head_im = 0.0
         self.cum = 0.0
         self.cum_im = 0.0
         self.rounded_tail: list[float] = []
@@ -277,7 +270,6 @@ class _GradeState:
         self.c_used = 0
         self.best_res = float("inf")
         self.best_raw = 0.0
-        self.raw = None
         self.gate = "dip"
         self.stable_run = 0
         self.last_rounded = None
@@ -285,6 +277,8 @@ class _GradeState:
 
 class RademacherEngine:
     """Coefficient provider for one group's classes, with cache and gates."""
+
+    mode = DedekindMode.Classical
 
     def __init__(self, table: CharacterTable,
                  policy: TruncationPolicy | None = None,
@@ -295,48 +289,11 @@ class RademacherEngine:
         self.policy = policy or TruncationPolicy(c_max_limit=ENGINE_C_LIMIT)
         self.ctx = ctx or DEFAULT_CONTEXT
         self.cache = cache if cache is not None else CoefficientCache(None)
-        self._mode: DedekindMode | None = None
-        self._level_variant: dict[str, str] = {}
-        self._lock = threading.Lock()
-
-    # -- mode and level resolution ------------------------------------------
-
-    @property
-    def mode(self) -> DedekindMode:
-        if self._mode is None:
-            with self._lock:
-                if self._mode is None:
-                    self._mode = self._resolve_mode()
-        return self._mode
-
-    def _resolve_mode(self) -> DedekindMode:
-        """Integrality gate on the identity class, n = 1..5, both variants.
-
-        Classical is preferred when both pass.  A warm cache short-circuits
-        the gate: the mode is global and every stored record carries it.
-        """
-        import dataclasses
-
-        for (group, _, _), rec in self.cache.records.items():
-            if group == self.group:
-                return DedekindMode(rec["mode"])
-        ident = ClassParams(1, 1, self.table.classes[0].name)
-        strict = dataclasses.replace(self.policy, stability_tolerance=0.0)
-        for mode in (DedekindMode.Classical, DedekindMode.OmegaFloor):
-            states = self._sweep(ident, list(range(1, 6)), mode,
-                                 restricted=True, policy=strict)
-            if all(st.done for st in states.values()):
-                return mode
-        raise NonConvergent(ident.class_name, 1, float("nan"), float("nan"))
-
-    def level_variant(self, class_name: str) -> str:
-        """'restricted' (c = 0 mod ng) or 'all', decided by the gate."""
-        return self._level_variant.get(class_name, "restricted")
 
     # -- series evaluation ---------------------------------------------------
 
-    def _head_terms(self, params: ClassParams, mode: DedekindMode,
-                    states: dict[int, _GradeState], step: int) -> dict[int, int]:
+    def _head_terms(self, params: ClassParams, states: dict[int, _GradeState],
+                    step: int) -> dict[int, int]:
         """Full-precision contributions for Bessel arguments above HEAD_SWITCH.
 
         Returns, per grade, the first admissible c handled by the tail.
@@ -347,7 +304,6 @@ class RademacherEngine:
             c_head_max = math.pi * math.sqrt(q8) / (2 * HEAD_SWITCH)
             digits = _series_digits(n, self.ctx)
             head_re = mpmath.mpf(0)
-            head_im = 0.0
             c = step
             with mpmath.workdps(digits):
                 hp = PrecisionContext(digits)
@@ -355,28 +311,23 @@ class RademacherEngine:
                     x = mpmath.pi * mpmath.sqrt(q8) / (2 * c)
                     fac = 4 * mpmath.pi * mpmath.sqrt(2 / (mpmath.pi * x)) \
                         * mpmath.sinh(x) / (c * mpmath.power(q8, mpmath.mpf(1) / 4))
-                    kl = partial_kloosterman(n, c, params, mode, hp)
+                    kl = partial_kloosterman(n, c, params, hp)
                     head_re += fac * kl.real
-                    head_im += float(fac * kl.imag)
+                    st.cum_im += float(fac * kl.imag)
                     c += step
                 st.head_int = int(mpmath.nint(head_re))
                 st.head_frac = float(head_re - mpmath.nint(head_re))
-                st.head_im = head_im
                 st.cum = st.head_frac
-                st.cum_im = head_im
-                st.raw = head_re
             tail_start[n] = c
         return tail_start
 
-    def _sweep(self, params: ClassParams, grades: list[int], mode: DedekindMode,
-               restricted: bool, policy: TruncationPolicy | None = None
-               ) -> dict[int, _GradeState]:
-        """Adaptive truncation for a batch of grades of one class."""
+    def _sweep(self, params: ClassParams, grades: list[int],
+               policy: TruncationPolicy | None = None) -> dict[int, _GradeState]:
+        """Adaptive truncation for a batch of grades of one class, c = 0 mod n_g."""
         pol = policy or self.policy
-        step = params.ng if restricted else 1
-        literal = 1 if mode is DedekindMode.OmegaFloor else 0
+        step = params.ng
         states = {n: _GradeState(n) for n in grades}
-        tail_start = self._head_terms(params, mode, states, step)
+        tail_start = self._head_terms(params, states, step)
         window = pol.stability_window
 
         lo, hi = 1, min(max(pol.c_max_initial, step), pol.c_max_limit)
@@ -390,7 +341,7 @@ class RademacherEngine:
                 k_re = np.empty((len(cs), n1 - n0 + 1))
                 k_im = np.empty_like(k_re)
                 kernels.kloosterman_grades(n0, n1, cs, params.ng, params.hg,
-                                           literal, k_re, k_im)
+                                           k_re, k_im)
                 csf = cs.astype(np.float64)
                 for n in active:
                     st = states[n]
@@ -435,8 +386,6 @@ class RademacherEngine:
                                     st.value = st.head_int + int(rounded[k])
                                     st.residual = float(r)
                                     st.c_used = c
-                                    st.raw = (st.raw if st.raw is not None else mpmath.mpf(0)) \
-                                        + mpmath.mpf(float(cum[k] - st.head_frac))
                                     break
                     if not st.done:
                         st.cum = float(cum[-1])
@@ -474,8 +423,6 @@ class RademacherEngine:
                     st.value = st.head_int + int(value_rounded)
                     st.residual = float(r)
                     st.c_used = pol.c_max_limit - (pol.c_max_limit % step)
-                    st.raw = (st.raw if st.raw is not None else mpmath.mpf(0)) \
-                        + mpmath.mpf(float(total_frac - st.head_frac))
         return states
 
     def coefficient(self, params: ClassParams, n: int) -> CoefficientRecord:
@@ -503,25 +450,15 @@ class RademacherEngine:
                     todo.append(n)
         if not todo:
             return out
-        mode = self.mode
-        states = self._sweep(params, todo, mode, restricted=True)
-        variant = "restricted"
-        failed = [n for n in todo if not states[n].done]
-        if failed and params.ng > 1:
-            alt = self._sweep(params, failed, mode, restricted=False)
-            if all(alt[n].done for n in failed):
-                variant = "all"
-                states.update(alt)
+        states = self._sweep(params, todo)
         for n in todo:
             st = states[n]
             if not st.done:
                 raise NonConvergent(params.class_name, n, float(st.best_raw), st.best_res)
             rec = CoefficientRecord(params.class_name, n, st.value, st.residual,
-                                    st.c_used, mode, st.raw, st.gate)
+                                    st.c_used, self.mode, st.gate)
             self.cache.put(self.group, params.class_name, n, rec)
             out[n] = rec
-        with self._lock:
-            self._level_variant[params.class_name] = variant
         return out
 
     # -- provider / batch interface -----------------------------------------

@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per numbered criterion.
 
 Engine-backed criteria read the precomputed coefficient store; criterion 2
-additionally re-runs the Dedekind-mode gate from a cold cache so the design
-decision stays certified by this suite, not only by the data shipped.
+additionally recomputes c_1A(1..5) from a cold cache and checks the exact
+values, so the classical Dedekind sum and the level grid stay certified by
+this suite, not only by the data shipped.
 """
 
 import math
@@ -15,7 +16,6 @@ from moonmod.chartab import FusedProvider, bundled_table
 from moonmod.decomp import free_part_split, multiplicities, ratio_profile
 from moonmod.filtration import (filtrate_asymptotic, filtrate_exact,
                                 nonfree_asymptotic, sign_profile, signs_at)
-from moonmod.numerics import DedekindMode
 from moonmod.rademacher import CoefficientCache, RademacherEngine
 
 
@@ -47,12 +47,13 @@ def test_criterion_2_integrality(m24_table, engine):
                 assert rec.residual <= 0.05, (c.name, rec.n, rec.residual)
             worst = max(worst, rec.residual if rec.gate == "dip" else 0.0)
     assert dip + stability == 26 * 25
-    # The mode gate itself, from a cold cache.
+    # The series itself, from a cold cache: exact identity-class values.
     fresh = RademacherEngine(m24_table, cache=CoefficientCache(None))
-    assert fresh.mode is DedekindMode.Classical
-    assert engine.mode is DedekindMode.Classical
+    cold = fresh.coefficient_range("1A", 1, 5)
+    assert [(r.value, r.gate) for r in cold] == \
+        [(90, "dip"), (462, "dip"), (1540, "dip"), (4554, "dip"), (11592, "dip")]
     print(f"\nPASS criterion 2: {dip} dip-gated (max residual {worst:.2e}), "
-          f"{stability} stability-gated, mode=classical, level restriction held")
+          f"{stability} stability-gated; cold c_1A(1..5) exact")
 
 
 def test_criterion_3_sign_patterns(engine):

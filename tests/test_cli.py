@@ -190,3 +190,14 @@ def test_cache_file_overlays_packaged_store(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[1].split(",")[:3] == ["1A", "1", "90"]
     assert not path.exists()
+
+
+def test_cache_record_with_foreign_mode_refused(tmp_path, capsys):
+    path = tmp_path / "m24_coeffs.ldjson"
+    path.write_text(json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "90",
+                                "residual": 1e-5, "c_max_used": 127,
+                                "mode": "omega-floor", "gate": "dip"}) + "\n")
+    code, out, err = run(capsys, ["coeff", "--class", "1A", "--n", "1",
+                                  "--cache", str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "omega-floor" in err

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from moonmod import kernels
-from moonmod.numerics import DedekindMode, dedekind_sum
+from moonmod.numerics import dedekind_sum
 from moonmod.rademacher import (ClassParams, CoefficientCache, RademacherEngine,
                                 partial_kloosterman)
 
@@ -40,14 +40,12 @@ def test_dedekind_six_c_large_c():
         assert kernels.dedekind_six_c(d, c) == 6 * c * dedekind_sum(d, c)
 
 
-@pytest.mark.parametrize("mode,literal", [(DedekindMode.Classical, 0),
-                                          (DedekindMode.OmegaFloor, 1)])
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1), (4, 2), (23, 1)])
-def test_kloosterman_matches_exact(mode, literal, ng, hg):
+def test_kloosterman_matches_exact(ng, hg):
     params = ClassParams(ng, hg, "test")
     for n, c in [(1, 1), (1, 5), (3, 8), (7, 23), (10, 46)]:
-        fast = kernels.kloosterman_sum(n, c, ng, hg, literal)
-        exact = partial_kloosterman(n, c, params, mode)
+        fast = kernels.kloosterman_sum(n, c, ng, hg)
+        exact = partial_kloosterman(n, c, params)
         assert abs(fast.real - float(exact.real)) < 1e-9
         assert abs(fast.imag - float(exact.imag)) < 1e-9
 
@@ -57,10 +55,10 @@ def test_grade_batch_matches_single():
     n0, n1 = 1, 6
     out_re = np.empty((len(cs), n1 - n0 + 1))
     out_im = np.empty_like(out_re)
-    kernels.kloosterman_grades(n0, n1, cs, 2, 1, 0, out_re, out_im)
+    kernels.kloosterman_grades(n0, n1, cs, 2, 1, out_re, out_im)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(n0, n1 + 1)):
-            z = kernels.kloosterman_sum(int(n), int(c), 2, 1, 0)
+            z = kernels.kloosterman_sum(int(n), int(c), 2, 1)
             assert abs(out_re[k, j] - z.real) < 1e-8
             assert abs(out_im[k, j] - z.imag) < 1e-8
 
@@ -80,7 +78,7 @@ def test_python_fallback_agrees():
         "assert not kernels.USE_NUMBA\n"
         "cs = np.arange(2, 101, 2, dtype=np.int64)\n"
         "out_re = np.empty((len(cs), 5)); out_im = np.empty_like(out_re)\n"
-        "kernels.kloosterman_grades(1, 5, cs, 2, 1, 0, out_re, out_im)\n"
+        "kernels.kloosterman_grades(1, 5, cs, 2, 1, out_re, out_im)\n"
         "print(repr(float(out_re.sum())), repr(float(out_im.sum())))\n"
     )
     # moonmod is a namespace package (no __file__), so locate it via kernels.
@@ -95,37 +93,35 @@ def test_python_fallback_agrees():
     cs = np.arange(2, 101, 2, dtype=np.int64)
     out_re = np.empty((len(cs), 5))
     out_im = np.empty_like(out_re)
-    kernels.kloosterman_grades(1, 5, cs, 2, 1, 0, out_re, out_im)
+    kernels.kloosterman_grades(1, 5, cs, 2, 1, out_re, out_im)
     assert abs(out_re.sum() - re_sum) < 1e-9
     assert abs(out_im.sum() - im_sum) < 1e-9
 
 
 def test_c_equals_one():
-    assert kernels.kloosterman_sum(5, 1, 1, 1, 0) == 1 + 0j
+    assert kernels.kloosterman_sum(5, 1, 1, 1) == 1 + 0j
 
 
-def _grades(n0, n1, cs, ng, hg, literal):
+def _grades(n0, n1, cs, ng, hg):
     out_re = np.empty((len(cs), n1 - n0 + 1))
     out_im = np.empty_like(out_re)
     kernels.kloosterman_grades(n0, n1, np.asarray(cs, dtype=np.int64), ng, hg,
-                               literal, out_re, out_im)
+                               out_re, out_im)
     return out_re, out_im
 
 
-@pytest.mark.parametrize("mode,literal", [(DedekindMode.Classical, 0),
-                                          (DedekindMode.OmegaFloor, 1)])
-def test_grades_match_exact_random(mode, literal):
-    rng = random.Random(11 + literal)
+def test_grades_match_exact_random():
+    rng = random.Random(11)
     for _ in range(6):
         ng, hg = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 23]), rng.choice([1, 2, 3, 12])
         params = ClassParams(ng, hg, "test")
         cs = [1] + sorted(rng.sample(range(2, 70), 5))
         n0 = rng.randrange(1, 40)
         n1 = n0 + rng.randrange(8)
-        out_re, out_im = _grades(n0, n1, cs, ng, hg, literal)
+        out_re, out_im = _grades(n0, n1, cs, ng, hg)
         for k, c in enumerate(cs):
             for j, n in enumerate(range(n0, n1 + 1)):
-                exact = partial_kloosterman(n, c, params, mode)
+                exact = partial_kloosterman(n, c, params)
                 assert abs(out_re[k, j] - float(exact.real)) < 1e-9, (ng, hg, n, c)
                 assert abs(out_im[k, j] - float(exact.imag)) < 1e-9, (ng, hg, n, c)
 
@@ -133,37 +129,35 @@ def test_grades_match_exact_random(mode, literal):
 def test_grades_across_blocks():
     cs = [1, 3, 4100, 7, 2 * kernels._BLOCK + 17, 12, 1]
     assert sum(cs) > 3 * kernels._BLOCK
-    out_re, out_im = _grades(4, 6, cs, 3, 1, 0)
+    out_re, out_im = _grades(4, 6, cs, 3, 1)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(4, 7)):
-            z = kernels.kloosterman_sum(n, c, 3, 1, 0)
+            z = kernels.kloosterman_sum(n, c, 3, 1)
             assert abs(out_re[k, j] - z.real) < 1e-9
             assert abs(out_im[k, j] - z.imag) < 1e-9
 
 
 def test_single_grade_equals_scalar_sum():
     rng = random.Random(17)
-    for literal in (0, 1):
-        ng, hg = rng.choice([(1, 1), (2, 1), (4, 2), (12, 12), (23, 1)])
-        cs = [1] + sorted(rng.sample(range(2, 6000), 4))
-        n = rng.randrange(1, 60)
-        out_re, out_im = _grades(n, n, cs, ng, hg, literal)
-        for k, c in enumerate(cs):
-            z = kernels.kloosterman_sum(n, c, ng, hg, literal)
-            assert out_re[k, 0] == z.real and out_im[k, 0] == z.imag, (c, literal)
+    ng, hg = rng.choice([(1, 1), (2, 1), (4, 2), (12, 12), (23, 1)])
+    cs = [1] + sorted(rng.sample(range(2, 6000), 4))
+    n = rng.randrange(1, 60)
+    out_re, out_im = _grades(n, n, cs, ng, hg)
+    for k, c in enumerate(cs):
+        z = kernels.kloosterman_sum(n, c, ng, hg)
+        assert out_re[k, 0] == z.real and out_im[k, 0] == z.imag, c
 
 
-@pytest.mark.parametrize("literal", [0, 1])
-def test_int64_overflow_guard(literal):
+def test_int64_overflow_guard():
     cs = np.array([5, 60], dtype=np.int64)
     out_re = np.full((2, 1), 7.0)
     out_im = np.full((2, 1), 7.0)
     n = 10 ** 17
     with pytest.raises(ValueError, match="overflow"):
-        kernels.kloosterman_grades(n, n, cs, 23, 1, literal, out_re, out_im)
+        kernels.kloosterman_grades(n, n, cs, 23, 1, out_re, out_im)
     assert (out_re == 7.0).all() and (out_im == 7.0).all()
     # The largest c and level of the engine's sweeps stay well inside.
-    _grades(100, 100, [60000], 12, 12, literal)
+    _grades(100, 100, [60000], 12, 12)
 
 
 def test_store_records_recompute(m24_table):

@@ -7,8 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from moonmod.numerics import (DedekindMode, PrecisionContext, bessel_i_half,
-                              dedekind_sum, unit_exp)
+from moonmod.numerics import PrecisionContext, bessel_i_half, dedekind_sum, unit_exp
 
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -17,19 +16,8 @@ def sawtooth(x: Fraction) -> Fraction:
     return x - math.floor(x) - Fraction(1, 2)
 
 
-def omega(x: Fraction) -> Fraction:
-    if x.denominator == 1:
-        return Fraction(0)
-    return Fraction(math.floor(x)) - Fraction(1, 2)
-
-
 def dedekind_classical_oracle(d: int, c: int) -> Fraction:
     return sum((sawtooth(Fraction(m, c)) * sawtooth(Fraction(m * d, c))
-                for m in range(1, c)), Fraction(0))
-
-
-def dedekind_literal_oracle(d: int, c: int) -> Fraction:
-    return sum((Fraction(m, c) * omega(Fraction(m * d, c))
                 for m in range(1, c)), Fraction(0))
 
 
@@ -38,20 +26,7 @@ def test_classical_matches_bruteforce(c):
     for d in range(c):
         if math.gcd(d, c) != 1:
             continue
-        assert dedekind_sum(d, c, DedekindMode.Classical) == dedekind_classical_oracle(d, c)
-
-
-@pytest.mark.parametrize("c", [1, 2, 3, 5, 7, 12, 25, 60, 101])
-def test_literal_matches_bruteforce(c):
-    for d in range(c):
-        if math.gcd(d, c) != 1:
-            continue
-        assert dedekind_sum(d, c, DedekindMode.OmegaFloor) == dedekind_literal_oracle(d, c)
-
-
-def test_literal_small_value():
-    # s(1, 3) in the omega form: (1/3)(-1/2) + (2/3)(-1/2) = -1/2.
-    assert dedekind_sum(1, 3, DedekindMode.OmegaFloor) == Fraction(-1, 2)
+        assert dedekind_sum(d, c) == dedekind_classical_oracle(d, c)
 
 
 def test_reciprocity():
@@ -73,9 +48,7 @@ def test_denominator_divides_6c_squared():
         for d in range(1, c):
             if math.gcd(d, c) != 1:
                 continue
-            for mode in DedekindMode:
-                s = dedekind_sum(d, c, mode)
-                assert (6 * c * c * s).denominator == 1
+            assert (6 * c * c * dedekind_sum(d, c)).denominator == 1
 
 
 def test_dedekind_domain_errors():

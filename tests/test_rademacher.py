@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from moonmod import kernels
 from moonmod.numerics import DedekindMode
 from moonmod.rademacher import (ClassParams, CoefficientCache,
                                 CoefficientRecord, NonConvergent,
@@ -29,8 +30,8 @@ def test_policy_invariants():
 
 
 def test_store_has_one_record_per_key():
-    # CoefficientCache keeps the last duplicate and seed() the first, so a
-    # duplicated key would make the two disagree.
+    # The cache keeps the first record of a key, so a duplicated key would
+    # make the answer depend on the order of the lines.
     store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
     recs = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()
             if line.strip()]
@@ -57,10 +58,6 @@ def test_asymptotic_leading_formula():
     r = asymptotic_leading(ClassParams(2, 1, "2A"), 40) / asymptotic_leading(
         ClassParams(1, 1, "1A"), 40)
     assert r < 1e-5
-
-
-def test_mode_resolves_classical(engine):
-    assert engine.mode is DedekindMode.Classical
 
 
 def test_known_identity_values(engine):
@@ -100,7 +97,7 @@ def test_cache_round_trip(tmp_path):
     path = tmp_path / "cache.ldjson"
     cache = CoefficientCache(path)
     rec = CoefficientRecord("2A", 3, -28, 2.5e-5, 410, DedekindMode.Classical,
-                            None, "dip")
+                            "dip")
     cache.put("M24", "2A", 3, rec)
     again = CoefficientCache(path)
     got = again.to_record(again.get("M24", "2A", 3))
@@ -118,11 +115,27 @@ def test_cache_tolerates_torn_line(tmp_path):
     cache.put("M24", "1A", 1, rec)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"group": "M24", "class": "1A", "n": 2, "val')  # torn tail
+    before = path.read_bytes()
     again = CoefficientCache(path)
     assert len(again) == 1
-    # The torn line is dropped from the file on load.
-    with open(path, "r", encoding="utf-8") as fh:
-        assert len(fh.read().splitlines()) == 1
+    # The torn line is dropped in memory only; loading never rewrites the file.
+    assert path.read_bytes() == before
+    # The next append starts on a line of its own.
+    again.put("M24", "1A", 3, CoefficientRecord("1A", 3, 1540, 1e-5, 300,
+                                                DedekindMode.Classical))
+    fresh = CoefficientCache(path)
+    assert {key: int(r["value"]) for key, r in fresh.records.items()} == \
+        {("M24", "1A", 1): 90, ("M24", "1A", 3): 1540}
+
+
+def test_cache_refuses_foreign_mode(tmp_path, m24_table):
+    path = tmp_path / "cache.ldjson"
+    path.write_text(json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "90",
+                                "residual": 1e-5, "c_max_used": 127,
+                                "mode": "omega-floor", "gate": "dip"}) + "\n")
+    eng = RademacherEngine(m24_table, cache=CoefficientCache(path))
+    with pytest.raises(ValueError):
+        eng.value("1A", 1)
 
 
 def test_cache_hit_avoids_recompute(engine):
@@ -133,15 +146,24 @@ def test_cache_hit_avoids_recompute(engine):
     assert engine.cache.hits >= before + 2
 
 
-def test_nonconvergent_when_budget_tiny(m24_table):
+def test_nonconvergent_when_budget_tiny(m24_table, monkeypatch):
     policy = TruncationPolicy(c_max_initial=5, c_max_limit=40,
                               residual_tolerance=1e-12,
                               stability_tolerance=0.0)
     eng = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
-    eng._mode = DedekindMode.Classical
+    scanned = []
+    grades = kernels.kloosterman_grades
+
+    def recording(n0, n1, cs, *rest):
+        scanned.extend(int(c) for c in cs)
+        return grades(n0, n1, cs, *rest)
+
+    monkeypatch.setattr(kernels, "kloosterman_grades", recording)
     with pytest.raises(NonConvergent) as err:
         eng._coefficients(ClassParams(23, 1, "23A"), [1])
     assert err.value.n == 1
+    # The sweep stays on the level grid c = 0 mod 23; nothing re-sweeps off it.
+    assert scanned and all(c % 23 == 0 for c in scanned), scanned
 
 
 def test_stability_gate_on_sparse_class(engine):
@@ -168,7 +190,6 @@ def test_stability_window_spans_sweep_chunks(m24_table):
     # each; nothing can pass the 1e-12 dip or the disabled fallback gate.
     policy = TruncationPolicy(c_max_initial=23, c_max_limit=46,
                               residual_tolerance=1e-12, stability_tolerance=0.0)
-    states = engine._sweep(engine.params_for("23A"), [5], DedekindMode.Classical,
-                           restricted=True, policy=policy)
+    states = engine._sweep(engine.params_for("23A"), [5], policy=policy)
     assert not states[5].done
     assert len(states[5].rounded_tail) == policy.stability_window - 1
