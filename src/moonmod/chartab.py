@@ -79,9 +79,6 @@ class CharacterTable:
     def identity_class(self) -> ConjugacyClass:
         return self.classes[0]
 
-    def chi(self, i: int, class_name: str) -> QuadraticValue:
-        return self.irreps[i].values[self.class_index(class_name)]
-
 
 def _parse_value(obj, where: str) -> QuadraticValue:
     try:

@@ -199,20 +199,14 @@ def cmd_decompose(args) -> int:
 
 def cmd_filtrate(args) -> int:
     table = _load_group(args.group)
-    engine, provider = _make_engine(args, table)
     if args.residue is not None:
         if args.modulus is None:
             raise SystemExit("--residue requires --modulus")
-        profile = filtration.sign_profile(table, provider, (1, 60))
-        modulus = args.modulus
-        for name, cs in profile.classes.items():
-            if cs.source != "aperiodic" and modulus % cs.period != 0:
-                raise SystemExit(
-                    f"class {name} has sign period {cs.period}, "
-                    f"not dividing modulus {modulus}"
-                )
-        result = filtration.filtrate_asymptotic(table, profile, args.residue, modulus)
+        profile = filtration.sign_profile(table)
+        result = filtration.filtrate_asymptotic(table, profile, args.residue,
+                                                args.modulus)
     else:
+        _, provider = _make_engine(args, table)
         if args.n is None:
             raise SystemExit("either --n or --residue/--modulus is required")
         grades = _parse_grades(args.n)

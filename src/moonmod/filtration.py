@@ -8,17 +8,22 @@ sign), subtracts as many copies as fit, and drops the minimizer set from
 the active support.  The chain of supports X_1 >= X_2 > ... induces a
 partial order on the irreducibles: the blocks X_j \ X_{j+1}.
 
-Two modes: exact (a concrete grade n, integer arithmetic throughout, the
-reconstruction identity enforced) and asymptotic (a residue class n0 mod
-N, sign patterns only, no multiplicities).  The level algebra is exact
-and rational: each level keeps its class functions as integer rows over
-the character basis, the sign-weighted class sums of one element order are
-rational because coefficients are Galois-invariant, and directions are
-normalized to canonical nonnegative integer vectors.
+Two modes share one chain loop: exact (a concrete grade n and its actual
+coefficient signs, integer arithmetic throughout, the reconstruction
+identity enforced) and asymptotic (a residue class n0 mod N, no
+coefficients).  For large n the sign of c_g(n) is that of the leading
+Rademacher term, Re K_{n_g}(n), so sign_profile reads each class's pattern
+of period n_g from (n_g, h_g) alone; an entry is 0 only where that real
+part vanishes exactly.  The level algebra is exact and rational: each
+level keeps its class functions as integer rows over the character basis,
+the sign-weighted class sums of one element order are rational because
+coefficients are Galois-invariant, and directions are normalized to
+canonical nonnegative integer vectors.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +31,7 @@ from fractions import Fraction
 
 from .chartab import CharacterTable, class_sums, distinct_orders
 from .decomp import MultiplicityVector
+from .kernels import _phase_numerators, kloosterman_sum
 
 
 class FiltrationError(Exception):
@@ -55,100 +61,84 @@ class StructureViolation(FiltrationError):
     """A quantity the support recursion requires nonnegative came out negative."""
 
 
-class AperiodicClass(FiltrationError):
-    def __init__(self, class_name: str, window: tuple[int, int]):
-        super().__init__(
-            f"no sign period detected for class {class_name} within window {window}"
-        )
-        self.class_name = class_name
-        self.window = window
-
-
-# -- sign profiles -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClassSigns:
-    """Sign of c_g(n) as a function of n mod period (entries in {-1, 0, +1})."""
-
-    class_name: str
-    period: int
-    pattern: tuple[int, ...]  # indexed by n mod period
-    source: str  # "declared", "empirical", or "aperiodic"
-    window: tuple[int, int] | None = None
-
-    def sign(self, n: int) -> int:
-        if self.source == "aperiodic":
-            raise AperiodicClass(self.class_name, self.window or (0, 0))
-        return self.pattern[n % self.period]
-
+# -- leading-term sign patterns ----------------------------------------------
 
 @dataclass(frozen=True)
 class SignProfile:
-    classes: dict[str, ClassSigns]
-    N: int  # lcm of the periodic classes' periods
+    """Leading sign of c_g(n) for each class, as a pattern indexed by n mod n_g."""
+
+    patterns: dict[str, tuple[int, ...]]
+    N: int  # lcm of the pattern lengths
 
     def sign(self, class_name: str, n: int) -> int:
-        return self.classes[class_name].sign(n)
-
-    @property
-    def aperiodic_classes(self) -> list[str]:
-        return [c for c, s in self.classes.items() if s.source == "aperiodic"]
+        pattern = self.patterns[class_name]
+        return pattern[n % len(pattern)]
 
 
-# Known closed-form sign patterns, keyed by (group, class):
-# sgn(c_2A(n)) = (-1)^n and sgn(c_2B(n)) = (-1)^{n+1}.
-DECLARED_SIGNS = {
-    ("M24", "2A"): (1, -1),  # n mod 2 = 0 -> +1
-    ("M24", "2B"): (-1, 1),
-}
-
-
-def _sgn(v: int) -> int:
+def _sgn(v: float) -> int:
     return (v > 0) - (v < 0)
 
 
-def _detect_period(signs: list[int], max_period: int) -> int | None:
-    for p in range(1, max_period + 1):
-        if all(signs[k] == signs[k % p] for k in range(len(signs))):
-            return p
-    return None
+def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, lowest degree first,
+    by a monic divisor."""
+    rem = list(num)
+    k = len(den) - 1
+    quot = [0] * max(len(rem) - k, 0)
+    for i in range(len(rem) - 1, k - 1, -1):
+        a = rem[i]
+        if a:
+            quot[i - k] = a
+            for j, b in enumerate(den):
+                rem[i - k + j] -= a * b
+    return quot, rem[:k]
 
 
-def sign_profile(table: CharacterTable, provider, window: tuple[int, int]
-                 ) -> SignProfile:
-    """Measure per-class sign periodicity over [window[0], window[1]].
+@functools.cache
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Coefficients of the cyclotomic polynomial Phi_n, lowest degree first."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_divmod(poly, _cyclotomic(d))[0]
+    return tuple(poly)
 
-    Declared patterns (M24 2A/2B) are verified against the data and used as
-    stated; other classes get the minimal empirical period, verified over at
-    least three full periods.  Classes with no period up to window/3 are
-    marked aperiodic (usable in exact mode only).
+
+def re_kloosterman_is_zero(n: int, c: int, ng: int, hg: int) -> bool:
+    """Whether Re K_c(n) vanishes exactly.
+
+    2 Re K_c(n) = sum of z^a + z^(-a) over the phase numerators a, with z a
+    primitive base-th root of unity; it is zero iff Phi_base divides that
+    polynomial in z.
     """
-    lo, hi = window
-    count = hi - lo + 1
-    if count < 6:
-        raise ValueError("sign window must cover at least 6 grades")
-    max_period = count // 3
-    classes: dict[str, ClassSigns] = {}
-    periods = []
-    for c in table.classes:
-        observed = [_sgn(provider.value(c.name, n)) for n in range(lo, hi + 1)]
-        declared = DECLARED_SIGNS.get((table.group_name, c.name))
-        if declared is not None:
-            p = len(declared)
-            if all(observed[k] == declared[(lo + k) % p] for k in range(count)):
-                classes[c.name] = ClassSigns(c.name, p, declared, "declared", window)
-                periods.append(p)
-                continue
-        # Align the empirical pattern so index r covers n = r (mod p).
-        p = _detect_period(observed, max_period)
-        if p is None:
-            classes[c.name] = ClassSigns(c.name, 0, (), "aperiodic", window)
-            continue
-        pattern = tuple(observed[(r - lo) % p] for r in range(p))
-        classes[c.name] = ClassSigns(c.name, p, pattern, "empirical", window)
-        periods.append(p)
-    N = math.lcm(*periods) if periods else 1
-    return SignProfile(classes, N)
+    base, nums = _phase_numerators(n, c, ng, hg)
+    poly = [0] * base
+    for a in nums:
+        poly[a] += 1
+        poly[-a % base] += 1
+    return not any(_poly_divmod(poly, _cyclotomic(base))[1])
+
+
+def _leading_sign(r: int, ng: int, hg: int) -> int:
+    """sgn Re K_{n_g}(r): 0 only where the real part vanishes exactly."""
+    if re_kloosterman_is_zero(r, ng, ng, hg):
+        return 0
+    re = kloosterman_sum(r, ng, ng, hg).real
+    if abs(re) < 1e-9:  # no M24 or A5 entry comes within 0.5 of zero
+        raise ValueError(f"Re K_{ng}({r}) = {re:.3g} for n_g = {ng}, h_g = {hg} "
+                         "is nonzero but below the float margin 1e-9")
+    return _sgn(re)
+
+
+def sign_profile(table: CharacterTable) -> SignProfile:
+    """Each class's large-n sign of c_g(n), from the table alone.
+
+    The leading Rademacher term of c_g(n) is the one at c = n_g, so for large
+    n the sign is that of Re K_{n_g}(n), which has period n_g in n.
+    """
+    patterns = {c.name: tuple(_leading_sign(r, c.ng, c.hg) for r in range(c.ng))
+                for c in table.classes}
+    return SignProfile(patterns, math.lcm(*(c.ng for c in table.classes)))
 
 
 def signs_at(table: CharacterTable, provider, n: int) -> dict[str, int]:
@@ -158,8 +148,6 @@ def signs_at(table: CharacterTable, provider, n: int) -> dict[str, int]:
 
 def _sign_lookup(signs, class_name: str, n: int | None) -> int:
     if isinstance(signs, SignProfile):
-        if n is None:
-            raise ValueError("SignProfile lookup requires a grade")
         return signs.sign(class_name, n)
     return signs[class_name]
 
@@ -275,23 +263,44 @@ class FiltrationResult:
     approximate = False  # schema 1 field; the level algebra is always exact
 
 
-def _advance(table: CharacterTable, level: ClassFunctionLevel, signs,
-             n: int | None, orders: list[int], skipped: list[int]
-             ) -> tuple[ClassFunctionLevel | None, tuple[int, ...]]:
-    """Find the next nondegenerate order and eliminate its minimizer set.
+def _chain(table: CharacterTable, signs, n: int, remaining: list[int] | None):
+    """(chain, order blocks, skipped orders) for the signs at n.
 
-    Consumes entries of orders; returns (next level, J) or (None, ()) when
-    every remaining order is degenerate.
+    With remaining, each level first peels r_j, the most copies of its
+    direction that fit, off remaining in place; without, every r_j is None.
     """
-    while orders:
-        order = orders.pop(0)
-        try:
-            J, nu = minimizer_set(table, level, signs, n, order)
-        except DegenerateLevel as exc:
-            skipped.append(exc.order)
-            continue
-        return next_class_function(level, J, nu, order), J
-    return None, ()
+    orders = distinct_orders(table)[1:]  # beyond the identity
+    level = _character_level(table)
+    chain: list[ChainLevel] = []
+    blocks: list[tuple[int, ...]] = []
+    skipped: list[int] = []
+    while True:
+        support = level.active
+        r = None
+        if remaining is not None:
+            pos = [(i, level.direction[i]) for i in support if level.direction[i] > 0]
+            r = max(min(remaining[i] // Li for i, Li in pos) if pos else 0, 0)
+            for i, Li in pos:
+                remaining[i] -= r * Li
+        nxt, J = None, ()
+        while orders:  # the next nondegenerate order eliminates its minimizers
+            order = orders.pop(0)
+            try:
+                J, nu = minimizer_set(table, level, signs, n, order)
+            except DegenerateLevel as exc:
+                skipped.append(exc.order)
+                continue
+            nxt = next_class_function(level, J, nu, order)
+            break
+        chain.append(ChainLevel(level.order, r, dict(level.direction), support, J))
+        if J:
+            blocks.append(J)
+        if nxt is None or not nxt.active:
+            final = tuple(i for i in support if i not in J)
+            if final:
+                blocks.append(final)
+            return tuple(chain), tuple(blocks), tuple(skipped)
+        level = nxt
 
 
 def filtrate_exact(mv: MultiplicityVector, table: CharacterTable, signs
@@ -303,35 +312,12 @@ def filtrate_exact(mv: MultiplicityVector, table: CharacterTable, signs
     """
     if any(m < 0 for m in mv.m):
         raise ValueError("exact filtration requires a nonnegative multiplicity vector")
-    n = mv.n
-    orders = distinct_orders(table)[1:]  # beyond the identity
     remaining = list(mv.m)
-    level = _character_level(table)
-    chain: list[ChainLevel] = []
-    blocks: list[tuple[int, ...]] = []
-    skipped: list[int] = []
-    while True:
-        support = level.active
-        pos = [(i, level.direction[i]) for i in support if level.direction[i] > 0]
-        r = min(remaining[i] // Li for i, Li in pos) if pos else 0
-        r = max(r, 0)
-        for i, Li in pos:
-            remaining[i] -= r * Li
-        nxt, J = _advance(table, level, signs, n, orders, skipped)
-        chain.append(ChainLevel(level.order, r, dict(level.direction), support, J))
-        if J:
-            blocks.append(J)
-        if nxt is None or not nxt.active:
-            final = tuple(i for i in support if i not in J)
-            if final:
-                blocks.append(final)
-            break
-        level = nxt
+    chain, blocks, skipped = _chain(table, signs, mv.n, remaining)
     residual = tuple(remaining)
     if any(v < 0 for v in residual):
         raise StructureViolation(f"negative residual entries: {residual}")
-    return FiltrationResult("exact", n, None, tuple(chain), residual,
-                            tuple(blocks), tuple(skipped))
+    return FiltrationResult("exact", mv.n, None, chain, residual, blocks, skipped)
 
 
 def filtrate_asymptotic(table: CharacterTable, profile: SignProfile,
@@ -341,31 +327,13 @@ def filtrate_asymptotic(table: CharacterTable, profile: SignProfile,
     Multiplicity-free: r_j depend on n and are not computed; the chain and
     order blocks depend only on the periodic sign data.
     """
+    if N < 1:
+        raise ValueError(f"modulus {N} is not positive")
     if N % profile.N != 0:
         raise ValueError(f"modulus {N} is not a multiple of the profile lcm {profile.N}")
-    bad = profile.aperiodic_classes
-    if bad:
-        raise AperiodicClass(bad[0], profile.classes[bad[0]].window or (0, 0))
-    n = n0 % N
-    orders = distinct_orders(table)[1:]
-    level = _character_level(table)
-    chain: list[ChainLevel] = []
-    blocks: list[tuple[int, ...]] = []
-    skipped: list[int] = []
-    while True:
-        support = level.active
-        nxt, J = _advance(table, level, profile, n, orders, skipped)
-        chain.append(ChainLevel(level.order, None, dict(level.direction), support, J))
-        if J:
-            blocks.append(J)
-        if nxt is None or not nxt.active:
-            final = tuple(i for i in support if i not in J)
-            if final:
-                blocks.append(final)
-            break
-        level = nxt
-    return FiltrationResult("asymptotic", None, (n0 % N, N), tuple(chain), None,
-                            tuple(blocks), tuple(skipped))
+    chain, blocks, skipped = _chain(table, profile, n0 % N, None)
+    return FiltrationResult("asymptotic", None, (n0 % N, N), chain, None,
+                            blocks, skipped)
 
 
 def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:

@@ -2,7 +2,9 @@ r"""Hot loop for the Rademacher tail: Kloosterman-type phase sums.
 
 kloosterman_grades is numpy code vectorised over blocks of (c, d) pairs; it
 is the only kernel path.  The scalar dedekind_six_c and kloosterman_sum are
-plain-Python references that compute the same numbers one term at a time.
+plain-Python references that compute the same numbers one term at a time;
+the filtration's leading-term signs are read from kloosterman_sum and from
+the exact phase numerators behind it.
 
 The Dedekind sum s(d, c) is evaluated through the reciprocity recursion in
 float64 and then snapped to the exact integer 6*c*s(d, c): the recursion
@@ -48,22 +50,29 @@ def dedekind_six_c(d: int, c: int) -> int:
     return int(round(6.0 * c0 * s))
 
 
-def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> complex:
-    """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg))."""
+def _phase_numerators(n: int, c: int, ng: int, hg: int) -> tuple[int, list[int]]:
+    """(base, nums): the terms of K_c(n) are e(num / base), one num in
+    [0, base) per d mod c coprime to c, in increasing d."""
     m = ng * hg
     base = (12 * c // math.gcd(12 * c, m)) * m
-    total = 0j
-    two_pi = 2.0 * math.pi
-    if c == 1:
-        return complex(1.0, 0.0)
-    for d in range(1, c):
+    nums = []
+    for d in range(c):
         s6c = dedekind_six_c(d, c)
         if s6c == NOT_COPRIME:
             continue
         # theta = n*d/c - s6c/(4*c) - c*d/m over denominator base (a multiple
         # of both 4*c and m by construction)
         num = (base // c) * n * d - (base // (4 * c)) * s6c - (base // m) * c * d
-        num %= base
+        nums.append(num % base)
+    return base, nums
+
+
+def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> complex:
+    """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg))."""
+    base, nums = _phase_numerators(n, c, ng, hg)
+    total = 0j
+    two_pi = 2.0 * math.pi
+    for num in nums:
         ang = two_pi * (num / base)
         total += complex(math.cos(ang), math.sin(ang))
     return total

@@ -127,7 +127,11 @@ def test_criterion_6_nonfree_asymptotics(m24_table, engine):
 
 def test_criterion_7_a5_example(a5_table, engine):
     provider = FusedProvider(a5_table, engine)
-    profile = sign_profile(a5_table, provider, (1, 60))
+    profile = sign_profile(a5_table)
+    for c in a5_table.classes:
+        for n in range(1, 101):
+            v = provider.value(c.name, n)
+            assert profile.sign(c.name, n) == (v > 0) - (v < 0), (c.name, n, v)
     result = filtrate_asymptotic(a5_table, profile, 10, 30)
     names = [chi.name for chi in a5_table.irreps]
     blocks = [tuple(names[i] for i in b) for b in result.order_blocks]
@@ -148,7 +152,8 @@ def test_criterion_7_a5_example(a5_table, engine):
         assert tuple(total) == mv.m
         rs = [lvl.r for lvl in res.chain]
         assert rs[0] > rs[1] > 0, (n, rs)
-    print(f"\nPASS criterion 7: blocks {blocks}{deviation}; {chain_note}; "
+    print("\nPASS criterion 7: leading-term signs match n = 1..100; "
+          f"blocks {blocks}{deviation}; {chain_note}; "
           "exact reconstruction and r1 > r2 > 0 at n = 40, 70, 100")
 
 

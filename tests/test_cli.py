@@ -110,6 +110,28 @@ def test_filtrate_a5_asymptotic(capsys, cache_args):
                                    ["chi1", "chi5"]]
 
 
+def test_filtrate_m24_asymptotic(capsys):
+    code, out, _ = run(capsys, ["filtrate", "--residue", "0", "--modulus", "212520"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mode"] == "asymptotic" and doc["N"] == 212520
+    code, _, err = run(capsys, ["filtrate", "--residue", "0", "--modulus", "60"])
+    assert code == 1 and err.startswith("error: modulus 60 is not a multiple")
+    code, _, err = run(capsys, ["filtrate", "--residue", "0", "--modulus", "0"])
+    assert code == 1 and err.startswith("error: modulus 0 is not positive")
+
+
+def test_filtrate_asymptotic_reads_no_coefficients(capsys, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("asymptotic mode built a coefficient engine")
+
+    monkeypatch.setattr("moonmod.cli._make_engine", refuse)
+    code, out, _ = run(capsys, ["filtrate", "--group", "a5", "--residue", "10",
+                                "--modulus", "30"])
+    assert code == 0
+    assert json.loads(out)["order_blocks"][0] == ["chi3a", "chi3b"]
+
+
 def test_filtrate_exact_m24(capsys, cache_args):
     code, out, _ = run(capsys, ["filtrate", "--group", "m24", "--n", "30"]
                        + cache_args)

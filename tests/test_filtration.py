@@ -15,12 +15,13 @@ import pytest
 
 from moonmod.chartab import load_table
 from moonmod.decomp import MultiplicityVector, multiplicities
-from moonmod.filtration import (AperiodicClass, ClassSigns, DegenerateLevel,
-                                IrrationalDirection, SignProfile,
-                                StructureViolation, _character_level,
-                                direction_vector, filtrate_asymptotic,
-                                filtrate_exact, minimizer_set, result_to_json,
-                                sign_profile, signs_at)
+from moonmod.filtration import (DegenerateLevel, IrrationalDirection,
+                                SignProfile, StructureViolation,
+                                _character_level, direction_vector,
+                                filtrate_asymptotic, filtrate_exact,
+                                minimizer_set, re_kloosterman_is_zero,
+                                result_to_json, sign_profile, signs_at)
+from moonmod.kernels import kloosterman_sum
 
 
 # -- synthetic tables --------------------------------------------------------
@@ -218,11 +219,11 @@ def test_regular_multiple_trivial_chain(s3):
 # -- A5 worked example -------------------------------------------------------
 
 A5_PROFILE = {
-    "1A": ClassSigns("1A", 1, (1,), "empirical"),
-    "2A": ClassSigns("2A", 2, (1, -1), "declared"),
-    "3A": ClassSigns("3A", 3, (1, 0, -1), "empirical"),
-    "5A": ClassSigns("5A", 5, (1, 0, 1, 0, -1), "empirical"),
-    "5B": ClassSigns("5B", 5, (1, 0, 1, 0, -1), "empirical"),
+    "1A": (1,),
+    "2A": (1, -1),
+    "3A": (1, 0, -1),
+    "5A": (1, 0, 1, 0, -1),
+    "5B": (1, 0, 1, 0, -1),
 }
 
 
@@ -298,10 +299,10 @@ def test_signs_split_on_conjugate_classes_refused(a5_table):
 
 
 def test_sign_profile_detection(s3):
-    profile = sign_profile(s3, S3Provider(), (1, 60))
-    assert profile.classes["1A"].period == 1
-    assert profile.classes["2A"].period == 2
-    assert profile.classes["3A"].period == 3
+    profile = sign_profile(s3)
+    assert len(profile.patterns["1A"]) == 1
+    assert len(profile.patterns["2A"]) == 2
+    assert len(profile.patterns["3A"]) == 3
     assert profile.N == 6
     # patterns agree with the provider at arbitrary grades
     p = S3Provider()
@@ -311,24 +312,54 @@ def test_sign_profile_detection(s3):
             assert profile.sign(cname, n) == (v > 0) - (v < 0)
 
 
-import random
+# -- M24 leading-term patterns against the packaged store ---------------------
 
-_SCRAMBLE = random.Random(0).choices([0, 1], k=256)
-
-
-class AperiodicProvider(S3Provider):
-    def value(self, class_name, n):
-        if class_name == "2A":
-            # fixed pseudo-random bits: no period within the window
-            return 2 * (1 if _SCRAMBLE[n % 256] else -1) * (n + 5)
-        return super().value(class_name, n)
+def _stored(warm_cache):
+    """{class: {n: value}} for every stored M24 record."""
+    out = {}
+    for (_, cls, n), rec in warm_cache.records.items():
+        out.setdefault(cls, {})[n] = int(rec["value"])
+    return out
 
 
-def test_aperiodic_marked_and_refused(s3):
-    profile = sign_profile(s3, AperiodicProvider(), (1, 60))
-    assert profile.classes["2A"].source == "aperiodic"
-    with pytest.raises(AperiodicClass):
-        filtrate_asymptotic(s3, profile, 1, 6)
+def test_m24_patterns_match_store(m24_table, warm_cache):
+    profile = sign_profile(m24_table)
+    assert profile.N == 212520
+    stored = _stored(warm_cache)
+    for cls in ("1A", "2A", "2B", "3A", "3B", "4B", "5A", "6A"):
+        for n, v in stored[cls].items():
+            assert profile.sign(cls, n) == (v > 0) - (v < 0), (cls, n, v)
+
+
+def test_m24_zero_entries_are_exact(m24_table, warm_cache):
+    profile = sign_profile(m24_table)
+    stored = _stored(warm_cache)
+    zeros = 0
+    for c in m24_table.classes:
+        pattern = profile.patterns[c.name]
+        for n, v in stored[c.name].items():
+            if pattern[n % c.ng] == 0:
+                zeros += 1
+                assert v == 0, (c.name, n, v)
+        # c = n_g alone decides: every later c = k n_g vanishes there too
+        for r in (r for r, s in enumerate(pattern) if s == 0):
+            for k in range(1, 7):
+                for j in range(k):
+                    assert re_kloosterman_is_zero(r + j * c.ng, k * c.ng, c.ng, c.hg), \
+                        (c.name, r, k, j)
+    assert zeros == 534
+    assert profile.patterns["23A"].count(0) == profile.patterns["23B"].count(0) == 11
+
+
+def test_exact_zero_test_agrees_with_float(m24_table):
+    pairs = 0
+    for c in m24_table.classes:
+        for r in range(c.ng):
+            re = kloosterman_sum(r, c.ng, c.ng, c.hg).real
+            assert re_kloosterman_is_zero(r, c.ng, c.ng, c.hg) == (abs(re) <= 1e-8), \
+                (c.name, r, re)
+            pairs += 1
+    assert pairs == 253
 
 
 def test_json_emitter(a5_table):
