@@ -207,8 +207,6 @@ def cmd_filtrate(args) -> int:
                                                 args.modulus)
     else:
         _, provider = _make_engine(args, table)
-        if args.n is None:
-            raise SystemExit("either --n or --residue/--modulus is required")
         grades = _parse_grades(args.n)
         if len(grades) != 1:
             raise SystemExit("filtrate takes a single grade")
@@ -312,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("filtrate", help="regular-representation filtration")
-    p.add_argument("--n", help="single grade for exact mode")
-    p.add_argument("--residue", type=int, help="residue class for asymptotic mode")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", help="single grade for exact mode")
+    group.add_argument("--residue", type=int, help="residue class for asymptotic mode")
     p.add_argument("--modulus", type=int, help="modulus for asymptotic mode")
     _add_common(p)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .chartab import CharacterTable, class_sums, distinct_orders
 from .decomp import MultiplicityVector
-from .kernels import _phase_numerators, kloosterman_sum
+from .numerics import _phase_numerators, kloosterman_sum
 
 
 class FiltrationError(Exception):

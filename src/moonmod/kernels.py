@@ -1,10 +1,9 @@
-r"""Hot loop for the Rademacher tail: Kloosterman-type phase sums.
+r"""Hot loop for the Rademacher tail: Kloosterman-type phase sums in numpy.
 
 kloosterman_grades is numpy code vectorised over blocks of (c, d) pairs; it
-is the only kernel path.  The scalar dedekind_six_c and kloosterman_sum are
-plain-Python references that compute the same numbers one term at a time;
-the filtration's leading-term signs are read from kloosterman_sum and from
-the exact phase numerators behind it.
+is the only kernel path.  The plain-Python references dedekind_six_c and
+kloosterman_sum in moonmod.numerics compute the same numbers one term at a
+time; this module is the only one that imports numpy at module level.
 
 The Dedekind sum s(d, c) is evaluated through the reciprocity recursion in
 float64 and then snapped to the exact integer 6*c*s(d, c): the recursion
@@ -28,54 +27,9 @@ import numpy as np
 # There is no compiled path; kept as a constant for callers that report it.
 USE_NUMBA = False
 
-NOT_COPRIME = -(1 << 62)
-
 # (c, d) pairs per vectorised block.  It bounds the kernel's working memory,
 # and with it the peak RSS of a cold coefficient computation.
 _BLOCK = 4096
-
-
-def dedekind_six_c(d: int, c: int) -> int:
-    """6*c*s(d, c) classical, or NOT_COPRIME when gcd(d, c) > 1."""
-    c0 = c
-    s = 0.0
-    sign = 1.0
-    while c > 1:
-        d %= c
-        if d == 0:
-            return NOT_COPRIME
-        s += sign * (-0.25 + (d * d + c * c + 1) / (12.0 * d * c))
-        sign = -sign
-        c, d = d, c % d
-    return int(round(6.0 * c0 * s))
-
-
-def _phase_numerators(n: int, c: int, ng: int, hg: int) -> tuple[int, list[int]]:
-    """(base, nums): the terms of K_c(n) are e(num / base), one num in
-    [0, base) per d mod c coprime to c, in increasing d."""
-    m = ng * hg
-    base = (12 * c // math.gcd(12 * c, m)) * m
-    nums = []
-    for d in range(c):
-        s6c = dedekind_six_c(d, c)
-        if s6c == NOT_COPRIME:
-            continue
-        # theta = n*d/c - s6c/(4*c) - c*d/m over denominator base (a multiple
-        # of both 4*c and m by construction)
-        num = (base // c) * n * d - (base // (4 * c)) * s6c - (base // m) * c * d
-        nums.append(num % base)
-    return base, nums
-
-
-def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> complex:
-    """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg))."""
-    base, nums = _phase_numerators(n, c, ng, hg)
-    total = 0j
-    two_pi = 2.0 * math.pi
-    for num in nums:
-        ang = two_pi * (num / base)
-        total += complex(math.cos(ang), math.sin(ang))
-    return total
 
 
 def _check_int64(n0: int, n1: int, c_max: int, m: int) -> None:

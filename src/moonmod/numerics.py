@@ -2,7 +2,10 @@ r"""Exact and high-precision numerical primitives.
 
 Provides the unit-circle exponential e(x) = exp(2*pi*i*x), the half-integer
 Bessel function I_{1/2}, and the classical Dedekind sum of the eta
-multiplier system as an exact rational.
+multiplier system as an exact rational.  dedekind_six_c, the exact phase
+numerators of K_c(n) and kloosterman_sum are the plain-Python references of
+moonmod.kernels, one term at a time; the filtration reads its leading-term
+signs from them.  mpmath is imported inside the two functions that use it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-
-import mpmath
 
 
 class DedekindMode(Enum):
@@ -45,6 +46,8 @@ def unit_exp(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpc:
     Accepts Fraction, int, float or mpf.  Rational arguments are reduced
     exactly, so e(x + 1) == e(x) at the representation level.
     """
+    import mpmath
+
     if isinstance(x, (int, Fraction)):
         frac = Fraction(x) % 1
         with mpmath.workdps(ctx.working_precision):
@@ -63,6 +66,8 @@ def unit_exp(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpc:
 
 def bessel_i_half(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
     """I_{1/2}(x) = sqrt(2/(pi x)) * sinh(x) for x > 0."""
+    import mpmath
+
     with mpmath.workdps(ctx.working_precision):
         xf = mpmath.mpf(x)
         if not mpmath.isfinite(xf) or xf <= 0:
@@ -88,3 +93,49 @@ def dedekind_sum(d: int, c: int) -> Fraction:
         sign = -sign
         c, d = d, c % d
     return s
+
+
+NOT_COPRIME = -(1 << 62)
+
+
+def dedekind_six_c(d: int, c: int) -> int:
+    """6*c*s(d, c) classical, or NOT_COPRIME when gcd(d, c) > 1."""
+    c0 = c
+    s = 0.0
+    sign = 1.0
+    while c > 1:
+        d %= c
+        if d == 0:
+            return NOT_COPRIME
+        s += sign * (-0.25 + (d * d + c * c + 1) / (12.0 * d * c))
+        sign = -sign
+        c, d = d, c % d
+    return int(round(6.0 * c0 * s))
+
+
+def _phase_numerators(n: int, c: int, ng: int, hg: int) -> tuple[int, list[int]]:
+    """(base, nums): the terms of K_c(n) are e(num / base), one num in
+    [0, base) per d mod c coprime to c, in increasing d."""
+    m = ng * hg
+    base = (12 * c // math.gcd(12 * c, m)) * m
+    nums = []
+    for d in range(c):
+        s6c = dedekind_six_c(d, c)
+        if s6c == NOT_COPRIME:
+            continue
+        # theta = n*d/c - s6c/(4*c) - c*d/m over denominator base (a multiple
+        # of both 4*c and m by construction)
+        num = (base // c) * n * d - (base // (4 * c)) * s6c - (base // m) * c * d
+        nums.append(num % base)
+    return base, nums
+
+
+def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> complex:
+    """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg))."""
+    base, nums = _phase_numerators(n, c, ng, hg)
+    total = 0j
+    two_pi = 2.0 * math.pi
+    for num in nums:
+        ang = two_pi * (num / base)
+        total += complex(math.cos(ang), math.sin(ang))
+    return total

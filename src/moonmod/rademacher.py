@@ -11,7 +11,9 @@ and s(d, c) the classical Dedekind sum of the eta multiplier.  These are the
 Rademacher sums for the M24 twining functions on Gamma_0(n_g) of
 Cheng-Duncan (arXiv:1110.3859).  Terms with large Bessel argument are
 evaluated in mpmath with exact rational phases; the long oscillating tail
-runs through the float64 kernels in moonmod.kernels.
+runs through the float64 kernels in moonmod.kernels.  numpy, mpmath and
+the kernels are imported inside the functions that compute a coefficient,
+so a command served from the store loads none of them.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
 like a random walk of step ~1/c), so truncation is adaptive: partial sums
@@ -29,10 +31,6 @@ import os
 import threading
 from dataclasses import dataclass
 
-import mpmath
-import numpy as np
-
-from . import kernels
 from .numerics import DedekindMode, PrecisionContext, DEFAULT_CONTEXT, dedekind_sum
 from .chartab import CharacterTable
 
@@ -217,6 +215,8 @@ def partial_kloosterman(n: int, c: int, params: ClassParams,
     """Exact-phase Kloosterman sum K_c(n) at working precision."""
     from fractions import Fraction
 
+    import mpmath
+
     from .numerics import unit_exp
 
     if c < 1:
@@ -298,6 +298,8 @@ class RademacherEngine:
 
         Returns, per grade, the first admissible c handled by the tail.
         """
+        import mpmath
+
         tail_start = {}
         for n, st in states.items():
             q8 = 8 * n - 1
@@ -324,6 +326,10 @@ class RademacherEngine:
     def _sweep(self, params: ClassParams, grades: list[int],
                policy: TruncationPolicy | None = None) -> dict[int, _GradeState]:
         """Adaptive truncation for a batch of grades of one class, c = 0 mod n_g."""
+        import numpy as np
+
+        from . import kernels
+
         pol = policy or self.policy
         step = params.ng
         states = {n: _GradeState(n) for n in grades}

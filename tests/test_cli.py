@@ -4,10 +4,13 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import moonmod.cli
 from moonmod.chartab import bundled_table
 from moonmod.cli import _make_engine, build_parser, main
 from moonmod.rademacher import bundled_cache
@@ -132,6 +135,14 @@ def test_filtrate_asymptotic_reads_no_coefficients(capsys, monkeypatch):
     assert json.loads(out)["order_blocks"][0] == ["chi3a", "chi3b"]
 
 
+def test_filtrate_modes_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["filtrate", "--group", "a5", "--n", "30", "--residue", "10",
+              "--modulus", "30"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_filtrate_exact_m24(capsys, cache_args):
     code, out, _ = run(capsys, ["filtrate", "--group", "m24", "--n", "30"]
                        + cache_args)
@@ -223,3 +234,77 @@ def test_cache_record_with_foreign_mode_refused(tmp_path, capsys):
                                   "--cache", str(path)])
     assert code == 1 and out == ""
     assert err.startswith("error:") and "omega-floor" in err
+
+
+# -- import boundary ---------------------------------------------------------
+
+# The directory that holds the moonmod under test.
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(moonmod.cli.__file__)))
+
+# Runs main(argv) in a fresh interpreter; its last stderr line names the
+# numeric modules loaded by then.
+CHILD = (
+    "import sys\n"
+    "from moonmod.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(*[m for m in ('numpy', 'mpmath') if m in sys.modules], file=sys.stderr)\n"
+    "raise SystemExit(code)\n"
+)
+
+# The warm commands of the benchmark's CLI session.
+WARM_COMMANDS = [
+    ["validate", "--group", "m24"],
+    ["validate", "--group", "a5"],
+    ["coeff", "--class", "1A,2A,3A,23A", "--n", "1..20"],
+    ["coeff", "--class", "1A,2A,3A,23A", "--n", "1..20", "--format", "json"],
+    ["decompose", "--n", "1..26"],
+    ["decompose", "--n", "27"],
+    ["decompose", "--n", "28..60"],
+    ["filtrate", "--n", "30"],
+    ["filtrate", "--n", "60"],
+    ["filtrate", "--group", "a5", "--residue", "10", "--modulus", "30"],
+    ["asympt", "--nonfree", "--n", "30..60"],
+    ["asympt", "--free", "--n", "1..60"],
+    ["cache"],
+]
+
+
+def run_child(argv, src_dir):
+    """(exit code, stdout, numeric modules loaded) of main(argv) in a fresh interpreter.
+
+    moonmod is a namespace package, so src_dir is the only entry put on
+    PYTHONPATH: another copy there would merge its data files in.
+    """
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    env.pop("MOONMOD_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
+                          text=True, env=env)
+    err = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, err[-1].split() if err else None
+
+
+@pytest.mark.parametrize("argv", WARM_COMMANDS, ids=" ".join)
+def test_warm_command_loads_no_numeric_stack(argv, tmp_path, capsys):
+    store = tmp_path / "m24_coeffs.ldjson"
+    shutil.copyfile(REPO_CACHE, store)
+    before = store.read_bytes()
+    argv = argv + ["--cache", str(store)]
+    code, out, loaded = run_child(argv, SRC_DIR)
+    assert (code, loaded) == (0, [])
+    assert run(capsys, argv) == (0, out, "")
+    assert store.read_bytes() == before
+
+
+def test_cold_coeff_loads_numeric_stack(tmp_path):
+    """Without the packaged store, an empty cache file makes coeff compute."""
+    pkg = tmp_path / "src" / "moonmod"
+    shutil.copytree(os.path.join(SRC_DIR, "moonmod"), pkg,
+                    ignore=shutil.ignore_patterns("*.ldjson", "__pycache__"))
+    store = tmp_path / "m24_coeffs.ldjson"
+    store.write_text("")
+    code, out, loaded = run_child(["coeff", "--class", "1A", "--n", "1",
+                                   "--cache", str(store)], str(tmp_path / "src"))
+    assert code == 0 and out.splitlines()[1].split(",")[:3] == ["1A", "1", "90"]
+    assert sorted(loaded) == ["mpmath", "numpy"]
+    assert json.loads(store.read_text())["value"] == "90"

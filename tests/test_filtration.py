@@ -21,7 +21,7 @@ from moonmod.filtration import (DegenerateLevel, IrrationalDirection,
                                 filtrate_asymptotic, filtrate_exact,
                                 minimizer_set, re_kloosterman_is_zero,
                                 result_to_json, sign_profile, signs_at)
-from moonmod.kernels import kloosterman_sum
+from moonmod.numerics import kloosterman_sum
 
 
 # -- synthetic tables --------------------------------------------------------

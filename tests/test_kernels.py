@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from moonmod import kernels
-from moonmod.numerics import dedekind_sum
+from moonmod.numerics import NOT_COPRIME, dedekind_six_c, dedekind_sum, kloosterman_sum
 from moonmod.rademacher import (ClassParams, CoefficientCache, RademacherEngine,
                                 partial_kloosterman)
 
@@ -23,9 +23,9 @@ def test_dedekind_six_c_exact():
     for _ in range(500):
         c = rng.randrange(2, 5000)
         d = rng.randrange(1, c)
-        got = kernels.dedekind_six_c(d, c)
+        got = dedekind_six_c(d, c)
         if math.gcd(d, c) != 1:
-            assert got == kernels.NOT_COPRIME
+            assert got == NOT_COPRIME
         else:
             assert got == 6 * c * dedekind_sum(d, c)
 
@@ -37,14 +37,14 @@ def test_dedekind_six_c_large_c():
         d = rng.randrange(1, c)
         if math.gcd(d, c) != 1:
             continue
-        assert kernels.dedekind_six_c(d, c) == 6 * c * dedekind_sum(d, c)
+        assert dedekind_six_c(d, c) == 6 * c * dedekind_sum(d, c)
 
 
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1), (4, 2), (23, 1)])
 def test_kloosterman_matches_exact(ng, hg):
     params = ClassParams(ng, hg, "test")
     for n, c in [(1, 1), (1, 5), (3, 8), (7, 23), (10, 46)]:
-        fast = kernels.kloosterman_sum(n, c, ng, hg)
+        fast = kloosterman_sum(n, c, ng, hg)
         exact = partial_kloosterman(n, c, params)
         assert abs(fast.real - float(exact.real)) < 1e-9
         assert abs(fast.imag - float(exact.imag)) < 1e-9
@@ -58,7 +58,7 @@ def test_grade_batch_matches_single():
     kernels.kloosterman_grades(n0, n1, cs, 2, 1, out_re, out_im)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(n0, n1 + 1)):
-            z = kernels.kloosterman_sum(int(n), int(c), 2, 1)
+            z = kloosterman_sum(int(n), int(c), 2, 1)
             assert abs(out_re[k, j] - z.real) < 1e-8
             assert abs(out_im[k, j] - z.imag) < 1e-8
 
@@ -99,7 +99,7 @@ def test_python_fallback_agrees():
 
 
 def test_c_equals_one():
-    assert kernels.kloosterman_sum(5, 1, 1, 1) == 1 + 0j
+    assert kloosterman_sum(5, 1, 1, 1) == 1 + 0j
 
 
 def _grades(n0, n1, cs, ng, hg):
@@ -132,7 +132,7 @@ def test_grades_across_blocks():
     out_re, out_im = _grades(4, 6, cs, 3, 1)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(4, 7)):
-            z = kernels.kloosterman_sum(n, c, 3, 1)
+            z = kloosterman_sum(n, c, 3, 1)
             assert abs(out_re[k, j] - z.real) < 1e-9
             assert abs(out_im[k, j] - z.imag) < 1e-9
 
@@ -144,7 +144,7 @@ def test_single_grade_equals_scalar_sum():
     n = rng.randrange(1, 60)
     out_re, out_im = _grades(n, n, cs, ng, hg)
     for k, c in enumerate(cs):
-        z = kernels.kloosterman_sum(n, c, ng, hg)
+        z = kloosterman_sum(n, c, ng, hg)
         assert out_re[k, 0] == z.real and out_im[k, 0] == z.imag, c
 
 
