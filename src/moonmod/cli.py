@@ -343,7 +343,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "filtrate" and args.n is not None and args.modulus is not None:
+        parser.error("argument --modulus: not allowed with argument --n")
     try:
         return COMMANDS[args.command](args)
     except NonConvergent as exc:

@@ -16,11 +16,12 @@ the kernels are imported inside the functions that compute a coefficient,
 so a command served from the store loads none of them.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
-like a random walk of step ~1/c), so truncation is adaptive: partial sums
-are inspected at every admissible c and a value is accepted at the first c
-where the distance to the nearest integer drops below tolerance and the
-rounded value is stable across a window of checkpoints.  Grades are swept
-in batches per class, reusing the Dedekind pass across all grades.
+like a random walk of step ~1/c), so truncation is adaptive: a value is
+accepted at the first admissible c where the partial sum is within tolerance
+of an integer whose rounding is stable across a window of checkpoints, as
+checked after every chunk of c; chunks double from c_max_initial, capped at
+four kernel blocks of (c, d) pairs.  Grades are swept in batches per class,
+reusing the Dedekind pass across all grades.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class TruncationPolicy:
     residual at most stability_tolerance (0 disables the fallback).  Such
     records are marked gate="stability" and are independently re-certified
     downstream by exact decomposition integrality across all classes.
+    The sweep's chunks start at c_max_initial and double, capped at four
+    kernel blocks of (c, d) pairs; the primary gate runs after each chunk.
     """
 
     c_max_initial: int = 50
@@ -247,6 +250,14 @@ def polar_coefficient(params: ClassParams) -> int:
     return -2
 
 
+def _chunk_end(lo: int, step: int, budget: int) -> int:
+    """Last c of the chunk from lo: at most budget (c, d) pairs, at least one c."""
+    first = end = -(-lo // step) * step
+    while ((end - first) // step + 2) * (first + end + step - 2) <= 2 * budget:
+        end += step
+    return end
+
+
 def _series_digits(n: int, ctx: PrecisionContext) -> int:
     d_n = (math.pi / 2.0) * math.sqrt(8 * n - 1)
     return max(ctx.working_precision, int(math.ceil(d_n / math.log(10))) + 40)
@@ -407,7 +418,8 @@ class RademacherEngine:
                         st.last_rounded = float(rounded[-1])
             if hi >= pol.c_max_limit:
                 break
-            lo, hi = hi + 1, min(hi * 2, pol.c_max_limit)
+            lo, hi = hi + 1, min(hi * 2, pol.c_max_limit,
+                                 _chunk_end(hi + 1, step, 4 * kernels._BLOCK))
 
         # Fallback gate: sparse-grid classes never dip below the residual
         # tolerance (intrinsic ~C^(-1/2) tail drift); accept a long-stable

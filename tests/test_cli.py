@@ -143,6 +143,14 @@ def test_filtrate_modes_are_exclusive(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_filtrate_exact_mode_refuses_modulus(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["filtrate", "--group", "a5", "--n", "30", "--modulus", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--modulus: not allowed with argument --n" in err
+
+
 def test_filtrate_exact_m24(capsys, cache_args):
     code, out, _ = run(capsys, ["filtrate", "--group", "m24", "--n", "30"]
                        + cache_args)

@@ -10,7 +10,7 @@ from moonmod import kernels
 from moonmod.numerics import DedekindMode
 from moonmod.rademacher import (ClassParams, CoefficientCache,
                                 CoefficientRecord, NonConvergent,
-                                RademacherEngine, TruncationPolicy,
+                                RademacherEngine, TruncationPolicy, _chunk_end,
                                 asymptotic_leading, polar_coefficient)
 
 KNOWN_1A = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100]
@@ -193,3 +193,37 @@ def test_stability_window_spans_sweep_chunks(m24_table):
     states = engine._sweep(engine.params_for("23A"), [5], policy=policy)
     assert not states[5].done
     assert len(states[5].rounded_tail) == policy.stability_window - 1
+
+
+def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
+    """A value accepted in the upper half of a doubled chunk ends the sweep there."""
+    stored = warm_cache.to_record(warm_cache.records[("M24", "1A", 36)])
+    assert stored.gate == "dip" and 1601 <= stored.c_max_used <= 3200
+    eng = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    scanned = []
+    grades = kernels.kloosterman_grades
+
+    def recording(n0, n1, cs, *rest):
+        scanned.extend(int(c) for c in cs)
+        return grades(n0, n1, cs, *rest)
+
+    monkeypatch.setattr(kernels, "kloosterman_grades", recording)
+    rec = eng.coefficient(eng.params_for("1A"), 36)
+    assert (rec.value, rec.gate, rec.c_max_used) == \
+        (stored.value, stored.gate, stored.c_max_used)
+    # The doubling schedule alone would run the chunk 1601..3200 to its end.
+    assert max(scanned) < 3200
+    useful = sum(c - 1 for c in range(1, rec.c_max_used + 1))
+    assert sum(c - 1 for c in scanned) <= 1.2 * useful + 4 * kernels._BLOCK
+
+
+@pytest.mark.parametrize("lo, step", [(51, 1), (101, 1), (1601, 1), (20000, 1),
+                                      (47, 23), (2000, 7), (3, 12)])
+def test_chunk_end_is_the_largest_within_budget(lo, step):
+    budget = 16384
+    end = _chunk_end(lo, step, budget)
+    cs = range(-(-lo // step) * step, end + 1, step)
+    assert cs and end % step == 0
+    pairs = sum(c - 1 for c in cs)
+    assert pairs <= budget or len(cs) == 1
+    assert pairs + end + step - 1 > budget
