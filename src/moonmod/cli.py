@@ -200,8 +200,6 @@ def cmd_decompose(args) -> int:
 def cmd_filtrate(args) -> int:
     table = _load_group(args.group)
     if args.residue is not None:
-        if args.modulus is None:
-            raise SystemExit("--residue requires --modulus")
         profile = filtration.sign_profile(table)
         result = filtration.filtrate_asymptotic(table, profile, args.residue,
                                                 args.modulus)
@@ -347,6 +345,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "filtrate" and args.n is not None and args.modulus is not None:
         parser.error("argument --modulus: not allowed with argument --n")
+    if args.command == "filtrate" and args.residue is not None and args.modulus is None:
+        parser.error("argument --residue: requires argument --modulus")
     try:
         return COMMANDS[args.command](args)
     except NonConvergent as exc:

@@ -12,10 +12,20 @@ error stays far below the 1/2 needed for exact rounding (the test suite
 compares against the exact rational implementation).  The vectorised
 recursion performs the same float operations in the same order as the
 scalar one, so both give identical integers.  Phases
-n*d/c - 3*s(d,c)/2 - c*d/(ng*hg) are then reduced mod 1 in exact int64
-arithmetic, so the tail is immune to phase drift; only the final cos/sin
-and the Bessel factor are floating point.  Per-c sums accumulate in d
-order, so a single grade reproduces kloosterman_sum bit for bit.
+theta_d(n) = n*d/c - 3*s(d,c)/2 - c*d/m, m = ng*hg, are then reduced mod 1
+in exact int64 arithmetic, so the tail is immune to phase drift; only the
+final cos/sin and the Bessel factor are floating point.
+
+Only d <= c/2 is evaluated.  The Dedekind sum is odd in d,
+s(c-d, c) = -s(d, c), so theta_{c-d}(n) = n - c^2/m - theta_d(n) and
+
+    K_c(n) = S + e(-c^2/m) * conj(S),   S = sum over coprime d < c/2,
+
+with the rotation angle taken from the exact integer c^2 mod m.  For c = 2
+the one term d = 1 is its own partner and is counted once (no fold);
+K_1 = 1.  Each S accumulates in d order and is folded once, after the
+last block, in the same float operations as kloosterman_sum, so a single
+grade reproduces that folded scalar bit for bit.
 """
 
 from __future__ import annotations
@@ -89,9 +99,10 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
                        out_re: np.ndarray, out_im: np.ndarray) -> None:
     """K_c(n) for all grades n0 <= n <= n1 at once; out has shape (len(cs), n1-n0+1).
 
-    The (c, d) pairs of all cs are laid end to end and processed in blocks
-    of at most _BLOCK pairs.  The n-dependence of each term is e(n d / c),
-    so grade n0 + j has the exact phase numerator num0 + j*step mod base.
+    The (c, d) pairs with d <= c/2 of all cs are laid end to end and
+    processed in blocks of at most _BLOCK pairs, then each row is folded
+    (module docstring).  The n-dependence of each term is e(n d / c), so
+    grade n0 + j has the exact phase numerator num0 + j*step mod base.
     Raises ValueError, before any work, if those numerators could overflow
     int64.
     """
@@ -110,8 +121,9 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     bc = base // cs
     b4c = base // (4 * cs)
     bm = base // m
-    ends = np.cumsum(cs - 1)
-    starts = ends - (cs - 1)
+    half = cs // 2
+    ends = np.cumsum(half)
+    starts = ends - half
     grades = np.arange(ncols, dtype=np.int64)
     total = int(ends[-1])
     for p0 in range(0, total, _BLOCK):
@@ -142,3 +154,10 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
         for out, f in ((out_re, np.cos), (out_im, np.sin)):
             w = np.concatenate([out[rows].ravel(), f(ang).ravel()])
             out[rows] = np.bincount(bins, w, size).reshape(-1, ncols)
+    fold = cs > 2
+    cf = cs[fold]
+    rot = two_pi * ((-(cf * cf) % m) / m)
+    cr, sr = np.cos(rot)[:, None], np.sin(rot)[:, None]
+    a, b = out_re[fold], out_im[fold]
+    out_re[fold] = a + (cr * a + sr * b)
+    out_im[fold] = b + (sr * a - cr * b)

@@ -4,8 +4,10 @@ Provides the unit-circle exponential e(x) = exp(2*pi*i*x), the half-integer
 Bessel function I_{1/2}, and the classical Dedekind sum of the eta
 multiplier system as an exact rational.  dedekind_six_c, the exact phase
 numerators of K_c(n) and kloosterman_sum are the plain-Python references of
-moonmod.kernels, one term at a time; the filtration reads its leading-term
-signs from them.  mpmath is imported inside the two functions that use it.
+moonmod.kernels, one term at a time; kloosterman_sum folds the half range
+d < c/2 as the kernel does, while _phase_numerators lists every d.  The
+filtration reads its leading-term signs from them.  mpmath is imported
+inside the two functions that use it.
 """
 
 from __future__ import annotations
@@ -131,11 +133,26 @@ def _phase_numerators(n: int, c: int, ng: int, hg: int) -> tuple[int, list[int]]
 
 
 def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> complex:
-    """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg))."""
+    """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg)).
+
+    Summed as moonmod.kernels does it: S over the coprime d < c/2 in
+    increasing d, then folded by s(c-d, c) = -s(d, c) into
+    S + e(-c^2/(ng hg)) * conj(S).  For c <= 2 every coprime d is its own
+    partner and S is the whole sum.
+    """
     base, nums = _phase_numerators(n, c, ng, hg)
+    if c > 2:
+        # Coprime d pair up as (d, c - d), so the first half are the d < c/2.
+        nums = nums[:len(nums) // 2]
     total = 0j
     two_pi = 2.0 * math.pi
     for num in nums:
         ang = two_pi * (num / base)
         total += complex(math.cos(ang), math.sin(ang))
-    return total
+    if c <= 2:
+        return total
+    m = ng * hg
+    rot = two_pi * ((-(c * c) % m) / m)
+    cr, sr = math.cos(rot), math.sin(rot)
+    a, b = total.real, total.imag
+    return complex(a + (cr * a + sr * b), b + (sr * a - cr * b))

@@ -10,18 +10,21 @@ with K_c(n) = sum_{0<=d<c, (d,c)=1} e(n d/c - 3 s(d,c)/2) e(-c d/(n_g h_g))
 and s(d, c) the classical Dedekind sum of the eta multiplier.  These are the
 Rademacher sums for the M24 twining functions on Gamma_0(n_g) of
 Cheng-Duncan (arXiv:1110.3859).  Terms with large Bessel argument are
-evaluated in mpmath with exact rational phases; the long oscillating tail
-runs through the float64 kernels in moonmod.kernels.  numpy, mpmath and
-the kernels are imported inside the functions that compute a coefficient,
-so a command served from the store loads none of them.
+evaluated in mpmath with exact rational phases (partial_kloosterman, over
+every d); the long oscillating tail runs through the float64 kernel in
+moonmod.kernels, which evaluates d <= c/2 and folds the rest by
+s(c-d, c) = -s(d, c).  numpy, mpmath and the kernels are imported inside
+the functions that compute a coefficient, so a command served from the
+store loads none of them.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
 like a random walk of step ~1/c), so truncation is adaptive: a value is
 accepted at the first admissible c where the partial sum is within tolerance
 of an integer whose rounding is stable across a window of checkpoints, as
 checked after every chunk of c; chunks double from c_max_initial, capped at
-four kernel blocks of (c, d) pairs.  Grades are swept in batches per class,
-reusing the Dedekind pass across all grades.
+16384 nominal (c, d) pairs, d < c (the kernel evaluates about half).
+Grades are swept in batches per class, reusing the Dedekind pass across
+all grades.
 """
 
 from __future__ import annotations
@@ -69,8 +72,9 @@ class TruncationPolicy:
     residual at most stability_tolerance (0 disables the fallback).  Such
     records are marked gate="stability" and are independently re-certified
     downstream by exact decomposition integrality across all classes.
-    The sweep's chunks start at c_max_initial and double, capped at four
-    kernel blocks of (c, d) pairs; the primary gate runs after each chunk.
+    The sweep's chunks start at c_max_initial and double, capped at
+    4 * kernels._BLOCK nominal (c, d) pairs, d < c; the primary gate runs
+    after each chunk.
     """
 
     c_max_initial: int = 50
@@ -251,7 +255,8 @@ def polar_coefficient(params: ClassParams) -> int:
 
 
 def _chunk_end(lo: int, step: int, budget: int) -> int:
-    """Last c of the chunk from lo: at most budget (c, d) pairs, at least one c."""
+    """Last c of the chunk from lo: at most budget nominal (c, d) pairs, d < c,
+    and at least one c."""
     first = end = -(-lo // step) * step
     while ((end - first) // step + 2) * (first + end + step - 2) <= 2 * budget:
         end += step

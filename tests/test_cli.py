@@ -151,6 +151,14 @@ def test_filtrate_exact_mode_refuses_modulus(capsys):
     assert err.startswith("usage:") and "--modulus: not allowed with argument --n" in err
 
 
+def test_filtrate_residue_requires_modulus(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["filtrate", "--group", "a5", "--residue", "10"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--residue: requires argument --modulus" in err
+
+
 def test_filtrate_exact_m24(capsys, cache_args):
     code, out, _ = run(capsys, ["filtrate", "--group", "m24", "--n", "30"]
                        + cache_args)
