@@ -21,7 +21,6 @@ def main():
     path = sys.argv[1] if len(sys.argv) > 1 else DEFAULT
     m24 = bundled_table("m24")
     engine = RademacherEngine(m24, cache=CoefficientCache(path))
-    print("mode:", engine.mode.value, flush=True)
     for c in m24.classes:
         t0 = time.time()
         hi = 100 if c.name in EXAMPLE_CLASSES else 60

@@ -25,7 +25,7 @@ from . import decomp, filtration
 from .chartab import CharacterTable, FusedProvider, TableError, bundled_table, load_table
 from .numerics import PrecisionContext
 from .rademacher import (CoefficientCache, NonConvergent, RademacherEngine,
-                         TruncationPolicy, ENGINE_C_LIMIT, bundled_cache)
+                         TruncationPolicy, DEDEKIND_MODE, ENGINE_C_LIMIT, bundled_cache)
 
 BUNDLED_GROUPS = ("m24", "a5")
 
@@ -135,7 +135,7 @@ def cmd_coeff(args) -> int:
                     "value": str(rec.value),
                     "residual": rec.residual,
                     "c_max_used": rec.c_max_used,
-                    "mode": rec.dedekind_mode_used.value,
+                    "mode": DEDEKIND_MODE,
                     "gate": rec.gate,
                 }
                 for name, rec in rows
@@ -149,7 +149,7 @@ def cmd_coeff(args) -> int:
                          "mode", "gate"])
         for name, rec in rows:
             writer.writerow([name, rec.n, rec.value, f"{rec.residual:.3e}",
-                             rec.c_max_used, rec.dedekind_mode_used.value, rec.gate])
+                             rec.c_max_used, DEDEKIND_MODE, rec.gate])
         _emit(buf.getvalue(), args.out)
     return 0
 

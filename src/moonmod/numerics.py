@@ -14,18 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
-
-
-class DedekindMode(Enum):
-    """The Dedekind sum variant, as named in the mode field of coefficient records.
-
-    Classical: s(d,c) = sum_{m=1}^{c-1} ((m/c)) ((m d/c)) with ((x)) the
-               sawtooth x - floor(x) - 1/2 (0 at integers).
-    """
-
-    Classical = "classical"
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,16 @@ import os
 import threading
 from dataclasses import dataclass
 
-from .numerics import DedekindMode, PrecisionContext, DEFAULT_CONTEXT, dedekind_sum
+from .numerics import PrecisionContext, DEFAULT_CONTEXT, dedekind_sum
 from .chartab import CharacterTable
 
 # Bessel argument above which terms are evaluated at full precision; below
 # it float64 keeps absolute term error well under the integrality tolerance.
 HEAD_SWITCH = 20.0
+
+# The Dedekind sum variant, classical s(d, c) = sum ((m/c)) ((m d/c)), as
+# named in the mode field of stored records and of coeff output.
+DEDEKIND_MODE = "classical"
 
 # Engine default for the deepest c scanned.  The conservative policy-type
 # default of 2000 suffices only for the smallest grades; integrality dips
@@ -102,7 +106,6 @@ class CoefficientRecord:
     value: int
     residual: float
     c_max_used: int
-    dedekind_mode_used: DedekindMode
     gate: str = "dip"  # "dip" (residual tolerance met) or "stability"
 
 
@@ -118,8 +121,21 @@ class NonConvergent(Exception):
         self.best_residual = best_residual
 
 
+class RecordModeError(ValueError):
+    """A stored record made with a Dedekind sum variant other than DEDEKIND_MODE."""
+
+    def __init__(self, rec: dict):
+        super().__init__(
+            f"cached record {rec['class']} n={rec['n']} has mode {rec.get('mode')!r}, "
+            f"not {DEDEKIND_MODE!r}")
+
+
 class CoefficientCache:
-    """Append-only line-delimited record store, tolerant of a torn tail line."""
+    """Append-only line-delimited record store, tolerant of a torn tail line.
+
+    Appends from several processes to one file are serialised by a lock on
+    the file.
+    """
 
     def __init__(self, path: str | os.PathLike | None):
         self.path = os.fspath(path) if path is not None else None
@@ -150,7 +166,7 @@ class CoefficientCache:
             "value": str(record.value),
             "residual": record.residual,
             "c_max_used": record.c_max_used,
-            "mode": record.dedekind_mode_used.value,
+            "mode": DEDEKIND_MODE,
             "gate": record.gate,
         }
         with self._lock:
@@ -158,10 +174,15 @@ class CoefficientCache:
                 return
             self.records[(group, class_name, n)] = rec
             if self.path:
+                import fcntl
+
                 line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
                 # One unbuffered write per record; after a torn tail line the
-                # record starts on a line of its own.
+                # record starts on a line of its own.  The file lock keeps
+                # another process from appending between the check and the
+                # write; closing the file releases it.
                 with open(self.path, "a+b", buffering=0) as fh:
+                    fcntl.flock(fh, fcntl.LOCK_EX)
                     end = fh.seek(0, os.SEEK_END)
                     if end:
                         fh.seek(end - 1)
@@ -188,13 +209,14 @@ class CoefficientCache:
             self.records.setdefault(key, rec)
 
     def to_record(self, rec: dict) -> CoefficientRecord:
+        if rec.get("mode") != DEDEKIND_MODE:
+            raise RecordModeError(rec)
         return CoefficientRecord(
             class_name=rec["class"],
             n=int(rec["n"]),
             value=int(rec["value"]),
             residual=float(rec["residual"]),
             c_max_used=int(rec["c_max_used"]),
-            dedekind_mode_used=DedekindMode(rec["mode"]),
             gate=rec.get("gate", "dip"),
         )
 
@@ -294,8 +316,6 @@ class _GradeState:
 class RademacherEngine:
     """Coefficient provider for one group's classes, with cache and gates."""
 
-    mode = DedekindMode.Classical
-
     def __init__(self, table: CharacterTable,
                  policy: TruncationPolicy | None = None,
                  ctx: PrecisionContext | None = None,
@@ -380,35 +400,36 @@ class RademacherEngine:
                     cum_im = st.cum_im + np.cumsum(terms_im)
                     rounded = np.rint(cum)
                     resid = np.abs(cum - rounded)
+                    # History padded with NaN, which equals nothing: a
+                    # checkpoint is stable once the window - 1 roundings
+                    # before it, across chunks, all equal its own.
                     hist = np.array(st.rounded_tail, dtype=np.float64)
-                    allr = np.concatenate([hist, rounded])
-                    off = len(hist)
-                    for k in range(len(cs)):
-                        c = int(cs[k])
-                        if c < start_c:
-                            continue
-                        if c >= pol.c_max_initial:
-                            r = resid[k]
-                            if r < st.best_res:
-                                st.best_res = float(r)
-                                st.best_raw = st.head_int + cum[k]
-                            idx = off + k
-                            stable = idx >= window - 1 and bool(
-                                np.all(allr[idx - window + 1:idx + 1] == allr[idx])
-                            )
-                            if stable and r <= pol.residual_tolerance:
-                                # The true coefficient is real; the imaginary
-                                # part is a pure-noise residual and gets the
-                                # same absolute tolerance as the real one.
-                                imag_ok = abs(cum_im[k]) <= max(
-                                    pol.residual_tolerance,
-                                    1e-10 * abs(st.head_int + cum[k]))
-                                if imag_ok:
-                                    st.done = True
-                                    st.value = st.head_int + int(rounded[k])
-                                    st.residual = float(r)
-                                    st.c_used = c
-                                    break
+                    allr = np.concatenate([np.full(window - 1 - len(hist), np.nan),
+                                           hist, rounded])
+                    stable = np.ones(len(cs), dtype=bool)
+                    for lag in range(1, window):
+                        stable &= allr[window - 1 - lag:len(allr) - lag] == rounded
+                    gated = usable & (cs >= pol.c_max_initial)
+                    # The true coefficient is real; the imaginary part is a
+                    # pure-noise residual and gets the same absolute
+                    # tolerance as the real one.
+                    accept = gated & stable & (resid <= pol.residual_tolerance) & (
+                        np.abs(cum_im) <= np.maximum(
+                            pol.residual_tolerance, 1e-10 * np.abs(st.head_int + cum)))
+                    hits = np.flatnonzero(accept)
+                    end = int(hits[0]) + 1 if len(hits) else len(cs)
+                    seen = np.flatnonzero(gated[:end])
+                    if len(seen):
+                        k = seen[np.argmin(resid[seen])]
+                        if resid[k] < st.best_res:
+                            st.best_res = float(resid[k])
+                            st.best_raw = st.head_int + cum[k]
+                    if len(hits):
+                        k = hits[0]
+                        st.done = True
+                        st.value = st.head_int + int(rounded[k])
+                        st.residual = float(resid[k])
+                        st.c_used = int(cs[k])
                     if not st.done:
                         st.cum = float(cum[-1])
                         st.cum_im = float(cum_im[-1])
@@ -458,11 +479,11 @@ class RademacherEngine:
             if n == -1:
                 out[n] = CoefficientRecord(params.class_name, -1,
                                            polar_coefficient(params), 0.0, 0,
-                                           self.mode, gate="definition")
+                                           gate="definition")
             elif n == 0:
                 # Vanishing constant-grade coefficient by convention.
                 out[n] = CoefficientRecord(params.class_name, 0, 0, 0.0, 0,
-                                           self.mode, gate="definition")
+                                           gate="definition")
             elif n < -1:
                 raise ValueError("n must be at least -1")
             else:
@@ -479,7 +500,7 @@ class RademacherEngine:
             if not st.done:
                 raise NonConvergent(params.class_name, n, float(st.best_raw), st.best_res)
             rec = CoefficientRecord(params.class_name, n, st.value, st.residual,
-                                    st.c_used, self.mode, st.gate)
+                                    st.c_used, st.gate)
             self.cache.put(self.group, params.class_name, n, rec)
             out[n] = rec
         return out

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import mpmath
@@ -20,16 +21,23 @@ from moonmod.rademacher import (ClassParams, CoefficientCache, RademacherEngine,
                                 partial_kloosterman)
 
 
+def _table_six_c(d, c):
+    """The kernel's table-backed 6c*s(d, c) for one pair, 0 < d < c."""
+    got = int(kernels._six_c(np.array([c]), np.array([d]))[0])
+    return NOT_COPRIME if got == kernels._NOT_COPRIME else got
+
+
 def test_dedekind_six_c_exact():
+    """The scalar reference and the kernel's table path, against exact rationals."""
     rng = random.Random(3)
     for _ in range(500):
         c = rng.randrange(2, 5000)
         d = rng.randrange(1, c)
-        got = dedekind_six_c(d, c)
-        if math.gcd(d, c) != 1:
-            assert got == NOT_COPRIME
-        else:
-            assert got == 6 * c * dedekind_sum(d, c)
+        for got in (dedekind_six_c(d, c), _table_six_c(d, c)):
+            if math.gcd(d, c) != 1:
+                assert got == NOT_COPRIME
+            else:
+                assert got == 6 * c * dedekind_sum(d, c)
 
 
 def test_dedekind_six_c_large_c():
@@ -39,7 +47,56 @@ def test_dedekind_six_c_large_c():
         d = rng.randrange(1, c)
         if math.gcd(d, c) != 1:
             continue
-        assert dedekind_six_c(d, c) == 6 * c * dedekind_sum(d, c)
+        exact = 6 * c * dedekind_sum(d, c)
+        assert dedekind_six_c(d, c) == exact
+        assert _table_six_c(d, c) == exact
+
+
+def _same_six_c(cs, ds, got):
+    for c, d, g in zip(cs, ds, got.tolist()):
+        ref = dedekind_six_c(d, c)
+        assert (g == kernels._NOT_COPRIME) == (ref == NOT_COPRIME), (c, d)
+        if ref != NOT_COPRIME:
+            assert g == ref, (c, d)
+
+
+def test_dedekind_table_small_pairs():
+    """Every pair with c <= 64: the table itself, r = 0 and rows 1 and 2
+    included, and the reciprocity descent down to several table sizes."""
+    cs, ds = np.array([(c, d) for c in range(1, 65) for d in range(c)]).T
+    _same_six_c(cs.tolist(), ds.tolist(), kernels._lookup(cs, ds))
+    cs, ds = cs[ds > 0], ds[ds > 0]
+    for below in (kernels._ROWS, 40, 2):
+        _same_six_c(cs.tolist(), ds.tolist(), kernels._six_c(cs, ds, below))
+
+
+@pytest.mark.parametrize("below", [kernels._ROWS, 40])
+def test_dedekind_table_random_pairs(below):
+    """20000 random pairs with c <= 60000, most of them above the table's
+    rows, so that they descend by several reciprocity steps."""
+    rng = np.random.default_rng(7)
+    cs = rng.integers(2, 60001, 20000)
+    ds = rng.integers(1, cs)
+    _same_six_c(cs.tolist(), ds.tolist(), kernels._six_c(cs, ds, below))
+
+
+def test_dedekind_table_threads(monkeypatch):
+    """Threads that grow a fresh table at once all read exact values."""
+    monkeypatch.setattr(kernels, "_table",
+                        (2, np.zeros_like(kernels._table[1])))
+    rng = np.random.default_rng(9)
+    moduli = [rng.integers(2, top, 3000) for top in (300, 900, 2000, 60000)]
+    jobs = [(cs, rng.integers(1, cs)) for cs in moduli]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            results = list(pool.map(lambda job: kernels._six_c(*job), jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    for (cs, ds), got in zip(jobs, results):
+        _same_six_c(cs.tolist(), ds.tolist(), got)
+    assert kernels._table[0] <= kernels._ROWS
 
 
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1), (4, 2), (23, 1)])
@@ -172,6 +229,8 @@ def test_fold_large_c(c, ng, hg):
     exact = partial_kloosterman(5, c, params)
     assert abs(out_re[0, 0] - float(exact.real)) < 1e-9
     assert abs(out_im[0, 0] - float(exact.imag)) < 1e-9
+    # The Dedekind table never grows past its rows, whatever c needs.
+    assert kernels._table[0] <= kernels._ROWS
 
 
 def test_fold_across_blocks_against_full_range():

@@ -1,16 +1,21 @@
 """Coefficient engine: gates, cache, known values."""
 
+import fcntl
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from importlib import resources
 
 import pytest
 
 from moonmod import kernels
-from moonmod.numerics import DedekindMode
 from moonmod.rademacher import (ClassParams, CoefficientCache,
                                 CoefficientRecord, NonConvergent,
-                                RademacherEngine, TruncationPolicy, _chunk_end,
+                                RademacherEngine, RecordModeError,
+                                TruncationPolicy, _chunk_end,
                                 asymptotic_leading, polar_coefficient)
 
 KNOWN_1A = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100]
@@ -96,22 +101,21 @@ def test_identity_dominance(engine):
 def test_cache_round_trip(tmp_path):
     path = tmp_path / "cache.ldjson"
     cache = CoefficientCache(path)
-    rec = CoefficientRecord("2A", 3, -28, 2.5e-5, 410, DedekindMode.Classical,
-                            "dip")
+    rec = CoefficientRecord("2A", 3, -28, 2.5e-5, 410, "dip")
     cache.put("M24", "2A", 3, rec)
     again = CoefficientCache(path)
     got = again.to_record(again.get("M24", "2A", 3))
     assert got.value == -28
     assert got.c_max_used == 410
     assert got.gate == "dip"
-    assert got.dedekind_mode_used is DedekindMode.Classical
+    assert again.records["M24", "2A", 3]["mode"] == "classical"
     assert again.hits == 1
 
 
 def test_cache_tolerates_torn_line(tmp_path):
     path = tmp_path / "cache.ldjson"
     cache = CoefficientCache(path)
-    rec = CoefficientRecord("1A", 1, 90, 1e-5, 127, DedekindMode.Classical)
+    rec = CoefficientRecord("1A", 1, 90, 1e-5, 127)
     cache.put("M24", "1A", 1, rec)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"group": "M24", "class": "1A", "n": 2, "val')  # torn tail
@@ -121,8 +125,7 @@ def test_cache_tolerates_torn_line(tmp_path):
     # The torn line is dropped in memory only; loading never rewrites the file.
     assert path.read_bytes() == before
     # The next append starts on a line of its own.
-    again.put("M24", "1A", 3, CoefficientRecord("1A", 3, 1540, 1e-5, 300,
-                                                DedekindMode.Classical))
+    again.put("M24", "1A", 3, CoefficientRecord("1A", 3, 1540, 1e-5, 300))
     fresh = CoefficientCache(path)
     assert {key: int(r["value"]) for key, r in fresh.records.items()} == \
         {("M24", "1A", 1): 90, ("M24", "1A", 3): 1540}
@@ -134,7 +137,7 @@ def test_cache_refuses_foreign_mode(tmp_path, m24_table):
                                 "residual": 1e-5, "c_max_used": 127,
                                 "mode": "omega-floor", "gate": "dip"}) + "\n")
     eng = RademacherEngine(m24_table, cache=CoefficientCache(path))
-    with pytest.raises(ValueError):
+    with pytest.raises(RecordModeError, match="omega-floor"):
         eng.value("1A", 1)
 
 
@@ -227,3 +230,53 @@ def test_chunk_end_is_the_largest_within_budget(lo, step):
     pairs = sum(c - 1 for c in cs)
     assert pairs <= budget or len(cs) == 1
     assert pairs + end + step - 1 > budget
+
+
+# Appends records n = 1..count of one class to the cache file named in argv,
+# after a line "ready" on stdout.
+APPENDER = (
+    "import sys\n"
+    "from moonmod.rademacher import CoefficientCache, CoefficientRecord\n"
+    "path, cls, count = sys.argv[1:]\n"
+    "cache = CoefficientCache(path)\n"
+    "print('ready', flush=True)\n"
+    "for n in range(1, int(count) + 1):\n"
+    "    cache.put('M24', cls, n, CoefficientRecord(cls, n, 10 ** n, 1e-5, 100 + n))\n"
+)
+
+
+def _appender(path, cls, count):
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.Popen([sys.executable, "-c", APPENDER, str(path), cls, str(count)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_cache_concurrent_appends(tmp_path):
+    """Two processes append 200 records each to one file; all 400 survive."""
+    path = tmp_path / "cache.ldjson"
+    procs = [_appender(path, cls, 200) for cls in ("1A", "2A")]
+    for proc in procs:
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 400
+    again = CoefficientCache(path)
+    assert {key: int(r["value"]) for key, r in again.records.items()} == {
+        ("M24", cls, n): 10 ** n for cls in ("1A", "2A") for n in range(1, 201)}
+
+
+def test_cache_append_waits_for_file_lock(tmp_path):
+    """An append blocks while another process holds the file's lock."""
+    path = tmp_path / "cache.ldjson"
+    path.write_bytes(b"")
+    with open(path, "rb") as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        proc = _appender(path, "1A", 1)
+        assert proc.stdout.readline() == b"ready\n"
+        time.sleep(0.3)
+        assert proc.poll() is None and path.read_bytes() == b""
+    _, err = proc.communicate()
+    assert proc.returncode == 0, err
+    assert CoefficientCache(path).records.keys() == {("M24", "1A", 1)}
