@@ -38,6 +38,13 @@ class FusionError(Exception):
     """Missing or unknown fusion target."""
 
 
+class UnknownClassError(KeyError):
+    """A conjugacy class name the table does not have."""
+
+    def __str__(self) -> str:
+        return f"unknown conjugacy class {self.args[0]!r}"
+
+
 @dataclass(frozen=True)
 class ConjugacyClass:
     name: str
@@ -70,7 +77,7 @@ class CharacterTable:
         try:
             return self._index[name]
         except KeyError:
-            raise KeyError(f"unknown conjugacy class {name!r}") from None
+            raise UnknownClassError(name) from None
 
     def class_named(self, name: str) -> ConjugacyClass:
         return self.classes[self.class_index(name)]

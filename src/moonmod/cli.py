@@ -22,10 +22,10 @@ import os
 import sys
 
 from . import decomp, filtration
-from .chartab import CharacterTable, FusedProvider, TableError, bundled_table, load_table
-from .numerics import PrecisionContext
+from .chartab import (CharacterTable, FusedProvider, TableError, UnknownClassError,
+                      bundled_table, load_table)
 from .rademacher import (CoefficientCache, NonConvergent, RademacherEngine,
-                         TruncationPolicy, DEDEKIND_MODE, ENGINE_C_LIMIT, bundled_cache)
+                         DEDEKIND_MODE, bundled_cache)
 
 BUNDLED_GROUPS = ("m24", "a5")
 
@@ -51,17 +51,12 @@ def _make_engine(args, table: CharacterTable):
 
     Tables whose classes carry fusion targets are subgroups of M24: the
     engine runs on the ambient M24 data and values flow through fusion.
+    The engine runs its default TruncationPolicy.
     """
     fused = all(c.fusion_target for c in table.classes) and table.group_name != "M24"
     ambient = bundled_table("m24") if fused else table
-    ctx = PrecisionContext(args.precision) if args.precision else None
-    policy = None
-    if args.tol:
-        policy = TruncationPolicy(c_max_limit=ENGINE_C_LIMIT,
-                                  residual_tolerance=args.tol)
     path = _resolve_cache(args, ambient.group_name.lower())
-    cache = bundled_cache(path)
-    engine = RademacherEngine(ambient, policy=policy, ctx=ctx, cache=cache)
+    engine = RademacherEngine(ambient, cache=bundled_cache(path))
     provider = FusedProvider(table, engine) if fused else engine
     return engine, provider
 
@@ -120,7 +115,8 @@ def cmd_coeff(args) -> int:
     grades = _parse_grades(args.n)
     rows = []
     for name in class_names:
-        target = provider.fusion[name] if isinstance(provider, FusedProvider) else name
+        cls = table.class_named(name)
+        target = cls.fusion_target if isinstance(provider, FusedProvider) else name
         rows.extend((name, engine.coefficient(engine.params_for(target), n))
                     for n in grades)
     rows.sort(key=lambda item: (class_names.index(item[0]), item[1].n))
@@ -128,18 +124,7 @@ def cmd_coeff(args) -> int:
         doc = {
             "schema": 1,
             "group": table.group_name,
-            "records": [
-                {
-                    "class": name,
-                    "n": rec.n,
-                    "value": str(rec.value),
-                    "residual": rec.residual,
-                    "c_max_used": rec.c_max_used,
-                    "mode": DEDEKIND_MODE,
-                    "gate": rec.gate,
-                }
-                for name, rec in rows
-            ],
+            "records": [{**rec.json_fields(), "class": name} for name, rec in rows],
         }
         _emit(json.dumps(doc, indent=1, sort_keys=True) + "\n", args.out)
     else:
@@ -278,8 +263,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", default="m24",
                    help="bundled group name (m24, a5) or a table file path")
     p.add_argument("--cache", help="coefficient cache file (ldjson)")
-    p.add_argument("--precision", type=int, help="working precision in digits")
-    p.add_argument("--tol", type=float, help="dip-gate residual tolerance for new coefficients")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
 
@@ -352,8 +335,8 @@ def main(argv=None) -> int:
     except NonConvergent as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TableError, decomp.DecompositionError, filtration.FiltrationError,
-            ValueError) as exc:
+    except (TableError, UnknownClassError, decomp.DecompositionError,
+            filtration.FiltrationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,7 @@ from fractions import Fraction
 from .chartab import CharacterTable, class_sums, distinct_orders
 from .decomp import MultiplicityVector
 from .numerics import _phase_numerators, kloosterman_sum
+from .rademacher import ClassParams, asymptotic_leading
 
 
 class FiltrationError(Exception):
@@ -342,9 +343,11 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
     Uses the least non-identity element order e2: with j' the level-1
     minimizer and f'_i = chi_i - (dim_i/dim_j') chi_j',
 
-        m'_i(n) ~ (C_n exp(D_n/e2) / |G|) sum_{[g], order e2} |[g]| f'_i(g) sgn(c_g(n)).
+        m'_i(n) ~ (C_n exp(D_n/e2) / |G|) sum_{[g], order e2} |[g]| f'_i(g) sgn(c_g(n)),
 
-    Entries at i in J_1 vanish by construction.
+    with C_n exp(D_n/e2) the leading Rademacher term of the order-e2 class
+    of smallest level n_g (rademacher.asymptotic_leading); that level is e2
+    on both bundled tables.  Entries at i in J_1 vanish by construction.
     """
     orders = distinct_orders(table)
     if len(orders) < 2:
@@ -354,12 +357,9 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
     J, nu = minimizer_set(table, level, signs, n, e2)
     jp = min(J)
     dims = [chi.dim for chi in table.irreps]
-    # C_n from the order-e2 class with the fastest growth (smallest n_g).
-    ngs = [c.ng for c in table.classes if c.element_order == e2]
-    ng = min(ngs)
-    q8 = 8 * n - 1
-    prefactor = (4.0 / (math.sqrt(ng) * math.sqrt(q8))
-                 * math.exp(math.pi * math.sqrt(q8) / (2 * e2))) / table.group_order
+    # The order-e2 class with the fastest growth (smallest n_g).
+    g = min((c for c in table.classes if c.element_order == e2), key=lambda c: c.ng)
+    prefactor = asymptotic_leading(ClassParams(g.ng, g.hg, g.name), n) / table.group_order
     out = []
     for i in range(len(table.irreps)):
         bracket = nu[i] - nu[jp] * Fraction(dims[i], dims[jp])

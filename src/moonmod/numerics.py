@@ -2,37 +2,27 @@ r"""Exact and high-precision numerical primitives.
 
 Provides the unit-circle exponential e(x) = exp(2*pi*i*x), the half-integer
 Bessel function I_{1/2}, and the classical Dedekind sum of the eta
-multiplier system as an exact rational.  dedekind_six_c, the exact phase
-numerators of K_c(n) and kloosterman_sum are the plain-Python references of
-moonmod.kernels, one term at a time; kloosterman_sum folds the half range
-d < c/2 as the kernel does, while _phase_numerators lists every d.  The
-filtration reads its leading-term signs from them.  mpmath is imported
-inside the two functions that use it.
+multiplier system as an exact rational.  The two mpmath functions take a
+plain count of decimal digits, WORKING_DIGITS unless the caller needs
+more: the Rademacher head derives its count from the grade.
+dedekind_six_c, the exact phase numerators of K_c(n) and kloosterman_sum
+are the plain-Python references of moonmod.kernels, one term at a time;
+kloosterman_sum folds the half range d < c/2 as the kernel does, while
+_phase_numerators lists every d.  The filtration reads its leading-term
+signs from them.  mpmath is imported inside the two functions that use it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working precision in decimal digits."""
-
-    working_precision: int = 80
-
-    def __post_init__(self) -> None:
-        if self.working_precision < 30:
-            raise ValueError("working_precision must be at least 30")
+# Decimal digits of the mpmath evaluations when the caller names none.
+WORKING_DIGITS = 80
 
 
-DEFAULT_CONTEXT = PrecisionContext()
-
-
-def unit_exp(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpc:
-    """e(x) = exp(2 pi i x), with the argument reduced mod 1 first.
+def unit_exp(x, digits: int = WORKING_DIGITS) -> mpmath.mpc:
+    """e(x) = exp(2 pi i x) to digits decimal digits, x reduced mod 1 first.
 
     Accepts Fraction, int, float or mpf.  Rational arguments are reduced
     exactly, so e(x + 1) == e(x) at the representation level.
@@ -41,7 +31,7 @@ def unit_exp(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpc:
 
     if isinstance(x, (int, Fraction)):
         frac = Fraction(x) % 1
-        with mpmath.workdps(ctx.working_precision):
+        with mpmath.workdps(digits):
             if frac == 0:
                 return mpmath.mpc(1)
             if 2 * frac == 1:
@@ -51,15 +41,15 @@ def unit_exp(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpc:
     xf = mpmath.mpf(x)
     if not mpmath.isfinite(xf):
         raise ValueError("unit_exp requires a finite argument")
-    with mpmath.workdps(ctx.working_precision):
+    with mpmath.workdps(digits):
         return mpmath.expjpi(2 * (xf - mpmath.floor(xf)))
 
 
-def bessel_i_half(x, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
-    """I_{1/2}(x) = sqrt(2/(pi x)) * sinh(x) for x > 0."""
+def bessel_i_half(x, digits: int = WORKING_DIGITS) -> mpmath.mpf:
+    """I_{1/2}(x) = sqrt(2/(pi x)) * sinh(x) for x > 0, to digits decimal digits."""
     import mpmath
 
-    with mpmath.workdps(ctx.working_precision):
+    with mpmath.workdps(digits):
         xf = mpmath.mpf(x)
         if not mpmath.isfinite(xf) or xf <= 0:
             raise ValueError("bessel_i_half requires x > 0")

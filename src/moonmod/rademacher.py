@@ -11,20 +11,24 @@ and s(d, c) the classical Dedekind sum of the eta multiplier.  These are the
 Rademacher sums for the M24 twining functions on Gamma_0(n_g) of
 Cheng-Duncan (arXiv:1110.3859).  Terms with large Bessel argument are
 evaluated in mpmath with exact rational phases (partial_kloosterman, over
-every d); the long oscillating tail runs through the float64 kernel in
-moonmod.kernels, which evaluates d <= c/2 and folds the rest by
-s(c-d, c) = -s(d, c).  numpy, mpmath and the kernels are imported inside
-the functions that compute a coefficient, so a command served from the
-store loads none of them.
+every d) at _series_digits(n) decimal digits, a count derived from the
+size of the grade's leading term; the long oscillating tail runs through
+the float64 kernel in moonmod.kernels, which evaluates d <= c/2 and folds
+the rest by s(c-d, c) = -s(d, c).  numpy, mpmath and the kernels are
+imported inside the functions that compute a coefficient, so a command
+served from the store loads none of them.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
-like a random walk of step ~1/c), so truncation is adaptive: a value is
-accepted at the first admissible c where the partial sum is within tolerance
-of an integer whose rounding is stable across a window of checkpoints, as
-checked after every chunk of c; chunks double from c_max_initial, capped at
-16384 nominal (c, d) pairs, d < c (the kernel evaluates about half).
-Grades are swept in batches per class, reusing the Dedekind pass across
-all grades.
+like a random walk of step ~1/c), so truncation is adaptive.  Both gates
+read one count, carried across chunks of c: the run of consecutive
+checkpoints whose partial sums round to the same integer.  The dip gate
+accepts the first admissible c within residual_tolerance of an integer
+whose run has reached stability_window; the fallback gate accepts at
+c_max_limit when the final run has reached stability_min_run.  Chunks
+double from c_max_initial, capped at 16384 nominal (c, d) pairs, d < c
+(the kernel evaluates about half).  The engine's one configuration is its
+TruncationPolicy.  Grades are swept in batches per class, reusing the
+Dedekind pass across all grades.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import os
 import threading
 from dataclasses import dataclass
 
-from .numerics import PrecisionContext, DEFAULT_CONTEXT, dedekind_sum
+from .numerics import WORKING_DIGITS, bessel_i_half, dedekind_sum, unit_exp
 from .chartab import CharacterTable
 
 # Bessel argument above which terms are evaluated at full precision; below
@@ -45,11 +49,6 @@ HEAD_SWITCH = 20.0
 # The Dedekind sum variant, classical s(d, c) = sum ((m/c)) ((m d/c)), as
 # named in the mode field of stored records and of coeff output.
 DEDEKIND_MODE = "classical"
-
-# Engine default for the deepest c scanned.  The conservative policy-type
-# default of 2000 suffices only for the smallest grades; integrality dips
-# for grades up to ~60 are observed out to c ~ 3*10^4.
-ENGINE_C_LIMIT = 60000
 
 
 @dataclass(frozen=True)
@@ -65,24 +64,27 @@ class ClassParams:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Adaptive truncation parameters.
+    """Adaptive truncation parameters, the engine's one configuration.
 
-    A grade is certified by the primary gate when the partial sum dips
-    within residual_tolerance of an integer and the rounded value is stable
-    over stability_window admissible checkpoints.  Classes whose admissible
-    c form a sparse grid (large n_g) carry an intrinsic slowly decaying
-    tail drift and may never dip that deep; the fallback gate accepts a
-    value whose rounding is stable over stability_min_run checkpoints with
-    residual at most stability_tolerance (0 disables the fallback).  Such
-    records are marked gate="stability" and are independently re-certified
-    downstream by exact decomposition integrality across all classes.
-    The sweep's chunks start at c_max_initial and double, capped at
-    4 * kernels._BLOCK nominal (c, d) pairs, d < c; the primary gate runs
-    after each chunk.
+    Both gates read the run of consecutive admissible checkpoints whose
+    partial sums round to the same integer.  A grade is certified by the
+    primary gate when the partial sum dips within residual_tolerance of an
+    integer and the run has reached stability_window.  Classes whose
+    admissible c form a sparse grid (large n_g) carry an intrinsic slowly
+    decaying tail drift and may never dip that deep; the fallback gate
+    accepts, at c_max_limit, a value whose final run has reached
+    stability_min_run with residual at most stability_tolerance (0
+    disables the fallback).  Such records are marked gate="stability" and
+    are independently re-certified downstream by exact decomposition
+    integrality across all classes.  The default c_max_limit of 60000
+    covers the grades of the packaged store: integrality dips for grades
+    up to ~60 are observed out to c ~ 3*10^4.  The sweep's chunks start at
+    c_max_initial and double, capped at 4 * kernels._BLOCK nominal (c, d)
+    pairs, d < c; the primary gate runs after each chunk.
     """
 
     c_max_initial: int = 50
-    c_max_limit: int = 2000
+    c_max_limit: int = 60000
     residual_tolerance: float = 1e-4
     stability_window: int = 3
     stability_tolerance: float = 0.05
@@ -107,6 +109,18 @@ class CoefficientRecord:
     residual: float
     c_max_used: int
     gate: str = "dip"  # "dip" (residual tolerance met) or "stability"
+
+    def json_fields(self) -> dict:
+        """The fields of a stored record and of coeff --format json."""
+        return {
+            "class": self.class_name,
+            "n": self.n,
+            "value": str(self.value),
+            "residual": self.residual,
+            "c_max_used": self.c_max_used,
+            "mode": DEDEKIND_MODE,
+            "gate": self.gate,
+        }
 
 
 class NonConvergent(Exception):
@@ -159,16 +173,7 @@ class CoefficientCache:
         return rec
 
     def put(self, group: str, class_name: str, n: int, record: CoefficientRecord) -> None:
-        rec = {
-            "group": group,
-            "class": class_name,
-            "n": n,
-            "value": str(record.value),
-            "residual": record.residual,
-            "c_max_used": record.c_max_used,
-            "mode": DEDEKIND_MODE,
-            "gate": record.gate,
-        }
+        rec = {"group": group, **record.json_fields()}
         with self._lock:
             if (group, class_name, n) in self.records:
                 return
@@ -240,13 +245,11 @@ def bundled_cache(path: str | os.PathLike | None = None) -> CoefficientCache:
 
 
 def partial_kloosterman(n: int, c: int, params: ClassParams,
-                        ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Exact-phase Kloosterman sum K_c(n) at working precision."""
+                        digits: int = WORKING_DIGITS):
+    """Exact-phase Kloosterman sum K_c(n), each term to digits decimal digits."""
     from fractions import Fraction
 
     import mpmath
-
-    from .numerics import unit_exp
 
     if c < 1:
         raise ValueError("c must be positive")
@@ -257,7 +260,7 @@ def partial_kloosterman(n: int, c: int, params: ClassParams,
             continue
         s = dedekind_sum(d, c)
         theta = Fraction(n * d, c) - Fraction(3, 2) * s - Fraction(c * d, m)
-        total += unit_exp(theta, ctx)
+        total += unit_exp(theta, digits)
     return total
 
 
@@ -285,14 +288,15 @@ def _chunk_end(lo: int, step: int, budget: int) -> int:
     return end
 
 
-def _series_digits(n: int, ctx: PrecisionContext) -> int:
+def _series_digits(n: int) -> int:
+    """Decimal digits for grade n's head: 40 beyond the size of exp(D_n)."""
     d_n = (math.pi / 2.0) * math.sqrt(8 * n - 1)
-    return max(ctx.working_precision, int(math.ceil(d_n / math.log(10))) + 40)
+    return max(WORKING_DIGITS, int(math.ceil(d_n / math.log(10))) + 40)
 
 
 class _GradeState:
     __slots__ = ("n", "head_int", "head_frac", "cum", "cum_im",
-                 "rounded_tail", "done", "value", "residual", "c_used",
+                 "done", "value", "residual", "c_used",
                  "best_res", "best_raw", "gate", "stable_run", "last_rounded")
 
     def __init__(self, n: int):
@@ -301,7 +305,6 @@ class _GradeState:
         self.head_frac = 0.0
         self.cum = 0.0
         self.cum_im = 0.0
-        self.rounded_tail: list[float] = []
         self.done = False
         self.value = 0
         self.residual = 0.0
@@ -309,8 +312,10 @@ class _GradeState:
         self.best_res = float("inf")
         self.best_raw = 0.0
         self.gate = "dip"
+        # The run of checkpoints, up to the last one swept, that round to
+        # last_rounded; NaN equals no rounding, so the first run starts at 1.
         self.stable_run = 0
-        self.last_rounded = None
+        self.last_rounded = math.nan
 
 
 class RademacherEngine:
@@ -318,12 +323,10 @@ class RademacherEngine:
 
     def __init__(self, table: CharacterTable,
                  policy: TruncationPolicy | None = None,
-                 ctx: PrecisionContext | None = None,
                  cache: CoefficientCache | None = None):
         self.table = table
         self.group = table.group_name
-        self.policy = policy or TruncationPolicy(c_max_limit=ENGINE_C_LIMIT)
-        self.ctx = ctx or DEFAULT_CONTEXT
+        self.policy = policy or TruncationPolicy()
         self.cache = cache if cache is not None else CoefficientCache(None)
 
     # -- series evaluation ---------------------------------------------------
@@ -340,16 +343,15 @@ class RademacherEngine:
         for n, st in states.items():
             q8 = 8 * n - 1
             c_head_max = math.pi * math.sqrt(q8) / (2 * HEAD_SWITCH)
-            digits = _series_digits(n, self.ctx)
+            digits = _series_digits(n)
             head_re = mpmath.mpf(0)
             c = step
             with mpmath.workdps(digits):
-                hp = PrecisionContext(digits)
                 while c <= c_head_max:
                     x = mpmath.pi * mpmath.sqrt(q8) / (2 * c)
-                    fac = 4 * mpmath.pi * mpmath.sqrt(2 / (mpmath.pi * x)) \
-                        * mpmath.sinh(x) / (c * mpmath.power(q8, mpmath.mpf(1) / 4))
-                    kl = partial_kloosterman(n, c, params, hp)
+                    fac = 4 * mpmath.pi * bessel_i_half(x, digits) \
+                        / (c * mpmath.power(q8, mpmath.mpf(1) / 4))
+                    kl = partial_kloosterman(n, c, params, digits)
                     head_re += fac * kl.real
                     st.cum_im += float(fac * kl.imag)
                     c += step
@@ -359,18 +361,16 @@ class RademacherEngine:
             tail_start[n] = c
         return tail_start
 
-    def _sweep(self, params: ClassParams, grades: list[int],
-               policy: TruncationPolicy | None = None) -> dict[int, _GradeState]:
+    def _sweep(self, params: ClassParams, grades: list[int]) -> dict[int, _GradeState]:
         """Adaptive truncation for a batch of grades of one class, c = 0 mod n_g."""
         import numpy as np
 
         from . import kernels
 
-        pol = policy or self.policy
+        pol = self.policy
         step = params.ng
         states = {n: _GradeState(n) for n in grades}
         tail_start = self._head_terms(params, states, step)
-        window = pol.stability_window
 
         lo, hi = 1, min(max(pol.c_max_initial, step), pol.c_max_limit)
         while True:
@@ -385,6 +385,7 @@ class RademacherEngine:
                 kernels.kloosterman_grades(n0, n1, cs, params.ng, params.hg,
                                            k_re, k_im)
                 csf = cs.astype(np.float64)
+                idx = np.arange(len(cs))
                 for n in active:
                     st = states[n]
                     j = n - n0
@@ -400,20 +401,18 @@ class RademacherEngine:
                     cum_im = st.cum_im + np.cumsum(terms_im)
                     rounded = np.rint(cum)
                     resid = np.abs(cum - rounded)
-                    # History padded with NaN, which equals nothing: a
-                    # checkpoint is stable once the window - 1 roundings
-                    # before it, across chunks, all equal its own.
-                    hist = np.array(st.rounded_tail, dtype=np.float64)
-                    allr = np.concatenate([np.full(window - 1 - len(hist), np.nan),
-                                           hist, rounded])
-                    stable = np.ones(len(cs), dtype=bool)
-                    for lag in range(1, window):
-                        stable &= allr[window - 1 - lag:len(allr) - lag] == rounded
+                    # run[k]: checkpoints up to k, across chunks, that round
+                    # as k does.  A run carried from the last chunk starts
+                    # at index -stable_run, a new one at its own index.
+                    same = rounded == np.concatenate(([st.last_rounded], rounded[:-1]))
+                    first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
+                    run = idx - first + 1
                     gated = usable & (cs >= pol.c_max_initial)
                     # The true coefficient is real; the imaginary part is a
                     # pure-noise residual and gets the same absolute
                     # tolerance as the real one.
-                    accept = gated & stable & (resid <= pol.residual_tolerance) & (
+                    accept = gated & (run >= pol.stability_window) & (
+                        resid <= pol.residual_tolerance) & (
                         np.abs(cum_im) <= np.maximum(
                             pol.residual_tolerance, 1e-10 * np.abs(st.head_int + cum)))
                     hits = np.flatnonzero(accept)
@@ -433,14 +432,7 @@ class RademacherEngine:
                     if not st.done:
                         st.cum = float(cum[-1])
                         st.cum_im = float(cum_im[-1])
-                        st.rounded_tail = list(allr[-(window - 1):]) if window > 1 else []
-                        changes = np.nonzero(np.diff(rounded))[0]
-                        if len(changes):
-                            st.stable_run = len(rounded) - (int(changes[-1]) + 1)
-                        elif st.last_rounded == rounded[-1]:
-                            st.stable_run += len(rounded)
-                        else:
-                            st.stable_run = len(rounded)
+                        st.stable_run = int(run[-1])
                         st.last_rounded = float(rounded[-1])
             if hi >= pol.c_max_limit:
                 break

@@ -151,12 +151,19 @@ def test_filtrate_exact_mode_refuses_modulus(capsys):
     assert err.startswith("usage:") and "--modulus: not allowed with argument --n" in err
 
 
-def test_filtrate_residue_requires_modulus(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["filtrate", "--group", "a5", "--residue", "10"],
+     "--residue: requires argument --modulus"),
+    # The engine has one configuration; these options were removed.
+    (["coeff", "--n", "1", "--tol", "1e-3"], "unrecognized arguments: --tol"),
+    (["coeff", "--n", "1", "--precision", "100"], "unrecognized arguments: --precision"),
+], ids=["filtrate --residue without --modulus", "coeff --tol", "coeff --precision"])
+def test_usage_error_exits_2(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["filtrate", "--group", "a5", "--residue", "10"])
+        main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and "--residue: requires argument --modulus" in err
+    assert err.startswith("usage:") and message in err
 
 
 def test_filtrate_exact_m24(capsys, cache_args):
@@ -208,6 +215,14 @@ def test_bad_grade_spec(capsys, cache_args):
     code, _, err = run(capsys, ["coeff", "--class", "1A", "--n", "5..1"]
                        + cache_args)
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("group, name", [("m24", "99Z"), ("a5", "9Z")])
+def test_coeff_unknown_class(group, name, capsys, cache_args):
+    code, out, err = run(capsys, ["coeff", "--group", group, "--class", name,
+                                  "--n", "1"] + cache_args)
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown conjugacy class {name!r}\n"
 
 
 def test_cache_clear_keeps_packaged_store(monkeypatch, capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from moonmod.numerics import PrecisionContext, bessel_i_half, dedekind_sum, unit_exp
+from moonmod.numerics import bessel_i_half, dedekind_sum, unit_exp
 
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -100,10 +100,3 @@ def test_bessel_domain():
         bessel_i_half(0)
     with pytest.raises(ValueError):
         bessel_i_half(-1.0)
-
-
-def test_precision_context_invariants():
-    with pytest.raises(ValueError):
-        PrecisionContext(working_precision=10)
-    ctx = PrecisionContext()
-    assert ctx.working_precision >= 50

@@ -186,16 +186,57 @@ def test_coefficient_range_deterministic(engine):
     assert a[0].value == -2
 
 
-def test_stability_window_spans_sweep_chunks(m24_table):
-    """Chunks holding a single admissible c keep the window's older history."""
-    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
-    # n_g = 23: the chunks c <= 23 and 24 <= c <= 46 hold one admissible c
-    # each; nothing can pass the 1e-12 dip or the disabled fallback gate.
-    policy = TruncationPolicy(c_max_initial=23, c_max_limit=46,
-                              residual_tolerance=1e-12, stability_tolerance=0.0)
-    states = engine._sweep(engine.params_for("23A"), [5], policy=policy)
-    assert not states[5].done
-    assert len(states[5].rounded_tail) == policy.stability_window - 1
+def test_stability_window_spans_sweep_chunks(m24_table, monkeypatch):
+    """The run of equal roundings is carried across chunks: sweeping
+    c = 23, 46, ..., 460 in several chunks ends with the run of one chunk."""
+    chunks = []
+    grades = kernels.kloosterman_grades
+
+    def recording(n0, n1, cs, *rest):
+        chunks.append(len(cs))
+        return grades(n0, n1, cs, *rest)
+
+    monkeypatch.setattr(kernels, "kloosterman_grades", recording)
+    ends = []
+    for c_max_initial in (460, 23):
+        # Nothing can pass the 1e-12 dip or the disabled fallback gate.
+        policy = TruncationPolicy(c_max_initial=c_max_initial, c_max_limit=460,
+                                  residual_tolerance=1e-12, stability_tolerance=0.0)
+        engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
+        st = engine._sweep(engine.params_for("23A"), [1])[1]
+        assert not st.done
+        ends.append((st.stable_run, st.last_rounded))
+    assert chunks[0] == 20 and len(chunks) > 2
+    assert ends[0] == ends[1]
+    # The final run reaches back over more than the last chunk.
+    assert ends[1][0] > chunks[-1]
+
+
+def test_dip_gate_waits_for_a_stable_run(m24_table):
+    """With a loose 0.2 tolerance from c = 1, 1A n = 1 dips to 88 at c = 2;
+    a window of 3 equal roundings is first met at c = 39, on 90."""
+    got = []
+    for window in (1, 3):
+        policy = TruncationPolicy(c_max_initial=1, residual_tolerance=0.2,
+                                  stability_window=window, stability_tolerance=0.0)
+        engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
+        rec = engine.coefficient(engine.params_for("1A"), 1)
+        got.append((rec.value, rec.gate, rec.c_max_used))
+    assert got == [(88, "dip", 2), (90, "dip", 39)]
+
+
+def test_stability_gate_cold(m24_table):
+    """On an empty cache, 23A never dips; the fallback gate accepts at c_max_limit."""
+    policy = TruncationPolicy(c_max_limit=2300, stability_min_run=50)
+    engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
+    recs = engine.coefficient_range("23A", 1, 3)
+    assert [(r.value, r.gate, r.c_max_used) for r in recs] == \
+        [(-2, "stability", 2300), (2, "stability", 2300), (-1, "stability", 2300)]
+    # c = 23, 46, ..., 2300 are 100 checkpoints: no run can reach 101.
+    policy = TruncationPolicy(c_max_limit=2300, stability_min_run=101)
+    engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
+    with pytest.raises(NonConvergent):
+        engine.coefficient_range("23A", 1, 3)
 
 
 def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
