@@ -77,6 +77,15 @@ def _parse_grades(spec: str) -> list[int]:
     return out
 
 
+def _several_grades(spec: str) -> bool:
+    """Whether a grade spec names more than one grade; a malformed spec is
+    left to the command, which reports it."""
+    try:
+        return len(_parse_grades(spec)) > 1
+    except ValueError:
+        return False
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -110,7 +119,8 @@ def cmd_validate(args) -> int:
 def cmd_coeff(args) -> int:
     table = _load_group(args.group)
     engine, provider = _make_engine(args, table)
-    class_names = (args.cls.split(",") if args.cls
+    # Each named class once, in first-seen order.
+    class_names = (list(dict.fromkeys(args.cls.split(","))) if args.cls
                    else [c.name for c in table.classes])
     grades = _parse_grades(args.n)
     rows = []
@@ -190,10 +200,7 @@ def cmd_filtrate(args) -> int:
                                                 args.modulus)
     else:
         _, provider = _make_engine(args, table)
-        grades = _parse_grades(args.n)
-        if len(grades) != 1:
-            raise SystemExit("filtrate takes a single grade")
-        n = grades[0]
+        [n] = _parse_grades(args.n)
         mv = decomp.multiplicities(table, n, provider)
         signs = filtration.signs_at(table, provider, n)
         result = filtration.filtrate_exact(mv, table, signs)
@@ -330,6 +337,8 @@ def main(argv=None) -> int:
         parser.error("argument --modulus: not allowed with argument --n")
     if args.command == "filtrate" and args.residue is not None and args.modulus is None:
         parser.error("argument --residue: requires argument --modulus")
+    if args.command == "filtrate" and args.n is not None and _several_grades(args.n):
+        parser.error("argument --n: filtrate takes a single grade")
     try:
         return COMMANDS[args.command](args)
     except NonConvergent as exc:

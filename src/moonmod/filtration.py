@@ -124,7 +124,7 @@ def _leading_sign(r: int, ng: int, hg: int) -> int:
     """sgn Re K_{n_g}(r): 0 only where the real part vanishes exactly."""
     if re_kloosterman_is_zero(r, ng, ng, hg):
         return 0
-    re = kloosterman_sum(r, ng, ng, hg).real
+    re = kloosterman_sum(r, ng, ng, hg)
     if abs(re) < 1e-9:  # no M24 or A5 entry comes within 0.5 of zero
         raise ValueError(f"Re K_{ng}({r}) = {re:.3g} for n_g = {ng}, h_g = {hg} "
                          "is nonzero but below the float margin 1e-9")

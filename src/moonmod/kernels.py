@@ -1,222 +1,167 @@
-r"""Hot loop for the Rademacher tail: Kloosterman-type phase sums in numpy.
+r"""Hot loop for the Rademacher tail: Kloosterman sums by their Selberg form.
 
-kloosterman_grades is numpy code vectorised over blocks of (c, d) pairs; it
-is the only kernel path.  The plain-Python references dedekind_six_c and
-kloosterman_sum in moonmod.numerics compute the same numbers one term at a
-time; this module is the only one that imports numpy at module level.
+kloosterman_grades is numpy code vectorised over tiles of (c, lift) cells;
+it is the only kernel path.  The plain-Python reference kloosterman_sum in
+moonmod.numerics computes the same numbers one root at a time; this module
+is the only one that imports numpy at module level.
 
-The Dedekind sum enters as the exact integer A = 6*c*s(d, c), computed in
-int64 from the reciprocity law s(d, c) + s(c, d) = (c^2+d^2+1)/(12cd) - 1/4,
-which for coprime 0 < d < c reads
+For c = 0 mod n_g and m = n_g*h_g, m divides c^2 (h_g divides n_g), so
+e(-c d/m) = e(-(c^2/m) d/c) and every twining sum is the 1A sum at the
+integer grade n - c^2/m.  Jacobi's eta^3 = sum (-1)^j (2j+1) q^((2j+1)^2/8)
+turns that sum into its Selberg form, a sum over the roots of a quadratic:
 
-    2d*A + 2c*B = c^2 + d^2 + 1 - 3cd,   B = 6d*s(c mod d, d).
+    K_c(n) = sqrt(c) * sum_{0 <= j < c, T_j = c^2/m - n mod c}
+             (-1)^j sin(pi (2j+1) / (2c)),   T_j = j(j+1)/2.
 
-A pair takes that step, (c, d) -> (d, c mod d), once and again while its
-modulus is at least _ROWS, then reads B from the table T[k][r] = 6k*s(r, k),
-0 <= r < k < _ROWS; the steps are undone by exact integer division.  T
-holds _NOT_COPRIME where gcd(r, k) > 1, and a zero remainder on the way
-down means the same, so one integer path gives both the sum and the
-coprimality test, with no gcd and no rounding.  The table is int32
-(|6k*s(r, k)| < k^2/2), keeps only r <= k/2 by s(k - r, k) = -s(r, k), and
-grows on demand in doubling blocks of rows built by the same step: rows
-[a, 2a) read only rows below a.
-Phases theta_d(n) = n*d/c - 3*s(d,c)/2 - c*d/m, m = ng*hg, are then reduced
-mod 1 in exact int64 arithmetic, so the tail is immune to phase drift; only
-the final cos/sin and the Bessel factor are floating point.
-
-Only d <= c/2 is evaluated.  The Dedekind sum is odd in d,
-s(c-d, c) = -s(d, c), so theta_{c-d}(n) = n - c^2/m - theta_d(n) and
-
-    K_c(n) = S + e(-c^2/m) * conj(S),   S = sum over coprime d < c/2,
-
-with the rotation angle taken from the exact integer c^2 mod m.  For c = 2
-the one term d = 1 is its own partner and is counted once (no fold);
-K_1 = 1.  Each S accumulates in d order and is folded once, after the
-last block, in the same float operations as kloosterman_sum, so a single
-grade reproduces that folded scalar bit for bit.
+The pairing j <-> 2c-1-j of the underlying sum over j mod 2c makes K_c(n)
+exactly real.  Grade n0 + g takes the roots j with T_j = U - g, where
+U = shift + c*k, shift = (c^2/m - n0) mod c, runs over the lifts k >= 0;
+with w = min(c, n1 - n0 + 1) columns each T_j lands in one lift, and a
+grade column wraps when c is smaller than the number of grades.  A lift
+holds a root only if an odd square lies in (8(U - w) + 1, 8U + 1]; one
+float64 square root per lift screens for it, and the lifts that pass are
+settled in exact integers, their roots being N(U - w) <= j < N(U) with
+N(t) = #{j >= 0: T_j <= t}.  So one pass over about c/2 lifts serves
+every grade, and a sine is taken only at a root.  Each column accumulates
+its roots in increasing j and is scaled by sqrt(c) after the last tile, in
+the same float operations as kloosterman_sum, so a single grade
+reproduces that scalar bit for bit.
 """
 
 from __future__ import annotations
-
-import math
-import threading
 
 import numpy as np
 
 # There is no compiled path; kept as a constant for callers that report it.
 USE_NUMBA = False
 
-# (c, d) pairs per vectorised block.  It bounds the kernel's working memory,
-# and with it the peak RSS of a cold coefficient computation.
+# (c, lift) cells per vectorised tile, and screened lifts per batch of root
+# sums.  It bounds the kernel's working memory, and with it the peak RSS of
+# a cold coefficient computation.
 _BLOCK = 4096
 
-# The Dedekind table holds rows k < _ROWS, about _ROWS**2 bytes of int32
-# when full.  It grows in steps of _GROW rows, so that a sweep whose c
-# creeps upwards does not build a few rows per kernel call.
-_ROWS = 1024
-_GROW = 64
-_NOT_COPRIME = np.iinfo(np.int32).min
-
-# Row k of the table starts at _START[k], since rows 1..k-1 hold k' // 2 + 1
-# entries each; _START[_ROWS] is the size of the whole table.
-_START = np.arange(-1, _ROWS, dtype=np.int64)
-_START += (_START * _START) >> 2
-
-# (rows, table): T[k][r] for 0 <= r <= k/2 and 1 <= k < rows, row after row,
-# starting with row 1, T[1][0] = 0.  The buffer is sized for every row, and
-# its pages are touched only as rows are written.  Builders hold the lock;
-# rows are written before rows is raised and never change afterwards, so a
-# reader takes the pair once and reads without it.
-_table = (2, np.zeros(_START[_ROWS], dtype=np.int32))
-_table_lock = threading.Lock()
+# Square roots of integers 8U + 1 < 5c^2 are taken in float64: below 2**52
+# the floor of the rounded root is the integer square root.
+_C_LIMIT = 2 ** 24
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-def _check_int64(n0: int, n1: int, c_max: int, m: int) -> None:
-    """Raise ValueError unless every intermediate of the phase fits in int64.
+def _check_grid(cs: np.ndarray, ng: int, hg: int) -> None:
+    """Raise ValueError unless every c is a positive multiple of n_g with
+    n_g*h_g dividing c^2 (every such multiple, when h_g divides n_g).
 
-    Bounds, for d < c <= c_max: base <= 12*c*m, so base/c <= 12*m,
-    base/(4c) <= 3*m and base/m <= 12*c; |6c*s(d,c)| < c^2/2.  The
-    per-c coefficient n*base/c - c*base/m stays below 12*m*n + 12*c^2,
-    and its product with d less the Dedekind part below 15*m*c^2.  The
-    12*c_max**3 term also bounds each reciprocity step of the Dedekind
-    sum, c^2 + 2c*|B| < c^3 with |B| = |6d*s(r, d)| <= (d-1)(d-2)/2.
+    Off that grid e(-c d/m) is not periodic in d mod c, and the sum has no
+    Selberg form.
     """
-    n = max(abs(n0), abs(n1))
-    num = 12 * m * n + 15 * m * c_max ** 2 + 12 * c_max ** 3
-    if num + (n1 - n0 + 1) * 12 * c_max * m > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"phases for c <= {c_max}, n <= {n}, ng*hg = {m} overflow int64")
+    off = cs[(cs < 1) | (cs % ng != 0) | (cs * cs % (ng * hg) != 0)]
+    if len(off):
+        raise ValueError(f"c = {off[0]} is off the grid of n_g = {ng}, h_g = {hg}")
 
 
-def _lookup(k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """T[k][r] as int64 for 0 <= r < k, read as -T[k][k - r] when r > k/2."""
-    if not len(k):
-        return k
-    table = _grown(int(k.max()) + 1)
-    kr = k - r
-    v = table[_START[k] + np.minimum(r, kr)].astype(np.int64)
-    return np.where((r > kr) & (v != _NOT_COPRIME), -v, v)
+def _check_bounds(n0: int, n1: int, c_max: int) -> None:
+    """Raise ValueError unless the root search is exact for c <= c_max.
 
-
-def _six_c(c: np.ndarray, d: np.ndarray, below: int = _ROWS) -> np.ndarray:
-    """6*c*s(d, c) for int64 arrays 0 < d < c, or _NOT_COPRIME if gcd > 1.
-
-    One reciprocity step to B = 6d*s(c mod d, d), read from the table when
-    d < below <= _ROWS and by the same step again otherwise (module
-    docstring).
+    c^2/m - n0 is formed in int64; square roots need c < _C_LIMIT.
     """
-    k, r = d, c % d
-    big = k >= below
-    if big.any():
-        b = np.full(len(k), _NOT_COPRIME, dtype=np.int64)
-        fits = ~big
-        b[fits] = _lookup(k[fits], r[fits])
-        # r = 0 with k >= below > 1 means gcd(d, c) = k > 1.
-        go = big & (r > 0)
-        b[go] = _six_c(k[go], r[go], below)
-    else:
-        b = _lookup(k, r)
-    # 2d*A = c^2 + d^2 + 1 - 3cd - 2c*B, exactly divisible.
-    e = c - d
-    a = (e * e - c * (d + 2 * b) + 1) // (2 * d)
-    return np.where(b == _NOT_COPRIME, _NOT_COPRIME, a)
+    if c_max >= _C_LIMIT or c_max * c_max + max(abs(n0), abs(n1)) > _INT64_MAX:
+        raise ValueError(f"roots for c <= {c_max}, n in [{n0}, {n1}] overflow "
+                         "the exact integer range")
 
 
-def _grown(rows: int) -> np.ndarray:
-    """The table with at least rows <= _ROWS rows written, built on first need.
+def _count(t: np.ndarray) -> np.ndarray:
+    """N(t) = #{j >= 0: j(j+1)/2 <= t} for int64 t; 0 for t < 0."""
+    x = np.sqrt(np.maximum(8.0 * t + 1.0, 0.0))
+    return (np.floor(x).astype(np.int64) + 1) >> 1
 
-    Rows [a, b) with b <= 2a step once into rows below a, so each round
-    builds at most as many rows as are already there, in pieces of fewer
-    than 2 * _BLOCK entries; entry r = 0 is _NOT_COPRIME for every k > 1.
-    """
-    global _table
-    have, table = _table
-    if rows <= have:
-        return table
-    with _table_lock:
-        have, table = _table
-        target = min(_ROWS, -(-rows // _GROW) * _GROW)
-        while have < target:
-            top = min(2 * have, target)
-            step = max(1, 2 * _BLOCK // have)
-            for k0 in range(have, top, step):
-                k = np.arange(k0, min(k0 + step, top), dtype=np.int64)
-                width = k // 2
-                at = _START[k]
-                table[at] = _NOT_COPRIME
-                kk = np.repeat(k, width)
-                r = np.arange(1, len(kk) + 1) - np.repeat(np.cumsum(width) - width, width)
-                table[np.repeat(at, width) + r] = _six_c(kk, r, have)
-            have = top
-            _table = (have, table)
-    return table
+
+def _tiles(lifts: np.ndarray):
+    """(rows, k0, k1): a run of rows and of lifts k0 <= k < k1, at most
+    _BLOCK cells of the (row, lift) grid, in row-major order over every lift."""
+    sizes = lifts.tolist()
+    r0 = 0
+    while r0 < len(sizes):
+        r1, width = r0 + 1, sizes[r0]
+        while r1 < len(sizes) and (r1 + 1 - r0) * max(width, sizes[r1]) <= _BLOCK:
+            width = max(width, sizes[r1])
+            r1 += 1
+        for k0 in range(0, width, _BLOCK):
+            yield slice(r0, r1), k0, min(k0 + _BLOCK, width)
+        r0 = r1
+
+
+def _add_roots(out: np.ndarray, cs: np.ndarray, w: np.ndarray,
+               r: np.ndarray, u: np.ndarray) -> None:
+    """Add the roots N(u - w) <= j < N(u), j < c, of the lifts (row r, U = u),
+    given in row-major order, to out's columns u - T_j."""
+    j = _count(u - w[r])
+    many = np.maximum(np.minimum(_count(u), cs[r]) - j, 0)
+    r, j, u = np.repeat(r, many), np.repeat(j, many), np.repeat(u, many)
+    if not len(r):
+        return
+    if many.max() > 1:
+        j += np.arange(len(j)) - np.repeat(np.cumsum(many) - many, many)
+    term = np.sin(np.pi * (2 * j + 1) / (2 * cs[r]))
+    np.negative(term, out=term, where=(j & 1).astype(bool))
+    # bincount adds in input order; each column's running total goes first,
+    # then its roots in increasing j.
+    ncols = out.shape[1]
+    r_lo, r_hi = int(r[0]), int(r[-1]) + 1
+    size = (r_hi - r_lo) * ncols
+    bins = np.concatenate([np.arange(size), (r - r_lo) * ncols + u - (j * (j + 1) >> 1)])
+    wts = np.concatenate([out[r_lo:r_hi].ravel(), term])
+    out[r_lo:r_hi] = np.bincount(bins, wts, size).reshape(-1, ncols)
 
 
 def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
-                       out_re: np.ndarray, out_im: np.ndarray) -> None:
+                       out: np.ndarray) -> None:
     """K_c(n) for all grades n0 <= n <= n1 at once; out has shape (len(cs), n1-n0+1).
 
-    The (c, d) pairs with d <= c/2 of all cs are laid end to end and
-    processed in blocks of at most _BLOCK pairs, then each row is folded
-    (module docstring).  The n-dependence of each term is e(n d / c), so
-    grade n0 + j has the exact phase numerator num0 + j*step mod base.
-    Raises ValueError, before any work, if those numerators could overflow
-    int64.
+    With w = min(c, n1 - n0 + 1) columns, the roots of column g are the j
+    with T_j = U - g, U = shift + c*k, over the lifts k >= 0 up to T_{c-1}.
+    A lift can hold a root only if the largest square x^2 <= 8U + 1 exceeds
+    8(U - w) + 1.  That test runs over the (row, lift) grid in tiles of at
+    most _BLOCK cells, and the lifts that pass are settled exactly: their
+    roots are N(U - w) <= j < N(U), j < c.  Raises ValueError, before any
+    work, for c off the n_g grid or if the root search could leave the
+    exact range.
     """
     cs = np.asarray(cs, dtype=np.int64)
     ncols = n1 - n0 + 1
-    m = ng * hg
     if len(cs):
-        _check_int64(n0, n1, int(cs.max()), m)
-    out_re[:] = 0.0
-    out_im[:] = 0.0
-    out_re[cs == 1] = 1.0
+        _check_bounds(n0, n1, int(cs.max()))
+    _check_grid(cs, ng, hg)
+    out[:] = 0.0
     if not len(cs):
         return
-    two_pi = 2.0 * math.pi
-    base = (12 * cs // np.gcd(12 * cs, m)) * m
-    bc = base // cs
-    b4c = base // (4 * cs)
-    # base*theta_d(n0) = lin*d - (base/4c)*6c*s(d, c) mod base, with
-    # lin = n0*base/c - c*base/m; grade n0 + j adds j*(base/c)*d.
-    lin = (n0 * bc - cs * (base // m)) % base
-    half = cs // 2
-    ends = np.cumsum(half)
-    starts = ends - half
-    grades = np.arange(ncols, dtype=np.int64)
-    total = int(ends[-1])
-    for p0 in range(0, total, _BLOCK):
-        p1 = min(p0 + _BLOCK, total)
-        ks = np.arange(np.searchsorted(ends, p0, side="right"),
-                       np.searchsorted(starts, p1, side="left"))
-        k = np.repeat(ks, np.minimum(ends[ks], p1) - np.maximum(starts[ks], p0))
-        pos = np.arange(p0, p1, dtype=np.int64)
-        d = pos - starts[k] + 1
-        s6c = _six_c(cs[k], d)
-        coprime = s6c != _NOT_COPRIME
-        k, d, s6c = k[coprime], d[coprime], s6c[coprime]
-        if not len(k):
-            continue
-        kb = base[k]
-        num = ((lin[k] * d - b4c[k] * s6c) % kb)[:, None]
-        # A sweep asks for one grade at a time; only more need the step.
-        if ncols > 1:
-            num = (num + grades * ((bc[k] * d) % kb)[:, None]) % kb[:, None]
-        ang = two_pi * (num / kb[:, None])
-        # bincount adds in input order; each c's running total goes first,
-        # so a c split across blocks still sums its d terms sequentially.
-        k_lo, k_hi = int(k[0]), int(k[-1]) + 1
-        rows = slice(k_lo, k_hi)
-        size = (k_hi - k_lo) * ncols
-        bins = np.concatenate([np.arange(size),
-                               ((k - k_lo)[:, None] * ncols + grades).ravel()])
-        for out, f in ((out_re, np.cos), (out_im, np.sin)):
-            w = np.concatenate([out[rows].ravel(), f(ang).ravel()])
-            out[rows] = np.bincount(bins, w, size).reshape(-1, ncols)
-    fold = cs > 2
-    cf = cs[fold]
-    rot = two_pi * ((-(cf * cf) % m) / m)
-    cr, sr = np.cos(rot)[:, None], np.sin(rot)[:, None]
-    a, b = out_re[fold], out_im[fold]
-    out_re[fold] = a + (cr * a + sr * b)
-    out_im[fold] = b + (sr * a - cr * b)
+    # Column g of c holds the roots j with T_j = shift - g mod c.
+    shift = (cs * cs // (ng * hg) - n0) % cs
+    w = np.minimum(cs, ncols)
+    lifts = (cs * (cs - 1) // 2 + w - 1 - shift) // cs + 1
+    # 8U + 1 = step*k + base and 8w as float64 columns, all exact integers.
+    step = 8.0 * cs[:, None]
+    base = 8.0 * shift[:, None] + 1.0
+    wide = 8.0 * w[:, None]
+    rows_hit, u_hit, held = [], [], 0
+    for rows, k0, k1 in _tiles(lifts):
+        v = step[rows] * np.arange(k0, k1, dtype=np.float64)
+        v += base[rows]
+        x = np.floor(np.sqrt(v))
+        x *= x
+        v -= wide[rows]
+        # Lifts past a row's last one hold only j >= c, dropped as roots.
+        hit = np.flatnonzero(x > v)
+        if len(hit):
+            r, k = np.divmod(hit, k1 - k0)
+            r += rows.start
+            rows_hit.append(r)
+            u_hit.append((k + k0) * cs[r] + shift[r])
+            held += len(r)
+        if held >= _BLOCK:
+            _add_roots(out, cs, w, np.concatenate(rows_hit), np.concatenate(u_hit))
+            rows_hit, u_hit, held = [], [], 0
+    if held:
+        _add_roots(out, cs, w, np.concatenate(rows_hit), np.concatenate(u_hit))
+    out *= np.sqrt(cs.astype(np.float64))[:, None]
+    if ncols > 1:
+        wrap = np.flatnonzero(cs < ncols)
+        out[wrap] = out[wrap[:, None], np.arange(ncols) % cs[wrap, None]]

@@ -5,11 +5,11 @@ Bessel function I_{1/2}, and the classical Dedekind sum of the eta
 multiplier system as an exact rational.  The two mpmath functions take a
 plain count of decimal digits, WORKING_DIGITS unless the caller needs
 more: the Rademacher head derives its count from the grade.
-dedekind_six_c, the exact phase numerators of K_c(n) and kloosterman_sum
-are the plain-Python references of moonmod.kernels, one term at a time;
-kloosterman_sum folds the half range d < c/2 as the kernel does, while
-_phase_numerators lists every d.  The filtration reads its leading-term
-signs from them.  mpmath is imported inside the two functions that use it.
+dedekind_six_c and the exact phase numerators of K_c(n), over every d,
+define the Kloosterman sum term by term; the filtration reads its
+leading-term signs from them.  kloosterman_sum is the plain-Python
+reference of moonmod.kernels, one root at a time of the sum's Selberg
+form.  mpmath is imported inside the two functions that use it.
 """
 
 from __future__ import annotations
@@ -111,27 +111,22 @@ def _phase_numerators(n: int, c: int, ng: int, hg: int) -> tuple[int, list[int]]
     return base, nums
 
 
-def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> complex:
+def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> float:
     """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg)).
 
-    Summed as moonmod.kernels does it: S over the coprime d < c/2 in
-    increasing d, then folded by s(c-d, c) = -s(d, c) into
-    S + e(-c^2/(ng hg)) * conj(S).  For c <= 2 every coprime d is its own
-    partner and S is the whole sum.
+    Summed as moonmod.kernels does it, by the Selberg form
+    sqrt(c) * sum (-1)^j sin(pi (2j+1)/(2c)) over the j < c with
+    j(j+1)/2 = c^2/(ng hg) - n mod c, in increasing j.  The sum is exactly
+    real.  Raises ValueError unless ng | c and ng*hg | c^2 (every multiple
+    of ng when hg | ng): off that grid the form does not hold.
     """
-    base, nums = _phase_numerators(n, c, ng, hg)
-    if c > 2:
-        # Coprime d pair up as (d, c - d), so the first half are the d < c/2.
-        nums = nums[:len(nums) // 2]
-    total = 0j
-    two_pi = 2.0 * math.pi
-    for num in nums:
-        ang = two_pi * (num / base)
-        total += complex(math.cos(ang), math.sin(ang))
-    if c <= 2:
-        return total
     m = ng * hg
-    rot = two_pi * ((-(c * c) % m) / m)
-    cr, sr = math.cos(rot), math.sin(rot)
-    a, b = total.real, total.imag
-    return complex(a + (cr * a + sr * b), b + (sr * a - cr * b))
+    if c < 1 or c % ng or c * c % m:
+        raise ValueError(f"c = {c} is off the grid of n_g = {ng}, h_g = {hg}")
+    r = (c * c // m - n) % c
+    total = 0.0
+    for j in range(c):
+        if (j * (j + 1) >> 1) % c == r:
+            s = math.sin(math.pi * (2 * j + 1) / (2 * c))
+            total += -s if j & 1 else s
+    return math.sqrt(c) * total

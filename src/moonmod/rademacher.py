@@ -13,10 +13,11 @@ Cheng-Duncan (arXiv:1110.3859).  Terms with large Bessel argument are
 evaluated in mpmath with exact rational phases (partial_kloosterman, over
 every d) at _series_digits(n) decimal digits, a count derived from the
 size of the grade's leading term; the long oscillating tail runs through
-the float64 kernel in moonmod.kernels, which evaluates d <= c/2 and folds
-the rest by s(c-d, c) = -s(d, c).  numpy, mpmath and the kernels are
-imported inside the functions that compute a coefficient, so a command
-served from the store loads none of them.
+the float64 kernel in moonmod.kernels, which sums K_c(n) in its exactly
+real Selberg form, over the roots j of j(j+1)/2 = c^2/(n_g h_g) - n mod c.
+numpy, mpmath and the kernels are imported inside the functions that
+compute a coefficient, so a command served from the store loads none of
+them.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
 like a random walk of step ~1/c), so truncation is adaptive.  Both gates
@@ -25,10 +26,11 @@ checkpoints whose partial sums round to the same integer.  The dip gate
 accepts the first admissible c within residual_tolerance of an integer
 whose run has reached stability_window; the fallback gate accepts at
 c_max_limit when the final run has reached stability_min_run.  Chunks
-double from c_max_initial, capped at 16384 nominal (c, d) pairs, d < c
-(the kernel evaluates about half).  The engine's one configuration is its
-TruncationPolicy.  Grades are swept in batches per class, reusing the
-Dedekind pass across all grades.
+double from c_max_initial, capped at 65536 nominal (c, d) pairs, d < c
+(the kernel tests about c/2 lifts per c).  The engine's one configuration
+is its TruncationPolicy.  Grades are swept in batches per class, one root
+search per c serving every grade.  The tail is exactly real; the
+imaginary part the gates check comes from the head.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class TruncationPolicy:
     integrality across all classes.  The default c_max_limit of 60000
     covers the grades of the packaged store: integrality dips for grades
     up to ~60 are observed out to c ~ 3*10^4.  The sweep's chunks start at
-    c_max_initial and double, capped at 4 * kernels._BLOCK nominal (c, d)
+    c_max_initial and double, capped at 16 * kernels._BLOCK nominal (c, d)
     pairs, d < c; the primary gate runs after each chunk.
     """
 
@@ -380,10 +382,8 @@ class RademacherEngine:
             n0, n1 = min(active), max(active)
             cs = np.arange(((lo + step - 1) // step) * step, hi + 1, step, dtype=np.int64)
             if len(cs):
-                k_re = np.empty((len(cs), n1 - n0 + 1))
-                k_im = np.empty_like(k_re)
-                kernels.kloosterman_grades(n0, n1, cs, params.ng, params.hg,
-                                           k_re, k_im)
+                kl = np.empty((len(cs), n1 - n0 + 1))
+                kernels.kloosterman_grades(n0, n1, cs, params.ng, params.hg, kl)
                 csf = cs.astype(np.float64)
                 idx = np.arange(len(cs))
                 for n in active:
@@ -395,10 +395,8 @@ class RademacherEngine:
                         / (csf * q8 ** 0.25)
                     start_c = tail_start[n]
                     usable = cs >= start_c
-                    terms = np.where(usable, fac * k_re[:, j], 0.0)
-                    terms_im = np.where(usable, fac * k_im[:, j], 0.0)
+                    terms = np.where(usable, fac * kl[:, j], 0.0)
                     cum = st.cum + np.cumsum(terms)
-                    cum_im = st.cum_im + np.cumsum(terms_im)
                     rounded = np.rint(cum)
                     resid = np.abs(cum - rounded)
                     # run[k]: checkpoints up to k, across chunks, that round
@@ -408,12 +406,13 @@ class RademacherEngine:
                     first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
                     run = idx - first + 1
                     gated = usable & (cs >= pol.c_max_initial)
-                    # The true coefficient is real; the imaginary part is a
-                    # pure-noise residual and gets the same absolute
-                    # tolerance as the real one.
+                    # The true coefficient is real and the tail is exactly
+                    # real; the head's imaginary part is a pure-noise
+                    # residual and gets the same absolute tolerance as the
+                    # real one.
                     accept = gated & (run >= pol.stability_window) & (
                         resid <= pol.residual_tolerance) & (
-                        np.abs(cum_im) <= np.maximum(
+                        abs(st.cum_im) <= np.maximum(
                             pol.residual_tolerance, 1e-10 * np.abs(st.head_int + cum)))
                     hits = np.flatnonzero(accept)
                     end = int(hits[0]) + 1 if len(hits) else len(cs)
@@ -431,13 +430,12 @@ class RademacherEngine:
                         st.c_used = int(cs[k])
                     if not st.done:
                         st.cum = float(cum[-1])
-                        st.cum_im = float(cum_im[-1])
                         st.stable_run = int(run[-1])
                         st.last_rounded = float(rounded[-1])
             if hi >= pol.c_max_limit:
                 break
             lo, hi = hi + 1, min(hi * 2, pol.c_max_limit,
-                                 _chunk_end(hi + 1, step, 4 * kernels._BLOCK))
+                                 _chunk_end(hi + 1, step, 16 * kernels._BLOCK))
 
         # Fallback gate: sparse-grid classes never dip below the residual
         # tolerance (intrinsic ~C^(-1/2) tail drift); accept a long-stable

@@ -60,6 +60,15 @@ def test_coeff_csv(capsys, cache_args):
     assert lines[1].split(",")[:3] == ["1A", "1", "90"]
 
 
+def test_coeff_repeated_class_printed_once(capsys, cache_args):
+    """A class named twice is printed once, in first-seen order."""
+    code, out, _ = run(capsys, ["coeff", "--class", "2A,1A,2A,1A", "--n", "1"]
+                       + cache_args)
+    assert code == 0
+    assert [line.split(",")[:3] for line in out.splitlines()[1:]] == \
+        [["2A", "1", "-6"], ["1A", "1", "90"]]
+
+
 def test_coeff_polar_and_range(capsys, cache_args):
     code, out, _ = run(capsys, ["coeff", "--class", "1A", "--n=-1..1"]
                        + cache_args)
@@ -157,7 +166,9 @@ def test_filtrate_exact_mode_refuses_modulus(capsys):
     # The engine has one configuration; these options were removed.
     (["coeff", "--n", "1", "--tol", "1e-3"], "unrecognized arguments: --tol"),
     (["coeff", "--n", "1", "--precision", "100"], "unrecognized arguments: --precision"),
-], ids=["filtrate --residue without --modulus", "coeff --tol", "coeff --precision"])
+    (["filtrate", "--n", "1,2"], "argument --n: filtrate takes a single grade"),
+], ids=["filtrate --residue without --modulus", "coeff --tol", "coeff --precision",
+        "filtrate --n 1,2"])
 def test_usage_error_exits_2(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import mpmath
@@ -21,23 +20,25 @@ from moonmod.rademacher import (ClassParams, CoefficientCache, RademacherEngine,
                                 partial_kloosterman)
 
 
-def _table_six_c(d, c):
-    """The kernel's table-backed 6c*s(d, c) for one pair, 0 < d < c."""
-    got = int(kernels._six_c(np.array([c]), np.array([d]))[0])
-    return NOT_COPRIME if got == kernels._NOT_COPRIME else got
+def _on_grid(c, ng, hg=1):
+    """The least c' >= c with ng | c' and ng*hg | c'^2."""
+    c = max(c, 1)
+    while c % ng or c * c % (ng * hg):
+        c += 1
+    return c
 
 
 def test_dedekind_six_c_exact():
-    """The scalar reference and the kernel's table path, against exact rationals."""
+    """The scalar reference against exact rationals."""
     rng = random.Random(3)
     for _ in range(500):
         c = rng.randrange(2, 5000)
         d = rng.randrange(1, c)
-        for got in (dedekind_six_c(d, c), _table_six_c(d, c)):
-            if math.gcd(d, c) != 1:
-                assert got == NOT_COPRIME
-            else:
-                assert got == 6 * c * dedekind_sum(d, c)
+        got = dedekind_six_c(d, c)
+        if math.gcd(d, c) != 1:
+            assert got == NOT_COPRIME
+        else:
+            assert got == 6 * c * dedekind_sum(d, c)
 
 
 def test_dedekind_six_c_large_c():
@@ -47,62 +48,14 @@ def test_dedekind_six_c_large_c():
         d = rng.randrange(1, c)
         if math.gcd(d, c) != 1:
             continue
-        exact = 6 * c * dedekind_sum(d, c)
-        assert dedekind_six_c(d, c) == exact
-        assert _table_six_c(d, c) == exact
-
-
-def _same_six_c(cs, ds, got):
-    for c, d, g in zip(cs, ds, got.tolist()):
-        ref = dedekind_six_c(d, c)
-        assert (g == kernels._NOT_COPRIME) == (ref == NOT_COPRIME), (c, d)
-        if ref != NOT_COPRIME:
-            assert g == ref, (c, d)
-
-
-def test_dedekind_table_small_pairs():
-    """Every pair with c <= 64: the table itself, r = 0 and rows 1 and 2
-    included, and the reciprocity descent down to several table sizes."""
-    cs, ds = np.array([(c, d) for c in range(1, 65) for d in range(c)]).T
-    _same_six_c(cs.tolist(), ds.tolist(), kernels._lookup(cs, ds))
-    cs, ds = cs[ds > 0], ds[ds > 0]
-    for below in (kernels._ROWS, 40, 2):
-        _same_six_c(cs.tolist(), ds.tolist(), kernels._six_c(cs, ds, below))
-
-
-@pytest.mark.parametrize("below", [kernels._ROWS, 40])
-def test_dedekind_table_random_pairs(below):
-    """20000 random pairs with c <= 60000, most of them above the table's
-    rows, so that they descend by several reciprocity steps."""
-    rng = np.random.default_rng(7)
-    cs = rng.integers(2, 60001, 20000)
-    ds = rng.integers(1, cs)
-    _same_six_c(cs.tolist(), ds.tolist(), kernels._six_c(cs, ds, below))
-
-
-def test_dedekind_table_threads(monkeypatch):
-    """Threads that grow a fresh table at once all read exact values."""
-    monkeypatch.setattr(kernels, "_table",
-                        (2, np.zeros_like(kernels._table[1])))
-    rng = np.random.default_rng(9)
-    moduli = [rng.integers(2, top, 3000) for top in (300, 900, 2000, 60000)]
-    jobs = [(cs, rng.integers(1, cs)) for cs in moduli]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(len(jobs)) as pool:
-            results = list(pool.map(lambda job: kernels._six_c(*job), jobs))
-    finally:
-        sys.setswitchinterval(interval)
-    for (cs, ds), got in zip(jobs, results):
-        _same_six_c(cs.tolist(), ds.tolist(), got)
-    assert kernels._table[0] <= kernels._ROWS
+        assert dedekind_six_c(d, c) == 6 * c * dedekind_sum(d, c)
 
 
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1), (4, 2), (23, 1)])
 def test_kloosterman_matches_exact(ng, hg):
     params = ClassParams(ng, hg, "test")
     for n, c in [(1, 1), (1, 5), (3, 8), (7, 23), (10, 46)]:
+        c = _on_grid(c, ng, hg)
         fast = kloosterman_sum(n, c, ng, hg)
         exact = partial_kloosterman(n, c, params)
         assert abs(fast.real - float(exact.real)) < 1e-9
@@ -112,14 +65,12 @@ def test_kloosterman_matches_exact(ng, hg):
 def test_grade_batch_matches_single():
     cs = np.array([2, 4, 6, 8, 10, 12], dtype=np.int64)
     n0, n1 = 1, 6
-    out_re = np.empty((len(cs), n1 - n0 + 1))
-    out_im = np.empty_like(out_re)
-    kernels.kloosterman_grades(n0, n1, cs, 2, 1, out_re, out_im)
+    out = np.empty((len(cs), n1 - n0 + 1))
+    kernels.kloosterman_grades(n0, n1, cs, 2, 1, out)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(n0, n1 + 1)):
             z = kloosterman_sum(int(n), int(c), 2, 1)
-            assert abs(out_re[k, j] - z.real) < 1e-8
-            assert abs(out_im[k, j] - z.imag) < 1e-8
+            assert abs(out[k, j] - z) < 1e-8
 
 
 def test_python_fallback_agrees():
@@ -136,9 +87,9 @@ def test_python_fallback_agrees():
         "from moonmod import kernels\n"
         "assert not kernels.USE_NUMBA\n"
         "cs = np.arange(2, 101, 2, dtype=np.int64)\n"
-        "out_re = np.empty((len(cs), 5)); out_im = np.empty_like(out_re)\n"
-        "kernels.kloosterman_grades(1, 5, cs, 2, 1, out_re, out_im)\n"
-        "print(repr(float(out_re.sum())), repr(float(out_im.sum())))\n"
+        "out = np.empty((len(cs), 5))\n"
+        "kernels.kloosterman_grades(1, 5, cs, 2, 1, out)\n"
+        "print(repr(float(out.sum())))\n"
     )
     # moonmod is a namespace package (no __file__), so locate it via kernels.
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
@@ -148,13 +99,11 @@ def test_python_fallback_agrees():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    re_sum, im_sum = map(float, proc.stdout.split())
+    re_sum = float(proc.stdout)
     cs = np.arange(2, 101, 2, dtype=np.int64)
-    out_re = np.empty((len(cs), 5))
-    out_im = np.empty_like(out_re)
-    kernels.kloosterman_grades(1, 5, cs, 2, 1, out_re, out_im)
-    assert abs(out_re.sum() - re_sum) < 1e-9
-    assert abs(out_im.sum() - im_sum) < 1e-9
+    out = np.empty((len(cs), 5))
+    kernels.kloosterman_grades(1, 5, cs, 2, 1, out)
+    assert abs(out.sum() - re_sum) < 1e-9
 
 
 def test_c_equals_one():
@@ -162,11 +111,9 @@ def test_c_equals_one():
 
 
 def _grades(n0, n1, cs, ng, hg):
-    out_re = np.empty((len(cs), n1 - n0 + 1))
-    out_im = np.empty_like(out_re)
-    kernels.kloosterman_grades(n0, n1, np.asarray(cs, dtype=np.int64), ng, hg,
-                               out_re, out_im)
-    return out_re, out_im
+    out = np.empty((len(cs), n1 - n0 + 1))
+    kernels.kloosterman_grades(n0, n1, np.asarray(cs, dtype=np.int64), ng, hg, out)
+    return out
 
 
 def test_grades_match_exact_random():
@@ -174,86 +121,147 @@ def test_grades_match_exact_random():
     for _ in range(6):
         ng, hg = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 23]), rng.choice([1, 2, 3, 12])
         params = ClassParams(ng, hg, "test")
-        cs = [1] + sorted(rng.sample(range(2, 70), 5))
+        cs = [_on_grid(c, ng, hg) for c in [1] + sorted(rng.sample(range(2, 70), 5))]
         n0 = rng.randrange(1, 40)
         n1 = n0 + rng.randrange(8)
-        out_re, out_im = _grades(n0, n1, cs, ng, hg)
+        out = _grades(n0, n1, cs, ng, hg)
         for k, c in enumerate(cs):
             for j, n in enumerate(range(n0, n1 + 1)):
                 exact = partial_kloosterman(n, c, params)
-                assert abs(out_re[k, j] - float(exact.real)) < 1e-9, (ng, hg, n, c)
-                assert abs(out_im[k, j] - float(exact.imag)) < 1e-9, (ng, hg, n, c)
+                assert abs(out[k, j] - float(exact.real)) < 1e-9, (ng, hg, n, c)
+                assert abs(float(exact.imag)) < 1e-9, (ng, hg, n, c)
 
 
 def test_grades_across_blocks():
-    cs = [1, 3, 4100, 7, 2 * kernels._BLOCK + 17, 12, 1]
+    cs = [_on_grid(c, 3) for c in (1, 3, 4100, 7, 2 * kernels._BLOCK + 17, 12, 1)]
     assert sum(cs) > 3 * kernels._BLOCK
-    out_re, out_im = _grades(4, 6, cs, 3, 1)
+    out = _grades(4, 6, cs, 3, 1)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(4, 7)):
             z = kloosterman_sum(n, c, 3, 1)
-            assert abs(out_re[k, j] - z.real) < 1e-9
-            assert abs(out_im[k, j] - z.imag) < 1e-9
+            assert abs(out[k, j] - z) < 1e-9
 
 
 def test_single_grade_equals_scalar_sum():
     rng = random.Random(17)
     ng, hg = rng.choice([(1, 1), (2, 1), (4, 2), (12, 12), (23, 1)])
-    cs = [1] + sorted(rng.sample(range(2, 6000), 4))
+    cs = [_on_grid(c, ng, hg) for c in [1] + sorted(rng.sample(range(2, 6000), 4))]
     n = rng.randrange(1, 60)
-    out_re, out_im = _grades(n, n, cs, ng, hg)
+    out = _grades(n, n, cs, ng, hg)
     for k, c in enumerate(cs):
         z = kloosterman_sum(n, c, ng, hg)
-        assert out_re[k, 0] == z.real and out_im[k, 0] == z.imag, c
+        assert out[k, 0] == z, c
 
 
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1)])
 def test_fold_small_c(ng, hg):
-    """c = 1 stays 1, c = 2 has the one self-paired d, c >= 3 fold."""
+    """The smallest c, where a c < 6 wraps the six grade columns."""
     params = ClassParams(ng, hg, "test")
-    cs = [1, 2, 3, 4, 5, 6]
-    out_re, out_im = _grades(1, 6, cs, ng, hg)
+    cs = [_on_grid(c, ng, hg) for c in (1, 2, 3, 4, 5, 6)]
+    out = _grades(1, 6, cs, ng, hg)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(1, 7)):
             exact = partial_kloosterman(n, c, params)
-            assert abs(out_re[k, j] - float(exact.real)) < 1e-9, (n, c)
-            assert abs(out_im[k, j] - float(exact.imag)) < 1e-9, (n, c)
+            assert abs(out[k, j] - float(exact.real)) < 1e-9, (n, c)
+            assert abs(float(exact.imag)) < 1e-9, (n, c)
 
 
 @pytest.mark.parametrize("c,ng,hg", [(2 * kernels._BLOCK + 3, 3, 1), (60000, 12, 12)])
 def test_fold_large_c(c, ng, hg):
-    """A half range that crosses a block boundary; the largest engine c."""
+    """About c/2 lifts, more than a tile holds; the largest engine c."""
+    c = _on_grid(c, ng, hg)
     assert c // 2 > kernels._BLOCK
     params = ClassParams(ng, hg, "test")
-    out_re, out_im = _grades(5, 5, [c], ng, hg)
+    out = _grades(5, 5, [c], ng, hg)
     exact = partial_kloosterman(5, c, params)
-    assert abs(out_re[0, 0] - float(exact.real)) < 1e-9
-    assert abs(out_im[0, 0] - float(exact.imag)) < 1e-9
-    # The Dedekind table never grows past its rows, whatever c needs.
-    assert kernels._table[0] <= kernels._ROWS
+    assert abs(out[0, 0] - float(exact.real)) < 1e-9
+    assert abs(float(exact.imag)) < 1e-9
 
 
 def test_fold_across_blocks_against_full_range():
-    """Folded sums against the unfolded sum over every coprime d < c."""
-    cs = [1, 3, 4100, 7, 2 * kernels._BLOCK + 17, 12, 1]
-    out_re, out_im = _grades(4, 6, cs, 3, 1)
+    """Selberg sums against the sum over every coprime d < c."""
+    cs = [_on_grid(c, 3) for c in (1, 3, 4100, 7, 2 * kernels._BLOCK + 17, 12, 1)]
+    out = _grades(4, 6, cs, 3, 1)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(4, 7)):
             base, nums = _phase_numerators(n, c, 3, 1)
             z = sum(complex(math.cos(2 * math.pi * num / base),
                             math.sin(2 * math.pi * num / base)) for num in nums)
-            assert abs(out_re[k, j] - z.real) < 1e-9, (n, c)
-            assert abs(out_im[k, j] - z.imag) < 1e-9, (n, c)
+            assert abs(out[k, j] - z.real) < 1e-9, (n, c)
+            assert abs(z.imag) < 1e-9, (n, c)
+
+
+def _definition(grades, c, ng, hg):
+    """(re, im): the full-range _phase_numerators float sums of K_c(n), n in
+    grades.  The numerators are linear in n, so n = 0 and 1 give them all."""
+    base, nums0 = _phase_numerators(0, c, ng, hg)
+    num0 = np.array(nums0, dtype=np.int64)
+    step = (np.array(_phase_numerators(1, c, ng, hg)[1], dtype=np.int64) - num0) % base
+    n = np.array(grades, dtype=np.int64)[:, None] % base
+    ang = 2 * math.pi * (((num0 + n * step) % base) / base)
+    return np.cos(ang).sum(axis=1), np.sin(ang).sum(axis=1)
+
+
+def test_selberg_form_matches_definition(m24_table):
+    """Kernel and scalar against the sum over every coprime d, at every level
+    of M24: the first six c on its grid, two more up to 3000, and c = 60000
+    at level (12, 12); grades -1..60 and three up to 5000."""
+    rng = random.Random(19)
+    levels = sorted({(cls.ng, cls.hg) for cls in m24_table.classes})
+    assert len(levels) == 21
+    cases = [((ng, hg), c) for ng, hg in levels
+             for c in [ng * k for k in range(1, 7)] + rng.sample(range(7 * ng, 3001, ng), 2)]
+    cases.append(((12, 12), 60000))
+    far = [rng.randrange(61, 5001) for _ in range(3)]
+    grades = list(range(-1, 61)) + far
+    for (ng, hg), c in cases:
+        re, im = _definition(grades, c, ng, hg)
+        assert np.abs(im).max() < 1e-9, (ng, hg, c)
+        got = list(_grades(-1, 60, [c], ng, hg)[0]) + [_grades(n, n, [c], ng, hg)[0, 0]
+                                                        for n in far]
+        assert np.abs(np.array(got) - re).max() < 1e-9, (ng, hg, c)
+        for i in (0, 1, 2, -3, -2, -1):
+            assert abs(kloosterman_sum(grades[i], c, ng, hg) - re[i]) < 1e-9, \
+                (ng, hg, c, grades[i])
+
+
+@pytest.mark.parametrize("c,ng,hg", [(5, 2, 1), (6, 4, 2), (22, 23, 1), (0, 1, 1),
+                                     (-3, 1, 1), (2, 2, 4)])
+def test_off_grid_c_raises(c, ng, hg):
+    """Both functions refuse c unless n_g | c and n_g h_g | c^2."""
+    with pytest.raises(ValueError, match="grid"):
+        kloosterman_sum(1, c, ng, hg)
+    out = np.full((1, 1), 7.0)
+    with pytest.raises(ValueError, match="grid"):
+        kernels.kloosterman_grades(1, 1, np.array([c]), ng, hg, out)
+    assert (out == 7.0).all()
+
+
+def test_packaged_23_stability_records_recompute(m24_table):
+    """The eight packaged 23A/23B stability records with n in 1, 2, 3, 13,
+    recomputed on a cold engine: each sweep runs to c_max_limit."""
+    store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
+    recs = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()
+            if line.strip()]
+    picks = {(r["class"], r["n"]): r for r in recs
+             if r["class"] in ("23A", "23B") and r["n"] in (1, 2, 3, 13)}
+    assert len(picks) == 8
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    for (cls, n), stored in picks.items():
+        got = engine.coefficient(engine.params_for(cls), n)
+        assert (got.value, got.gate, got.c_max_used) == \
+            (int(stored["value"]), stored["gate"], stored["c_max_used"]) == \
+            (got.value, "stability", 59984), (cls, n)
 
 
 def test_int64_overflow_guard():
-    cs = np.array([5, 60], dtype=np.int64)
-    out_re = np.full((2, 1), 7.0)
-    out_im = np.full((2, 1), 7.0)
-    n = 10 ** 17
+    out = np.full((2, 1), 7.0)
+    n = 2 ** 63 - 1000
     with pytest.raises(ValueError, match="overflow"):
-        kernels.kloosterman_grades(n, n, cs, 23, 1, out_re, out_im)
-    assert (out_re == 7.0).all() and (out_im == 7.0).all()
+        kernels.kloosterman_grades(n, n, np.array([5, 60], dtype=np.int64), 5, 1, out)
+    with pytest.raises(ValueError, match="overflow"):
+        kernels.kloosterman_grades(1, 1, np.array([5, 2 ** 24], dtype=np.int64), 1, 1, out)
+    assert (out == 7.0).all()
     # The largest c and level of the engine's sweeps stay well inside.
     _grades(100, 100, [60000], 12, 12)
 
