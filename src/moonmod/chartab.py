@@ -3,10 +3,12 @@ r"""Class data and character tables with exact validation.
 Tables are JSON documents: group_name, group_order, classes (name, size,
 element_order, ng, hg, optional fusion_target) and irreps (name, dim,
 values as {a, b, d} quadratic triples parallel to the classes).  Loading
-validates size sums and both orthogonality relations exactly: every
-product of two values (a + b sqrt(d))/2 is summed as integer numerators
-keyed by squarefree radicand, so a class may mix values from several
-quadratic fields.  Bundled files for M24 and A5 live in the package data.
+validates size sums and both orthogonality relations exactly: four times
+each sum of products of values (a + b sqrt(d))/2 is kept as integer
+numerators keyed by squarefree radicand, so a class may mix values from
+several quadratic fields.  The rational part of a sum is one integer dot
+product; only the entries with b != 0 add cross terms.  Bundled files for
+M24 and A5 live in the package data.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import mul
 
 from .quadratic import QuadraticValue, mul_roots
 
@@ -124,19 +127,24 @@ def _validate(table: CharacterTable) -> None:
         if i and irreps[i - 1].dim > chi.dim:
             raise TableParseError(f"irrep {chi.name}: dims not non-decreasing")
     # Both relations, exactly, on integer numerators (four times the sum).
+    sizes = [c.size for c in classes]
     conj = [[v.conjugate() for v in chi.values] for chi in irreps]
+    rows = [_numerators(chi.values, sizes) for chi in irreps]
+    conj_rows = [_numerators(row) for row in conj]
     full = {1: 4 * order}
     for i, chi_i in enumerate(irreps):
         for j in range(i, len(irreps)):
-            got = _four_products(zip((c.size for c in classes), chi_i.values, conj[j]))
+            got = _four_sum(rows[i], conj_rows[j])
             if got != (full if i == j else {}):
                 raise OrthogonalityError(
                     f"row orthogonality fails for ({chi_i.name}, {irreps[j].name}): "
                     f"four times the sum is {got}"
                 )
+    conj_cols = [_numerators(col) for col in zip(*conj)]
+    cols = [_numerators(col) for col in zip(*(chi.values for chi in irreps))]
     for k, ck in enumerate(classes):
         for l in range(k, len(classes)):
-            got = _four_products((1, row[k], chi.values[l]) for row, chi in zip(conj, irreps))
+            got = _four_sum(conj_cols[k], cols[l])
             ok = (got.keys() == {1} and got[1] * ck.size == 4 * order) if k == l else not got
             if not ok:
                 raise OrthogonalityError(
@@ -145,16 +153,42 @@ def _validate(table: CharacterTable) -> None:
                 )
 
 
-def _four_products(terms) -> dict[int, int]:
-    """4 sum w u v over (w, u, v) triples of an integer and two values, as
-    integer numerators keyed by squarefree radicand, zeros dropped."""
+def _numerators(values, weights=None):
+    """A value vector, each entry times its integer weight (default 1), as
+    (list of numerators a, {index: (numerator b, d)} for the entries with b != 0)."""
+    if weights is None:
+        weights = [1] * len(values)
+    return ([w * v.a for w, v in zip(weights, values)],
+            {k: (w * v.b, v.d) for k, (w, v) in enumerate(zip(weights, values)) if v.b})
+
+
+def _four_sum(x, y) -> dict[int, int]:
+    """4 sum_k x_k y_k of two vectors from _numerators, as integer numerators
+    keyed by squarefree radicand, zeros dropped.
+
+    The rational part is one dot product of the numerator lists; only the
+    entries with b != 0 add cross terms, keyed through mul_roots.  Keys come
+    in the order of their first nonzero term: k ascending and, within a k,
+    the rational part, the root of y, the root of x, then their product.
+    """
+    (xa, xb), (ya, yb) = x, y
+    rational = sum(map(mul, xa, ya))
+    lead = next((k for k, t in enumerate(map(mul, xa, ya)) if t), None)
     acc: dict[int, int] = {}
-    for w, u, v in terms:
-        for s1, x in ((1, u.a), (u.d, u.b)):
-            for s2, y in ((1, v.a), (v.d, v.b)):
-                if x and y:
-                    k, s = mul_roots(s1, s2)
-                    acc[s] = acc.get(s, 0) + w * k * x * y
+    for k in sorted(xb.keys() | yb.keys()):
+        if lead is not None and lead <= k:
+            acc[1] = acc.get(1, 0) + rational
+            lead = None
+        u, v = xb.get(k), yb.get(k)
+        if v and xa[k]:
+            acc[v[1]] = acc.get(v[1], 0) + xa[k] * v[0]
+        if u and ya[k]:
+            acc[u[1]] = acc.get(u[1], 0) + u[0] * ya[k]
+        if u and v:
+            c, s = mul_roots(u[1], v[1])
+            acc[s] = acc.get(s, 0) + c * u[0] * v[0]
+    if lead is not None:
+        acc[1] = acc.get(1, 0) + rational
     return {s: t for s, t in acc.items() if t}
 
 

@@ -10,6 +10,10 @@ environment variable (a directory holding <group>_coeffs.ldjson).  The
 named file overlays the packaged precomputed store, which is read into
 memory: file records win, and new values are appended to the file only.
 With neither, nothing is written.
+
+Each command imports the modules it uses when it runs: validate loads the
+table modules only, coeff and cache add the coefficient store, and only
+the commands that decompose or filtrate load those layers.
 """
 
 from __future__ import annotations
@@ -21,11 +25,8 @@ import json
 import os
 import sys
 
-from . import decomp, filtration
 from .chartab import (CharacterTable, FusedProvider, TableError, UnknownClassError,
                       bundled_table, load_table)
-from .rademacher import (CoefficientCache, NonConvergent, RademacherEngine,
-                         DEDEKIND_MODE, bundled_cache)
 
 BUNDLED_GROUPS = ("m24", "a5")
 
@@ -53,6 +54,8 @@ def _make_engine(args, table: CharacterTable):
     engine runs on the ambient M24 data and values flow through fusion.
     The engine runs its default TruncationPolicy.
     """
+    from .rademacher import RademacherEngine, bundled_cache
+
     fused = all(c.fusion_target for c in table.classes) and table.group_name != "M24"
     ambient = bundled_table("m24") if fused else table
     path = _resolve_cache(args, ambient.group_name.lower())
@@ -117,6 +120,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_coeff(args) -> int:
+    from .rademacher import DEDEKIND_MODE
+
     table = _load_group(args.group)
     engine, provider = _make_engine(args, table)
     # Each named class once, in first-seen order.
@@ -150,6 +155,8 @@ def cmd_coeff(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import decomp
+
     table = _load_group(args.group)
     engine, provider = _make_engine(args, table)
     grades = _parse_grades(args.n)
@@ -193,6 +200,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_filtrate(args) -> int:
+    from . import decomp, filtration
+
     table = _load_group(args.group)
     if args.residue is not None:
         profile = filtration.sign_profile(table)
@@ -216,6 +225,8 @@ def cmd_filtrate(args) -> int:
 
 
 def cmd_asympt(args) -> int:
+    from . import decomp, filtration
+
     table = _load_group(args.group)
     engine, provider = _make_engine(args, table)
     grades = _parse_grades(args.n)
@@ -241,6 +252,8 @@ def cmd_asympt(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    from .rademacher import CoefficientCache, bundled_cache
+
     path = _resolve_cache(args, (args.group or "m24").lower())
     if path is None and args.clear:
         print("no cache file to clear: the packaged store is read-only; "
@@ -330,6 +343,19 @@ COMMANDS = {
 }
 
 
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The failures a command reports as an `error:` line with exit status 1.
+
+    Imported on the error path only: a command loads just the modules it uses.
+    """
+    from .decomp import DecompositionError
+    from .filtration import FiltrationError
+    from .rademacher import NonConvergent
+
+    return (NonConvergent, TableError, UnknownClassError, DecompositionError,
+            FiltrationError, ValueError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -341,11 +367,9 @@ def main(argv=None) -> int:
         parser.error("argument --n: filtrate takes a single grade")
     try:
         return COMMANDS[args.command](args)
-    except NonConvergent as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TableError, UnknownClassError, decomp.DecompositionError,
-            filtration.FiltrationError, ValueError) as exc:
+    except Exception as exc:
+        if not isinstance(exc, _reported_errors()):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -82,15 +82,17 @@ def _sgn(v: float) -> int:
 
 def _poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials, lowest degree first,
-    by a monic divisor."""
+    by a monic divisor.  Each step runs over the divisor's nonzero
+    coefficients only: the cyclotomic divisors are sparse."""
     rem = list(num)
     k = len(den) - 1
+    terms = [(j, b) for j, b in enumerate(den) if b]
     quot = [0] * max(len(rem) - k, 0)
     for i in range(len(rem) - 1, k - 1, -1):
         a = rem[i]
         if a:
             quot[i - k] = a
-            for j, b in enumerate(den):
+            for j, b in terms:
                 rem[i - k + j] -= a * b
     return quot, rem[:k]
 

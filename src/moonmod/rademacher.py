@@ -202,13 +202,32 @@ class CoefficientCache:
 
         The first record of a key wins.  Lines that do not parse, typically
         a torn trailing line, are skipped; the file they came from is never
-        rewritten.
+        rewritten.  The lines are parsed in one go, as one JSON array, when
+        no value can run past its line: with no '[' and a '{' only at each
+        line's start nothing nests, a string cannot hold the separator's raw
+        newline, and an object cannot go on past it, where the next line's
+        '{' would stand for a key.  That parse is kept if it has one element
+        per line; otherwise (a torn line, two values on one line) each line
+        is parsed alone.
         """
-        for line in lines:
-            if not line.strip():
-                continue
+        lines = [line for line in lines if line.strip()]
+        text = "\n,".join(lines)
+        recs = None
+        if ("[" not in text and text.startswith("{")
+                and text.count("{") == len(lines) == text.count("\n,{") + 1):
             try:
-                rec = json.loads(line)
+                recs = json.loads("[" + text + "]")
+            except ValueError:
+                pass
+        if recs is None or len(recs) != len(lines):
+            recs = []
+            for line in lines:
+                try:
+                    recs.append(json.loads(line))
+                except ValueError:
+                    continue
+        for rec in recs:
+            try:
                 key = (rec["group"], rec["class"], int(rec["n"]))
                 int(rec["value"])
             except (ValueError, KeyError, TypeError):

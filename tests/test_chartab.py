@@ -2,13 +2,14 @@
 
 import json
 import math
+import random
 
 import pytest
 
 from moonmod.chartab import (FusionError, FusedProvider, OrthogonalityError,
-                             SizeSumError, TableParseError, bundled_table,
-                             distinct_orders, load_table, serialize)
-from moonmod.quadratic import mul_roots
+                             SizeSumError, TableParseError, _four_sum, _numerators,
+                             bundled_table, distinct_orders, load_table, serialize)
+from moonmod.quadratic import QuadraticValue, mul_roots
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +59,16 @@ def test_perturbed_value_fails_orthogonality(a5):
     doc["irreps"][4]["values"][1]["a"] += 2  # chi5 at class 2A
     with pytest.raises(OrthogonalityError) as err:
         load_table(doc)
-    assert "chi5" in str(err.value) or "2A" in str(err.value)
+    assert str(err.value) == ("row orthogonality fails for (chi1, chi5): "
+                              "four times the sum is {1: 60}")
     # The irrational part: chi3a at 5A becomes (1 + 3 sqrt 5)/2.
     doc = json.loads(serialize(a5))
     assert doc["irreps"][1]["values"][3] == {"a": 1, "b": 1, "d": 5}
     doc["irreps"][1]["values"][3]["b"] += 2
     with pytest.raises(OrthogonalityError) as err:
         load_table(doc)
-    assert "chi3a" in str(err.value) or "5A" in str(err.value)
+    assert str(err.value) == ("row orthogonality fails for (chi1, chi3a): "
+                              "four times the sum is {5: 48}")
 
 
 def _c4_times_d16() -> dict:
@@ -121,8 +124,84 @@ def test_mixed_radicand_columns():
     irrep, k = next((r, k) for r in doc["irreps"] for k, v in enumerate(r["values"])
                     if v["d"] == -2)
     irrep["values"][k]["b"] *= -1
-    with pytest.raises(OrthogonalityError):
+    with pytest.raises(OrthogonalityError) as err:
         load_table(doc)
+    assert str(err.value) == ("row orthogonality fails for (chi0.0, chi1.4): "
+                              "four times the sum is {-2: 16}")
+
+
+def _term_by_term(terms) -> dict[int, int]:
+    """4 sum w u v over (w, u, v) triples, one product of parts at a time."""
+    acc = {}
+    for w, u, v in terms:
+        for s1, x in ((1, u.a), (u.d, u.b)):
+            for s2, y in ((1, v.a), (v.d, v.b)):
+                if x and y:
+                    k, s = mul_roots(s1, s2)
+                    acc[s] = acc.get(s, 0) + w * k * x * y
+    return {s: t for s, t in acc.items() if t}
+
+
+def _first_row_failure(doc) -> str | None:
+    """The message of the first failing row relation, each sum taken term by
+    term.  (Columns are checked after rows, and exact row orthogonality of a
+    square table implies column orthogonality.)"""
+    order, classes = doc["group_order"], doc["classes"]
+    names = [r["name"] for r in doc["irreps"]]
+    rows = [[QuadraticValue(v["a"], v["b"], v["d"]) for v in r["values"]]
+            for r in doc["irreps"]]
+    conj = [[v.conjugate() for v in row] for row in rows]
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            got = _term_by_term(zip((c["size"] for c in classes), rows[i], conj[j]))
+            if got != ({1: 4 * order} if i == j else {}):
+                return (f"row orthogonality fails for ({names[i]}, {names[j]}): "
+                        f"four times the sum is {got}")
+    return None
+
+
+@pytest.mark.parametrize("make, sample", [
+    (_c4_times_d16, 40), (lambda: json.loads(serialize(bundled_table("a5"))), None)],
+    ids=["C4xD16", "A5"])
+def test_orthogonality_messages_match_term_by_term_sums(make, sample):
+    """One-entry changes off the identity class (a + 2, b doubled, b negated)
+    fail with the pair and the radicand -> numerator dict, keys in order,
+    of sums taken term by term; C4 x D16 draws a fixed sample of 40 of its 1164."""
+    base = make()
+    changes = [(r, k, part, delta)
+               for r, irrep in enumerate(base["irreps"])
+               for k, v in enumerate(irrep["values"][1:], start=1)
+               for part, delta in [("a", 2)] + ([("b", v["b"]), ("b", -2 * v["b"])]
+                                                if v["b"] else [])]
+    if sample:
+        changes = random.Random(0).sample(changes, sample)
+    for r, k, part, delta in changes:
+        doc = json.loads(json.dumps(base))
+        doc["irreps"][r]["values"][k][part] += delta
+        expected = _first_row_failure(doc)
+        with pytest.raises(OrthogonalityError) as err:
+            load_table(doc)
+        assert str(err.value) == expected
+
+
+def test_four_sum_matches_term_by_term_sums():
+    """The validator's sum of two value vectors equals the term-by-term sum,
+    keys in the same order, on random vectors mixing radicands."""
+    rng = random.Random(1)
+    for _ in range(400):
+        size = rng.randint(1, 12)
+
+        def value():
+            d = rng.choice([1, 1, 1, -1, 2, -2, 3, 5, -7, 6, -15])
+            b = 0 if d == 1 else rng.choice([-3, -1, 1, 2])
+            return QuadraticValue(rng.choice([0, 0, -4, -1, 1, 2, 6]), b, d)
+
+        x = [value() for _ in range(size)]
+        y = [value() for _ in range(size)]
+        w = [rng.randint(1, 9) for _ in range(size)]
+        got = _four_sum(_numerators(x, w), _numerators(y))
+        want = _term_by_term(zip(w, x, y))
+        assert list(got.items()) == list(want.items()), (x, y, w)
 
 
 def test_bad_size_sum(a5):

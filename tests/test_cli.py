@@ -11,9 +11,11 @@ from importlib import resources
 import pytest
 
 import moonmod.cli
-from moonmod.chartab import bundled_table
+from moonmod.chartab import TableError, UnknownClassError, bundled_table
 from moonmod.cli import _make_engine, build_parser, main
-from moonmod.rademacher import bundled_cache
+from moonmod.decomp import DecompositionError
+from moonmod.filtration import FiltrationError
+from moonmod.rademacher import NonConvergent, RecordModeError, bundled_cache
 
 REPO_CACHE = os.path.join(os.path.dirname(__file__), "..", "src", "moonmod", "data",
                           "m24_coeffs.ldjson")
@@ -236,6 +238,36 @@ def test_coeff_unknown_class(group, name, capsys, cache_args):
     assert err == f"error: unknown conjugacy class {name!r}\n"
 
 
+@pytest.mark.parametrize("exc", [
+    NonConvergent("23A", 7, 12.4, 0.4),
+    DecompositionError("multiplicity of chi3 is not an integer"),
+    FiltrationError("no minimizer"),
+    TableError("bad table"),
+    UnknownClassError("99Z"),
+    ValueError("bad grade"),
+    RecordModeError({"class": "1A", "n": 1, "mode": "omega-floor"}),
+], ids=lambda exc: type(exc).__name__)
+def test_typed_errors_exit_1(exc, monkeypatch, capsys):
+    """A typed failure raised inside a command is one error line, exit 1."""
+    def command(_args):
+        raise exc
+
+    monkeypatch.setitem(moonmod.cli.COMMANDS, "cache", command)
+    assert run(capsys, ["cache"]) == (1, "", f"error: {exc}\n")
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("bug"), KeyError("1A"),
+                                 ZeroDivisionError()], ids=lambda exc: type(exc).__name__)
+def test_untyped_errors_propagate(exc, monkeypatch, capsys):
+    def command(_args):
+        raise exc
+
+    monkeypatch.setitem(moonmod.cli.COMMANDS, "cache", command)
+    with pytest.raises(type(exc)):
+        main(["cache"])
+    assert capsys.readouterr() == ("", "")
+
+
 def test_cache_clear_keeps_packaged_store(monkeypatch, capsys):
     monkeypatch.delenv("MOONMOD_CACHE", raising=False)
     store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
@@ -283,14 +315,15 @@ def test_cache_record_with_foreign_mode_refused(tmp_path, capsys):
 # The directory that holds the moonmod under test.
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(moonmod.cli.__file__)))
 
-# Runs main(argv) in a fresh interpreter; its last stderr line names the
-# numeric modules loaded by then.
+# Runs main(argv) in a fresh interpreter; its last two stderr lines name the
+# numeric modules and the moonmod modules loaded by then.
 CHILD = (
     "import sys\n"
     "from moonmod.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "sys.stdout.flush()\n"
     "print(*[m for m in ('numpy', 'mpmath') if m in sys.modules], file=sys.stderr)\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('moonmod.')), file=sys.stderr)\n"
     "raise SystemExit(code)\n"
 )
 
@@ -313,7 +346,8 @@ WARM_COMMANDS = [
 
 
 def run_child(argv, src_dir):
-    """(exit code, stdout, numeric modules loaded) of main(argv) in a fresh interpreter.
+    """(exit code, stdout, numeric modules, moonmod modules) of main(argv) in a
+    fresh interpreter.
 
     moonmod is a namespace package, so src_dir is the only entry put on
     PYTHONPATH: another copy there would merge its data files in.
@@ -322,8 +356,18 @@ def run_child(argv, src_dir):
     env.pop("MOONMOD_CACHE", None)
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
                           text=True, env=env)
-    err = proc.stderr.splitlines()
-    return proc.returncode, proc.stdout, err[-1].split() if err else None
+    numeric, modules = proc.stderr.splitlines()[-2:]
+    return proc.returncode, proc.stdout, numeric.split(), modules.split()
+
+
+# The moonmod modules a warm command must not load: each command imports
+# only the layers it uses, and none computes a coefficient.
+NOT_LOADED = {
+    "validate": {"moonmod.rademacher", "moonmod.decomp", "moonmod.filtration",
+                 "moonmod.numerics", "moonmod.kernels"},
+    "coeff": {"moonmod.decomp", "moonmod.filtration", "moonmod.kernels"},
+    "cache": {"moonmod.decomp", "moonmod.filtration", "moonmod.kernels"},
+}
 
 
 @pytest.mark.parametrize("argv", WARM_COMMANDS, ids=" ".join)
@@ -332,10 +376,26 @@ def test_warm_command_loads_no_numeric_stack(argv, tmp_path, capsys):
     shutil.copyfile(REPO_CACHE, store)
     before = store.read_bytes()
     argv = argv + ["--cache", str(store)]
-    code, out, loaded = run_child(argv, SRC_DIR)
-    assert (code, loaded) == (0, [])
+    code, out, numeric, modules = run_child(argv, SRC_DIR)
+    assert (code, numeric) == (0, [])
+    assert "moonmod.chartab" in modules
+    assert not NOT_LOADED.get(argv[0], {"moonmod.kernels"}) & set(modules)
     assert run(capsys, argv) == (0, out, "")
     assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["coeff", "--class", "99Z", "--n", "1"], "error: unknown conjugacy class '99Z'\n"),
+    (["decompose", "--n", "5..1"], "error: empty grade range '5..1'\n"),
+], ids=["coeff unknown class", "decompose empty range"])
+def test_error_in_fresh_interpreter(argv, message):
+    """A typed error is matched on the error path, after the command has
+    loaded only the modules it uses: exit status 1 and one error line."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    env.pop("MOONMOD_CACHE", None)
+    proc = subprocess.run([sys.executable, "-m", "moonmod.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
 
 def test_cold_coeff_loads_numeric_stack(tmp_path):
@@ -345,8 +405,8 @@ def test_cold_coeff_loads_numeric_stack(tmp_path):
                     ignore=shutil.ignore_patterns("*.ldjson", "__pycache__"))
     store = tmp_path / "m24_coeffs.ldjson"
     store.write_text("")
-    code, out, loaded = run_child(["coeff", "--class", "1A", "--n", "1",
-                                   "--cache", str(store)], str(tmp_path / "src"))
+    code, out, numeric, _ = run_child(["coeff", "--class", "1A", "--n", "1",
+                                       "--cache", str(store)], str(tmp_path / "src"))
     assert code == 0 and out.splitlines()[1].split(",")[:3] == ["1A", "1", "90"]
-    assert sorted(loaded) == ["mpmath", "numpy"]
+    assert sorted(numeric) == ["mpmath", "numpy"]
     assert json.loads(store.read_text())["value"] == "90"

@@ -131,6 +131,93 @@ def test_cache_tolerates_torn_line(tmp_path):
         {("M24", "1A", 1): 90, ("M24", "1A", 3): 1540}
 
 
+def _record_line(cls, n, value="7", **extra) -> str:
+    return json.dumps({"group": "M24", "class": cls, "n": n, "value": value,
+                       "residual": 1e-5, "c_max_used": 99, "mode": "classical",
+                       "gate": "dip", **extra}, sort_keys=True)
+
+
+def _per_line_records(lines) -> dict:
+    """The store's records by the plain rule: each line parsed alone, lines
+    or records that do not parse skipped, the first record of a key kept."""
+    records = {}
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            key = (rec["group"], rec["class"], int(rec["n"]))
+            int(rec["value"])
+        except (ValueError, KeyError, TypeError):
+            continue
+        records.setdefault(key, rec)
+    return records
+
+
+ADVERSARIAL_LINES = {
+    "torn middle": [_record_line("1A", 1), _record_line("1A", 2)[:40],
+                    _record_line("1A", 3)],
+    "two on one line": [_record_line("1A", 1),
+                        _record_line("1A", 2) + "," + _record_line("1A", 3)],
+    "bare values": ["42", _record_line("1A", 1), "[1]", '"x"', "null"],
+    "missing value": [_record_line("1A", 1),
+                      json.dumps({"group": "M24", "class": "1A", "n": 2}),
+                      _record_line("1A", 3)],
+    "non-integer value": [_record_line("1A", 1, value="1.5"),
+                          _record_line("1A", 2, value="x"), _record_line("1A", 3)],
+    "U+2028 in a string": [_record_line("1A", 1),
+                           json.dumps({"group": "M24", "class": "2A\u20282B", "n": 1,
+                                       "value": "7"}, ensure_ascii=False),
+                           _record_line("1A", 2)],
+    "duplicate key": [_record_line("1A", 1, value="90"), _record_line("1A", 2),
+                      _record_line("1A", 1, value="91")],
+    "blank and whitespace lines": ["", _record_line("1A", 1), "   ", "\t",
+                                   "  " + _record_line("1A", 2)],
+    # A value split over two lines and two values on a third: one element
+    # per line when joined, but none of the three lines parses alone.
+    "split value compensated": [_record_line("1A", 1)[:-1] + ', "x": [1',
+                                '2]}', _record_line("1A", 2) + "," + _record_line("1A", 3)],
+    # The same with a string run on into the next line.
+    "split string compensated": ['{"note": "x',
+                                 '{", "group": "M24", "class": "1A", "n": 1, "value": "7"}',
+                                 _record_line("1A", 2) + ",1"],
+    "torn inside a string": [_record_line("1A", 1), _record_line("1A", 2)[:20],
+                             _record_line("1A", 3)],
+    "brace inside a string": [_record_line("1A", 1, note="{"), _record_line("1A", 2)],
+    "clean": [_record_line("1A", n) for n in range(1, 6)],
+}
+
+
+# The (class, n, value) of the records each file keeps, in order.
+KEPT = {
+    "torn middle": [("1A", 1, "7"), ("1A", 3, "7")],
+    "two on one line": [("1A", 1, "7")],
+    "bare values": [("1A", 1, "7")],
+    "missing value": [("1A", 1, "7"), ("1A", 3, "7")],
+    "non-integer value": [("1A", 3, "7")],
+    "U+2028 in a string": [("1A", 1, "7"), ("1A", 2, "7")],
+    "duplicate key": [("1A", 1, "90"), ("1A", 2, "7")],
+    "blank and whitespace lines": [("1A", 1, "7"), ("1A", 2, "7")],
+    "split value compensated": [],
+    "split string compensated": [],
+    "torn inside a string": [("1A", 1, "7"), ("1A", 3, "7")],
+    "brace inside a string": [("1A", 1, "7"), ("1A", 2, "7")],
+    "clean": [("1A", n, "7") for n in range(1, 6)],
+}
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL_LINES)
+def test_cache_load_matches_per_line_parse(case, tmp_path):
+    """Loading a store file gives exactly the records of the per-line rule."""
+    path = tmp_path / "cache.ldjson"
+    path.write_text("\n".join(ADVERSARIAL_LINES[case]) + "\n", encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    got = CoefficientCache(path).records
+    assert list(got.items()) == list(_per_line_records(text.splitlines()).items())
+    assert [(cls, n, rec["value"]) for (_, cls, n), rec in got.items()] == KEPT[case]
+    assert path.read_text(encoding="utf-8") == text
+
+
 def test_cache_refuses_foreign_mode(tmp_path, m24_table):
     path = tmp_path / "cache.ldjson"
     path.write_text(json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "90",
