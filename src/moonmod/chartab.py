@@ -14,7 +14,6 @@ M24 and A5 live in the package data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
 from operator import mul
 
@@ -48,33 +47,40 @@ class UnknownClassError(KeyError):
         return f"unknown conjugacy class {self.args[0]!r}"
 
 
-@dataclass(frozen=True)
 class ConjugacyClass:
-    name: str
-    size: int
-    element_order: int
-    ng: int
-    hg: int
-    fusion_target: str | None = None
+    __slots__ = ("name", "size", "element_order", "ng", "hg", "fusion_target")
+
+    def __init__(self, name: str, size: int, element_order: int, ng: int, hg: int,
+                 fusion_target: str | None = None) -> None:
+        self.name = name
+        self.size = size
+        self.element_order = element_order
+        self.ng = ng
+        self.hg = hg
+        self.fusion_target = fusion_target
 
 
-@dataclass(frozen=True)
 class Irreducible:
-    name: str
-    dim: int
-    values: tuple[QuadraticValue, ...]
+    __slots__ = ("name", "dim", "values")
+
+    def __init__(self, name: str, dim: int, values: tuple[QuadraticValue, ...]) -> None:
+        self.name = name
+        self.dim = dim
+        self.values = values
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    group_name: str
-    group_order: int
-    classes: tuple[ConjugacyClass, ...]
-    irreps: tuple[Irreducible, ...]
-    _index: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("group_name", "group_order", "classes", "irreps", "_index", "_sized")
 
-    def __post_init__(self) -> None:
-        self._index.update({c.name: k for k, c in enumerate(self.classes)})
+    def __init__(self, group_name: str, group_order: int,
+                 classes: tuple[ConjugacyClass, ...],
+                 irreps: tuple[Irreducible, ...]) -> None:
+        self.group_name = group_name
+        self.group_order = group_order
+        self.classes = classes
+        self.irreps = irreps
+        self._index = {c.name: k for k, c in enumerate(classes)}
+        self._sized = None
 
     def class_index(self, name: str) -> int:
         try:
@@ -88,6 +94,26 @@ class CharacterTable:
     @property
     def identity_class(self) -> ConjugacyClass:
         return self.classes[0]
+
+    def sized_numerators(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The integer matrices of the size-weighted class sums, built once.
+
+        Returns (rational, irrational): rational[i][k] = |[g_k]| a_ik for
+        every irrep i, and one row per irrep i and radicand d != 1 among
+        its values, with entry |[g_k]| b_ik where chi_i(g_k) lies in
+        Q(sqrt d) and 0 elsewhere.  For integer weights w, rational[i] . w
+        and the rows' dot products with w are the numerators of
+        class_sums(self, [|[g_k]| w_k])[i]: every irrational one vanishes
+        exactly when all those dot products do.
+        """
+        if self._sized is None:
+            sizes = [c.size for c in self.classes]
+            rational = [[s * v.a for s, v in zip(sizes, chi.values)] for chi in self.irreps]
+            irrational = [[s * v.b if v.d == d else 0 for s, v in zip(sizes, chi.values)]
+                          for chi in self.irreps
+                          for d in dict.fromkeys(v.d for v in chi.values if v.b)]
+            self._sized = (rational, irrational)
+        return self._sized
 
 
 def _parse_value(obj, where: str) -> QuadraticValue:
@@ -121,7 +147,7 @@ def _validate(table: CharacterTable) -> None:
         if len(chi.values) != len(classes):
             raise TableParseError(f"irrep {chi.name}: wrong number of values")
         ident_val = chi.values[0]
-        if not (ident_val.is_rational and ident_val.as_fraction() == chi.dim):
+        if not (ident_val.is_rational and ident_val.a == 2 * chi.dim):
             raise TableParseError(f"irrep {chi.name}: identity value differs from dim")
     for i, chi in enumerate(irreps):
         if i and irreps[i - 1].dim > chi.dim:

@@ -6,7 +6,9 @@ with a warm cache produces byte-identical output.  Exit status is 0 only
 when every gate (orthogonality, integrality, reconstruction) passes.
 
 Cache resolution precedence: --cache flag, then the MOONMOD_CACHE
-environment variable (a directory holding <group>_coeffs.ldjson).  The
+environment variable (a directory holding <group>_coeffs.ldjson, named
+after the group the engine runs on: m24 for a table that fuses into M24,
+such as a5).  The
 named file overlays the packaged precomputed store, which is read into
 memory: file records win, and new values are appended to the file only.
 With neither, nothing is written.
@@ -31,14 +33,27 @@ from .chartab import (CharacterTable, FusedProvider, TableError, UnknownClassErr
 BUNDLED_GROUPS = ("m24", "a5")
 
 
-def _resolve_cache(args, group: str) -> str | None:
-    """The writable cache file, or None when only the packaged store applies."""
+def _fused(table: CharacterTable) -> bool:
+    """Whether table is a subgroup of M24 whose classes all carry fusion
+    targets: its engine then runs on the ambient M24 data."""
+    return all(c.fusion_target for c in table.classes) and table.group_name != "M24"
+
+
+def _resolve_cache(args, table: CharacterTable | None = None) -> str | None:
+    """The writable cache file, or None when only the packaged store applies.
+
+    Under MOONMOD_CACHE the file is named after the group the engine runs
+    on, m24 for a fused table; table is loaded from --group if not given.
+    """
     if args.cache:
         return args.cache
     env_dir = os.environ.get("MOONMOD_CACHE")
-    if env_dir:
-        return os.path.join(env_dir, f"{group}_coeffs.ldjson")
-    return None
+    if not env_dir:
+        return None
+    if table is None:
+        table = _load_group(args.group)
+    group = "m24" if _fused(table) else table.group_name.lower()
+    return os.path.join(env_dir, f"{group}_coeffs.ldjson")
 
 
 def _load_group(name_or_path: str) -> CharacterTable:
@@ -56,10 +71,9 @@ def _make_engine(args, table: CharacterTable):
     """
     from .rademacher import RademacherEngine, bundled_cache
 
-    fused = all(c.fusion_target for c in table.classes) and table.group_name != "M24"
+    fused = _fused(table)
     ambient = bundled_table("m24") if fused else table
-    path = _resolve_cache(args, ambient.group_name.lower())
-    engine = RademacherEngine(ambient, cache=bundled_cache(path))
+    engine = RademacherEngine(ambient, cache=bundled_cache(_resolve_cache(args, table)))
     provider = FusedProvider(table, engine) if fused else engine
     return engine, provider
 
@@ -254,7 +268,7 @@ def cmd_asympt(args) -> int:
 def cmd_cache(args) -> int:
     from .rademacher import CoefficientCache, bundled_cache
 
-    path = _resolve_cache(args, (args.group or "m24").lower())
+    path = _resolve_cache(args)
     if path is None and args.clear:
         print("no cache file to clear: the packaged store is read-only; "
               "name one with --cache or MOONMOD_CACHE", file=sys.stderr)

@@ -6,16 +6,18 @@ the per-class coefficients c_g(n); orthogonality gives
     m_i(n) = (1/|G|) sum_{[g]} |[g]| conj(chi_i(g)) c_g(n).
 
 Coefficients are exact integers and character values (a + b sqrt(d))/2
-with integer a, b, so twice the sum is kept as integer numerators keyed by
-radicand: every irrational numerator must vanish and the rational one must
-be divisible by 2|G|, with no tolerance.  Negative multiplicities at
-n >= 1 are an error signal, not a warning.
+with integer a, b, so twice the sum has integer numerators: one per irrep
+for the rational part and one per radicand d of its values for the
+sqrt(d) part, each a dot product with a row of the table's integer
+matrices.  Every irrational numerator must vanish and the rational one
+must be divisible by 2|G|, with no tolerance.  Negative multiplicities at
+n >= 1 are an error signal, not a warning.  Shares and deviations are
+int/int divisions, each rounded once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .chartab import CharacterTable, class_sums
 
@@ -39,12 +41,14 @@ class NegativeMultiplicity(DecompositionError):
         self.value = value
 
 
-@dataclass(frozen=True)
 class MultiplicityVector:
     """Exact multiplicities at one grade, parallel to the table's irreps."""
 
-    n: int
-    m: tuple[int, ...]
+    __slots__ = ("n", "m")
+
+    def __init__(self, n: int, m: tuple[int, ...]) -> None:
+        self.n = n
+        self.m = m
 
     def __iter__(self):
         return iter(self.m)
@@ -60,14 +64,30 @@ def multiplicities(table: CharacterTable, n: int, coeffs) -> MultiplicityVector:
     """Decompose grade n given per-class coefficients.
 
     coeffs is either a mapping from class name to the integer c_g(n) or a
-    provider object with a value(class_name, n) method.
+    provider object with a value(class_name, n) method.  Twice each sum is
+    one dot product of the coefficients with a row of the table's integer
+    matrices (CharacterTable.sized_numerators); every sqrt(d) row must give
+    zero.  Without the conjugation: the rational part is the same, and the
+    irrational part vanishes exactly when the conjugated one does.
     """
     values = [_coeff_lookup(coeffs, c.name, n) for c in table.classes]
-    # Without the conjugation: the rational part is the same, and the
-    # irrational part vanishes exactly when the conjugated one does.
+    rational, irrational = table.sized_numerators()
+    scale = 2 * table.group_order
+    twice = [sum(map(mul, row, values)) for row in rational]
+    ms = [t // scale for t in twice]
+    if (any(t % scale for t in twice) or (n >= 1 and min(ms) < 0)
+            or any(sum(map(mul, row, values)) for row in irrational)):
+        _refuse(table, n, values)
+    return MultiplicityVector(n, tuple(ms))
+
+
+def _refuse(table: CharacterTable, n: int, values: list[int]) -> None:
+    """Raise the first failure of a grade that misses a gate, irrep by
+    irrep: irrational numerators, a remainder, then a negative multiplicity."""
+    from fractions import Fraction
+
     sums = class_sums(table, [c.size * v for c, v in zip(table.classes, values)])
     scale = 2 * table.group_order
-    ms = []
     for chi, twice in zip(table.irreps, sums):
         irrational = {d: t for d, t in twice.items() if d != 1}
         if irrational:
@@ -79,29 +99,39 @@ def multiplicities(table: CharacterTable, n: int, coeffs) -> MultiplicityVector:
                               f"raw value {Fraction(twice[1], scale)} is not an integer")
         if n >= 1 and m < 0:
             raise NegativeMultiplicity(n, chi.name, m)
-        ms.append(m)
-    return MultiplicityVector(n, tuple(ms))
+    raise AssertionError(f"grade n={n} passes every gate")
 
 
-@dataclass(frozen=True)
 class RatioProfile:
-    """Observed multiplicity shares at grade n against the dimension limits."""
+    """Observed multiplicity shares at grade n against the dimension limits.
 
-    n: int
-    observed: tuple[Fraction, ...]
-    limits: tuple[Fraction, ...]
-    max_deviation: float
-    mv: MultiplicityVector
+    observed and limits are floats, each share one int/int division, so
+    each is the float nearest to the exact share; so is max_deviation.
+    """
+
+    __slots__ = ("n", "observed", "limits", "max_deviation", "mv")
+
+    def __init__(self, n: int, observed: tuple[float, ...], limits: tuple[float, ...],
+                 max_deviation: float, mv: MultiplicityVector) -> None:
+        self.n = n
+        self.observed = observed
+        self.limits = limits
+        self.max_deviation = max_deviation
+        self.mv = mv
 
 
 def dimension_limits(table: CharacterTable) -> tuple[Fraction, ...]:
+    from fractions import Fraction
+
     total = sum(chi.dim for chi in table.irreps)
     return tuple(Fraction(chi.dim, total) for chi in table.irreps)
 
 
 def ratio_profile(table: CharacterTable, n_list, coeff_provider) -> list[RatioProfile]:
     """Per-grade multiplicity shares m_i/sum m_j against dim chi_i/sum dims."""
-    limits = dimension_limits(table)
+    dims = [chi.dim for chi in table.irreps]
+    total_dim = sum(dims)
+    limits = tuple(d / total_dim for d in dims)
     out = []
     for n in n_list:
         if n < 1:
@@ -110,8 +140,11 @@ def ratio_profile(table: CharacterTable, n_list, coeff_provider) -> list[RatioPr
         total = sum(mv.m)
         if total <= 0:
             raise DecompositionError(f"grade n={n} has nonpositive total multiplicity {total}")
-        obs = tuple(Fraction(mi, total) for mi in mv.m)
-        dev = max(abs(float(o - l)) for o, l in zip(obs, limits))
+        obs = tuple(mi / total for mi in mv.m)
+        # |m_i/total - dim_i/total_dim| over one common denominator; the
+        # division is monotone, so the largest numerator gives the maximum.
+        dev = max(abs(mi * total_dim - d * total) for mi, d in zip(mv.m, dims)) \
+            / (total * total_dim)
         out.append(RatioProfile(n, obs, limits, dev, mv))
     return out
 
@@ -126,4 +159,3 @@ def free_part_split(mv: MultiplicityVector, table: CharacterTable
     r1 = min(mv.m[i] // chi.dim for i, chi in enumerate(table.irreps))
     rest = tuple(mv.m[i] - r1 * chi.dim for i, chi in enumerate(table.irreps))
     return r1, MultiplicityVector(mv.n, rest)
-

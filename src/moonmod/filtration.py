@@ -14,11 +14,12 @@ identity enforced) and asymptotic (a residue class n0 mod N, no
 coefficients).  For large n the sign of c_g(n) is that of the leading
 Rademacher term, Re K_{n_g}(n), so sign_profile reads each class's pattern
 of period n_g from (n_g, h_g) alone; an entry is 0 only where that real
-part vanishes exactly.  The level algebra is exact and rational: each
+part vanishes exactly.  The level algebra is exact and in integers: each
 level keeps its class functions as integer rows over the character basis,
 the sign-weighted class sums of one element order are rational because
-coefficients are Galois-invariant, and directions are normalized to
-canonical nonnegative integer vectors.
+coefficients are Galois-invariant and are kept doubled, as integers,
+ratios are compared by cross-multiplication, and directions are
+normalized to canonical nonnegative integer vectors.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .chartab import CharacterTable, class_sums, distinct_orders
 from .decomp import MultiplicityVector
@@ -64,12 +64,14 @@ class StructureViolation(FiltrationError):
 
 # -- leading-term sign patterns ----------------------------------------------
 
-@dataclass(frozen=True)
 class SignProfile:
     """Leading sign of c_g(n) for each class, as a pattern indexed by n mod n_g."""
 
-    patterns: dict[str, tuple[int, ...]]
-    N: int  # lcm of the pattern lengths
+    __slots__ = ("patterns", "N")
+
+    def __init__(self, patterns: dict[str, tuple[int, ...]], N: int) -> None:
+        self.patterns = patterns
+        self.N = N  # lcm of the pattern lengths
 
     def sign(self, class_name: str, n: int) -> int:
         pattern = self.patterns[class_name]
@@ -157,18 +159,21 @@ def _sign_lookup(signs, class_name: str, n: int | None) -> int:
 
 # -- level algebra -----------------------------------------------------------
 
-@dataclass
 class ClassFunctionLevel:
     """State after l elimination steps: f_i^{(l)} = sum_k rows[i][k] chi_k as
     integer rows over the character basis, the active (surviving) irrep
     indices and the current integer direction L over them.  Rows of irreps
     no longer active are left as they were and never read."""
 
-    level: int
-    order: int  # element order e_l this level's direction belongs to
-    rows: list[tuple[int, ...]]
-    active: tuple[int, ...]
-    direction: dict[int, int]  # active index -> coefficient
+    __slots__ = ("level", "order", "rows", "active", "direction")
+
+    def __init__(self, level: int, order: int, rows: list[tuple[int, ...]],
+                 active: tuple[int, ...], direction: dict[int, int]) -> None:
+        self.level = level
+        self.order = order  # element order e_l this level's direction belongs to
+        self.rows = rows
+        self.active = active
+        self.direction = direction  # active index -> coefficient
 
 
 def _character_level(table: CharacterTable) -> ClassFunctionLevel:
@@ -180,43 +185,50 @@ def _character_level(table: CharacterTable) -> ClassFunctionLevel:
 
 
 def _order_sums(table: CharacterTable, signs, n: int | None, order: int
-                ) -> list[Fraction]:
-    """w_k = sum over classes of the given order of |[g]| sgn(c_g) chi_k(g).
+                ) -> list[int]:
+    """2 w_k, with w_k = sum over classes of the given order of
+    |[g]| sgn(c_g) chi_k(g), one dot product each with the table's integer
+    matrices (CharacterTable.sized_numerators).
 
     Coefficients are Galois-invariant, so their signs agree on conjugate
     classes and every w_k is rational; signs that differ there can only
     come from hand-made input, which is refused.
     """
-    weights = [c.size * _sign_lookup(signs, c.name, n) if c.element_order == order
-               else 0 for c in table.classes]
-    sums = class_sums(table, weights)
-    if any(s != 1 for twice in sums for s in twice):
+    rational, irrational = table.sized_numerators()
+    sgn = [_sign_lookup(signs, c.name, n) if c.element_order == order else 0
+           for c in table.classes]
+    if any(sum(map(mul, row, sgn)) for row in irrational):
+        sums = class_sums(table, [c.size * s for c, s in zip(table.classes, sgn)])
         raise IrrationalDirection(order, tuple(sums))
-    return [Fraction(twice.get(1, 0), 2) for twice in sums]
+    return [sum(map(mul, row, sgn)) for row in rational]
 
 
 def minimizer_set(table: CharacterTable, level: ClassFunctionLevel,
                   signs, n: int | None, order: int
-                  ) -> tuple[tuple[int, ...], dict[int, Fraction]]:
+                  ) -> tuple[tuple[int, ...], dict[int, int]]:
     """Active indices minimizing nu_i / L(i) over entries with L(i) > 0,
-    where nu_i = sum_k rows[i][k] w_k.  Returns (J, nu)."""
+    where nu_i = sum_k rows[i][k] w_k.  Returns (J, 2 nu) with 2 nu_i an
+    integer; the ratios are compared by cross-multiplication."""
     w = _order_sums(table, signs, n, order)
-    nu = {i: sum((a * wk for a, wk in zip(level.rows[i], w) if a), Fraction(0))
-          for i in level.active}
-    candidates = [i for i in level.active if level.direction[i] > 0]
+    nu = {i: sum(map(mul, level.rows[i], w)) for i in level.active}
+    L = level.direction
+    candidates = [i for i in level.active if L[i] > 0]
     if not candidates:
         raise DegenerateLevel(order, "all normalizers zero")
     if not any(nu.values()):
         raise DegenerateLevel(order)
-    ratios = {i: nu[i] / level.direction[i] for i in candidates}
-    best = min(ratios.values())
-    return tuple(i for i in candidates if ratios[i] == best), nu
+    b = candidates[0]
+    for i in candidates:
+        if nu[i] * L[b] < nu[b] * L[i]:
+            b = i
+    return tuple(i for i in candidates if nu[i] * L[b] == nu[b] * L[i]), nu
 
 
 def next_class_function(level: ClassFunctionLevel, J: tuple[int, ...],
-                        nu: dict[int, Fraction], order: int) -> ClassFunctionLevel:
+                        nu: dict[int, int], order: int) -> ClassFunctionLevel:
     """Eliminate the minimizer: f_i' = f_i L(j') - L(i) f_{j'}, with the new
-    direction L'(i) = L(j') nu_i - L(i) nu_{j'} over the shrunken active set."""
+    direction L'(i) = L(j') nu_i - L(i) nu_{j'} over the shrunken active set
+    (nu as minimizer_set returns it, twice the sums)."""
     jp = min(J)
     Ljp = level.direction[jp]
     new_active = tuple(i for i in level.active if i not in J)
@@ -229,41 +241,52 @@ def next_class_function(level: ClassFunctionLevel, J: tuple[int, ...],
                               direction_vector(raw, order))
 
 
-def direction_vector(raw: dict[int, Fraction], order: int) -> dict[int, int]:
-    """Canonical direction: rational raw entries cleared to coprime
-    nonnegative integers; a negative entry is a structure violation."""
+def direction_vector(raw: dict[int, int], order: int) -> dict[int, int]:
+    """Canonical direction: the raw entries, given doubled as integers,
+    divided by their gcd to coprime nonnegative integers; a negative entry
+    is a structure violation."""
     neg = {i: f for i, f in raw.items() if f < 0}
     if neg:
+        from fractions import Fraction
+
+        neg = {i: Fraction(f, 2) for i, f in neg.items()}
         raise StructureViolation(
             f"negative direction entries at order {order}: {neg}"
         )
-    denom = math.lcm(*(f.denominator for f in raw.values()))
-    ints = {i: int(f * denom) for i, f in raw.items()}
-    g = math.gcd(*ints.values()) or 1
-    return {i: v // g for i, v in ints.items()}
+    g = math.gcd(*raw.values()) or 1
+    return {i: v // g for i, v in raw.items()}
 
 
 # -- filtration results ------------------------------------------------------
 
-@dataclass(frozen=True)
 class ChainLevel:
-    level_order: int
-    r: int | None  # None in asymptotic mode
-    direction: dict[int, int]  # support index -> coefficient
-    support: tuple[int, ...]  # X_j
-    J: tuple[int, ...]  # minimizer set defining the next level (empty at the end)
+    __slots__ = ("level_order", "r", "direction", "support", "J")
+
+    def __init__(self, level_order: int, r: int | None, direction: dict[int, int],
+                 support: tuple[int, ...], J: tuple[int, ...]) -> None:
+        self.level_order = level_order
+        self.r = r  # None in asymptotic mode
+        self.direction = direction  # support index -> coefficient
+        self.support = support  # X_j
+        self.J = J  # minimizer set defining the next level (empty at the end)
 
 
-@dataclass(frozen=True)
 class FiltrationResult:
-    mode: str  # "exact" or "asymptotic"
-    n: int | None
-    residue: tuple[int, int] | None  # (n0, N) in asymptotic mode
-    chain: tuple[ChainLevel, ...]
-    residual: tuple[int, ...] | None  # L_eps over all irreps (exact mode)
-    order_blocks: tuple[tuple[int, ...], ...]
-    skipped_orders: tuple[int, ...]
+    __slots__ = ("mode", "n", "residue", "chain", "residual", "order_blocks",
+                 "skipped_orders")
     approximate = False  # schema 1 field; the level algebra is always exact
+
+    def __init__(self, mode: str, n: int | None, residue: tuple[int, int] | None,
+                 chain: tuple[ChainLevel, ...], residual: tuple[int, ...] | None,
+                 order_blocks: tuple[tuple[int, ...], ...],
+                 skipped_orders: tuple[int, ...]) -> None:
+        self.mode = mode  # "exact" or "asymptotic"
+        self.n = n
+        self.residue = residue  # (n0, N) in asymptotic mode
+        self.chain = chain
+        self.residual = residual  # L_eps over all irreps (exact mode)
+        self.order_blocks = order_blocks
+        self.skipped_orders = skipped_orders
 
 
 def _chain(table: CharacterTable, signs, n: int, remaining: list[int] | None):
@@ -362,11 +385,10 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
     # The order-e2 class with the fastest growth (smallest n_g).
     g = min((c for c in table.classes if c.element_order == e2), key=lambda c: c.ng)
     prefactor = asymptotic_leading(ClassParams(g.ng, g.hg, g.name), n) / table.group_order
-    out = []
-    for i in range(len(table.irreps)):
-        bracket = nu[i] - nu[jp] * Fraction(dims[i], dims[jp])
-        out.append(prefactor * float(bracket))
-    return out
+    # The bracket sum_k f'_i(g_k) ... = nu_i - nu_j' dim_i / dim_j', over one
+    # integer denominator (nu is twice the sums) and rounded once.
+    return [prefactor * ((nu[i] * dims[jp] - nu[jp] * dims[i]) / (2 * dims[jp]))
+            for i in range(len(table.irreps))]
 
 
 # -- serialization -----------------------------------------------------------

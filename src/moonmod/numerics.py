@@ -9,13 +9,13 @@ dedekind_six_c and the exact phase numerators of K_c(n), over every d,
 define the Kloosterman sum term by term; the filtration reads its
 leading-term signs from them.  kloosterman_sum is the plain-Python
 reference of moonmod.kernels, one root at a time of the sum's Selberg
-form.  mpmath is imported inside the two functions that use it.
+form.  mpmath is imported inside the two functions that use it, and
+fractions inside the two that take or return a Fraction.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 # Decimal digits of the mpmath evaluations when the caller names none.
 WORKING_DIGITS = 80
@@ -27,6 +27,8 @@ def unit_exp(x, digits: int = WORKING_DIGITS) -> mpmath.mpc:
     Accepts Fraction, int, float or mpf.  Rational arguments are reduced
     exactly, so e(x + 1) == e(x) at the representation level.
     """
+    from fractions import Fraction
+
     import mpmath
 
     if isinstance(x, (int, Fraction)):
@@ -61,6 +63,8 @@ def dedekind_sum(d: int, c: int) -> Fraction:
 
     Requires c >= 1 and gcd(d, c) = 1; d is reduced mod c first.
     """
+    from fractions import Fraction
+
     if c <= 0:
         raise ValueError("dedekind_sum requires c >= 1")
     d %= c

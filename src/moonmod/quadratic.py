@@ -10,8 +10,6 @@ part), and mul_roots says where the product of two roots lands.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from fractions import Fraction
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
@@ -37,21 +35,33 @@ def is_squarefree(d: int) -> bool:
     return squarefree_decompose(abs(d))[0] == 1
 
 
-@dataclass(frozen=True)
 class QuadraticValue:
-    """(a + b*sqrt(d))/2 with a, b integers and d squarefree."""
+    """(a + b*sqrt(d))/2 with a, b integers and d squarefree; a value, never
+    changed after it is made (it is hashed)."""
 
-    a: int
-    b: int
-    d: int = 1
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self) -> None:
-        if not is_squarefree(self.d):
-            raise ValueError(f"d = {self.d} is not squarefree")
-        if self.d == 1 and self.b != 0:
+    def __init__(self, a: int, b: int, d: int = 1) -> None:
+        if not is_squarefree(d):
+            raise ValueError(f"d = {d} is not squarefree")
+        if d == 1 and b != 0:
             raise ValueError("d = 1 requires b = 0")
-        if self.b == 0 and self.d != 1:
+        if b == 0 and d != 1:
             raise ValueError("b = 0 requires d = 1")
+        self.a = a
+        self.b = b
+        self.d = d
+
+    def __eq__(self, other):
+        if type(other) is not QuadraticValue:
+            return NotImplemented
+        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
+
+    def __repr__(self) -> str:
+        return f"QuadraticValue(a={self.a!r}, b={self.b!r}, d={self.d!r})"
 
     @classmethod
     def integer(cls, v: int) -> "QuadraticValue":
@@ -62,6 +72,8 @@ class QuadraticValue:
         return self.b == 0
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if not self.is_rational:
             raise ValueError("value is irrational")
         return Fraction(self.a, 2)

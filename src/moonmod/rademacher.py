@@ -39,7 +39,6 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 from .numerics import WORKING_DIGITS, bessel_i_half, dedekind_sum, unit_exp
 from .chartab import CharacterTable
@@ -53,18 +52,17 @@ HEAD_SWITCH = 20.0
 DEDEKIND_MODE = "classical"
 
 
-@dataclass(frozen=True)
 class ClassParams:
-    ng: int
-    hg: int
-    class_name: str
+    __slots__ = ("ng", "hg", "class_name")
 
-    def __post_init__(self) -> None:
-        if self.ng < 1 or self.hg < 1:
+    def __init__(self, ng: int, hg: int, class_name: str) -> None:
+        if ng < 1 or hg < 1:
             raise ValueError("ng and hg must be positive")
+        self.ng = ng
+        self.hg = hg
+        self.class_name = class_name
 
 
-@dataclass(frozen=True)
 class TruncationPolicy:
     """Adaptive truncation parameters, the engine's one configuration.
 
@@ -85,32 +83,39 @@ class TruncationPolicy:
     pairs, d < c; the primary gate runs after each chunk.
     """
 
-    c_max_initial: int = 50
-    c_max_limit: int = 60000
-    residual_tolerance: float = 1e-4
-    stability_window: int = 3
-    stability_tolerance: float = 0.05
-    stability_min_run: int = 200
+    __slots__ = ("c_max_initial", "c_max_limit", "residual_tolerance",
+                 "stability_window", "stability_tolerance", "stability_min_run")
 
-    def __post_init__(self) -> None:
-        if self.c_max_initial > self.c_max_limit:
+    def __init__(self, c_max_initial: int = 50, c_max_limit: int = 60000,
+                 residual_tolerance: float = 1e-4, stability_window: int = 3,
+                 stability_tolerance: float = 0.05, stability_min_run: int = 200) -> None:
+        if c_max_initial > c_max_limit:
             raise ValueError("c_max_initial must not exceed c_max_limit")
-        if not 0.0 < self.residual_tolerance < 0.5:
+        if not 0.0 < residual_tolerance < 0.5:
             raise ValueError("residual_tolerance must lie in (0, 0.5)")
-        if self.stability_window < 1:
+        if stability_window < 1:
             raise ValueError("stability_window must be positive")
-        if not self.stability_tolerance < 0.5:
+        if not stability_tolerance < 0.5:
             raise ValueError("stability_tolerance must be below 0.5")
+        self.c_max_initial = c_max_initial
+        self.c_max_limit = c_max_limit
+        self.residual_tolerance = residual_tolerance
+        self.stability_window = stability_window
+        self.stability_tolerance = stability_tolerance
+        self.stability_min_run = stability_min_run
 
 
-@dataclass(frozen=True)
 class CoefficientRecord:
-    class_name: str
-    n: int
-    value: int
-    residual: float
-    c_max_used: int
-    gate: str = "dip"  # "dip" (residual tolerance met) or "stability"
+    __slots__ = ("class_name", "n", "value", "residual", "c_max_used", "gate")
+
+    def __init__(self, class_name: str, n: int, value: int, residual: float,
+                 c_max_used: int, gate: str = "dip") -> None:
+        self.class_name = class_name
+        self.n = n
+        self.value = value
+        self.residual = residual
+        self.c_max_used = c_max_used
+        self.gate = gate  # "dip" (residual tolerance met) or "stability"
 
     def json_fields(self) -> dict:
         """The fields of a stored record and of coeff --format json."""
@@ -234,9 +239,15 @@ class CoefficientCache:
                 continue
             self.records.setdefault(key, rec)
 
-    def to_record(self, rec: dict) -> CoefficientRecord:
+    @staticmethod
+    def checked(rec: dict) -> dict:
+        """rec itself, if it was made with DEDEKIND_MODE; else RecordModeError."""
         if rec.get("mode") != DEDEKIND_MODE:
             raise RecordModeError(rec)
+        return rec
+
+    def to_record(self, rec: dict) -> CoefficientRecord:
+        self.checked(rec)
         return CoefficientRecord(
             class_name=rec["class"],
             n=int(rec["n"]),
@@ -302,11 +313,20 @@ def polar_coefficient(params: ClassParams) -> int:
 
 def _chunk_end(lo: int, step: int, budget: int) -> int:
     """Last c of the chunk from lo: at most budget nominal (c, d) pairs, d < c,
-    and at least one c."""
-    first = end = -(-lo // step) * step
-    while ((end - first) // step + 2) * (first + end + step - 2) <= 2 * budget:
-        end += step
-    return end
+    and at least one c.
+
+    From first, the first c of the grid at or past lo, x c's hold
+    x (first - 1) + step x (x - 1) / 2 pairs, so x fits while
+    q(x) = step x^2 + b x <= 2 budget with b = 2 first - step - 2.  The
+    root of q - 2 budget, taken with an integer square root, is exact or
+    one short; one check of the inequality settles it.
+    """
+    first = -(-lo // step) * step
+    b = 2 * first - step - 2
+    x = (math.isqrt(b * b + 8 * step * budget) - b) // (2 * step)
+    if step * (x + 1) ** 2 + b * (x + 1) <= 2 * budget:
+        x += 1
+    return first + max(x - 1, 0) * step
 
 
 def _series_digits(n: int) -> int:
@@ -501,10 +521,16 @@ class RademacherEngine:
                     out[n] = self.cache.to_record(cached)
                 else:
                     todo.append(n)
-        if not todo:
-            return out
-        states = self._sweep(params, todo)
-        for n in todo:
+        if todo:
+            out.update(self._compute(params, todo))
+        return out
+
+    def _compute(self, params: ClassParams, grades: list[int]
+                 ) -> dict[int, CoefficientRecord]:
+        """Sweep grades the store does not hold and append their records."""
+        states = self._sweep(params, grades)
+        out = {}
+        for n in grades:
             st = states[n]
             if not st.done:
                 raise NonConvergent(params.class_name, n, float(st.best_raw), st.best_res)
@@ -521,7 +547,13 @@ class RademacherEngine:
         return ClassParams(c.ng, c.hg, c.name)
 
     def value(self, class_name: str, n: int) -> int:
-        return self.coefficient(self.params_for(class_name), n).value
+        """c_g(n); a store hit is read from the stored record as it is."""
+        if n < 1:
+            return self.coefficient(self.params_for(class_name), n).value
+        rec = self.cache.get(self.group, class_name, n)
+        if rec is None:
+            return self._compute(self.params_for(class_name), [n])[n].value
+        return int(self.cache.checked(rec)["value"])
 
     def coefficient_range(self, class_name: str, n_lo: int, n_hi: int
                           ) -> list[CoefficientRecord]:

@@ -299,6 +299,32 @@ def test_cache_file_overlays_packaged_store(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_cache_command_finds_the_ambient_store(tmp_path, monkeypatch, capsys):
+    """Under MOONMOD_CACHE, A5 commands read and append to m24_coeffs.ldjson
+    (their engine runs on M24), so `cache --group a5` reports and clears
+    that file, for a bundled name and for a table path alike."""
+    line = json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "90",
+                       "residual": 1e-5, "c_max_used": 127, "mode": "classical",
+                       "gate": "dip"}, sort_keys=True)
+    store = tmp_path / "m24_coeffs.ldjson"
+    store.write_text(line + "\n")
+    monkeypatch.setenv("MOONMOD_CACHE", str(tmp_path))
+    a5_path = str(resources.files("moonmod.data").joinpath("a5.table"))
+    for group in ("a5", a5_path):
+        assert run(capsys, ["cache", "--group", group]) == \
+            (0, f"{store}: 1 records\n  1A: 1\n", "")
+    assert run(capsys, ["cache", "--group", "a5", "--clear"]) == (0, f"removed {store}\n", "")
+    assert not store.exists()
+
+
+def test_cache_flag_loads_no_table(tmp_path, monkeypatch, capsys):
+    store = tmp_path / "anything.ldjson"
+    store.write_text("")
+    monkeypatch.setattr(moonmod.cli, "_load_group", None)
+    assert run(capsys, ["cache", "--group", "a5", "--cache", str(store)]) == \
+        (0, f"{store}: 0 records\n", "")
+
+
 def test_cache_record_with_foreign_mode_refused(tmp_path, capsys):
     path = tmp_path / "m24_coeffs.ldjson"
     path.write_text(json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "90",
@@ -315,15 +341,19 @@ def test_cache_record_with_foreign_mode_refused(tmp_path, capsys):
 # The directory that holds the moonmod under test.
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(moonmod.cli.__file__)))
 
-# Runs main(argv) in a fresh interpreter; its last two stderr lines name the
-# numeric modules and the moonmod modules loaded by then.
+# Runs main(argv) in a fresh interpreter; its last three stderr lines name
+# the numeric modules, the moonmod modules, and those of dataclasses,
+# inspect, fractions and decimal that the bare interpreter had not loaded.
 CHILD = (
     "import sys\n"
+    "bare = set(sys.modules)\n"
     "from moonmod.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "sys.stdout.flush()\n"
     "print(*[m for m in ('numpy', 'mpmath') if m in sys.modules], file=sys.stderr)\n"
     "print(*sorted(m for m in sys.modules if m.startswith('moonmod.')), file=sys.stderr)\n"
+    "print(*[m for m in ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+    "        if m in sys.modules and m not in bare], file=sys.stderr)\n"
     "raise SystemExit(code)\n"
 )
 
@@ -346,8 +376,8 @@ WARM_COMMANDS = [
 
 
 def run_child(argv, src_dir):
-    """(exit code, stdout, numeric modules, moonmod modules) of main(argv) in a
-    fresh interpreter.
+    """(exit code, stdout, numeric modules, moonmod modules, record and
+    fraction modules) of main(argv) in a fresh interpreter.
 
     moonmod is a namespace package, so src_dir is the only entry put on
     PYTHONPATH: another copy there would merge its data files in.
@@ -356,8 +386,8 @@ def run_child(argv, src_dir):
     env.pop("MOONMOD_CACHE", None)
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
                           text=True, env=env)
-    numeric, modules = proc.stderr.splitlines()[-2:]
-    return proc.returncode, proc.stdout, numeric.split(), modules.split()
+    numeric, modules, stdlib = proc.stderr.splitlines()[-3:]
+    return proc.returncode, proc.stdout, numeric.split(), modules.split(), stdlib.split()
 
 
 # The moonmod modules a warm command must not load: each command imports
@@ -376,8 +406,8 @@ def test_warm_command_loads_no_numeric_stack(argv, tmp_path, capsys):
     shutil.copyfile(REPO_CACHE, store)
     before = store.read_bytes()
     argv = argv + ["--cache", str(store)]
-    code, out, numeric, modules = run_child(argv, SRC_DIR)
-    assert (code, numeric) == (0, [])
+    code, out, numeric, modules, stdlib = run_child(argv, SRC_DIR)
+    assert (code, numeric, stdlib) == (0, [], [])
     assert "moonmod.chartab" in modules
     assert not NOT_LOADED.get(argv[0], {"moonmod.kernels"}) & set(modules)
     assert run(capsys, argv) == (0, out, "")
@@ -405,7 +435,7 @@ def test_cold_coeff_loads_numeric_stack(tmp_path):
                     ignore=shutil.ignore_patterns("*.ldjson", "__pycache__"))
     store = tmp_path / "m24_coeffs.ldjson"
     store.write_text("")
-    code, out, numeric, _ = run_child(["coeff", "--class", "1A", "--n", "1",
+    code, out, numeric, _, _ = run_child(["coeff", "--class", "1A", "--n", "1",
                                        "--cache", str(store)], str(tmp_path / "src"))
     assert code == 0 and out.splitlines()[1].split(",")[:3] == ["1A", "1", "90"]
     assert sorted(numeric) == ["mpmath", "numpy"]

@@ -1,0 +1,168 @@
+"""The integer grade algebra against a Fraction reference.
+
+decomp and filtration compute multiplicities, shares, minimizer sets,
+directions and the non-free prediction from the table's integer matrices.
+The reference below is the same algebra over class_sums and Fractions;
+every float must come out ==, not merely close, because an int/int true
+division and float(Fraction) both round the exact quotient once.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from moonmod.chartab import FusedProvider, class_sums, distinct_orders
+from moonmod.decomp import NonIntegral, multiplicities, ratio_profile
+from moonmod.filtration import (DegenerateLevel, _character_level, minimizer_set,
+                                next_class_function, nonfree_asymptotic, signs_at)
+from moonmod.rademacher import ClassParams, asymptotic_leading
+
+GRADES = range(1, 61)
+
+
+class ShiftedStore:
+    """Provider over the packaged store with some values shifted:
+    shift maps (class name, n) to the amount added."""
+
+    def __init__(self, cache, shift):
+        self.cache = cache
+        self.shift = shift
+
+    def value(self, name, n):
+        return int(self.cache.get("M24", name, n)["value"]) + self.shift.get((name, n), 0)
+
+
+# -- the Fraction reference ---------------------------------------------------
+
+def ref_multiplicities(table, values):
+    sums = class_sums(table, [c.size * v for c, v in zip(table.classes, values)])
+    out = []
+    for twice in sums:
+        assert set(twice) <= {1}
+        m = Fraction(twice.get(1, 0), 2 * table.group_order)
+        assert m.denominator == 1
+        out.append(int(m))
+    return tuple(out)
+
+
+def ref_shares(table, m):
+    total = sum(m)
+    dims = [chi.dim for chi in table.irreps]
+    obs = [Fraction(mi, total) for mi in m]
+    limits = [Fraction(d, sum(dims)) for d in dims]
+    dev = max(abs(float(o - l)) for o, l in zip(obs, limits))
+    return [float(o) for o in obs], [float(l) for l in limits], dev
+
+
+def ref_order_sums(table, signs, order):
+    weights = [c.size * signs[c.name] if c.element_order == order else 0
+               for c in table.classes]
+    return [Fraction(twice.get(1, 0), 2) for twice in class_sums(table, weights)]
+
+
+def ref_minimizer(table, level, signs, order):
+    """(J, nu) with nu as Fractions: the minimum ratio taken over Fractions."""
+    w = ref_order_sums(table, signs, order)
+    nu = {i: sum((a * wk for a, wk in zip(level.rows[i], w)), Fraction(0))
+          for i in level.active}
+    candidates = [i for i in level.active if level.direction[i] > 0]
+    if not candidates or not any(nu.values()):
+        return None, nu
+    ratios = {i: nu[i] / level.direction[i] for i in candidates}
+    best = min(ratios.values())
+    return tuple(i for i in candidates if ratios[i] == best), nu
+
+
+def ref_direction(level, J, nu):
+    jp = min(J)
+    raw = {i: level.direction[jp] * nu[i] - level.direction[i] * nu[jp]
+           for i in level.active if i not in J}
+    denom = math.lcm(*(f.denominator for f in raw.values()))
+    ints = {i: int(f * denom) for i, f in raw.items()}
+    g = math.gcd(*ints.values()) or 1
+    return {i: v // g for i, v in ints.items()}
+
+
+def ref_nonfree(table, signs, n):
+    e2 = distinct_orders(table)[1]
+    J, nu = ref_minimizer(table, _character_level(table), signs, e2)
+    jp = min(J)
+    dims = [chi.dim for chi in table.irreps]
+    g = min((c for c in table.classes if c.element_order == e2), key=lambda c: c.ng)
+    prefactor = asymptotic_leading(ClassParams(g.ng, g.hg, g.name), n) / table.group_order
+    return [prefactor * float(nu[i] - nu[jp] * Fraction(dims[i], dims[jp]))
+            for i in range(len(dims))]
+
+
+# -- the tests -----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def providers(m24_table, a5_table, engine):
+    return [(m24_table, engine), (a5_table, FusedProvider(a5_table, engine))]
+
+
+def test_matrix_decomposition_equals_class_sums(providers):
+    for table, provider in providers:
+        for n in GRADES:
+            values = [provider.value(c.name, n) for c in table.classes]
+            assert multiplicities(table, n, provider).m == \
+                ref_multiplicities(table, values), (table.group_name, n)
+
+
+def test_shares_and_deviation_equal_fraction_reference(providers):
+    for table, provider in providers:
+        for prof in ratio_profile(table, GRADES, provider):
+            obs, limits, dev = ref_shares(table, prof.mv.m)
+            assert list(prof.observed) == obs and list(prof.limits) == limits
+            assert prof.max_deviation == dev, (table.group_name, prof.n)
+
+
+def test_minimizer_sets_and_directions_equal_fraction_reference(providers):
+    """Every level of every exact chain: same J, nu twice the reference's,
+    and the same canonical next direction."""
+    levels = 0
+    for table, provider in providers:
+        for n in GRADES:
+            signs = signs_at(table, provider, n)
+            level = _character_level(table)
+            for order in distinct_orders(table)[1:]:
+                J_ref, nu_ref = ref_minimizer(table, level, signs, order)
+                if J_ref is None:
+                    with pytest.raises(DegenerateLevel):
+                        minimizer_set(table, level, signs, n, order)
+                    continue
+                J, nu = minimizer_set(table, level, signs, n, order)
+                assert J == J_ref, (table.group_name, n, order)
+                assert nu == {i: 2 * v for i, v in nu_ref.items()}
+                nxt = next_class_function(level, J, nu, order)
+                assert nxt.direction == ref_direction(level, J, nu_ref)
+                levels += 1
+                if not nxt.active:
+                    break
+                level = nxt
+    assert levels > 300
+
+
+def test_nonfree_prediction_equals_fraction_reference(providers):
+    for table, provider in providers:
+        for n in GRADES:
+            signs = signs_at(table, provider, n)
+            assert nonfree_asymptotic(table, signs, n) == ref_nonfree(table, signs, n)
+
+
+# The messages of the decomposition that checked the grade through
+# class_sums; a failing grade must still read exactly so.
+@pytest.mark.parametrize("n, shift, message", [
+    (5, {("1A", 5): 1},
+     "multiplicity of chi1 at n=5 is not integral: raw value 1/244823040 is not an integer"),
+    (6, {("7A", 6): 1},
+     "multiplicity of chi1 at n=6 is not integral: raw value 1/42 is not an integer"),
+    (8, {("7A", 8): 1, ("7B", 8): -1},
+     "multiplicity of chi45a at n=8 is not integral: "
+     "irrational numerators {-7: 11658240} over 489646080"),
+], ids=["1A", "7A", "7A-7B"])
+def test_perturbed_value_message(m24_table, warm_cache, n, shift, message):
+    with pytest.raises(NonIntegral) as exc:
+        multiplicities(m24_table, n, ShiftedStore(warm_cache, shift))
+    assert str(exc.value) == message

@@ -4,6 +4,7 @@ import fcntl
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -358,6 +359,64 @@ def test_chunk_end_is_the_largest_within_budget(lo, step):
     pairs = sum(c - 1 for c in cs)
     assert pairs <= budget or len(cs) == 1
     assert pairs + end + step - 1 > budget
+
+
+def _chunk_end_by_steps(lo, step, budget):
+    """The chunk end one c at a time: the reference of the closed form."""
+    first = end = -(-lo // step) * step
+    while ((end - first) // step + 2) * (first + end + step - 2) <= 2 * budget:
+        end += step
+    return end
+
+
+def test_chunk_end_closed_form_matches_steps(m24_table):
+    rng = random.Random(15)
+    steps = sorted({c.ng for c in m24_table.classes})
+    budgets = sorted({*range(1, 70), *(2 ** k + e for k in range(7, 18) for e in (-1, 0, 1)),
+                      *(rng.randrange(1, 2 ** 17 + 1) for _ in range(40))} - {2 ** 17 + 1})
+    checked = 0
+    for step in steps:
+        los = {*range(1, 3 * step + 3), 69999, 70000,
+               *(k * step + e for k in (100, 2999) for e in (-1, 0, 1)),
+               *(rng.randrange(1, 70001) for _ in range(12))}
+        for lo in los:
+            for budget in budgets:
+                assert _chunk_end(lo, step, budget) == _chunk_end_by_steps(lo, step, budget), \
+                    (lo, step, budget)
+                checked += 1
+    assert checked > 50000
+
+
+def test_store_hit_builds_no_record(m24_table, warm_cache, monkeypatch):
+    """value() answers a hit from the stored dict: no ClassParams, no record."""
+    eng = RademacherEngine(m24_table, cache=warm_cache)
+
+    def refuse(*_args):
+        raise AssertionError("a store hit built a record")
+
+    monkeypatch.setattr(CoefficientCache, "to_record", refuse)
+    monkeypatch.setattr(RademacherEngine, "params_for", refuse)
+    before = warm_cache.hits
+    assert [eng.value("1A", n) for n in (1, 2, 3)] == [90, 462, 1540]
+    assert warm_cache.hits == before + 3
+
+
+def test_store_miss_is_looked_up_once(m24_table, monkeypatch):
+    """A miss goes on to the sweep without a second lookup; its record is stored."""
+    cache = CoefficientCache(None)
+    lookups = []
+    get = CoefficientCache.get
+
+    def counting(self, *key):
+        lookups.append(key)
+        return get(self, *key)
+
+    monkeypatch.setattr(CoefficientCache, "get", counting)
+    eng = RademacherEngine(m24_table, cache=cache)
+    assert eng.value("1A", 1) == 90
+    assert lookups == [("M24", "1A", 1)]
+    assert cache.records[("M24", "1A", 1)]["value"] == "90"
+    assert eng.value("1A", 1) == 90 and cache.hits == 1
 
 
 # Appends records n = 1..count of one class to the cache file named in argv,
