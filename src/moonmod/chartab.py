@@ -8,16 +8,20 @@ each sum of products of values (a + b sqrt(d))/2 is kept as integer
 numerators keyed by squarefree radicand, so a class may mix values from
 several quadratic fields.  The rational part of a sum is one integer dot
 product; only the entries with b != 0 add cross terms.  Bundled files for
-M24 and A5 live in the package data.
+M24 and A5 live in DATA_DIR, the package's data directory.
 """
 
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 from operator import mul
 
 from .quadratic import QuadraticValue, mul_roots
+
+
+# The package data, next to the modules: installs must be unpacked files.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TableError(Exception):
@@ -298,9 +302,7 @@ def serialize(table: CharacterTable) -> bytes:
 
 def bundled_table(name: str) -> CharacterTable:
     """Load a packaged table by short name ('m24' or 'a5')."""
-    fname = f"{name.lower()}.table"
-    ref = resources.files("moonmod.data").joinpath(fname)
-    with ref.open("rb") as fh:
+    with open(os.path.join(DATA_DIR, f"{name.lower()}.table"), "rb") as fh:
         return load_table(fh)
 
 

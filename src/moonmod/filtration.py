@@ -12,14 +12,15 @@ Two modes share one chain loop: exact (a concrete grade n and its actual
 coefficient signs, integer arithmetic throughout, the reconstruction
 identity enforced) and asymptotic (a residue class n0 mod N, no
 coefficients).  For large n the sign of c_g(n) is that of the leading
-Rademacher term, Re K_{n_g}(n), so sign_profile reads each class's pattern
-of period n_g from (n_g, h_g) alone; an entry is 0 only where that real
-part vanishes exactly.  The level algebra is exact and in integers: each
-level keeps its class functions as integer rows over the character basis,
-the sign-weighted class sums of one element order are rational because
-coefficients are Galois-invariant and are kept doubled, as integers,
-ratios are compared by cross-multiplication, and directions are
-normalized to canonical nonnegative integer vectors.
+Rademacher term, K_{n_g}(n), so sign_profile reads each class's pattern
+of period n_g from (n_g, h_g) alone; an entry is 0 only where that sum,
+exactly real in its Selberg form, vanishes exactly in Z[e(1/(4 n_g))].
+The level algebra is exact and in integers: each level keeps its class
+functions as integer rows over the character basis, the sign-weighted
+class sums of one element order are rational because coefficients are
+Galois-invariant and are kept doubled, as integers, ratios are compared
+by cross-multiplication, and directions are normalized to canonical
+nonnegative integer vectors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import mul
 
 from .chartab import CharacterTable, class_sums, distinct_orders
 from .decomp import MultiplicityVector
-from .numerics import _phase_numerators, kloosterman_sum
+from .numerics import kloosterman_sum, selberg_roots
 from .rademacher import ClassParams, asymptotic_leading
 
 
@@ -110,22 +111,23 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
 
 
 def re_kloosterman_is_zero(n: int, c: int, ng: int, hg: int) -> bool:
-    """Whether Re K_c(n) vanishes exactly.
+    """Whether K_c(n), which is real, vanishes exactly.
 
-    2 Re K_c(n) = sum of z^a + z^(-a) over the phase numerators a, with z a
-    primitive base-th root of unity; it is zero iff Phi_base divides that
-    polynomial in z.
+    With a = 2j + 1 at each Selberg root j and z = e(1/(4c)), the sine at
+    that root is (z^a - z^(-a)) / 2i, so K_c(n) / sqrt(c) is 1/2i times the
+    sum of (-1)^j (z^a - z^(4c-a)); it is zero iff Phi_4c divides that
+    polynomial in z.  Its terms need not cancel in pairs.
     """
-    base, nums = _phase_numerators(n, c, ng, hg)
-    poly = [0] * base
-    for a in nums:
-        poly[a] += 1
-        poly[-a % base] += 1
-    return not any(_poly_divmod(poly, _cyclotomic(base))[1])
+    poly = [0] * (4 * c)
+    for j in selberg_roots(n, c, ng, hg):
+        sign = -1 if j & 1 else 1
+        poly[2 * j + 1] += sign
+        poly[4 * c - 2 * j - 1] -= sign
+    return not any(_poly_divmod(poly, _cyclotomic(4 * c))[1])
 
 
 def _leading_sign(r: int, ng: int, hg: int) -> int:
-    """sgn Re K_{n_g}(r): 0 only where the real part vanishes exactly."""
+    """sgn K_{n_g}(r), a real sum: 0 only where it vanishes exactly."""
     if re_kloosterman_is_zero(r, ng, ng, hg):
         return 0
     re = kloosterman_sum(r, ng, ng, hg)

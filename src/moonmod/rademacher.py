@@ -9,12 +9,13 @@ Bessel factor:
 with K_c(n) = sum_{0<=d<c, (d,c)=1} e(n d/c - 3 s(d,c)/2) e(-c d/(n_g h_g))
 and s(d, c) the classical Dedekind sum of the eta multiplier.  These are the
 Rademacher sums for the M24 twining functions on Gamma_0(n_g) of
-Cheng-Duncan (arXiv:1110.3859).  Terms with large Bessel argument are
-evaluated in mpmath with exact rational phases (partial_kloosterman, over
-every d) at _series_digits(n) decimal digits, a count derived from the
-size of the grade's leading term; the long oscillating tail runs through
-the float64 kernel in moonmod.kernels, which sums K_c(n) in its exactly
-real Selberg form, over the roots j of j(j+1)/2 = c^2/(n_g h_g) - n mod c.
+Cheng-Duncan (arXiv:1110.3859).  Every K_c(n) is evaluated in its exactly
+real Selberg form, a signed sum of sines over the roots j of
+j(j+1)/2 = c^2/(n_g h_g) - n mod c (numerics.selberg_roots).  Terms with
+large Bessel argument are evaluated in mpmath (partial_kloosterman) at
+_series_digits(n) decimal digits, a count derived from the size of the
+grade's leading term; the long oscillating tail runs through the float64
+kernel in moonmod.kernels.
 numpy, mpmath and the kernels are imported inside the functions that
 compute a coefficient, so a command served from the store loads none of
 them.
@@ -29,8 +30,8 @@ c_max_limit when the final run has reached stability_min_run.  Chunks
 double from c_max_initial, capped at 65536 nominal (c, d) pairs, d < c
 (the kernel tests about c/2 lifts per c).  The engine's one configuration
 is its TruncationPolicy.  Grades are swept in batches per class, one root
-search per c serving every grade.  The tail is exactly real; the
-imaginary part the gates check comes from the head.
+search per c serving every grade.  Head and tail are both real, so the
+gates read the real partial sums only.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import math
 import os
 import threading
 
-from .numerics import WORKING_DIGITS, bessel_i_half, dedekind_sum, unit_exp
-from .chartab import CharacterTable
+from .numerics import WORKING_DIGITS, bessel_i_half, selberg_roots
+from .chartab import DATA_DIR, CharacterTable
 
 # Bessel argument above which terms are evaluated at full precision; below
 # it float64 keeps absolute term error well under the integrality tolerance.
@@ -266,34 +267,25 @@ def bundled_cache(path: str | os.PathLike | None = None) -> CoefficientCache:
     is in-memory only; fresh computations are kept for the session but not
     persisted.
     """
-    from importlib import resources
-
     cache = CoefficientCache(path)
-    ref = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
-    if ref.is_file():
-        with ref.open("r", encoding="utf-8") as fh:
+    store = os.path.join(DATA_DIR, "m24_coeffs.ldjson")
+    if os.path.isfile(store):
+        with open(store, "r", encoding="utf-8") as fh:
             cache.seed(fh.read().splitlines())
     return cache
 
 
 def partial_kloosterman(n: int, c: int, params: ClassParams,
                         digits: int = WORKING_DIGITS):
-    """Exact-phase Kloosterman sum K_c(n), each term to digits decimal digits."""
-    from fractions import Fraction
-
+    """K_c(n) as a real mpf to digits decimal digits, by its Selberg form."""
     import mpmath
 
-    if c < 1:
-        raise ValueError("c must be positive")
-    m = params.ng * params.hg
-    total = mpmath.mpc(0)
-    for d in range(c):
-        if math.gcd(d, c) != 1:
-            continue
-        s = dedekind_sum(d, c)
-        theta = Fraction(n * d, c) - Fraction(3, 2) * s - Fraction(c * d, m)
-        total += unit_exp(theta, digits)
-    return total
+    with mpmath.workdps(digits):
+        total = mpmath.mpf(0)
+        for j in selberg_roots(n, c, params.ng, params.hg):
+            s = mpmath.sinpi(mpmath.mpf(2 * j + 1) / (2 * c))
+            total += -s if j & 1 else s
+        return mpmath.sqrt(c) * total
 
 
 def asymptotic_leading(params: ClassParams, n: int) -> float:
@@ -336,16 +328,14 @@ def _series_digits(n: int) -> int:
 
 
 class _GradeState:
-    __slots__ = ("n", "head_int", "head_frac", "cum", "cum_im",
-                 "done", "value", "residual", "c_used",
-                 "best_res", "best_raw", "gate", "stable_run", "last_rounded")
+    __slots__ = ("n", "head_int", "head_frac", "cum", "done", "value",
+                 "residual", "c_used", "best_res", "best_raw", "gate", "stable_run", "last_rounded")
 
     def __init__(self, n: int):
         self.n = n
         self.head_int = 0
         self.head_frac = 0.0
         self.cum = 0.0
-        self.cum_im = 0.0
         self.done = False
         self.value = 0
         self.residual = 0.0
@@ -392,9 +382,7 @@ class RademacherEngine:
                     x = mpmath.pi * mpmath.sqrt(q8) / (2 * c)
                     fac = 4 * mpmath.pi * bessel_i_half(x, digits) \
                         / (c * mpmath.power(q8, mpmath.mpf(1) / 4))
-                    kl = partial_kloosterman(n, c, params, digits)
-                    head_re += fac * kl.real
-                    st.cum_im += float(fac * kl.imag)
+                    head_re += fac * partial_kloosterman(n, c, params, digits)
                     c += step
                 st.head_int = int(mpmath.nint(head_re))
                 st.head_frac = float(head_re - mpmath.nint(head_re))
@@ -445,14 +433,8 @@ class RademacherEngine:
                     first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
                     run = idx - first + 1
                     gated = usable & (cs >= pol.c_max_initial)
-                    # The true coefficient is real and the tail is exactly
-                    # real; the head's imaginary part is a pure-noise
-                    # residual and gets the same absolute tolerance as the
-                    # real one.
                     accept = gated & (run >= pol.stability_window) & (
-                        resid <= pol.residual_tolerance) & (
-                        abs(st.cum_im) <= np.maximum(
-                            pol.residual_tolerance, 1e-10 * np.abs(st.head_int + cum)))
+                        resid <= pol.residual_tolerance)
                     hits = np.flatnonzero(accept)
                     end = int(hits[0]) + 1 if len(hits) else len(cs)
                     seen = np.flatnonzero(gated[:end])
@@ -482,19 +464,14 @@ class RademacherEngine:
         # records are re-certified exactly by decomposition downstream.
         if pol.stability_tolerance > 0:
             for st in states.values():
-                if st.done:
-                    continue
-                total_frac = st.cum
-                value_rounded = round(total_frac)
-                r = abs(total_frac - value_rounded)
-                if (st.stable_run >= pol.stability_min_run
-                        and r <= pol.stability_tolerance
-                        and abs(st.cum_im) <= max(pol.stability_tolerance,
-                                                  1e-10 * abs(st.head_int + total_frac))):
+                value_rounded = round(st.cum)
+                r = abs(st.cum - value_rounded)
+                if (not st.done and st.stable_run >= pol.stability_min_run
+                        and r <= pol.stability_tolerance):
                     st.done = True
                     st.gate = "stability"
-                    st.value = st.head_int + int(value_rounded)
-                    st.residual = float(r)
+                    st.value = st.head_int + value_rounded
+                    st.residual = r
                     st.c_used = pol.c_max_limit - (pol.c_max_limit % step)
         return states
 

@@ -440,3 +440,24 @@ def test_cold_coeff_loads_numeric_stack(tmp_path):
     assert code == 0 and out.splitlines()[1].split(",")[:3] == ["1A", "1", "90"]
     assert sorted(numeric) == ["mpmath", "numpy"]
     assert json.loads(store.read_text())["value"] == "90"
+
+
+def test_cold_coefficient_loads_no_fractions():
+    """A coefficient computed from an empty cache, head and tail, loads
+    neither fractions nor decimal beyond the bare interpreter."""
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "from moonmod.chartab import bundled_table\n"
+        "from moonmod.rademacher import CoefficientCache, RademacherEngine\n"
+        "engine = RademacherEngine(bundled_table('m24'), cache=CoefficientCache(None))\n"
+        "print(engine.coefficient(engine.params_for('1A'), 40).value)\n"
+        "print(*[m for m in ('fractions', 'decimal') if m in sys.modules and m not in bare])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    env.pop("MOONMOD_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    value, loaded = proc.stdout.split("\n")[:2]
+    assert (value, loaded) == (bundled_cache().records["M24", "1A", 40]["value"], "")

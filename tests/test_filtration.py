@@ -9,10 +9,12 @@ decomposes integrally.
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import kloosterman_reference as ref
 from moonmod.chartab import load_table
 from moonmod.decomp import MultiplicityVector, multiplicities
 from moonmod.filtration import (DegenerateLevel, IrrationalDirection,
@@ -21,7 +23,7 @@ from moonmod.filtration import (DegenerateLevel, IrrationalDirection,
                                 filtrate_asymptotic, filtrate_exact,
                                 minimizer_set, re_kloosterman_is_zero,
                                 result_to_json, sign_profile, signs_at)
-from moonmod.numerics import kloosterman_sum
+from moonmod.numerics import selberg_roots
 
 
 # -- synthetic tables --------------------------------------------------------
@@ -352,14 +354,43 @@ def test_m24_zero_entries_are_exact(m24_table, warm_cache):
 
 
 def test_exact_zero_test_agrees_with_float(m24_table):
+    """The exact zero test against the float sum over every coprime d."""
     pairs = 0
     for c in m24_table.classes:
+        re, _ = ref.kloosterman_floats(range(c.ng), c.ng, c.ng, c.hg)
         for r in range(c.ng):
-            re = kloosterman_sum(r, c.ng, c.ng, c.hg).real
-            assert re_kloosterman_is_zero(r, c.ng, c.ng, c.hg) == (abs(re) <= 1e-8), \
-                (c.name, r, re)
+            assert re_kloosterman_is_zero(r, c.ng, c.ng, c.hg) == (abs(re[r]) <= 1e-8), \
+                (c.name, r, re[r])
             pairs += 1
     assert pairs == 253
+
+
+def test_zero_test_matches_reference_on_grid(m24_table):
+    """The Selberg-form zero test against the full-range one, at every M24
+    class, c = k n_g for k <= 6 and every r mod c.
+
+    91 of the zeros have Selberg roots, and at none of them do the signed
+    sines cancel in pairs: a test that looked only for such pairs would
+    call them nonzero.
+    """
+    split = Counter()
+    for cls in m24_table.classes:
+        for k in range(1, 7):
+            c = k * cls.ng
+            for r in range(c):
+                zero = re_kloosterman_is_zero(r, c, cls.ng, cls.hg)
+                assert zero == ref.re_kloosterman_is_zero(r, c, cls.ng, cls.hg), \
+                    (cls.name, c, r)
+                roots = selberg_roots(r, c, cls.ng, cls.hg)
+                if zero and roots:
+                    # sin(pi a/(2c)) = sin(pi (2c - a)/(2c)): fold a onto a <= c
+                    folded = Counter()
+                    for j in roots:
+                        folded[min(2 * j + 1, 2 * c - 2 * j - 1)] += -1 if j & 1 else 1
+                    assert any(folded.values()), (cls.name, c, r)
+                split["zero, no roots" if zero and not roots
+                      else "zero, roots" if zero else "nonzero"] += 1
+    assert split == {"zero, no roots": 2995, "zero, roots": 91, "nonzero": 2227}
 
 
 def test_json_emitter(a5_table):

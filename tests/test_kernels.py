@@ -1,4 +1,6 @@
-"""Tail kernels against the exact-rational and scalar reference implementations."""
+"""Tail kernels and the Selberg form against the definition of K_c(n), summed
+over every coprime d by tests/kloosterman_reference.py, and against the
+scalar kloosterman_sum."""
 
 import json
 import math
@@ -13,9 +15,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import kloosterman_reference as ref
 from moonmod import kernels
-from moonmod.numerics import (NOT_COPRIME, _phase_numerators, dedekind_six_c, dedekind_sum,
-                              kloosterman_sum)
+from moonmod.numerics import kloosterman_sum
 from moonmod.rademacher import (ClassParams, CoefficientCache, RademacherEngine,
                                 partial_kloosterman)
 
@@ -28,38 +30,47 @@ def _on_grid(c, ng, hg=1):
     return c
 
 
+def _six_c_sawtooth(d, c):
+    """6c s(d, c) from its definition sum_m ((m/c)) ((m d/c)), in integers:
+    4c^2 times the sum is sum_m (2m - c)(2(m d mod c) - c)."""
+    total = sum((2 * m - c) * (2 * (m * d % c) - c) for m in range(1, c))
+    assert total * 3 % (2 * c) == 0
+    return total * 3 // (2 * c)
+
+
 def test_dedekind_six_c_exact():
-    """The scalar reference against exact rationals."""
+    """6c s(d, c) of the reference recursion is the integer of the definition."""
     rng = random.Random(3)
-    for _ in range(500):
+    for _ in range(200):
         c = rng.randrange(2, 5000)
         d = rng.randrange(1, c)
-        got = dedekind_six_c(d, c)
         if math.gcd(d, c) != 1:
-            assert got == NOT_COPRIME
+            with pytest.raises(ValueError):
+                ref.dedekind_sum(d, c)
         else:
-            assert got == 6 * c * dedekind_sum(d, c)
+            assert 6 * c * ref.dedekind_sum(d, c) == _six_c_sawtooth(d, c)
 
 
 def test_dedekind_six_c_large_c():
     rng = random.Random(5)
-    for _ in range(50):
+    for _ in range(20):
         c = rng.randrange(10000, 60000)
         d = rng.randrange(1, c)
         if math.gcd(d, c) != 1:
             continue
-        assert dedekind_six_c(d, c) == 6 * c * dedekind_sum(d, c)
+        assert 6 * c * ref.dedekind_sum(d, c) == _six_c_sawtooth(d, c)
 
 
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1), (4, 2), (23, 1)])
 def test_kloosterman_matches_exact(ng, hg):
+    """The float and the mpmath Selberg forms against the definition."""
     params = ClassParams(ng, hg, "test")
     for n, c in [(1, 1), (1, 5), (3, 8), (7, 23), (10, 46)]:
         c = _on_grid(c, ng, hg)
-        fast = kloosterman_sum(n, c, ng, hg)
-        exact = partial_kloosterman(n, c, params)
-        assert abs(fast.real - float(exact.real)) < 1e-9
-        assert abs(fast.imag - float(exact.imag)) < 1e-9
+        exact = ref.kloosterman(n, c, ng, hg)
+        assert abs(kloosterman_sum(n, c, ng, hg) - float(exact.real)) < 1e-9
+        assert abs(partial_kloosterman(n, c, params) - exact.real) < mpmath.mpf(10) ** -70
+        assert abs(exact.imag) < mpmath.mpf(10) ** -70
 
 
 def test_grade_batch_matches_single():
@@ -68,9 +79,11 @@ def test_grade_batch_matches_single():
     out = np.empty((len(cs), n1 - n0 + 1))
     kernels.kloosterman_grades(n0, n1, cs, 2, 1, out)
     for k, c in enumerate(cs):
+        re, _ = ref.kloosterman_floats(range(n0, n1 + 1), int(c), 2, 1)
         for j, n in enumerate(range(n0, n1 + 1)):
             z = kloosterman_sum(int(n), int(c), 2, 1)
             assert abs(out[k, j] - z) < 1e-8
+            assert abs(z - re[j]) < 1e-9, (n, c)
 
 
 def test_python_fallback_agrees():
@@ -120,14 +133,13 @@ def test_grades_match_exact_random():
     rng = random.Random(11)
     for _ in range(6):
         ng, hg = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 23]), rng.choice([1, 2, 3, 12])
-        params = ClassParams(ng, hg, "test")
         cs = [_on_grid(c, ng, hg) for c in [1] + sorted(rng.sample(range(2, 70), 5))]
         n0 = rng.randrange(1, 40)
         n1 = n0 + rng.randrange(8)
         out = _grades(n0, n1, cs, ng, hg)
         for k, c in enumerate(cs):
             for j, n in enumerate(range(n0, n1 + 1)):
-                exact = partial_kloosterman(n, c, params)
+                exact = ref.kloosterman(n, c, ng, hg)
                 assert abs(out[k, j] - float(exact.real)) < 1e-9, (ng, hg, n, c)
                 assert abs(float(exact.imag)) < 1e-9, (ng, hg, n, c)
 
@@ -151,17 +163,17 @@ def test_single_grade_equals_scalar_sum():
     for k, c in enumerate(cs):
         z = kloosterman_sum(n, c, ng, hg)
         assert out[k, 0] == z, c
+        assert abs(z - ref.kloosterman_floats([n], c, ng, hg)[0][0]) < 1e-9, c
 
 
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1)])
 def test_fold_small_c(ng, hg):
     """The smallest c, where a c < 6 wraps the six grade columns."""
-    params = ClassParams(ng, hg, "test")
     cs = [_on_grid(c, ng, hg) for c in (1, 2, 3, 4, 5, 6)]
     out = _grades(1, 6, cs, ng, hg)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(1, 7)):
-            exact = partial_kloosterman(n, c, params)
+            exact = ref.kloosterman(n, c, ng, hg)
             assert abs(out[k, j] - float(exact.real)) < 1e-9, (n, c)
             assert abs(float(exact.imag)) < 1e-9, (n, c)
 
@@ -171,9 +183,8 @@ def test_fold_large_c(c, ng, hg):
     """About c/2 lifts, more than a tile holds; the largest engine c."""
     c = _on_grid(c, ng, hg)
     assert c // 2 > kernels._BLOCK
-    params = ClassParams(ng, hg, "test")
     out = _grades(5, 5, [c], ng, hg)
-    exact = partial_kloosterman(5, c, params)
+    exact = ref.kloosterman(5, c, ng, hg, digits=30)
     assert abs(out[0, 0] - float(exact.real)) < 1e-9
     assert abs(float(exact.imag)) < 1e-9
 
@@ -183,23 +194,9 @@ def test_fold_across_blocks_against_full_range():
     cs = [_on_grid(c, 3) for c in (1, 3, 4100, 7, 2 * kernels._BLOCK + 17, 12, 1)]
     out = _grades(4, 6, cs, 3, 1)
     for k, c in enumerate(cs):
-        for j, n in enumerate(range(4, 7)):
-            base, nums = _phase_numerators(n, c, 3, 1)
-            z = sum(complex(math.cos(2 * math.pi * num / base),
-                            math.sin(2 * math.pi * num / base)) for num in nums)
-            assert abs(out[k, j] - z.real) < 1e-9, (n, c)
-            assert abs(z.imag) < 1e-9, (n, c)
-
-
-def _definition(grades, c, ng, hg):
-    """(re, im): the full-range _phase_numerators float sums of K_c(n), n in
-    grades.  The numerators are linear in n, so n = 0 and 1 give them all."""
-    base, nums0 = _phase_numerators(0, c, ng, hg)
-    num0 = np.array(nums0, dtype=np.int64)
-    step = (np.array(_phase_numerators(1, c, ng, hg)[1], dtype=np.int64) - num0) % base
-    n = np.array(grades, dtype=np.int64)[:, None] % base
-    ang = 2 * math.pi * (((num0 + n * step) % base) / base)
-    return np.cos(ang).sum(axis=1), np.sin(ang).sum(axis=1)
+        re, im = ref.kloosterman_floats(range(4, 7), c, 3, 1)
+        assert np.abs(out[k] - re).max() < 1e-9, c
+        assert np.abs(im).max() < 1e-9, c
 
 
 def test_selberg_form_matches_definition(m24_table):
@@ -215,7 +212,7 @@ def test_selberg_form_matches_definition(m24_table):
     far = [rng.randrange(61, 5001) for _ in range(3)]
     grades = list(range(-1, 61)) + far
     for (ng, hg), c in cases:
-        re, im = _definition(grades, c, ng, hg)
+        re, im = ref.kloosterman_floats(grades, c, ng, hg)
         assert np.abs(im).max() < 1e-9, (ng, hg, c)
         got = list(_grades(-1, 60, [c], ng, hg)[0]) + [_grades(n, n, [c], ng, hg)[0, 0]
                                                         for n in far]

@@ -1,4 +1,5 @@
-"""Brute-force oracles for the exact numerical primitives."""
+"""Brute-force oracles for the Bessel factor and for the reference Dedekind
+sum of tests/kloosterman_reference.py."""
 
 import math
 import random
@@ -7,7 +8,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from moonmod.numerics import bessel_i_half, dedekind_sum, unit_exp
+from kloosterman_reference import dedekind_sum
+from moonmod.numerics import bessel_i_half
 
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -56,29 +58,6 @@ def test_dedekind_domain_errors():
         dedekind_sum(2, 4)
     with pytest.raises(ValueError):
         dedekind_sum(1, 0)
-
-
-def test_unit_exp_special_points():
-    assert unit_exp(0) == 1
-    assert unit_exp(Fraction(1, 2)) == -1
-    v = unit_exp(Fraction(1, 8))
-    with mpmath.workdps(75):
-        expected = mpmath.sqrt(2) / 2
-        assert abs(v.real - expected) < mpmath.mpf(10) ** -70
-        assert abs(v.imag - expected) < mpmath.mpf(10) ** -70
-
-
-def test_unit_exp_periodicity_exact():
-    rng = random.Random(11)
-    for _ in range(50):
-        x = Fraction(rng.randrange(-500, 500), rng.randrange(1, 100))
-        assert unit_exp(x) == unit_exp(x + 1)
-        assert abs(abs(unit_exp(x)) - 1) < mpmath.mpf(10) ** -75
-
-
-def test_unit_exp_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        unit_exp(float("inf"))
 
 
 def test_bessel_against_series():

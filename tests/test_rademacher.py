@@ -10,14 +10,17 @@ import sys
 import time
 from importlib import resources
 
+import mpmath
 import pytest
 
+import kloosterman_reference as ref
 from moonmod import kernels
-from moonmod.rademacher import (ClassParams, CoefficientCache,
+from moonmod.rademacher import (HEAD_SWITCH, ClassParams, CoefficientCache,
                                 CoefficientRecord, NonConvergent,
                                 RademacherEngine, RecordModeError,
-                                TruncationPolicy, _chunk_end,
-                                asymptotic_leading, polar_coefficient)
+                                TruncationPolicy, _chunk_end, _series_digits,
+                                asymptotic_leading, partial_kloosterman,
+                                polar_coefficient)
 
 KNOWN_1A = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100]
 KNOWN_2A = [-6, 14, -28, 42, -56, 86, -138, 188]
@@ -64,6 +67,28 @@ def test_asymptotic_leading_formula():
     r = asymptotic_leading(ClassParams(2, 1, "2A"), 40) / asymptotic_leading(
         ClassParams(1, 1, "1A"), 40)
     assert r < 1e-5
+
+
+def test_head_kloosterman_is_real_and_exact(m24_table):
+    """partial_kloosterman, the Selberg form in mpmath, against the sum over
+    every coprime d at the head's digit count: every M24 level, five grades,
+    and the first three c of each level, which hold every c of the head."""
+    levels = sorted({(cls.ng, cls.hg) for cls in m24_table.classes})
+    checked = 0
+    for n in (1, 5, 27, 60, 120):
+        digits = _series_digits(n)
+        bound = mpmath.mpf(10) ** -(digits - 10)
+        assert math.pi * math.sqrt(8 * n - 1) / (2 * HEAD_SWITCH) < 3
+        for ng, hg in levels:
+            for c in (ng, 2 * ng, 3 * ng):
+                got = partial_kloosterman(n, c, ClassParams(ng, hg, "test"), digits)
+                assert isinstance(got, mpmath.mpf), (ng, hg, n, c)
+                exact = ref.kloosterman(n, c, ng, hg, digits + 10)
+                with mpmath.workdps(digits + 10):
+                    assert abs(got - exact.real) < bound, (ng, hg, n, c)
+                    assert abs(exact.imag) < bound, (ng, hg, n, c)
+                checked += 1
+    assert checked == 5 * 3 * len(levels) == 315
 
 
 def test_known_identity_values(engine):
