@@ -24,7 +24,7 @@ def main():
     for c in m24.classes:
         t0 = time.time()
         hi = 100 if c.name in EXAMPLE_CLASSES else 60
-        recs = engine.coefficient_range(c.name, 1, hi)
+        recs = engine.records(c.name, range(1, hi + 1))
         stability = sum(1 for r in recs if r.gate == "stability")
         print(f"{c.name}: n<=%d in %.1fs, stability-gated %d"
               % (hi, time.time() - t0, stability), flush=True)

@@ -143,6 +143,8 @@ def _validate(table: CharacterTable) -> None:
     if ident.size != 1 or ident.element_order != 1:
         raise TableParseError("first class must be the identity (size 1, order 1)")
     for c in classes:
+        if c.ng < 1 or c.hg < 1:
+            raise TableParseError(f"class {c.name}: ng = {c.ng} and hg = {c.hg} must be positive")
         if order % c.ng != 0:
             raise TableParseError(f"class {c.name}: ng = {c.ng} does not divide |G|")
         if c.ng % c.hg != 0:

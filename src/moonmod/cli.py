@@ -134,8 +134,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_coeff(args) -> int:
-    from .rademacher import DEDEKIND_MODE
-
     table = _load_group(args.group)
     engine, provider = _make_engine(args, table)
     # Each named class once, in first-seen order.
@@ -146,24 +144,16 @@ def cmd_coeff(args) -> int:
     for name in class_names:
         cls = table.class_named(name)
         target = cls.fusion_target if isinstance(provider, FusedProvider) else name
-        rows.extend((name, engine.coefficient(engine.params_for(target), n))
-                    for n in grades)
-    rows.sort(key=lambda item: (class_names.index(item[0]), item[1].n))
+        recs = sorted(engine.records(target, grades), key=lambda rec: rec.n)
+        rows.extend({**rec.json_fields(), "class": name} for rec in recs)
     if args.format == "json":
-        doc = {
-            "schema": 1,
-            "group": table.group_name,
-            "records": [{**rec.json_fields(), "class": name} for name, rec in rows],
-        }
+        doc = {"schema": 1, "group": table.group_name, "records": rows}
         _emit(json.dumps(doc, indent=1, sort_keys=True) + "\n", args.out)
     else:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["class", "n", "value", "residual", "c_max_used",
-                         "mode", "gate"])
-        for name, rec in rows:
-            writer.writerow([name, rec.n, rec.value, f"{rec.residual:.3e}",
-                             rec.c_max_used, DEDEKIND_MODE, rec.gate])
+        writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows({**row, "residual": f"{row['residual']:.3e}"} for row in rows)
         _emit(buf.getvalue(), args.out)
     return 0
 

@@ -15,6 +15,9 @@ coefficients).  For large n the sign of c_g(n) is that of the leading
 Rademacher term, K_{n_g}(n), so sign_profile reads each class's pattern
 of period n_g from (n_g, h_g) alone; an entry is 0 only where that sum,
 exactly real in its Selberg form, vanishes exactly in Z[e(1/(4 n_g))].
+The module never loads the coefficient engine: exact mode reads values from
+the provider it is handed, and the non-free prediction takes the size of
+the leading term from numerics.asymptotic_leading.
 The level algebra is exact and in integers: each level keeps its class
 functions as integer rows over the character basis, the sign-weighted
 class sums of one element order are rational because coefficients are
@@ -32,8 +35,7 @@ from operator import mul
 
 from .chartab import CharacterTable, class_sums, distinct_orders
 from .decomp import MultiplicityVector
-from .numerics import kloosterman_sum, selberg_roots
-from .rademacher import ClassParams, asymptotic_leading
+from .numerics import asymptotic_leading, kloosterman_sum, selberg_roots
 
 
 class FiltrationError(Exception):
@@ -373,7 +375,7 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
         m'_i(n) ~ (C_n exp(D_n/e2) / |G|) sum_{[g], order e2} |[g]| f'_i(g) sgn(c_g(n)),
 
     with C_n exp(D_n/e2) the leading Rademacher term of the order-e2 class
-    of smallest level n_g (rademacher.asymptotic_leading); that level is e2
+    of smallest level n_g (numerics.asymptotic_leading); that level is e2
     on both bundled tables.  Entries at i in J_1 vanish by construction.
     """
     orders = distinct_orders(table)
@@ -386,7 +388,7 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
     dims = [chi.dim for chi in table.irreps]
     # The order-e2 class with the fastest growth (smallest n_g).
     g = min((c for c in table.classes if c.element_order == e2), key=lambda c: c.ng)
-    prefactor = asymptotic_leading(ClassParams(g.ng, g.hg, g.name), n) / table.group_order
+    prefactor = asymptotic_leading(g.ng, n) / table.group_order
     # The bracket sum_k f'_i(g_k) ... = nu_i - nu_j' dim_i / dim_j', over one
     # integer denominator (nu is twice the sums) and rounded once.
     return [prefactor * ((nu[i] * dims[jp] - nu[jp] * dims[i]) / (2 * dims[jp]))

@@ -12,8 +12,10 @@ J. Math. 6 (1956), for the partition sums; on the grid c = 0 mod n_g with
 h_g | n_g every twining sum is such a sum).  The mpmath head of
 moonmod.rademacher and the exact zero test of moonmod.filtration read
 these roots; kloosterman_sum is the plain-Python reference of
-moonmod.kernels, one root at a time.  mpmath is imported inside the one
-function that uses it.
+moonmod.kernels, one root at a time.  asymptotic_leading is the size of
+the series' leading term, which reads n_g alone: the asymptotic filtration
+predicts from it without the coefficient engine.  mpmath is imported inside
+the one function that uses it.
 """
 
 from __future__ import annotations
@@ -60,3 +62,11 @@ def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> float:
         s = math.sin(math.pi * (2 * j + 1) / (2 * c))
         total += -s if j & 1 else s
     return math.sqrt(c) * total
+
+
+def asymptotic_leading(ng: int, n: int) -> float:
+    """Unsigned leading magnitude C_{n,g} * exp(D_n / n_g) of c_g(n)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    q8 = 8 * n - 1
+    return 4.0 / (math.sqrt(ng) * math.sqrt(q8)) * math.exp(math.pi * math.sqrt(q8) / (2 * ng))

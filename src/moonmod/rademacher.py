@@ -30,8 +30,10 @@ c_max_limit when the final run has reached stability_min_run.  Chunks
 double from c_max_initial, capped at 65536 nominal (c, d) pairs, d < c
 (the kernel tests about c/2 lifts per c).  The engine's one configuration
 is its TruncationPolicy.  Grades are swept in batches per class, one root
-search per c serving every grade.  Head and tail are both real, so the
-gates read the real partial sums only.
+search per c serving every grade: RademacherEngine.records answers one
+class at a list of grades, with one sweep for all its store misses, and
+coeff asks for each class once.  Head and tail are both real, so the gates
+read the real partial sums only.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import os
 import threading
 
 from .numerics import WORKING_DIGITS, bessel_i_half, selberg_roots
-from .chartab import DATA_DIR, CharacterTable
+from .chartab import DATA_DIR, CharacterTable, ConjugacyClass
 
 # Bessel argument above which terms are evaluated at full precision; below
 # it float64 keeps absolute term error well under the integrality tolerance.
@@ -51,17 +53,6 @@ HEAD_SWITCH = 20.0
 # The Dedekind sum variant, classical s(d, c) = sum ((m/c)) ((m d/c)), as
 # named in the mode field of stored records and of coeff output.
 DEDEKIND_MODE = "classical"
-
-
-class ClassParams:
-    __slots__ = ("ng", "hg", "class_name")
-
-    def __init__(self, ng: int, hg: int, class_name: str) -> None:
-        if ng < 1 or hg < 1:
-            raise ValueError("ng and hg must be positive")
-        self.ng = ng
-        self.hg = hg
-        self.class_name = class_name
 
 
 class TruncationPolicy:
@@ -275,32 +266,16 @@ def bundled_cache(path: str | os.PathLike | None = None) -> CoefficientCache:
     return cache
 
 
-def partial_kloosterman(n: int, c: int, params: ClassParams,
-                        digits: int = WORKING_DIGITS):
+def partial_kloosterman(n: int, c: int, ng: int, hg: int, digits: int = WORKING_DIGITS):
     """K_c(n) as a real mpf to digits decimal digits, by its Selberg form."""
     import mpmath
 
     with mpmath.workdps(digits):
         total = mpmath.mpf(0)
-        for j in selberg_roots(n, c, params.ng, params.hg):
+        for j in selberg_roots(n, c, ng, hg):
             s = mpmath.sinpi(mpmath.mpf(2 * j + 1) / (2 * c))
             total += -s if j & 1 else s
         return mpmath.sqrt(c) * total
-
-
-def asymptotic_leading(params: ClassParams, n: int) -> float:
-    """Unsigned leading magnitude C_{n,g} * exp(D_n / n_g)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    q8 = 8 * n - 1
-    return 4.0 / (math.sqrt(params.ng) * math.sqrt(q8)) * math.exp(
-        math.pi * math.sqrt(q8) / (2 * params.ng)
-    )
-
-
-def polar_coefficient(params: ClassParams) -> int:
-    """The polar coefficient, -2 for every class by definition."""
-    return -2
 
 
 def _chunk_end(lo: int, step: int, budget: int) -> int:
@@ -362,14 +337,15 @@ class RademacherEngine:
 
     # -- series evaluation ---------------------------------------------------
 
-    def _head_terms(self, params: ClassParams, states: dict[int, _GradeState],
-                    step: int) -> dict[int, int]:
+    def _head_terms(self, cls: ConjugacyClass, states: dict[int, _GradeState]
+                    ) -> dict[int, int]:
         """Full-precision contributions for Bessel arguments above HEAD_SWITCH.
 
         Returns, per grade, the first admissible c handled by the tail.
         """
         import mpmath
 
+        step = cls.ng
         tail_start = {}
         for n, st in states.items():
             q8 = 8 * n - 1
@@ -382,7 +358,7 @@ class RademacherEngine:
                     x = mpmath.pi * mpmath.sqrt(q8) / (2 * c)
                     fac = 4 * mpmath.pi * bessel_i_half(x, digits) \
                         / (c * mpmath.power(q8, mpmath.mpf(1) / 4))
-                    head_re += fac * partial_kloosterman(n, c, params, digits)
+                    head_re += fac * partial_kloosterman(n, c, cls.ng, cls.hg, digits)
                     c += step
                 st.head_int = int(mpmath.nint(head_re))
                 st.head_frac = float(head_re - mpmath.nint(head_re))
@@ -390,16 +366,16 @@ class RademacherEngine:
             tail_start[n] = c
         return tail_start
 
-    def _sweep(self, params: ClassParams, grades: list[int]) -> dict[int, _GradeState]:
+    def _sweep(self, cls: ConjugacyClass, grades: list[int]) -> dict[int, _GradeState]:
         """Adaptive truncation for a batch of grades of one class, c = 0 mod n_g."""
         import numpy as np
 
         from . import kernels
 
         pol = self.policy
-        step = params.ng
+        step = cls.ng
         states = {n: _GradeState(n) for n in grades}
-        tail_start = self._head_terms(params, states, step)
+        tail_start = self._head_terms(cls, states)
 
         lo, hi = 1, min(max(pol.c_max_initial, step), pol.c_max_limit)
         while True:
@@ -410,7 +386,7 @@ class RademacherEngine:
             cs = np.arange(((lo + step - 1) // step) * step, hi + 1, step, dtype=np.int64)
             if len(cs):
                 kl = np.empty((len(cs), n1 - n0 + 1))
-                kernels.kloosterman_grades(n0, n1, cs, params.ng, params.hg, kl)
+                kernels.kloosterman_grades(n0, n1, cs, cls.ng, cls.hg, kl)
                 csf = cs.astype(np.float64)
                 idx = np.arange(len(cs))
                 for n in active:
@@ -475,65 +451,53 @@ class RademacherEngine:
                     st.c_used = pol.c_max_limit - (pol.c_max_limit % step)
         return states
 
-    def coefficient(self, params: ClassParams, n: int) -> CoefficientRecord:
-        return self._coefficients(params, [n])[n]
-
-    def _coefficients(self, params: ClassParams, grades) -> dict[int, CoefficientRecord]:
-        out: dict[int, CoefficientRecord] = {}
-        todo = []
-        for n in grades:
-            if n == -1:
-                out[n] = CoefficientRecord(params.class_name, -1,
-                                           polar_coefficient(params), 0.0, 0,
-                                           gate="definition")
-            elif n == 0:
-                # Vanishing constant-grade coefficient by convention.
-                out[n] = CoefficientRecord(params.class_name, 0, 0, 0.0, 0,
-                                           gate="definition")
-            elif n < -1:
-                raise ValueError("n must be at least -1")
-            else:
-                cached = self.cache.get(self.group, params.class_name, n)
-                if cached is not None:
-                    out[n] = self.cache.to_record(cached)
-                else:
-                    todo.append(n)
-        if todo:
-            out.update(self._compute(params, todo))
-        return out
-
-    def _compute(self, params: ClassParams, grades: list[int]
+    def _compute(self, cls: ConjugacyClass, grades: list[int]
                  ) -> dict[int, CoefficientRecord]:
         """Sweep grades the store does not hold and append their records."""
-        states = self._sweep(params, grades)
+        states = self._sweep(cls, grades)
         out = {}
         for n in grades:
             st = states[n]
             if not st.done:
-                raise NonConvergent(params.class_name, n, float(st.best_raw), st.best_res)
-            rec = CoefficientRecord(params.class_name, n, st.value, st.residual,
-                                    st.c_used, st.gate)
-            self.cache.put(self.group, params.class_name, n, rec)
+                raise NonConvergent(cls.name, n, float(st.best_raw), st.best_res)
+            rec = CoefficientRecord(cls.name, n, st.value, st.residual, st.c_used, st.gate)
+            self.cache.put(self.group, cls.name, n, rec)
             out[n] = rec
         return out
 
     # -- provider / batch interface -----------------------------------------
 
-    def params_for(self, class_name: str) -> ClassParams:
-        c = self.table.class_named(class_name)
-        return ClassParams(c.ng, c.hg, c.name)
+    def records(self, class_name: str, grades) -> list[CoefficientRecord]:
+        """The records of one class at grades, in request order.
+
+        Grades -1 and 0 are definitions: the polar coefficient is -2 and the
+        constant one vanishes, for every class.  Store hits are read from the
+        store; the misses are swept in one batch and appended to the store
+        in first-seen order.
+        """
+        cls = self.table.class_named(class_name)
+        grades = list(grades)
+        got: dict[int, CoefficientRecord] = {}
+        todo = []
+        for n in dict.fromkeys(grades):
+            if n < -1:
+                raise ValueError("n must be at least -1")
+            if n < 1:
+                got[n] = CoefficientRecord(cls.name, n, -2 if n else 0, 0.0, 0, "definition")
+            elif (rec := self.cache.get(self.group, cls.name, n)) is not None:
+                got[n] = self.cache.to_record(rec)
+            else:
+                todo.append(n)
+        if todo:
+            got.update(self._compute(cls, todo))
+        return [got[n] for n in grades]
 
     def value(self, class_name: str, n: int) -> int:
         """c_g(n); a store hit is read from the stored record as it is."""
         if n < 1:
-            return self.coefficient(self.params_for(class_name), n).value
+            return self.records(class_name, [n])[0].value
         rec = self.cache.get(self.group, class_name, n)
         if rec is None:
-            return self._compute(self.params_for(class_name), [n])[n].value
+            # Swept at once: records would look the grade up a second time.
+            return self._compute(self.table.class_named(class_name), [n])[n].value
         return int(self.cache.checked(rec)["value"])
-
-    def coefficient_range(self, class_name: str, n_lo: int, n_hi: int
-                          ) -> list[CoefficientRecord]:
-        params = self.params_for(class_name)
-        recs = self._coefficients(params, range(n_lo, n_hi + 1))
-        return [recs[n] for n in range(n_lo, n_hi + 1)]

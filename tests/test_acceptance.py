@@ -34,7 +34,7 @@ def test_criterion_2_integrality(m24_table, engine):
     dip = stability = 0
     worst = 0.0
     for c in m24_table.classes:
-        for rec in engine.coefficient_range(c.name, 1, 25):
+        for rec in engine.records(c.name, range(1, 26)):
             if rec.gate == "dip":
                 dip += 1
                 assert rec.residual <= 1e-4, (c.name, rec.n, rec.residual)
@@ -49,7 +49,7 @@ def test_criterion_2_integrality(m24_table, engine):
     assert dip + stability == 26 * 25
     # The series itself, from a cold cache: exact identity-class values.
     fresh = RademacherEngine(m24_table, cache=CoefficientCache(None))
-    cold = fresh.coefficient_range("1A", 1, 5)
+    cold = fresh.records("1A", range(1, 6))
     assert [(r.value, r.gate) for r in cold] == \
         [(90, "dip"), (462, "dip"), (1540, "dip"), (4554, "dip"), (11592, "dip")]
     print(f"\nPASS criterion 2: {dip} dip-gated (max residual {worst:.2e}), "

@@ -9,6 +9,7 @@ import pytest
 from moonmod.chartab import (FusionError, FusedProvider, OrthogonalityError,
                              SizeSumError, TableParseError, _four_sum, _numerators,
                              bundled_table, distinct_orders, load_table, serialize)
+from moonmod.cli import main
 from moonmod.quadratic import QuadraticValue, mul_roots
 
 
@@ -223,6 +224,22 @@ def test_identity_value_must_match_dim(a5):
     doc["irreps"][0]["dim"] = 2
     with pytest.raises(TableParseError):
         load_table(doc)
+
+
+@pytest.mark.parametrize("ng, hg", [(0, 1), (3, 0), (-2, 1), (3, -3)])
+def test_nonpositive_level_refused(a5, ng, hg, tmp_path, capsys):
+    """n_g and h_g are checked before they divide anything: a zero or
+    negative one is a parse error, and validate reports it as a FAIL line."""
+    doc = json.loads(serialize(a5))
+    doc["classes"][1].update(ng=ng, hg=hg)
+    with pytest.raises(TableParseError, match="must be positive"):
+        load_table(doc)
+    path = tmp_path / "bad.table"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("FAIL: class 2A: ng = ")
+    assert "Traceback" not in out.err
 
 
 class _ConstantProvider:

@@ -135,7 +135,7 @@ def test_filtrate_m24_asymptotic(capsys):
     assert code == 1 and err.startswith("error: modulus 0 is not positive")
 
 
-def test_filtrate_asymptotic_reads_no_coefficients(capsys, monkeypatch):
+def test_filtrate_asymptotic_builds_no_engine(capsys, monkeypatch):
     def refuse(*_args):
         raise AssertionError("asymptotic mode built a coefficient engine")
 
@@ -397,6 +397,8 @@ NOT_LOADED = {
                  "moonmod.numerics", "moonmod.kernels"},
     "coeff": {"moonmod.decomp", "moonmod.filtration", "moonmod.kernels"},
     "cache": {"moonmod.decomp", "moonmod.filtration", "moonmod.kernels"},
+    # The asymptotic filtration reads the table alone.
+    "filtrate --residue": {"moonmod.rademacher", "moonmod.kernels"},
 }
 
 
@@ -409,7 +411,8 @@ def test_warm_command_loads_no_numeric_stack(argv, tmp_path, capsys):
     code, out, numeric, modules, stdlib = run_child(argv, SRC_DIR)
     assert (code, numeric, stdlib) == (0, [], [])
     assert "moonmod.chartab" in modules
-    assert not NOT_LOADED.get(argv[0], {"moonmod.kernels"}) & set(modules)
+    mode = "filtrate --residue" if "--residue" in argv else argv[0]
+    assert not NOT_LOADED.get(mode, {"moonmod.kernels"}) & set(modules)
     assert run(capsys, argv) == (0, out, "")
     assert store.read_bytes() == before
 
@@ -442,6 +445,39 @@ def test_cold_coeff_loads_numeric_stack(tmp_path):
     assert json.loads(store.read_text())["value"] == "90"
 
 
+def test_cold_coeff_sweeps_each_class_once(tmp_path, capsys, monkeypatch):
+    """A cold coeff asks for all grades of a class at once: one sweep per
+    class, with the rows and the appended store bytes of one-grade requests
+    made in the same order."""
+    import moonmod.rademacher as rademacher
+
+    # Without the packaged store every grade misses.
+    monkeypatch.setattr(rademacher, "bundled_cache", rademacher.CoefficientCache)
+    sweeps = []
+    sweep = rademacher.RademacherEngine._sweep
+
+    def counting(self, cls, grades):
+        sweeps.append((cls.ng, list(grades)))
+        return sweep(self, cls, grades)
+
+    monkeypatch.setattr(rademacher.RademacherEngine, "_sweep", counting)
+    batch, single = tmp_path / "batch.ldjson", tmp_path / "single.ldjson"
+    code, out, _ = run(capsys, ["coeff", "--class", "2A,7A", "--n", "1..5",
+                                "--cache", str(batch)])
+    assert code == 0
+    assert sweeps == [(2, [1, 2, 3, 4, 5]), (7, [1, 2, 3, 4, 5])]
+    rows = out.splitlines()[:1]
+    for name in ("2A", "7A"):
+        for n in range(1, 6):
+            code, one, _ = run(capsys, ["coeff", "--class", name, "--n", str(n),
+                                        "--cache", str(single)])
+            assert code == 0
+            rows.append(one.splitlines()[1])
+    assert len(sweeps) == 2 + 10
+    assert out.splitlines() == rows
+    assert batch.read_bytes() == single.read_bytes()
+
+
 def test_cold_coefficient_loads_no_fractions():
     """A coefficient computed from an empty cache, head and tail, loads
     neither fractions nor decimal beyond the bare interpreter."""
@@ -451,7 +487,7 @@ def test_cold_coefficient_loads_no_fractions():
         "from moonmod.chartab import bundled_table\n"
         "from moonmod.rademacher import CoefficientCache, RademacherEngine\n"
         "engine = RademacherEngine(bundled_table('m24'), cache=CoefficientCache(None))\n"
-        "print(engine.coefficient(engine.params_for('1A'), 40).value)\n"
+        "print(engine.records('1A', [40])[0].value)\n"
         "print(*[m for m in ('fractions', 'decimal') if m in sys.modules and m not in bare])\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC_DIR)

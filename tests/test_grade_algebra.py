@@ -16,7 +16,7 @@ from moonmod.chartab import FusedProvider, class_sums, distinct_orders
 from moonmod.decomp import NonIntegral, multiplicities, ratio_profile
 from moonmod.filtration import (DegenerateLevel, _character_level, minimizer_set,
                                 next_class_function, nonfree_asymptotic, signs_at)
-from moonmod.rademacher import ClassParams, asymptotic_leading
+from moonmod.numerics import asymptotic_leading
 
 GRADES = range(1, 61)
 
@@ -90,7 +90,7 @@ def ref_nonfree(table, signs, n):
     jp = min(J)
     dims = [chi.dim for chi in table.irreps]
     g = min((c for c in table.classes if c.element_order == e2), key=lambda c: c.ng)
-    prefactor = asymptotic_leading(ClassParams(g.ng, g.hg, g.name), n) / table.group_order
+    prefactor = asymptotic_leading(g.ng, n) / table.group_order
     return [prefactor * float(nu[i] - nu[jp] * Fraction(dims[i], dims[jp]))
             for i in range(len(dims))]
 

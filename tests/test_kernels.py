@@ -18,8 +18,7 @@ import pytest
 import kloosterman_reference as ref
 from moonmod import kernels
 from moonmod.numerics import kloosterman_sum
-from moonmod.rademacher import (ClassParams, CoefficientCache, RademacherEngine,
-                                partial_kloosterman)
+from moonmod.rademacher import CoefficientCache, RademacherEngine, partial_kloosterman
 
 
 def _on_grid(c, ng, hg=1):
@@ -64,12 +63,11 @@ def test_dedekind_six_c_large_c():
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1), (4, 2), (23, 1)])
 def test_kloosterman_matches_exact(ng, hg):
     """The float and the mpmath Selberg forms against the definition."""
-    params = ClassParams(ng, hg, "test")
     for n, c in [(1, 1), (1, 5), (3, 8), (7, 23), (10, 46)]:
         c = _on_grid(c, ng, hg)
         exact = ref.kloosterman(n, c, ng, hg)
         assert abs(kloosterman_sum(n, c, ng, hg) - float(exact.real)) < 1e-9
-        assert abs(partial_kloosterman(n, c, params) - exact.real) < mpmath.mpf(10) ** -70
+        assert abs(partial_kloosterman(n, c, ng, hg) - exact.real) < mpmath.mpf(10) ** -70
         assert abs(exact.imag) < mpmath.mpf(10) ** -70
 
 
@@ -245,7 +243,7 @@ def test_packaged_23_stability_records_recompute(m24_table):
     assert len(picks) == 8
     engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
     for (cls, n), stored in picks.items():
-        got = engine.coefficient(engine.params_for(cls), n)
+        [got] = engine.records(cls, [n])
         assert (got.value, got.gate, got.c_max_used) == \
             (int(stored["value"]), stored["gate"], stored["c_max_used"]) == \
             (got.value, "stability", 59984), (cls, n)
@@ -280,7 +278,7 @@ def test_store_records_recompute(m24_table):
     cache.seed(line for line, r in zip(lines, recs) if (r["class"], r["n"]) not in picks)
     engine = RademacherEngine(m24_table, cache=cache)
     for (cls, n), stored in picks.items():
-        got = engine.coefficient(engine.params_for(cls), n)
+        [got] = engine.records(cls, [n])
         assert (got.value, got.c_max_used, got.gate) == \
             (int(stored["value"]), stored["c_max_used"], "dip"), (cls, n)
 
@@ -301,7 +299,7 @@ def test_store_dip_records_recompute(m24_table):
     engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
     mismatches = []
     for r in picks:
-        got = engine.coefficient(engine.params_for(r["class"]), r["n"])
+        [got] = engine.records(r["class"], [r["n"]])
         got_key = (got.value, got.gate, got.c_max_used)
         stored = (int(r["value"]), r["gate"], r["c_max_used"])
         if (r["class"], r["n"]) in known_defects:

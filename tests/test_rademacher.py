@@ -15,12 +15,11 @@ import pytest
 
 import kloosterman_reference as ref
 from moonmod import kernels
-from moonmod.rademacher import (HEAD_SWITCH, ClassParams, CoefficientCache,
-                                CoefficientRecord, NonConvergent,
-                                RademacherEngine, RecordModeError,
+from moonmod.numerics import asymptotic_leading
+from moonmod.rademacher import (HEAD_SWITCH, CoefficientCache, CoefficientRecord,
+                                NonConvergent, RademacherEngine, RecordModeError,
                                 TruncationPolicy, _chunk_end, _series_digits,
-                                asymptotic_leading, partial_kloosterman,
-                                polar_coefficient)
+                                partial_kloosterman)
 
 KNOWN_1A = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100]
 KNOWN_2A = [-6, 14, -28, 42, -56, 86, -138, 188]
@@ -48,24 +47,13 @@ def test_store_has_one_record_per_key():
     assert len(keys) == len(set(keys))
 
 
-def test_class_params_invariants():
-    with pytest.raises(ValueError):
-        ClassParams(0, 1, "bad")
-
-
-def test_polar_coefficient():
-    assert polar_coefficient(ClassParams(1, 1, "1A")) == -2
-    assert polar_coefficient(ClassParams(23, 1, "23A")) == -2
-
-
 def test_asymptotic_leading_formula():
     n = 10
-    got = asymptotic_leading(ClassParams(1, 1, "1A"), n)
+    got = asymptotic_leading(1, n)
     q8 = 8 * n - 1
     assert got == pytest.approx(4 / math.sqrt(q8) * math.exp(math.pi * math.sqrt(q8) / 2))
     # Exponent halves for n_g = 2, so the ratio collapses.
-    r = asymptotic_leading(ClassParams(2, 1, "2A"), 40) / asymptotic_leading(
-        ClassParams(1, 1, "1A"), 40)
+    r = asymptotic_leading(2, 40) / asymptotic_leading(1, 40)
     assert r < 1e-5
 
 
@@ -81,7 +69,7 @@ def test_head_kloosterman_is_real_and_exact(m24_table):
         assert math.pi * math.sqrt(8 * n - 1) / (2 * HEAD_SWITCH) < 3
         for ng, hg in levels:
             for c in (ng, 2 * ng, 3 * ng):
-                got = partial_kloosterman(n, c, ClassParams(ng, hg, "test"), digits)
+                got = partial_kloosterman(n, c, ng, hg, digits)
                 assert isinstance(got, mpmath.mpf), (ng, hg, n, c)
                 exact = ref.kloosterman(n, c, ng, hg, digits + 10)
                 with mpmath.workdps(digits + 10):
@@ -104,16 +92,21 @@ def test_known_order_two_values(engine):
 
 
 def test_polar_and_zero_grades(engine):
-    params = engine.params_for("1A")
-    assert engine.coefficient(params, -1).value == -2
-    assert engine.coefficient(params, 0).value == 0
+    """Grades -1 and 0 are definitions, -2 and 0 for every class; below -1
+    is refused."""
+    for name in ("1A", "23A"):
+        recs = engine.records(name, [-1, 0])
+        assert [(r.class_name, r.n, r.value, r.residual, r.c_max_used, r.gate)
+                for r in recs] == [(name, -1, -2, 0.0, 0, "definition"),
+                                   (name, 0, 0, 0.0, 0, "definition")]
+        assert [engine.value(name, n) for n in (-1, 0)] == [-2, 0]
     with pytest.raises(ValueError):
-        engine.coefficient(params, -2)
+        engine.records("1A", [-2])
 
 
 def test_asymptotic_ratio_within_ten_percent(engine):
     n = 40
-    ratio = engine.value("1A", n) / asymptotic_leading(engine.params_for("1A"), n)
+    ratio = engine.value("1A", n) / asymptotic_leading(1, n)
     assert abs(ratio - 1) < 0.10
 
 
@@ -276,14 +269,14 @@ def test_nonconvergent_when_budget_tiny(m24_table, monkeypatch):
 
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
     with pytest.raises(NonConvergent) as err:
-        eng._coefficients(ClassParams(23, 1, "23A"), [1])
+        eng.records("23A", [1])
     assert err.value.n == 1
     # The sweep stays on the level grid c = 0 mod 23; nothing re-sweeps off it.
     assert scanned and all(c % 23 == 0 for c in scanned), scanned
 
 
 def test_stability_gate_on_sparse_class(engine):
-    rec = engine.coefficient(engine.params_for("23A"), 1)
+    [rec] = engine.records("23A", [1])
     assert rec.value == -2
     # The sparse admissible grid never dips to the primary tolerance; the
     # fallback gate certifies the value and labels the record.
@@ -292,11 +285,23 @@ def test_stability_gate_on_sparse_class(engine):
         assert rec.residual <= 0.05
 
 
-def test_coefficient_range_deterministic(engine):
-    a = engine.coefficient_range("2A", -1, 5)
-    b = engine.coefficient_range("2A", -1, 5)
+def test_records_deterministic(engine):
+    a = engine.records("2A", range(-1, 6))
+    b = engine.records("2A", range(-1, 6))
     assert [r.value for r in a] == [r.value for r in b]
     assert a[0].value == -2
+
+
+def test_records_batch_matches_single_grades(m24_table):
+    """One sweep over a class's grades gives, bit for bit, the records of
+    one sweep per grade, returned in request order."""
+    grades = [9, 1, 5, 2]
+    for name in ("2A", "7A"):
+        batch = RademacherEngine(m24_table, cache=CoefficientCache(None)).records(name, grades)
+        single = [RademacherEngine(m24_table, cache=CoefficientCache(None)).records(name, [n])[0]
+                  for n in grades]
+        assert [(r.n, r.value, repr(r.residual), r.c_max_used, r.gate) for r in batch] == \
+            [(r.n, r.value, repr(r.residual), r.c_max_used, r.gate) for r in single]
 
 
 def test_stability_window_spans_sweep_chunks(m24_table, monkeypatch):
@@ -316,7 +321,7 @@ def test_stability_window_spans_sweep_chunks(m24_table, monkeypatch):
         policy = TruncationPolicy(c_max_initial=c_max_initial, c_max_limit=460,
                                   residual_tolerance=1e-12, stability_tolerance=0.0)
         engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
-        st = engine._sweep(engine.params_for("23A"), [1])[1]
+        st = engine._sweep(m24_table.class_named("23A"), [1])[1]
         assert not st.done
         ends.append((st.stable_run, st.last_rounded))
     assert chunks[0] == 20 and len(chunks) > 2
@@ -333,7 +338,7 @@ def test_dip_gate_waits_for_a_stable_run(m24_table):
         policy = TruncationPolicy(c_max_initial=1, residual_tolerance=0.2,
                                   stability_window=window, stability_tolerance=0.0)
         engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
-        rec = engine.coefficient(engine.params_for("1A"), 1)
+        [rec] = engine.records("1A", [1])
         got.append((rec.value, rec.gate, rec.c_max_used))
     assert got == [(88, "dip", 2), (90, "dip", 39)]
 
@@ -342,14 +347,14 @@ def test_stability_gate_cold(m24_table):
     """On an empty cache, 23A never dips; the fallback gate accepts at c_max_limit."""
     policy = TruncationPolicy(c_max_limit=2300, stability_min_run=50)
     engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
-    recs = engine.coefficient_range("23A", 1, 3)
+    recs = engine.records("23A", [1, 2, 3])
     assert [(r.value, r.gate, r.c_max_used) for r in recs] == \
         [(-2, "stability", 2300), (2, "stability", 2300), (-1, "stability", 2300)]
     # c = 23, 46, ..., 2300 are 100 checkpoints: no run can reach 101.
     policy = TruncationPolicy(c_max_limit=2300, stability_min_run=101)
     engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
     with pytest.raises(NonConvergent):
-        engine.coefficient_range("23A", 1, 3)
+        engine.records("23A", [1, 2, 3])
 
 
 def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
@@ -365,7 +370,7 @@ def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
         return grades(n0, n1, cs, *rest)
 
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
-    rec = eng.coefficient(eng.params_for("1A"), 36)
+    [rec] = eng.records("1A", [36])
     assert (rec.value, rec.gate, rec.c_max_used) == \
         (stored.value, stored.gate, stored.c_max_used)
     # The doubling schedule alone would run the chunk 1601..3200 to its end.
@@ -413,14 +418,15 @@ def test_chunk_end_closed_form_matches_steps(m24_table):
 
 
 def test_store_hit_builds_no_record(m24_table, warm_cache, monkeypatch):
-    """value() answers a hit from the stored dict: no ClassParams, no record."""
+    """value() answers a hit from the stored dict: no class lookup, no record."""
     eng = RademacherEngine(m24_table, cache=warm_cache)
 
     def refuse(*_args):
         raise AssertionError("a store hit built a record")
 
     monkeypatch.setattr(CoefficientCache, "to_record", refuse)
-    monkeypatch.setattr(RademacherEngine, "params_for", refuse)
+    monkeypatch.setattr(RademacherEngine, "records", refuse)
+    monkeypatch.setattr(type(m24_table), "class_named", refuse)
     before = warm_cache.hits
     assert [eng.value("1A", n) for n in (1, 2, 3)] == [90, 462, 1540]
     assert warm_cache.hits == before + 3
