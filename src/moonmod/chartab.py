@@ -95,10 +95,6 @@ class CharacterTable:
     def class_named(self, name: str) -> ConjugacyClass:
         return self.classes[self.class_index(name)]
 
-    @property
-    def identity_class(self) -> ConjugacyClass:
-        return self.classes[0]
-
     def sized_numerators(self) -> tuple[list[list[int]], list[list[int]]]:
         """The integer matrices of the size-weighted class sums, built once.
 
@@ -272,34 +268,6 @@ def load_table(source) -> CharacterTable:
         raise TableParseError(f"malformed table document: {exc}") from exc
     _validate(table)
     return table
-
-
-def serialize(table: CharacterTable) -> bytes:
-    """Inverse of load_table; bit-exact round trip."""
-    doc = {
-        "group_name": table.group_name,
-        "group_order": table.group_order,
-        "classes": [
-            {
-                "name": c.name,
-                "size": c.size,
-                "element_order": c.element_order,
-                "ng": c.ng,
-                "hg": c.hg,
-                **({"fusion_target": c.fusion_target} if c.fusion_target else {}),
-            }
-            for c in table.classes
-        ],
-        "irreps": [
-            {
-                "name": r.name,
-                "dim": r.dim,
-                "values": [{"a": v.a, "b": v.b, "d": v.d} for v in r.values],
-            }
-            for r in table.irreps
-        ],
-    }
-    return json.dumps(doc, indent=1, sort_keys=False).encode()
 
 
 def bundled_table(name: str) -> CharacterTable:

@@ -67,7 +67,6 @@ def _make_engine(args, table: CharacterTable):
 
     Tables whose classes carry fusion targets are subgroups of M24: the
     engine runs on the ambient M24 data and values flow through fusion.
-    The engine runs its default TruncationPolicy.
     """
     from .rademacher import RademacherEngine, bundled_cache
 
@@ -139,7 +138,9 @@ def cmd_coeff(args) -> int:
     # Each named class once, in first-seen order.
     class_names = (list(dict.fromkeys(args.cls.split(","))) if args.cls
                    else [c.name for c in table.classes])
-    grades = _parse_grades(args.n)
+    # Each grade once: first-seen order keeps cold store appends in request
+    # order, and the rows are sorted by n.
+    grades = list(dict.fromkeys(_parse_grades(args.n)))
     rows = []
     for name in class_names:
         cls = table.class_named(name)
@@ -164,41 +165,28 @@ def cmd_decompose(args) -> int:
     table = _load_group(args.group)
     engine, provider = _make_engine(args, table)
     grades = _parse_grades(args.n)
-    positives = [n for n in grades if n >= 1]
-    profiles = decomp.ratio_profile(table, positives, provider)
-    by_n = {p.n: p for p in profiles}
+    profiles = {p.n: p for p in decomp.ratio_profile(
+        table, [n for n in grades if n >= 1], provider)}
+    # In request order: (n, multiplicities, profile); below n = 1 a grade
+    # has no profile.
+    rows = [(n, profiles[n].mv if n >= 1 else decomp.multiplicities(table, n, provider),
+             profiles.get(n)) for n in grades]
     buf = io.StringIO()
     if args.format == "json":
-        doc = {"schema": 1, "group": table.group_name, "grades": []}
-        for n in grades:
-            if n >= 1:
-                prof = by_n[n]
-                mv = prof.mv
-            else:
-                mv = decomp.multiplicities(table, n, provider)
-                prof = None
-            doc["grades"].append({
-                "n": n,
-                "multiplicities": {chi.name: mv.m[i]
-                                   for i, chi in enumerate(table.irreps)},
-                "max_deviation": prof.max_deviation if prof else None,
-            })
+        doc = {"schema": 1, "group": table.group_name, "grades": [
+            {"n": n,
+             "multiplicities": {chi.name: mv.m[i] for i, chi in enumerate(table.irreps)},
+             "max_deviation": prof.max_deviation if prof else None}
+            for n, mv, prof in rows]}
         buf.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     else:
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "irrep", "dim", "multiplicity", "ratio",
-                         "limit_ratio"])
-        for n in grades:
-            if n >= 1:
-                prof = by_n[n]
-                for i, chi in enumerate(table.irreps):
-                    writer.writerow([n, chi.name, chi.dim, prof.mv.m[i],
-                                     f"{float(prof.observed[i]):.12g}",
-                                     f"{float(prof.limits[i]):.12g}"])
-            else:
-                mv = decomp.multiplicities(table, n, provider)
-                for i, chi in enumerate(table.irreps):
-                    writer.writerow([n, chi.name, chi.dim, mv.m[i], "", ""])
+        writer.writerow(["n", "irrep", "dim", "multiplicity", "ratio", "limit_ratio"])
+        for n, mv, prof in rows:
+            for i, chi in enumerate(table.irreps):
+                writer.writerow([n, chi.name, chi.dim, mv.m[i],
+                                 f"{float(prof.observed[i]):.12g}" if prof else "",
+                                 f"{float(prof.limits[i]):.12g}" if prof else ""])
     _emit(buf.getvalue(), args.out)
     return 0
 
@@ -286,8 +274,9 @@ def cmd_cache(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", default="m24",
                    help="bundled group name (m24, a5) or a table file path")
+    # On every command, validate included: perfbench's cli_session and
+    # make_reference.py append --cache <copy> to each command they run.
     p.add_argument("--cache", help="coefficient cache file (ldjson)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output file (default stdout)")
 
 
@@ -308,10 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated class names (default: all)")
     p.add_argument("--n", required=True,
                    help="grade: single value, comma list, or lo..hi")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
 
     p = sub.add_parser("decompose", help="irreducible multiplicities per grade")
     p.add_argument("--n", required=True)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
 
     p = sub.add_parser("filtrate", help="regular-representation filtration")

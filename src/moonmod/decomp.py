@@ -120,13 +120,6 @@ class RatioProfile:
         self.mv = mv
 
 
-def dimension_limits(table: CharacterTable) -> tuple[Fraction, ...]:
-    from fractions import Fraction
-
-    total = sum(chi.dim for chi in table.irreps)
-    return tuple(Fraction(chi.dim, total) for chi in table.irreps)
-
-
 def ratio_profile(table: CharacterTable, n_list, coeff_provider) -> list[RatioProfile]:
     """Per-grade multiplicity shares m_i/sum m_j against dim chi_i/sum dims."""
     dims = [chi.dim for chi in table.irreps]

@@ -1,8 +1,8 @@
 r"""Exact and high-precision numerical primitives.
 
 Provides the half-integer Bessel function I_{1/2}, which takes a plain
-count of decimal digits (WORKING_DIGITS unless the caller needs more: the
-Rademacher head derives its count from the grade), and the roots of the
+count of decimal digits (the Rademacher head derives its count from the
+grade, at least WORKING_DIGITS), and the roots of the
 Selberg form of the Kloosterman sum,
 
     K_c(n) = sqrt(c) * sum (-1)^j sin(pi (2j+1) / (2c))
@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 
-# Decimal digits of the mpmath evaluations when the caller names none.
+# The fewest decimal digits of an mpmath evaluation in the Rademacher head.
 WORKING_DIGITS = 80
 
 
-def bessel_i_half(x, digits: int = WORKING_DIGITS) -> mpmath.mpf:
+def bessel_i_half(x, digits: int) -> mpmath.mpf:
     """I_{1/2}(x) = sqrt(2/(pi x)) * sinh(x) for x > 0, to digits decimal digits."""
     import mpmath
 

@@ -63,10 +63,6 @@ class QuadraticValue:
     def __repr__(self) -> str:
         return f"QuadraticValue(a={self.a!r}, b={self.b!r}, d={self.d!r})"
 
-    @classmethod
-    def integer(cls, v: int) -> "QuadraticValue":
-        return cls(2 * v, 0, 1)
-
     @property
     def is_rational(self) -> bool:
         return self.b == 0

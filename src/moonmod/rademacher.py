@@ -21,19 +21,12 @@ compute a coefficient, so a command served from the store loads none of
 them.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
-like a random walk of step ~1/c), so truncation is adaptive.  Both gates
-read one count, carried across chunks of c: the run of consecutive
-checkpoints whose partial sums round to the same integer.  The dip gate
-accepts the first admissible c within residual_tolerance of an integer
-whose run has reached stability_window; the fallback gate accepts at
-c_max_limit when the final run has reached stability_min_run.  Chunks
-double from c_max_initial, capped at 65536 nominal (c, d) pairs, d < c
-(the kernel tests about c/2 lifts per c).  The engine's one configuration
-is its TruncationPolicy.  Grades are swept in batches per class, one root
-search per c serving every grade: RademacherEngine.records answers one
-class at a list of grades, with one sweep for all its store misses, and
-coeff asks for each class once.  Head and tail are both real, so the gates
-read the real partial sums only.
+like a random walk of step ~1/c), so truncation is adaptive, with the
+gates and the schedule of c described above C_MAX_INITIAL.  Grades are
+swept in batches per class, one root search per c serving every grade:
+RademacherEngine.records answers one class at a list of grades, with one
+sweep for all its store misses, and coeff asks for each class once.  Head
+and tail are both real, so the gates read the real partial sums only.
 """
 
 from __future__ import annotations
@@ -55,46 +48,30 @@ HEAD_SWITCH = 20.0
 DEDEKIND_MODE = "classical"
 
 
-class TruncationPolicy:
-    """Adaptive truncation parameters, the engine's one configuration.
-
-    Both gates read the run of consecutive admissible checkpoints whose
-    partial sums round to the same integer.  A grade is certified by the
-    primary gate when the partial sum dips within residual_tolerance of an
-    integer and the run has reached stability_window.  Classes whose
-    admissible c form a sparse grid (large n_g) carry an intrinsic slowly
-    decaying tail drift and may never dip that deep; the fallback gate
-    accepts, at c_max_limit, a value whose final run has reached
-    stability_min_run with residual at most stability_tolerance (0
-    disables the fallback).  Such records are marked gate="stability" and
-    are independently re-certified downstream by exact decomposition
-    integrality across all classes.  The default c_max_limit of 60000
-    covers the grades of the packaged store: integrality dips for grades
-    up to ~60 are observed out to c ~ 3*10^4.  The sweep's chunks start at
-    c_max_initial and double, capped at 16 * kernels._BLOCK nominal (c, d)
-    pairs, d < c; the primary gate runs after each chunk.
-    """
-
-    __slots__ = ("c_max_initial", "c_max_limit", "residual_tolerance",
-                 "stability_window", "stability_tolerance", "stability_min_run")
-
-    def __init__(self, c_max_initial: int = 50, c_max_limit: int = 60000,
-                 residual_tolerance: float = 1e-4, stability_window: int = 3,
-                 stability_tolerance: float = 0.05, stability_min_run: int = 200) -> None:
-        if c_max_initial > c_max_limit:
-            raise ValueError("c_max_initial must not exceed c_max_limit")
-        if not 0.0 < residual_tolerance < 0.5:
-            raise ValueError("residual_tolerance must lie in (0, 0.5)")
-        if stability_window < 1:
-            raise ValueError("stability_window must be positive")
-        if not stability_tolerance < 0.5:
-            raise ValueError("stability_tolerance must be below 0.5")
-        self.c_max_initial = c_max_initial
-        self.c_max_limit = c_max_limit
-        self.residual_tolerance = residual_tolerance
-        self.stability_window = stability_window
-        self.stability_tolerance = stability_tolerance
-        self.stability_min_run = stability_min_run
+# Adaptive truncation, one schedule for every grade.  Both gates read the run
+# of consecutive admissible checkpoints, carried across chunks of c, whose
+# partial sums round to the same integer.  The dip gate accepts a grade when
+# its partial sum lies within RESIDUAL_TOLERANCE of an integer and the run
+# has reached STABILITY_WINDOW.  Classes whose admissible c form a sparse
+# grid (large n_g) carry an intrinsic slowly decaying tail drift and may
+# never dip that deep; the fallback gate accepts, at C_MAX_LIMIT, a value
+# whose final run has reached STABILITY_MIN_RUN with residual at most
+# STABILITY_TOLERANCE, and marks the record gate="stability".  Only
+# decompose, filtrate --n and asympt check that a grade decomposes
+# integrally across all classes; coeff and the store take a record, of
+# either gate, as the sweep left it (ROADMAP: known defect 1, direction 1).
+# A C_MAX_LIMIT of 60000 covers the grades of the packaged store:
+# integrality dips for grades up to ~60 are observed out to c ~ 3*10^4.
+# The sweep's chunks start at C_MAX_INITIAL and double, capped at
+# 16 * kernels._BLOCK = 65536 nominal (c, d) pairs, d < c (the kernel tests
+# about c/2 lifts per c); the dip gate runs after each chunk.  _sweep reads
+# these names at call time.
+C_MAX_INITIAL = 50
+C_MAX_LIMIT = 60000
+RESIDUAL_TOLERANCE = 1e-4
+STABILITY_WINDOW = 3
+STABILITY_TOLERANCE = 0.05
+STABILITY_MIN_RUN = 200
 
 
 class CoefficientRecord:
@@ -266,7 +243,7 @@ def bundled_cache(path: str | os.PathLike | None = None) -> CoefficientCache:
     return cache
 
 
-def partial_kloosterman(n: int, c: int, ng: int, hg: int, digits: int = WORKING_DIGITS):
+def partial_kloosterman(n: int, c: int, ng: int, hg: int, digits: int):
     """K_c(n) as a real mpf to digits decimal digits, by its Selberg form."""
     import mpmath
 
@@ -327,12 +304,9 @@ class _GradeState:
 class RademacherEngine:
     """Coefficient provider for one group's classes, with cache and gates."""
 
-    def __init__(self, table: CharacterTable,
-                 policy: TruncationPolicy | None = None,
-                 cache: CoefficientCache | None = None):
+    def __init__(self, table: CharacterTable, cache: CoefficientCache | None = None):
         self.table = table
         self.group = table.group_name
-        self.policy = policy or TruncationPolicy()
         self.cache = cache if cache is not None else CoefficientCache(None)
 
     # -- series evaluation ---------------------------------------------------
@@ -372,12 +346,11 @@ class RademacherEngine:
 
         from . import kernels
 
-        pol = self.policy
         step = cls.ng
         states = {n: _GradeState(n) for n in grades}
         tail_start = self._head_terms(cls, states)
 
-        lo, hi = 1, min(max(pol.c_max_initial, step), pol.c_max_limit)
+        lo, hi = 1, min(max(C_MAX_INITIAL, step), C_MAX_LIMIT)
         while True:
             active = [n for n, st in states.items() if not st.done]
             if not active:
@@ -408,9 +381,9 @@ class RademacherEngine:
                     same = rounded == np.concatenate(([st.last_rounded], rounded[:-1]))
                     first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
                     run = idx - first + 1
-                    gated = usable & (cs >= pol.c_max_initial)
-                    accept = gated & (run >= pol.stability_window) & (
-                        resid <= pol.residual_tolerance)
+                    gated = usable & (cs >= C_MAX_INITIAL)
+                    accept = gated & (run >= STABILITY_WINDOW) & (
+                        resid <= RESIDUAL_TOLERANCE)
                     hits = np.flatnonzero(accept)
                     end = int(hits[0]) + 1 if len(hits) else len(cs)
                     seen = np.flatnonzero(gated[:end])
@@ -429,26 +402,24 @@ class RademacherEngine:
                         st.cum = float(cum[-1])
                         st.stable_run = int(run[-1])
                         st.last_rounded = float(rounded[-1])
-            if hi >= pol.c_max_limit:
+            if hi >= C_MAX_LIMIT:
                 break
-            lo, hi = hi + 1, min(hi * 2, pol.c_max_limit,
+            lo, hi = hi + 1, min(hi * 2, C_MAX_LIMIT,
                                  _chunk_end(hi + 1, step, 16 * kernels._BLOCK))
 
         # Fallback gate: sparse-grid classes never dip below the residual
         # tolerance (intrinsic ~C^(-1/2) tail drift); accept a long-stable
-        # rounding within the coarse stability tolerance instead.  These
-        # records are re-certified exactly by decomposition downstream.
-        if pol.stability_tolerance > 0:
-            for st in states.values():
-                value_rounded = round(st.cum)
-                r = abs(st.cum - value_rounded)
-                if (not st.done and st.stable_run >= pol.stability_min_run
-                        and r <= pol.stability_tolerance):
-                    st.done = True
-                    st.gate = "stability"
-                    st.value = st.head_int + value_rounded
-                    st.residual = r
-                    st.c_used = pol.c_max_limit - (pol.c_max_limit % step)
+        # rounding within the coarse stability tolerance instead.
+        for st in states.values():
+            value_rounded = round(st.cum)
+            r = abs(st.cum - value_rounded)
+            if (not st.done and st.stable_run >= STABILITY_MIN_RUN
+                    and r <= STABILITY_TOLERANCE):
+                st.done = True
+                st.gate = "stability"
+                st.value = st.head_int + value_rounded
+                st.residual = r
+                st.c_used = C_MAX_LIMIT - (C_MAX_LIMIT % step)
         return states
 
     def _compute(self, cls: ConjugacyClass, grades: list[int]

@@ -71,6 +71,15 @@ def test_coeff_repeated_class_printed_once(capsys, cache_args):
         [["2A", "1", "-6"], ["1A", "1", "90"]]
 
 
+def test_coeff_repeated_grade_printed_once(capsys, cache_args):
+    """A grade named twice is printed once per class, rows sorted by n."""
+    code, out, _ = run(capsys, ["coeff", "--group", "a5", "--n", "5,3,3,-1"] + cache_args)
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == \
+        [[c, n] for c in ("1A", "2A", "3A", "5A", "5B") for n in ("-1", "3", "5")]
+    assert run(capsys, ["coeff", "--group", "a5", "--n=-1,3,5"] + cache_args) == (0, out, "")
+
+
 def test_coeff_polar_and_range(capsys, cache_args):
     code, out, _ = run(capsys, ["coeff", "--class", "1A", "--n=-1..1"]
                        + cache_args)
@@ -177,6 +186,25 @@ def test_usage_error_exits_2(argv, message, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["filtrate", "--n", "1"],
+    ["filtrate", "--group", "a5", "--residue", "10", "--modulus", "30"],
+    ["asympt", "--free", "--n", "1"], ["cache"],
+    ["coeff", "--class", "1A", "--n", "1"], ["decompose", "--n", "1"]], ids=" ".join)
+def test_format_only_where_read(argv, capsys, cache_args):
+    """coeff and decompose read --format; every other command refuses it."""
+    argv = argv + ["--format", "json"] + cache_args
+    if argv[0] in ("coeff", "decompose"):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and json.loads(out)["schema"] == 1
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "unrecognized arguments: --format" in err
 
 
 def test_filtrate_exact_m24(capsys, cache_args):

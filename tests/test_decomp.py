@@ -3,7 +3,7 @@
 import pytest
 
 from moonmod.decomp import (MultiplicityVector, NegativeMultiplicity,
-                            NonIntegral, dimension_limits, free_part_split,
+                            NonIntegral, free_part_split,
                             multiplicities, ratio_profile)
 
 
@@ -101,12 +101,6 @@ def test_free_split_reconstructs(a5_table):
     dims = [chi.dim for chi in a5_table.irreps]
     assert tuple(rest.m[i] + r1 * dims[i] for i in range(5)) == mv.m
     assert min(rest.m[i] // dims[i] for i in range(5)) == 0
-
-
-def test_dimension_limits(a5_table):
-    from fractions import Fraction
-    assert dimension_limits(a5_table) == tuple(
-        Fraction(d, 16) for d in (1, 3, 3, 4, 5))
 
 
 def test_ratio_profile_regular_is_exact(a5_table):

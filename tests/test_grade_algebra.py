@@ -56,15 +56,16 @@ def ref_shares(table, m):
 
 
 def ref_order_sums(table, signs, order):
+    """2 w_k, the doubled order sums, as integers from class_sums."""
     weights = [c.size * signs[c.name] if c.element_order == order else 0
                for c in table.classes]
-    return [Fraction(twice.get(1, 0), 2) for twice in class_sums(table, weights)]
+    return [twice.get(1, 0) for twice in class_sums(table, weights)]
 
 
 def ref_minimizer(table, level, signs, order):
     """(J, nu) with nu as Fractions: the minimum ratio taken over Fractions."""
-    w = ref_order_sums(table, signs, order)
-    nu = {i: sum((a * wk for a, wk in zip(level.rows[i], w)), Fraction(0))
+    w2 = ref_order_sums(table, signs, order)
+    nu = {i: Fraction(sum(a * wk2 for a, wk2 in zip(level.rows[i], w2)), 2)
           for i in level.active}
     candidates = [i for i in level.active if level.direction[i] > 0]
     if not candidates or not any(nu.values()):

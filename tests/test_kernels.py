@@ -17,7 +17,7 @@ import pytest
 
 import kloosterman_reference as ref
 from moonmod import kernels
-from moonmod.numerics import kloosterman_sum
+from moonmod.numerics import WORKING_DIGITS, kloosterman_sum
 from moonmod.rademacher import CoefficientCache, RademacherEngine, partial_kloosterman
 
 
@@ -67,7 +67,7 @@ def test_kloosterman_matches_exact(ng, hg):
         c = _on_grid(c, ng, hg)
         exact = ref.kloosterman(n, c, ng, hg)
         assert abs(kloosterman_sum(n, c, ng, hg) - float(exact.real)) < 1e-9
-        assert abs(partial_kloosterman(n, c, ng, hg) - exact.real) < mpmath.mpf(10) ** -70
+        assert abs(partial_kloosterman(n, c, ng, hg, WORKING_DIGITS) - exact.real) < mpmath.mpf(10) ** -70
         assert abs(exact.imag) < mpmath.mpf(10) ** -70
 
 
@@ -234,7 +234,7 @@ def test_off_grid_c_raises(c, ng, hg):
 
 def test_packaged_23_stability_records_recompute(m24_table):
     """The eight packaged 23A/23B stability records with n in 1, 2, 3, 13,
-    recomputed on a cold engine: each sweep runs to c_max_limit."""
+    recomputed on a cold engine: each sweep runs to rademacher.C_MAX_LIMIT."""
     store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
     recs = [json.loads(line) for line in store.read_text(encoding="utf-8").splitlines()
             if line.strip()]

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 
 from kloosterman_reference import dedekind_sum
-from moonmod.numerics import bessel_i_half
+from moonmod.numerics import WORKING_DIGITS, bessel_i_half
 
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -70,12 +70,12 @@ def test_bessel_against_series():
                 / (mpmath.factorial(k) * mpmath.gamma(k + mpmath.mpf(3) / 2))
                 for k in range(60)
             )
-            rel = abs(bessel_i_half(x) - series) / series
+            rel = abs(bessel_i_half(x, WORKING_DIGITS) - series) / series
             assert rel < mpmath.mpf(10) ** -45
 
 
 def test_bessel_domain():
     with pytest.raises(ValueError):
-        bessel_i_half(0)
+        bessel_i_half(0, WORKING_DIGITS)
     with pytest.raises(ValueError):
-        bessel_i_half(-1.0)
+        bessel_i_half(-1.0, WORKING_DIGITS)

@@ -27,7 +27,7 @@ def test_quadratic_value_invariants():
         QuadraticValue(1, 1, 1)  # d = 1 needs b = 0
     with pytest.raises(ValueError):
         QuadraticValue(1, 0, 5)  # b = 0 needs d = 1
-    v = QuadraticValue.integer(7)
+    v = QuadraticValue(14, 0, 1)
     assert v.is_rational and v.as_fraction() == 7
 
 

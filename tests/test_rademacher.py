@@ -14,27 +14,21 @@ import mpmath
 import pytest
 
 import kloosterman_reference as ref
-from moonmod import kernels
+from moonmod import kernels, rademacher
 from moonmod.numerics import asymptotic_leading
 from moonmod.rademacher import (HEAD_SWITCH, CoefficientCache, CoefficientRecord,
                                 NonConvergent, RademacherEngine, RecordModeError,
-                                TruncationPolicy, _chunk_end, _series_digits,
-                                partial_kloosterman)
+                                _chunk_end, _series_digits, partial_kloosterman)
 
 KNOWN_1A = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100]
 KNOWN_2A = [-6, 14, -28, 42, -56, 86, -138, 188]
 KNOWN_2B = [10, -18, 20, -38, 72, -90, 118, -180]
 
 
-def test_policy_invariants():
-    with pytest.raises(ValueError):
-        TruncationPolicy(c_max_initial=100, c_max_limit=50)
-    with pytest.raises(ValueError):
-        TruncationPolicy(residual_tolerance=0.7)
-    with pytest.raises(ValueError):
-        TruncationPolicy(residual_tolerance=-1e-4)
-    with pytest.raises(ValueError):
-        TruncationPolicy(stability_window=0)
+def truncate(monkeypatch, **constants):
+    """Set the engine's truncation constants, by name, for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(rademacher, name, value)
 
 
 def test_store_has_one_record_per_key():
@@ -256,10 +250,10 @@ def test_cache_hit_avoids_recompute(engine):
 
 
 def test_nonconvergent_when_budget_tiny(m24_table, monkeypatch):
-    policy = TruncationPolicy(c_max_initial=5, c_max_limit=40,
-                              residual_tolerance=1e-12,
-                              stability_tolerance=0.0)
-    eng = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
+    # Nothing passes the 1e-12 dip, and the fallback gate cannot: c <= 40
+    # holds one checkpoint of 23A, fewer than STABILITY_MIN_RUN.
+    truncate(monkeypatch, C_MAX_INITIAL=5, C_MAX_LIMIT=40, RESIDUAL_TOLERANCE=1e-12)
+    eng = RademacherEngine(m24_table, cache=CoefficientCache(None))
     scanned = []
     grades = kernels.kloosterman_grades
 
@@ -317,10 +311,11 @@ def test_stability_window_spans_sweep_chunks(m24_table, monkeypatch):
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
     ends = []
     for c_max_initial in (460, 23):
-        # Nothing can pass the 1e-12 dip or the disabled fallback gate.
-        policy = TruncationPolicy(c_max_initial=c_max_initial, c_max_limit=460,
-                                  residual_tolerance=1e-12, stability_tolerance=0.0)
-        engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
+        # Nothing can pass the 1e-12 dip or the fallback gate: c <= 460
+        # holds 20 checkpoints of 23A, fewer than STABILITY_MIN_RUN.
+        truncate(monkeypatch, C_MAX_INITIAL=c_max_initial, C_MAX_LIMIT=460,
+                 RESIDUAL_TOLERANCE=1e-12)
+        engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
         st = engine._sweep(m24_table.class_named("23A"), [1])[1]
         assert not st.done
         ends.append((st.stable_run, st.last_rounded))
@@ -330,29 +325,29 @@ def test_stability_window_spans_sweep_chunks(m24_table, monkeypatch):
     assert ends[1][0] > chunks[-1]
 
 
-def test_dip_gate_waits_for_a_stable_run(m24_table):
+def test_dip_gate_waits_for_a_stable_run(m24_table, monkeypatch):
     """With a loose 0.2 tolerance from c = 1, 1A n = 1 dips to 88 at c = 2;
     a window of 3 equal roundings is first met at c = 39, on 90."""
     got = []
     for window in (1, 3):
-        policy = TruncationPolicy(c_max_initial=1, residual_tolerance=0.2,
-                                  stability_window=window, stability_tolerance=0.0)
-        engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
+        truncate(monkeypatch, C_MAX_INITIAL=1, RESIDUAL_TOLERANCE=0.2,
+                 STABILITY_WINDOW=window)
+        engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
         [rec] = engine.records("1A", [1])
         got.append((rec.value, rec.gate, rec.c_max_used))
     assert got == [(88, "dip", 2), (90, "dip", 39)]
 
 
-def test_stability_gate_cold(m24_table):
-    """On an empty cache, 23A never dips; the fallback gate accepts at c_max_limit."""
-    policy = TruncationPolicy(c_max_limit=2300, stability_min_run=50)
-    engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
+def test_stability_gate_cold(m24_table, monkeypatch):
+    """On an empty cache, 23A never dips; the fallback gate accepts at C_MAX_LIMIT."""
+    truncate(monkeypatch, C_MAX_LIMIT=2300, STABILITY_MIN_RUN=50)
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
     recs = engine.records("23A", [1, 2, 3])
     assert [(r.value, r.gate, r.c_max_used) for r in recs] == \
         [(-2, "stability", 2300), (2, "stability", 2300), (-1, "stability", 2300)]
     # c = 23, 46, ..., 2300 are 100 checkpoints: no run can reach 101.
-    policy = TruncationPolicy(c_max_limit=2300, stability_min_run=101)
-    engine = RademacherEngine(m24_table, policy=policy, cache=CoefficientCache(None))
+    truncate(monkeypatch, STABILITY_MIN_RUN=101)
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
     with pytest.raises(NonConvergent):
         engine.records("23A", [1, 2, 3])
 
