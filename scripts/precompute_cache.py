@@ -11,7 +11,8 @@ import sys
 import time
 
 from moonmod.chartab import bundled_table
-from moonmod.rademacher import CoefficientCache, RademacherEngine
+from moonmod.rademacher import RademacherEngine
+from moonmod.store import CoefficientCache
 
 DEFAULT = "src/moonmod/data/m24_coeffs.ldjson"
 EXAMPLE_CLASSES = ("1A", "2A", "3A", "5A")

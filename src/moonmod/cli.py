@@ -8,14 +8,14 @@ when every gate (orthogonality, integrality, reconstruction) passes.
 Cache resolution precedence: --cache flag, then the MOONMOD_CACHE
 environment variable (a directory holding <group>_coeffs.ldjson, named
 after the group the engine runs on: m24 for a table that fuses into M24,
-such as a5).  The
-named file overlays the packaged precomputed store, which is read into
-memory: file records win, and new values are appended to the file only.
-With neither, nothing is written.
+such as a5).  The named file overlays the packaged precomputed store,
+which is read into memory: file records win, and new values are appended
+to the file only.  With neither, nothing is written.  A file in the
+package data directory is refused: no command writes or deletes it.
 
 Each command imports the modules it uses when it runs: validate loads the
-table modules only, coeff and cache add the coefficient store, and only
-the commands that decompose or filtrate load those layers.
+table modules only, cache adds moonmod.store, coeff the store and the
+engine, and only the commands that decompose or filtrate load those layers.
 """
 
 from __future__ import annotations
@@ -40,20 +40,20 @@ def _fused(table: CharacterTable) -> bool:
 
 
 def _resolve_cache(args, table: CharacterTable | None = None) -> str | None:
-    """The writable cache file, or None when only the packaged store applies.
+    """The writable cache file, or None when only the packaged store applies;
+    a file in the package data directory is refused with ValueError.
 
     Under MOONMOD_CACHE the file is named after the group the engine runs
     on, m24 for a fused table; table is loaded from --group if not given.
     """
-    if args.cache:
-        return args.cache
-    env_dir = os.environ.get("MOONMOD_CACHE")
-    if not env_dir:
-        return None
-    if table is None:
-        table = _load_group(args.group)
-    group = "m24" if _fused(table) else table.group_name.lower()
-    return os.path.join(env_dir, f"{group}_coeffs.ldjson")
+    from .store import checked_writable
+
+    path, env_dir = args.cache, os.environ.get("MOONMOD_CACHE")
+    if not path and env_dir:
+        table = table or _load_group(args.group)
+        group = "m24" if _fused(table) else table.group_name.lower()
+        path = os.path.join(env_dir, f"{group}_coeffs.ldjson")
+    return checked_writable(path) if path else None
 
 
 def _load_group(name_or_path: str) -> CharacterTable:
@@ -68,7 +68,8 @@ def _make_engine(args, table: CharacterTable):
     Tables whose classes carry fusion targets are subgroups of M24: the
     engine runs on the ambient M24 data and values flow through fusion.
     """
-    from .rademacher import RademacherEngine, bundled_cache
+    from .rademacher import RademacherEngine
+    from .store import bundled_cache
 
     fused = _fused(table)
     ambient = bundled_table("m24") if fused else table
@@ -244,7 +245,7 @@ def cmd_asympt(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from .rademacher import CoefficientCache, bundled_cache
+    from .store import CoefficientCache, bundled_cache
 
     path = _resolve_cache(args)
     if path is None and args.clear:

@@ -50,9 +50,6 @@ class MultiplicityVector:
         self.n = n
         self.m = m
 
-    def __iter__(self):
-        return iter(self.m)
-
 
 def _coeff_lookup(coeffs, class_name: str, n: int) -> int:
     if hasattr(coeffs, "value"):

@@ -155,10 +155,12 @@ def signs_at(table: CharacterTable, provider, n: int) -> dict[str, int]:
     return {c.name: _sgn(provider.value(c.name, n)) for c in table.classes}
 
 
-def _sign_lookup(signs, class_name: str, n: int | None) -> int:
+def _class_signs(table: CharacterTable, signs, n: int | None) -> tuple[int, ...]:
+    """The sign of each class, parallel to table.classes: signs is the dict
+    from signs_at or a SignProfile, evaluated at n."""
     if isinstance(signs, SignProfile):
-        return signs.sign(class_name, n)
-    return signs[class_name]
+        return tuple(signs.sign(c.name, n) for c in table.classes)
+    return tuple(signs[c.name] for c in table.classes)
 
 
 # -- level algebra -----------------------------------------------------------
@@ -169,11 +171,10 @@ class ClassFunctionLevel:
     indices and the current integer direction L over them.  Rows of irreps
     no longer active are left as they were and never read."""
 
-    __slots__ = ("level", "order", "rows", "active", "direction")
+    __slots__ = ("order", "rows", "active", "direction")
 
-    def __init__(self, level: int, order: int, rows: list[tuple[int, ...]],
+    def __init__(self, order: int, rows: list[tuple[int, ...]],
                  active: tuple[int, ...], direction: dict[int, int]) -> None:
-        self.level = level
         self.order = order  # element order e_l this level's direction belongs to
         self.rows = rows
         self.active = active
@@ -185,22 +186,22 @@ def _character_level(table: CharacterTable) -> ClassFunctionLevel:
     rows = [tuple(int(i == k) for k in range(s)) for i in range(s)]
     active = tuple(range(s))
     direction = {i: table.irreps[i].dim for i in active}
-    return ClassFunctionLevel(1, 1, rows, active, direction)
+    return ClassFunctionLevel(1, rows, active, direction)
 
 
-def _order_sums(table: CharacterTable, signs, n: int | None, order: int
+def _order_sums(table: CharacterTable, signs: tuple[int, ...], order: int
                 ) -> list[int]:
     """2 w_k, with w_k = sum over classes of the given order of
     |[g]| sgn(c_g) chi_k(g), one dot product each with the table's integer
-    matrices (CharacterTable.sized_numerators).
+    matrices (CharacterTable.sized_numerators); signs runs parallel to
+    table.classes.
 
     Coefficients are Galois-invariant, so their signs agree on conjugate
     classes and every w_k is rational; signs that differ there can only
     come from hand-made input, which is refused.
     """
     rational, irrational = table.sized_numerators()
-    sgn = [_sign_lookup(signs, c.name, n) if c.element_order == order else 0
-           for c in table.classes]
+    sgn = [s if c.element_order == order else 0 for c, s in zip(table.classes, signs)]
     if any(sum(map(mul, row, sgn)) for row in irrational):
         sums = class_sums(table, [c.size * s for c, s in zip(table.classes, sgn)])
         raise IrrationalDirection(order, tuple(sums))
@@ -208,12 +209,12 @@ def _order_sums(table: CharacterTable, signs, n: int | None, order: int
 
 
 def minimizer_set(table: CharacterTable, level: ClassFunctionLevel,
-                  signs, n: int | None, order: int
+                  signs: tuple[int, ...], order: int
                   ) -> tuple[tuple[int, ...], dict[int, int]]:
     """Active indices minimizing nu_i / L(i) over entries with L(i) > 0,
     where nu_i = sum_k rows[i][k] w_k.  Returns (J, 2 nu) with 2 nu_i an
     integer; the ratios are compared by cross-multiplication."""
-    w = _order_sums(table, signs, n, order)
+    w = _order_sums(table, signs, order)
     nu = {i: sum(map(mul, level.rows[i], w)) for i in level.active}
     L = level.direction
     candidates = [i for i in level.active if L[i] > 0]
@@ -241,8 +242,7 @@ def next_class_function(level: ClassFunctionLevel, J: tuple[int, ...],
         Li = level.direction[i]
         rows[i] = tuple(Ljp * a - Li * b for a, b in zip(level.rows[i], level.rows[jp]))
     raw = {i: Ljp * nu[i] - level.direction[i] * nu[jp] for i in new_active}
-    return ClassFunctionLevel(level.level + 1, order, rows, new_active,
-                              direction_vector(raw, order))
+    return ClassFunctionLevel(order, rows, new_active, direction_vector(raw, order))
 
 
 def direction_vector(raw: dict[int, int], order: int) -> dict[int, int]:
@@ -293,8 +293,8 @@ class FiltrationResult:
         self.skipped_orders = skipped_orders
 
 
-def _chain(table: CharacterTable, signs, n: int, remaining: list[int] | None):
-    """(chain, order blocks, skipped orders) for the signs at n.
+def _chain(table: CharacterTable, signs: tuple[int, ...], remaining: list[int] | None):
+    """(chain, order blocks, skipped orders) for the class signs.
 
     With remaining, each level first peels r_j, the most copies of its
     direction that fit, off remaining in place; without, every r_j is None.
@@ -316,7 +316,7 @@ def _chain(table: CharacterTable, signs, n: int, remaining: list[int] | None):
         while orders:  # the next nondegenerate order eliminates its minimizers
             order = orders.pop(0)
             try:
-                J, nu = minimizer_set(table, level, signs, n, order)
+                J, nu = minimizer_set(table, level, signs, order)
             except DegenerateLevel as exc:
                 skipped.append(exc.order)
                 continue
@@ -343,7 +343,7 @@ def filtrate_exact(mv: MultiplicityVector, table: CharacterTable, signs
     if any(m < 0 for m in mv.m):
         raise ValueError("exact filtration requires a nonnegative multiplicity vector")
     remaining = list(mv.m)
-    chain, blocks, skipped = _chain(table, signs, mv.n, remaining)
+    chain, blocks, skipped = _chain(table, _class_signs(table, signs, mv.n), remaining)
     residual = tuple(remaining)
     if any(v < 0 for v in residual):
         raise StructureViolation(f"negative residual entries: {residual}")
@@ -361,7 +361,7 @@ def filtrate_asymptotic(table: CharacterTable, profile: SignProfile,
         raise ValueError(f"modulus {N} is not positive")
     if N % profile.N != 0:
         raise ValueError(f"modulus {N} is not a multiple of the profile lcm {profile.N}")
-    chain, blocks, skipped = _chain(table, profile, n0 % N, None)
+    chain, blocks, skipped = _chain(table, _class_signs(table, profile, n0 % N), None)
     return FiltrationResult("asymptotic", None, (n0 % N, N), chain, None,
                             blocks, skipped)
 
@@ -383,7 +383,7 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
         raise ValueError("group has no non-identity elements")
     e2 = orders[1]
     level = _character_level(table)
-    J, nu = minimizer_set(table, level, signs, n, e2)
+    J, nu = minimizer_set(table, level, _class_signs(table, signs, n), e2)
     jp = min(J)
     dims = [chi.dim for chi in table.irreps]
     # The order-e2 class with the fastest growth (smallest n_g).

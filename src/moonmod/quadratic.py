@@ -67,13 +67,6 @@ class QuadraticValue:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction
-
-        if not self.is_rational:
-            raise ValueError("value is irrational")
-        return Fraction(self.a, 2)
-
     def conjugate(self) -> "QuadraticValue":
         """Complex conjugate; the identity on real (d > 0) values."""
         if self.d < 0:

@@ -16,9 +16,9 @@ large Bessel argument are evaluated in mpmath (partial_kloosterman) at
 _series_digits(n) decimal digits, a count derived from the size of the
 grade's leading term; the long oscillating tail runs through the float64
 kernel in moonmod.kernels.
-numpy, mpmath and the kernels are imported inside the functions that
-compute a coefficient, so a command served from the store loads none of
-them.
+moonmod.store reads and appends the records; numpy, mpmath and the
+kernels are imported inside the functions that compute a coefficient, so
+a command served from the store loads none of them.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
 like a random walk of step ~1/c), so truncation is adaptive, with the
@@ -31,22 +31,16 @@ and tail are both real, so the gates read the real partial sums only.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import threading
 
 from .numerics import WORKING_DIGITS, bessel_i_half, selberg_roots
-from .chartab import DATA_DIR, CharacterTable, ConjugacyClass
+from .chartab import CharacterTable, ConjugacyClass
+# perfbench/{run,setup_probe,selftest,make_reference,workloads,spans}.py read these here.
+from .store import CoefficientCache, CoefficientRecord, bundled_cache  # noqa: F401
 
 # Bessel argument above which terms are evaluated at full precision; below
 # it float64 keeps absolute term error well under the integrality tolerance.
 HEAD_SWITCH = 20.0
-
-# The Dedekind sum variant, classical s(d, c) = sum ((m/c)) ((m d/c)), as
-# named in the mode field of stored records and of coeff output.
-DEDEKIND_MODE = "classical"
-
 
 # Adaptive truncation, one schedule for every grade.  Both gates read the run
 # of consecutive admissible checkpoints, carried across chunks of c, whose
@@ -74,31 +68,6 @@ STABILITY_TOLERANCE = 0.05
 STABILITY_MIN_RUN = 200
 
 
-class CoefficientRecord:
-    __slots__ = ("class_name", "n", "value", "residual", "c_max_used", "gate")
-
-    def __init__(self, class_name: str, n: int, value: int, residual: float,
-                 c_max_used: int, gate: str = "dip") -> None:
-        self.class_name = class_name
-        self.n = n
-        self.value = value
-        self.residual = residual
-        self.c_max_used = c_max_used
-        self.gate = gate  # "dip" (residual tolerance met) or "stability"
-
-    def json_fields(self) -> dict:
-        """The fields of a stored record and of coeff --format json."""
-        return {
-            "class": self.class_name,
-            "n": self.n,
-            "value": str(self.value),
-            "residual": self.residual,
-            "c_max_used": self.c_max_used,
-            "mode": DEDEKIND_MODE,
-            "gate": self.gate,
-        }
-
-
 class NonConvergent(Exception):
     def __init__(self, class_name: str, n: int, best_raw: float, best_residual: float):
         super().__init__(
@@ -109,138 +78,6 @@ class NonConvergent(Exception):
         self.n = n
         self.best_raw = best_raw
         self.best_residual = best_residual
-
-
-class RecordModeError(ValueError):
-    """A stored record made with a Dedekind sum variant other than DEDEKIND_MODE."""
-
-    def __init__(self, rec: dict):
-        super().__init__(
-            f"cached record {rec['class']} n={rec['n']} has mode {rec.get('mode')!r}, "
-            f"not {DEDEKIND_MODE!r}")
-
-
-class CoefficientCache:
-    """Append-only line-delimited record store, tolerant of a torn tail line.
-
-    Appends from several processes to one file are serialised by a lock on
-    the file.
-    """
-
-    def __init__(self, path: str | os.PathLike | None):
-        self.path = os.fspath(path) if path is not None else None
-        self.records: dict[tuple[str, str, int], dict] = {}
-        self.hits = 0
-        self._lock = threading.Lock()
-        if self.path and os.path.exists(self.path):
-            self._load()
-
-    def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            self.seed(fh.read().splitlines())
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def get(self, group: str, class_name: str, n: int) -> dict | None:
-        rec = self.records.get((group, class_name, n))
-        if rec is not None:
-            self.hits += 1
-        return rec
-
-    def put(self, group: str, class_name: str, n: int, record: CoefficientRecord) -> None:
-        rec = {"group": group, **record.json_fields()}
-        with self._lock:
-            if (group, class_name, n) in self.records:
-                return
-            self.records[(group, class_name, n)] = rec
-            if self.path:
-                import fcntl
-
-                line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
-                # One unbuffered write per record; after a torn tail line the
-                # record starts on a line of its own.  The file lock keeps
-                # another process from appending between the check and the
-                # write; closing the file releases it.
-                with open(self.path, "a+b", buffering=0) as fh:
-                    fcntl.flock(fh, fcntl.LOCK_EX)
-                    end = fh.seek(0, os.SEEK_END)
-                    if end:
-                        fh.seek(end - 1)
-                        if fh.read(1) != b"\n":
-                            line = b"\n" + line
-                    fh.write(line)
-
-    def seed(self, lines) -> None:
-        """Merge parsed records from an iterable of ldjson lines (no writes).
-
-        The first record of a key wins.  Lines that do not parse, typically
-        a torn trailing line, are skipped; the file they came from is never
-        rewritten.  The lines are parsed in one go, as one JSON array, when
-        no value can run past its line: with no '[' and a '{' only at each
-        line's start nothing nests, a string cannot hold the separator's raw
-        newline, and an object cannot go on past it, where the next line's
-        '{' would stand for a key.  That parse is kept if it has one element
-        per line; otherwise (a torn line, two values on one line) each line
-        is parsed alone.
-        """
-        lines = [line for line in lines if line.strip()]
-        text = "\n,".join(lines)
-        recs = None
-        if ("[" not in text and text.startswith("{")
-                and text.count("{") == len(lines) == text.count("\n,{") + 1):
-            try:
-                recs = json.loads("[" + text + "]")
-            except ValueError:
-                pass
-        if recs is None or len(recs) != len(lines):
-            recs = []
-            for line in lines:
-                try:
-                    recs.append(json.loads(line))
-                except ValueError:
-                    continue
-        for rec in recs:
-            try:
-                key = (rec["group"], rec["class"], int(rec["n"]))
-                int(rec["value"])
-            except (ValueError, KeyError, TypeError):
-                continue
-            self.records.setdefault(key, rec)
-
-    @staticmethod
-    def checked(rec: dict) -> dict:
-        """rec itself, if it was made with DEDEKIND_MODE; else RecordModeError."""
-        if rec.get("mode") != DEDEKIND_MODE:
-            raise RecordModeError(rec)
-        return rec
-
-    def to_record(self, rec: dict) -> CoefficientRecord:
-        self.checked(rec)
-        return CoefficientRecord(
-            class_name=rec["class"],
-            n=int(rec["n"]),
-            value=int(rec["value"]),
-            residual=float(rec["residual"]),
-            c_max_used=int(rec["c_max_used"]),
-            gate=rec.get("gate", "dip"),
-        )
-
-
-def bundled_cache(path: str | os.PathLike | None = None) -> CoefficientCache:
-    """Cache seeded from the packaged precomputed store.
-
-    Records already in the file at path win over packaged ones, and fresh
-    computations are appended to that file only.  With path=None the cache
-    is in-memory only; fresh computations are kept for the session but not
-    persisted.
-    """
-    cache = CoefficientCache(path)
-    store = os.path.join(DATA_DIR, "m24_coeffs.ldjson")
-    if os.path.isfile(store):
-        with open(store, "r", encoding="utf-8") as fh:
-            cache.seed(fh.read().splitlines())
-    return cache
 
 
 def partial_kloosterman(n: int, c: int, ng: int, hg: int, digits: int):
@@ -456,7 +293,7 @@ class RademacherEngine:
             if n < 1:
                 got[n] = CoefficientRecord(cls.name, n, -2 if n else 0, 0.0, 0, "definition")
             elif (rec := self.cache.get(self.group, cls.name, n)) is not None:
-                got[n] = self.cache.to_record(rec)
+                got[n] = CoefficientRecord.from_json(rec)
             else:
                 todo.append(n)
         if todo:
@@ -471,4 +308,4 @@ class RademacherEngine:
         if rec is None:
             # Swept at once: records would look the grade up a second time.
             return self._compute(self.table.class_named(class_name), [n])[n].value
-        return int(self.cache.checked(rec)["value"])
+        return int(rec["value"])

@@ -3,7 +3,8 @@ import os
 import pytest
 
 from moonmod.chartab import bundled_table
-from moonmod.rademacher import CoefficientCache, RademacherEngine, bundled_cache
+from moonmod.rademacher import RademacherEngine
+from moonmod.store import bundled_cache
 
 REPO_CACHE = os.path.join(os.path.dirname(__file__), "..", "src", "moonmod", "data",
                           "m24_coeffs.ldjson")

@@ -16,7 +16,8 @@ from moonmod.chartab import FusedProvider, bundled_table
 from moonmod.decomp import free_part_split, multiplicities, ratio_profile
 from moonmod.filtration import (filtrate_asymptotic, filtrate_exact,
                                 nonfree_asymptotic, sign_profile, signs_at)
-from moonmod.rademacher import CoefficientCache, RademacherEngine
+from moonmod.rademacher import RademacherEngine
+from moonmod.store import CoefficientCache
 
 
 def test_criterion_1_table_gates():

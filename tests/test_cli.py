@@ -15,7 +15,8 @@ from moonmod.chartab import TableError, UnknownClassError, bundled_table
 from moonmod.cli import _make_engine, build_parser, main
 from moonmod.decomp import DecompositionError
 from moonmod.filtration import FiltrationError
-from moonmod.rademacher import NonConvergent, RecordModeError, bundled_cache
+from moonmod.rademacher import NonConvergent
+from moonmod.store import RecordModeError, bundled_cache
 
 REPO_CACHE = os.path.join(os.path.dirname(__file__), "..", "src", "moonmod", "data",
                           "m24_coeffs.ldjson")
@@ -364,6 +365,49 @@ def test_cache_record_with_foreign_mode_refused(tmp_path, capsys):
     assert err.startswith("error:") and "omega-floor" in err
 
 
+@pytest.fixture
+def data_copy(tmp_path, monkeypatch):
+    """The store's package data directory, pointed at a copy of the store."""
+    import moonmod.store as store
+
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copyfile(REPO_CACHE, data / "m24_coeffs.ldjson")
+    monkeypatch.setattr(store, "DATA_DIR", str(data))
+    monkeypatch.delenv("MOONMOD_CACHE", raising=False)
+    return data
+
+
+@pytest.mark.parametrize("argv", [["cache", "--clear"], ["cache"],
+                                  ["coeff", "--class", "1A", "--n", "1"]], ids=" ".join)
+def test_cache_file_in_package_data_refused(argv, data_copy, tmp_path, capsys):
+    """--cache naming the packaged store (or a link to it) is refused: the
+    store is neither deleted nor written."""
+    store = data_copy / "m24_coeffs.ldjson"
+    before = store.read_bytes()
+    link = tmp_path / "link.ldjson"
+    link.symlink_to(store)
+    for path in (store, link):
+        code, out, err = run(capsys, argv + ["--cache", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cache file") and "read-only" in err
+    assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [["cache", "--clear"], ["cache", "--group", "a5"],
+                                  ["coeff", "--class", "1A", "--n", "61"]], ids=" ".join)
+def test_cache_dir_in_package_data_refused(argv, data_copy, monkeypatch, capsys):
+    """MOONMOD_CACHE naming the package data directory is refused before
+    the store is read, so a cold coeff appends nothing to it."""
+    store = data_copy / "m24_coeffs.ldjson"
+    before = store.read_bytes()
+    monkeypatch.setenv("MOONMOD_CACHE", str(data_copy))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cache file") and "read-only" in err
+    assert store.read_bytes() == before
+
+
 # -- import boundary ---------------------------------------------------------
 
 # The directory that holds the moonmod under test.
@@ -424,7 +468,8 @@ NOT_LOADED = {
     "validate": {"moonmod.rademacher", "moonmod.decomp", "moonmod.filtration",
                  "moonmod.numerics", "moonmod.kernels"},
     "coeff": {"moonmod.decomp", "moonmod.filtration", "moonmod.kernels"},
-    "cache": {"moonmod.decomp", "moonmod.filtration", "moonmod.kernels"},
+    "cache": {"moonmod.rademacher", "moonmod.numerics", "moonmod.decomp",
+              "moonmod.filtration", "moonmod.kernels"},
     # The asymptotic filtration reads the table alone.
     "filtrate --residue": {"moonmod.rademacher", "moonmod.kernels"},
 }
@@ -443,6 +488,19 @@ def test_warm_command_loads_no_numeric_stack(argv, tmp_path, capsys):
     assert not NOT_LOADED.get(mode, {"moonmod.kernels"}) & set(modules)
     assert run(capsys, argv) == (0, out, "")
     assert store.read_bytes() == before
+
+
+def test_cache_command_loads_only_the_store(tmp_path):
+    """cache reports the packaged store, or clears a file, with moonmod.store
+    and the table modules alone: neither the engine nor numerics is loaded."""
+    store = tmp_path / "m24_coeffs.ldjson"
+    store.write_text("")
+    for argv in (["cache"], ["cache", "--clear", "--cache", str(store)]):
+        code, _, numeric, modules, _ = run_child(argv, SRC_DIR)
+        assert (code, numeric) == (0, [])
+        assert modules == ["moonmod.chartab", "moonmod.cli", "moonmod.quadratic",
+                           "moonmod.store"]
+    assert not store.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -478,9 +536,10 @@ def test_cold_coeff_sweeps_each_class_once(tmp_path, capsys, monkeypatch):
     class, with the rows and the appended store bytes of one-grade requests
     made in the same order."""
     import moonmod.rademacher as rademacher
+    import moonmod.store as store
 
     # Without the packaged store every grade misses.
-    monkeypatch.setattr(rademacher, "bundled_cache", rademacher.CoefficientCache)
+    monkeypatch.setattr(store, "bundled_cache", store.CoefficientCache)
     sweeps = []
     sweep = rademacher.RademacherEngine._sweep
 
@@ -513,7 +572,8 @@ def test_cold_coefficient_loads_no_fractions():
         "import sys\n"
         "bare = set(sys.modules)\n"
         "from moonmod.chartab import bundled_table\n"
-        "from moonmod.rademacher import CoefficientCache, RademacherEngine\n"
+        "from moonmod.rademacher import RademacherEngine\n"
+        "from moonmod.store import CoefficientCache\n"
         "engine = RademacherEngine(bundled_table('m24'), cache=CoefficientCache(None))\n"
         "print(engine.records('1A', [40])[0].value)\n"
         "print(*[m for m in ('fractions', 'decimal') if m in sys.modules and m not in bare])\n"

@@ -99,7 +99,7 @@ class S3Provider:
 def oracle_filtrate(table, m, signs):
     """Direct translation of the recursion with Fractions, no optimizations."""
     dims = [chi.dim for chi in table.irreps]
-    chars = [[v.as_fraction() for v in chi.values] for chi in table.irreps]
+    chars = [[Fraction(v.a, 2) for v in chi.values] for chi in table.irreps]
     classes = [(c.name, c.size, c.element_order) for c in table.classes]
     orders = sorted({o for (_, _, o) in classes if o > 1})
     s = len(dims)
@@ -245,13 +245,12 @@ def test_a5_asymptotic_blocks(a5_table):
 
 def test_a5_level1_minimizers(a5_table):
     level = _character_level(a5_table)
+    assert [c.name for c in a5_table.classes] == ["1A", "2A", "3A", "5A", "5B"]
     # n even: 15 chi_j(2A)/dim = (15, -5, -5, 0, 3), minimum at the 3-dims.
-    J, _ = minimizer_set(a5_table, level, {"1A": 1, "2A": 1, "3A": 0,
-                                           "5A": 0, "5B": 0}, None, 2)
+    J, _ = minimizer_set(a5_table, level, (1, 1, 0, 0, 0), 2)
     assert J == (1, 2)
     # n odd: signs flip, the trivial goes first.
-    J, _ = minimizer_set(a5_table, level, {"1A": 1, "2A": -1, "3A": 0,
-                                           "5A": 0, "5B": 0}, None, 2)
+    J, _ = minimizer_set(a5_table, level, (1, -1, 0, 0, 0), 2)
     assert J == (0,)
 
 
@@ -265,21 +264,21 @@ def test_a5_level2_direction(a5_table):
 
 def test_minimizer_scale_invariance(a5_table):
     level = _character_level(a5_table)
-    signs = {"1A": 1, "2A": 1, "3A": 0, "5A": 0, "5B": 0}
-    J1, nu1 = minimizer_set(a5_table, level, signs, None, 2)
+    signs = (1, 1, 0, 0, 0)  # 1A, 2A, 3A, 5A, 5B
+    J1, nu1 = minimizer_set(a5_table, level, signs, 2)
     # Scale all f rows (and direction) by 3: same J, same canonical direction.
     scaled = _character_level(a5_table)
     scaled.rows = [tuple(3 * v for v in row) for row in scaled.rows]
     scaled.direction = {i: 3 * v for i, v in scaled.direction.items()}
-    J2, nu2 = minimizer_set(a5_table, scaled, signs, None, 2)
+    J2, nu2 = minimizer_set(a5_table, scaled, signs, 2)
     assert J1 == J2
 
 
 def test_degenerate_level_raised(a5_table):
     level = _character_level(a5_table)
-    signs = {"1A": 1, "2A": 1, "3A": 0, "5A": 0, "5B": 0}
+    signs = (1, 1, 0, 0, 0)  # 1A, 2A, 3A, 5A, 5B
     with pytest.raises(DegenerateLevel):
-        minimizer_set(a5_table, level, signs, None, 3)
+        minimizer_set(a5_table, level, signs, 3)
 
 
 def test_direction_vector_canonicalizes():

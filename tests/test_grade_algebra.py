@@ -126,14 +126,15 @@ def test_minimizer_sets_and_directions_equal_fraction_reference(providers):
     for table, provider in providers:
         for n in GRADES:
             signs = signs_at(table, provider, n)
+            class_signs = tuple(signs[c.name] for c in table.classes)
             level = _character_level(table)
             for order in distinct_orders(table)[1:]:
                 J_ref, nu_ref = ref_minimizer(table, level, signs, order)
                 if J_ref is None:
                     with pytest.raises(DegenerateLevel):
-                        minimizer_set(table, level, signs, n, order)
+                        minimizer_set(table, level, class_signs, order)
                     continue
-                J, nu = minimizer_set(table, level, signs, n, order)
+                J, nu = minimizer_set(table, level, class_signs, order)
                 assert J == J_ref, (table.group_name, n, order)
                 assert nu == {i: 2 * v for i, v in nu_ref.items()}
                 nxt = next_class_function(level, J, nu, order)

@@ -18,7 +18,8 @@ import pytest
 import kloosterman_reference as ref
 from moonmod import kernels
 from moonmod.numerics import WORKING_DIGITS, kloosterman_sum
-from moonmod.rademacher import CoefficientCache, RademacherEngine, partial_kloosterman
+from moonmod.rademacher import RademacherEngine, partial_kloosterman
+from moonmod.store import CoefficientCache
 
 
 def _on_grid(c, ng, hg=1):

@@ -16,9 +16,9 @@ import pytest
 import kloosterman_reference as ref
 from moonmod import kernels, rademacher
 from moonmod.numerics import asymptotic_leading
-from moonmod.rademacher import (HEAD_SWITCH, CoefficientCache, CoefficientRecord,
-                                NonConvergent, RademacherEngine, RecordModeError,
-                                _chunk_end, _series_digits, partial_kloosterman)
+from moonmod.rademacher import (HEAD_SWITCH, NonConvergent, RademacherEngine, _chunk_end,
+                                _series_digits, partial_kloosterman)
+from moonmod.store import CoefficientCache, CoefficientRecord, RecordModeError
 
 KNOWN_1A = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100]
 KNOWN_2A = [-6, 14, -28, 42, -56, 86, -138, 188]
@@ -117,7 +117,7 @@ def test_cache_round_trip(tmp_path):
     rec = CoefficientRecord("2A", 3, -28, 2.5e-5, 410, "dip")
     cache.put("M24", "2A", 3, rec)
     again = CoefficientCache(path)
-    got = again.to_record(again.get("M24", "2A", 3))
+    got = CoefficientRecord.from_json(again.get("M24", "2A", 3))
     assert got.value == -28
     assert got.c_max_used == 410
     assert got.gate == "dip"
@@ -231,14 +231,16 @@ def test_cache_load_matches_per_line_parse(case, tmp_path):
     assert path.read_text(encoding="utf-8") == text
 
 
-def test_cache_refuses_foreign_mode(tmp_path, m24_table):
+@pytest.mark.parametrize("read", [lambda eng: eng.records("1A", [1]),
+                                  lambda eng: eng.value("1A", 1)], ids=["records", "value"])
+def test_cache_refuses_foreign_mode(read, tmp_path, m24_table):
     path = tmp_path / "cache.ldjson"
     path.write_text(json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "90",
                                 "residual": 1e-5, "c_max_used": 127,
                                 "mode": "omega-floor", "gate": "dip"}) + "\n")
     eng = RademacherEngine(m24_table, cache=CoefficientCache(path))
     with pytest.raises(RecordModeError, match="omega-floor"):
-        eng.value("1A", 1)
+        read(eng)
 
 
 def test_cache_hit_avoids_recompute(engine):
@@ -354,7 +356,7 @@ def test_stability_gate_cold(m24_table, monkeypatch):
 
 def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
     """A value accepted in the upper half of a doubled chunk ends the sweep there."""
-    stored = warm_cache.to_record(warm_cache.records[("M24", "1A", 36)])
+    stored = CoefficientRecord.from_json(warm_cache.records[("M24", "1A", 36)])
     assert stored.gate == "dip" and 1601 <= stored.c_max_used <= 3200
     eng = RademacherEngine(m24_table, cache=CoefficientCache(None))
     scanned = []
@@ -419,7 +421,7 @@ def test_store_hit_builds_no_record(m24_table, warm_cache, monkeypatch):
     def refuse(*_args):
         raise AssertionError("a store hit built a record")
 
-    monkeypatch.setattr(CoefficientCache, "to_record", refuse)
+    monkeypatch.setattr(CoefficientRecord, "from_json", refuse)
     monkeypatch.setattr(RademacherEngine, "records", refuse)
     monkeypatch.setattr(type(m24_table), "class_named", refuse)
     before = warm_cache.hits
@@ -449,7 +451,7 @@ def test_store_miss_is_looked_up_once(m24_table, monkeypatch):
 # after a line "ready" on stdout.
 APPENDER = (
     "import sys\n"
-    "from moonmod.rademacher import CoefficientCache, CoefficientRecord\n"
+    "from moonmod.store import CoefficientCache, CoefficientRecord\n"
     "path, cls, count = sys.argv[1:]\n"
     "cache = CoefficientCache(path)\n"
     "print('ready', flush=True)\n"
