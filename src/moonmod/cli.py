@@ -352,9 +352,21 @@ def _reported_errors() -> tuple[type[Exception], ...]:
             FiltrationError, ValueError)
 
 
+def _joined_grades(argv: list[str]) -> list[str]:
+    """argv with each `--n SPEC` whose SPEC starts with '-' and a digit
+    joined into `--n=SPEC`: argparse reads a separate `-1..3` as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--n" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--n={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_grades(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "filtrate" and args.n is not None and args.modulus is not None:
         parser.error("argument --modulus: not allowed with argument --n")
     if args.command == "filtrate" and args.residue is not None and args.modulus is None:

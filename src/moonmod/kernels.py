@@ -14,18 +14,27 @@ turns that sum into its Selberg form, a sum over the roots of a quadratic:
              (-1)^j sin(pi (2j+1) / (2c)),   T_j = j(j+1)/2.
 
 The pairing j <-> 2c-1-j of the underlying sum over j mod 2c makes K_c(n)
-exactly real.  Grade n0 + g takes the roots j with T_j = U - g, where
-U = shift + c*k, shift = (c^2/m - n0) mod c, runs over the lifts k >= 0;
-with w = min(c, n1 - n0 + 1) columns each T_j lands in one lift, and a
-grade column wraps when c is smaller than the number of grades.  A lift
-holds a root only if an odd square lies in (8(U - w) + 1, 8U + 1]; one
-float64 square root per lift screens for it, and the lifts that pass are
-settled in exact integers, their roots being N(U - w) <= j < N(U) with
-N(t) = #{j >= 0: T_j <= t}.  So one pass over about c/2 lifts serves
-every grade, and a sine is taken only at a root.  Each column accumulates
-its roots in increasing j and is scaled by sqrt(c) after the last tile, in
-the same float operations as kloosterman_sum, so a single grade
-reproduces that scalar bit for bit.
+exactly real.  The mirror j <-> c-1-j folds the sum onto j < c/2: since
+T_{c-1-j} = T_j + c(c-1-2j)/2, for odd c the mirror is a root of the same
+residue with the same term (the middle root j = (c-1)/2 is its own
+mirror), and for even c it is a root of the residue r + c/2 with the
+opposite term.  So the kernel sums the roots j < c/2 only, doubling each
+but the middle one for odd c, and for even c subtracting the roots j < c/2
+of residue r + c/2.  Grade n0 + g takes the roots j < c/2 with
+T_j = U - g, where U = base + s*k runs over the lifts k >= 0, with step
+s = c for odd c and s = c/2 for even c (where lifts alternate between the
+residues r and r + c/2), and base = shift mod s,
+shift = (c^2/m - n0) mod c.  With w = min(s, n1 - n0 + 1) columns each T_j
+lands in one lift, and T_j < c^2/8 for j < c/2: about c/8 lifts for odd c
+and c/4 for even c.  A lift holds a root only if an odd square lies in
+(8(U - w) + 1, 8U + 1]; one float64 square root per lift screens for it,
+and the lifts that pass are settled in exact integers, their roots being
+N(U - w) <= j < N(U) with N(t) = #{j >= 0: T_j <= t}.  So one pass serves
+every grade, and a sine is taken only at a root.  Column g + s is column g
+(odd c) or its negation (even c).  Each column accumulates its roots in
+increasing j and is scaled by sqrt(c) after the last tile, in the same
+float operations as kloosterman_sum, so a single grade reproduces that
+scalar bit for bit.
 """
 
 from __future__ import annotations
@@ -37,11 +46,12 @@ USE_NUMBA = False
 
 # (c, lift) cells per vectorised tile, and screened lifts per batch of root
 # sums.  It bounds the kernel's working memory, and with it the peak RSS of
-# a cold coefficient computation.
-_BLOCK = 4096
+# a cold coefficient computation; the sweep sizes its chunks of c from it.
+_BLOCK = 16384
 
-# Square roots of integers 8U + 1 < 5c^2 are taken in float64: below 2**52
-# the floor of the rounded root is the integer square root.
+# Square roots of integers 8U + 1 < 2c^2 + 16c (c the largest in a call,
+# a tile's padding lifts included) are taken in float64: below 2**52 the
+# floor of the rounded root is the integer square root.
 _C_LIMIT = 2 ** 24
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -75,53 +85,39 @@ def _count(t: np.ndarray) -> np.ndarray:
 
 
 def _tiles(lifts: np.ndarray):
-    """(rows, k0, k1): a run of rows and of lifts k0 <= k < k1, at most
-    _BLOCK cells of the (row, lift) grid, in row-major order over every lift."""
-    sizes = lifts.tolist()
-    r0 = 0
-    while r0 < len(sizes):
-        r1, width = r0 + 1, sizes[r0]
-        while r1 < len(sizes) and (r1 + 1 - r0) * max(width, sizes[r1]) <= _BLOCK:
-            width = max(width, sizes[r1])
-            r1 += 1
-        for k0 in range(0, width, _BLOCK):
-            yield slice(r0, r1), k0, min(k0 + _BLOCK, width)
+    """(r0, r1, k0, k1): rows r0 <= r < r1 and lifts k0 <= k < k1, at most
+    _BLOCK cells of the (row, lift) grid, covering every lift of every row.
+
+    lifts is sorted in increasing order, so a run of rows is as wide as its
+    last row: from r0, the rows fit while (count) * (last width) <= _BLOCK.
+    A row wider than _BLOCK gets tiles of its own.
+    """
+    r0 = int(np.searchsorted(lifts, 0, side="right"))
+    while r0 < len(lifts):
+        width = int(lifts[r0])
+        if width > _BLOCK:
+            for k0 in range(0, width, _BLOCK):
+                yield r0, r0 + 1, k0, min(k0 + _BLOCK, width)
+            r0 += 1
+            continue
+        span = lifts[r0:r0 + _BLOCK // width]
+        r1 = r0 + int(np.count_nonzero(np.arange(1, len(span) + 1) * span <= _BLOCK))
+        yield r0, r1, 0, int(lifts[r1 - 1])
         r0 = r1
-
-
-def _add_roots(out: np.ndarray, cs: np.ndarray, w: np.ndarray,
-               r: np.ndarray, u: np.ndarray) -> None:
-    """Add the roots N(u - w) <= j < N(u), j < c, of the lifts (row r, U = u),
-    given in row-major order, to out's columns u - T_j."""
-    j = _count(u - w[r])
-    many = np.maximum(np.minimum(_count(u), cs[r]) - j, 0)
-    r, j, u = np.repeat(r, many), np.repeat(j, many), np.repeat(u, many)
-    if not len(r):
-        return
-    if many.max() > 1:
-        j += np.arange(len(j)) - np.repeat(np.cumsum(many) - many, many)
-    term = np.sin(np.pi * (2 * j + 1) / (2 * cs[r]))
-    np.negative(term, out=term, where=(j & 1).astype(bool))
-    # bincount adds in input order; each column's running total goes first,
-    # then its roots in increasing j.
-    ncols = out.shape[1]
-    r_lo, r_hi = int(r[0]), int(r[-1]) + 1
-    size = (r_hi - r_lo) * ncols
-    bins = np.concatenate([np.arange(size), (r - r_lo) * ncols + u - (j * (j + 1) >> 1)])
-    wts = np.concatenate([out[r_lo:r_hi].ravel(), term])
-    out[r_lo:r_hi] = np.bincount(bins, wts, size).reshape(-1, ncols)
 
 
 def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
                        out: np.ndarray) -> None:
     """K_c(n) for all grades n0 <= n <= n1 at once; out has shape (len(cs), n1-n0+1).
 
-    With w = min(c, n1 - n0 + 1) columns, the roots of column g are the j
-    with T_j = U - g, U = shift + c*k, over the lifts k >= 0 up to T_{c-1}.
-    A lift can hold a root only if the largest square x^2 <= 8U + 1 exceeds
-    8(U - w) + 1.  That test runs over the (row, lift) grid in tiles of at
-    most _BLOCK cells, and the lifts that pass are settled exactly: their
-    roots are N(U - w) <= j < N(U), j < c.  Raises ValueError, before any
+    The roots j < c/2 of column g are the j with T_j = U - g over the
+    lifts U = base + s*k, k >= 0, up to T_j for the largest j < c/2; for
+    even c the lifts k + shift // s odd hold the mirror residue and count
+    negatively.  A lift can hold a root only if the largest square
+    x^2 <= 8U + 1 exceeds 8(U - w) + 1.  That test runs over the
+    (row, lift) grid in tiles of at most _BLOCK cells, rows in order of
+    their lift counts, and the lifts that pass are settled exactly: their
+    roots are N(U - w) <= j < N(U), j < c/2.  Raises ValueError, before any
     work, for c off the n_g grid or if the root search could leave the
     exact range.
     """
@@ -133,35 +129,81 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     out[:] = 0.0
     if not len(cs):
         return
-    # Column g of c holds the roots j with T_j = shift - g mod c.
     shift = (cs * cs // (ng * hg) - n0) % cs
-    w = np.minimum(cs, ncols)
-    lifts = (cs * (cs - 1) // 2 + w - 1 - shift) // cs + 1
-    # 8U + 1 = step*k + base and 8w as float64 columns, all exact integers.
-    step = 8.0 * cs[:, None]
-    base = 8.0 * shift[:, None] + 1.0
-    wide = 8.0 * w[:, None]
-    rows_hit, u_hit, held = [], [], 0
-    for rows, k0, k1 in _tiles(lifts):
-        v = step[rows] * np.arange(k0, k1, dtype=np.float64)
-        v += base[rows]
-        x = np.floor(np.sqrt(v))
+    even = 1 - (cs & 1)
+    step = cs >> even
+    w = np.minimum(step, ncols)
+    base = shift % step
+    # Roots j < half; for odd c, j < mid counts twice (mid = -1 for even c).
+    half = (cs + 1) >> 1
+    mid = np.where(even, -1, half - 1)
+    lifts = (half * (half - 1) // 2 + w - 1 - base) // step + 1
+    # Rows in order of their lift counts, so a tile's rows are about as
+    # wide as each other; acc holds them in that order.
+    order = np.argsort(lifts, kind="stable")
+    cs, shift, even, step, w, base, half, mid, lifts = (
+        a[order] for a in (cs, shift, even, step, w, base, half, mid, lifts))
+    # Even c: lift k is negative when k + shift // s is odd (shift < s for odd c).
+    flip = shift // step
+    acc = np.zeros((len(cs), ncols))
+
+    def settle(r: np.ndarray, k: np.ndarray) -> None:
+        """Add the roots of the lifts (row r, lift k), in row-major order,
+        to acc's columns U - T_j."""
+        u = base[r] + step[r] * k
+        j = _count(u - w[r])
+        many = np.maximum(np.minimum(_count(u), half[r]) - j, 0)
+        r, j, u, k = (np.repeat(a, many) for a in (r, j, u, k))
+        if not len(r):
+            return
+        if many.max() > 1:
+            j += np.arange(len(j)) - np.repeat(np.cumsum(many) - many, many)
+        term = np.sin(np.pi * (2 * j + 1) / (2 * cs[r]))
+        term *= np.where(j < mid[r], 2.0, 1.0)
+        np.negative(term, out=term, where=((j + even[r] * (k + flip[r])) & 1).astype(bool))
+        # bincount adds in input order; each column's running total goes
+        # first, then its roots in increasing j.
+        r_lo, r_hi = int(r[0]), int(r[-1]) + 1
+        size = (r_hi - r_lo) * ncols
+        bins = np.concatenate([np.arange(size), (r - r_lo) * ncols + u - (j * (j + 1) >> 1)])
+        wts = np.concatenate([acc[r_lo:r_hi].ravel(), term])
+        acc[r_lo:r_hi] = np.bincount(bins, wts, size).reshape(-1, ncols)
+
+    # 8U + 1 = step8*k + base8 and 8w as float64 columns, all exact integers.
+    step8 = 8.0 * step[:, None]
+    base8 = 8.0 * base[:, None] + 1.0
+    wide8 = 8.0 * w[:, None]
+    # Every tile reuses the same two _BLOCK-cell buffers.
+    v_buf, x_buf = np.empty(_BLOCK), np.empty(_BLOCK)
+    rows_hit, k_hit, held = [], [], 0
+    for r0, r1, k0, k1 in _tiles(lifts):
+        shape = (r1 - r0, k1 - k0)
+        v = v_buf[:shape[0] * shape[1]].reshape(shape)
+        np.multiply(step8[r0:r1], np.arange(k0, k1, dtype=np.float64), out=v)
+        v += base8[r0:r1]
+        x = np.sqrt(v, out=x_buf[:v.size].reshape(shape))
+        np.floor(x, out=x)
         x *= x
-        v -= wide[rows]
-        # Lifts past a row's last one hold only j >= c, dropped as roots.
+        v -= wide8[r0:r1]
+        # Lifts past a row's last one hold only j >= c/2, dropped as roots.
         hit = np.flatnonzero(x > v)
         if len(hit):
             r, k = np.divmod(hit, k1 - k0)
-            r += rows.start
-            rows_hit.append(r)
-            u_hit.append((k + k0) * cs[r] + shift[r])
+            rows_hit.append(r + r0)
+            k_hit.append(k + k0)
             held += len(r)
         if held >= _BLOCK:
-            _add_roots(out, cs, w, np.concatenate(rows_hit), np.concatenate(u_hit))
-            rows_hit, u_hit, held = [], [], 0
+            settle(np.concatenate(rows_hit), np.concatenate(k_hit))
+            rows_hit, k_hit, held = [], [], 0
     if held:
-        _add_roots(out, cs, w, np.concatenate(rows_hit), np.concatenate(u_hit))
-    out *= np.sqrt(cs.astype(np.float64))[:, None]
-    if ncols > 1:
-        wrap = np.flatnonzero(cs < ncols)
-        out[wrap] = out[wrap[:, None], np.arange(ncols) % cs[wrap, None]]
+        settle(np.concatenate(rows_hit), np.concatenate(k_hit))
+    acc *= np.sqrt(cs.astype(np.float64))[:, None]
+    # Column g is column g mod s, negated for even c when g // s is odd;
+    # 0.0 - x negates without making -0.0.
+    wrap = np.flatnonzero(step < ncols)
+    if len(wrap):
+        g = np.arange(ncols)
+        src = acc[wrap[:, None], g % step[wrap, None]]
+        neg = (even[wrap, None] & (g // step[wrap, None])).astype(bool)
+        acc[wrap] = np.where(neg, 0.0 - src, src)
+    out[order] = acc

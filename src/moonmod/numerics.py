@@ -37,8 +37,8 @@ def bessel_i_half(x, digits: int) -> mpmath.mpf:
         return mpmath.sqrt(2 / (mpmath.pi * xf)) * mpmath.sinh(xf)
 
 
-def selberg_roots(n: int, c: int, ng: int, hg: int) -> list[int]:
-    """The j < c with j(j+1)/2 = c^2/(ng hg) - n mod c, in increasing j.
+def _selberg_residue(n: int, c: int, ng: int, hg: int) -> int:
+    """c^2/(ng hg) - n mod c, the residue of j(j+1)/2 at the Selberg roots.
 
     Raises ValueError unless ng | c and ng*hg | c^2 (every multiple of ng
     when hg | ng): off that grid the Selberg form does not hold.
@@ -46,21 +46,39 @@ def selberg_roots(n: int, c: int, ng: int, hg: int) -> list[int]:
     m = ng * hg
     if c < 1 or c % ng or c * c % m:
         raise ValueError(f"c = {c} is off the grid of n_g = {ng}, h_g = {hg}")
-    r = (c * c // m - n) % c
+    return (c * c // m - n) % c
+
+
+def selberg_roots(n: int, c: int, ng: int, hg: int) -> list[int]:
+    """The j < c with j(j+1)/2 = c^2/(ng hg) - n mod c, in increasing j.
+
+    Raises ValueError for c off the grid (see _selberg_residue).
+    """
+    r = _selberg_residue(n, c, ng, hg)
     return [j for j in range(c) if (j * (j + 1) >> 1) % c == r]
 
 
 def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> float:
     """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg)).
 
-    Summed in float64 as moonmod.kernels does it: the signed sines at the
-    Selberg roots in increasing j, then scaled by sqrt(c).  The sum is
+    Summed in float64 as moonmod.kernels does it, folded onto j < c/2 by
+    the mirror j <-> c-1-j (T_j = j(j+1)/2, T_{c-1-j} = T_j + c(c-1-2j)/2):
+    in increasing j < c/2, the signed sine at each root of residue r, twice
+    for odd c unless j = (c-1)/2, and for even c minus the signed sine at
+    each root of residue r + c/2; then scaled by sqrt(c).  The sum is
     exactly real.
     """
+    r = _selberg_residue(n, c, ng, hg)
+    mirror = (r + c // 2) % c if c % 2 == 0 else -1
     total = 0.0
-    for j in selberg_roots(n, c, ng, hg):
+    for j in range((c + 1) // 2):
+        t = (j * (j + 1) >> 1) % c
+        if t != r and t != mirror:
+            continue
         s = math.sin(math.pi * (2 * j + 1) / (2 * c))
-        total += -s if j & 1 else s
+        if 2 * j + 1 < c and c % 2:
+            s *= 2.0
+        total += -s if (j & 1) ^ (t == mirror) else s
     return math.sqrt(c) * total
 
 

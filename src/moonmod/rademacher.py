@@ -56,10 +56,15 @@ HEAD_SWITCH = 20.0
 # either gate, as the sweep left it (ROADMAP: known defect 1, direction 1).
 # A C_MAX_LIMIT of 60000 covers the grades of the packaged store:
 # integrality dips for grades up to ~60 are observed out to c ~ 3*10^4.
-# The sweep's chunks start at C_MAX_INITIAL and double, capped at
-# 16 * kernels._BLOCK = 65536 nominal (c, d) pairs, d < c (the kernel tests
-# about c/2 lifts per c); the dip gate runs after each chunk.  _sweep reads
-# these names at call time.
+# The dip gate reads checkpoints from C_MAX_INITIAL on.  The sweep's chunks
+# are sized from kernels._BLOCK by _chunk_end, in nominal (c, d) pairs,
+# d < c: the first holds kernels._BLOCK = 16384 of them, each later one
+# doubles the last c, capped at 16 * kernels._BLOCK = 262144 pairs.  The
+# kernel screens about c/8 lifts per odd c and c/4 per even c, so a capped
+# chunk is 45000-49000 lifts on the 1A grid, about three tiles.  Chunk ends
+# depend only on c and n_g, never on the number of grades in a batch, and
+# the dip gate runs after each chunk.  _sweep reads these names at call
+# time.
 C_MAX_INITIAL = 50
 C_MAX_LIMIT = 60000
 RESIDUAL_TOLERANCE = 1e-4
@@ -187,7 +192,7 @@ class RademacherEngine:
         states = {n: _GradeState(n) for n in grades}
         tail_start = self._head_terms(cls, states)
 
-        lo, hi = 1, min(max(C_MAX_INITIAL, step), C_MAX_LIMIT)
+        lo, hi = 1, min(_chunk_end(1, step, kernels._BLOCK), C_MAX_LIMIT)
         while True:
             active = [n for n, st in states.items() if not st.done]
             if not active:

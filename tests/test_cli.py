@@ -89,6 +89,21 @@ def test_coeff_polar_and_range(capsys, cache_args):
     assert values == ["-2", "0", "90"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--n", "-1..3"],
+    ["coeff", "--class", "1A,2A", "--n", "-1,2", "--format", "json"],
+    ["coeff", "--group", "a5", "--n", "-1"],
+    ["decompose", "--n", "-1..2"],
+])
+def test_negative_grade_as_separate_argument(argv, capsys, cache_args):
+    """`--n -1..3` prints exactly what `--n=-1..3` does."""
+    i = argv.index("--n")
+    joined = argv[:i] + [f"--n={argv[i + 1]}"] + argv[i + 2:]
+    want = run(capsys, joined + cache_args)
+    assert want[0] == 0 and want[1]
+    assert run(capsys, argv + cache_args) == want
+
+
 def test_coeff_json_schema(capsys, cache_args):
     code, out, _ = run(capsys, ["coeff", "--class", "2A,2B", "--n", "1..4",
                                 "--format", "json"] + cache_args)

@@ -17,7 +17,7 @@ import pytest
 
 import kloosterman_reference as ref
 from moonmod import kernels
-from moonmod.numerics import WORKING_DIGITS, kloosterman_sum
+from moonmod.numerics import WORKING_DIGITS, kloosterman_sum, selberg_roots
 from moonmod.rademacher import RademacherEngine, partial_kloosterman
 from moonmod.store import CoefficientCache
 
@@ -28,6 +28,13 @@ def _on_grid(c, ng, hg=1):
     while c % ng or c * c % (ng * hg):
         c += 1
     return c
+
+
+def _lifts(c):
+    """The lifts the kernel screens for c at one grade, at most: T_j for the
+    largest root j < c/2, over the lift step c (odd c) or c/2 (even c), plus one."""
+    half = (c + 1) // 2
+    return half * (half - 1) // 2 // (c if c % 2 else c // 2) + 1
 
 
 def _six_c_sawtooth(d, c):
@@ -144,8 +151,8 @@ def test_grades_match_exact_random():
 
 
 def test_grades_across_blocks():
-    cs = [_on_grid(c, 3) for c in (1, 3, 4100, 7, 2 * kernels._BLOCK + 17, 12, 1)]
-    assert sum(cs) > 3 * kernels._BLOCK
+    cs = [_on_grid(c, 3) for c in (1, 3, 4100, 7, 24 * kernels._BLOCK + 17, 12, 1)]
+    assert sum(_lifts(c) for c in cs) > 3 * kernels._BLOCK
     out = _grades(4, 6, cs, 3, 1)
     for k, c in enumerate(cs):
         for j, n in enumerate(range(4, 7)):
@@ -177,20 +184,100 @@ def test_fold_small_c(ng, hg):
             assert abs(float(exact.imag)) < 1e-9, (n, c)
 
 
-@pytest.mark.parametrize("c,ng,hg", [(2 * kernels._BLOCK + 3, 3, 1), (60000, 12, 12)])
-def test_fold_large_c(c, ng, hg):
-    """About c/2 lifts, more than a tile holds; the largest engine c."""
+@pytest.mark.parametrize("c,ng,hg", [(8195, 3, 1), (60000, 12, 12)])
+def test_fold_large_c(c, ng, hg, monkeypatch):
+    """More lifts than a tile holds, at tiles of 1024 cells; the largest engine c."""
+    monkeypatch.setattr(kernels, "_BLOCK", 1024)
     c = _on_grid(c, ng, hg)
-    assert c // 2 > kernels._BLOCK
+    assert _lifts(c) > kernels._BLOCK
     out = _grades(5, 5, [c], ng, hg)
     exact = ref.kloosterman(5, c, ng, hg, digits=30)
     assert abs(out[0, 0] - float(exact.real)) < 1e-9
     assert abs(float(exact.imag)) < 1e-9
 
 
-def test_fold_across_blocks_against_full_range():
-    """Selberg sums against the sum over every coprime d < c."""
+def _mirror_only(c):
+    """(n, roots) for the least grade n >= 1 of 1A whose Selberg roots all lie
+    at j >= c/2: for even c, the folded sum reads only the mirror residue."""
+    for n in range(1, c + 1):
+        roots = selberg_roots(n, c, 1, 1)
+        if roots and min(roots) >= c / 2:
+            return n, roots
+    raise AssertionError(c)
+
+
+def _middle_root(c):
+    """The least grade n >= 1 of 1A that has the middle root j = (c-1)/2, c odd."""
+    mid = (c - 1) // 2
+    return (-(mid * (mid + 1) // 2) - 1) % c + 1
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_fold_smallest_c(c):
+    """Every grade of one period at c = 1..4 against the definition."""
+    for ng in (n for n in (1, 2, 4) if c % n == 0):
+        grades = list(range(1, c + 2))
+        out = _grades(1, c + 1, [c], ng, 1)
+        for j, n in enumerate(grades):
+            assert out[0, j] == kloosterman_sum(n, c, ng, 1), (n, c, ng)
+            exact = ref.kloosterman(n, c, ng, 1)
+            assert abs(out[0, j] - float(exact.real)) < 1e-9, (n, c, ng)
+
+
+@pytest.mark.parametrize("c", [7, 45, 999, 5001])
+def test_fold_middle_root(c):
+    """For odd c the middle root j = (c-1)/2 is its own mirror and counts once."""
+    n = _middle_root(c)
+    assert (c - 1) // 2 in selberg_roots(n, c, 1, 1)
+    z = _grades(n, n, [c], 1, 1)[0, 0]
+    assert z == kloosterman_sum(n, c, 1, 1)
+    assert abs(z - float(ref.kloosterman(n, c, 1, 1, digits=30).real)) < 1e-9
+
+
+@pytest.mark.parametrize("c", [6, 10, 44, 1000])
+def test_fold_mirror_residue_only(c):
+    """For even c a residue whose roots all lie at j >= c/2 is summed through
+    their mirrors j' = c-1-j < c/2 at residue r + c/2, with the opposite sign."""
+    n, roots = _mirror_only(c)
+    mirrors = [c - 1 - j for j in roots]
+    half = c // 2
+    assert all((j * (j + 1) // 2 - (c * c - n)) % c == half for j in mirrors)
+    z = _grades(n, n, [c], 1, 1)[0, 0]
+    assert z == kloosterman_sum(n, c, 1, 1)
+    assert abs(z - float(ref.kloosterman(n, c, 1, 1).real)) < 1e-9
+
+
+def test_fold_columns_wrap():
+    """c smaller than the number of grades: columns repeat with period c for
+    odd c and flip sign every c/2 columns for even c."""
+    cs = list(range(1, 9))
+    out = _grades(1, 20, cs, 1, 1)
+    for k, c in enumerate(cs):
+        re, _ = ref.kloosterman_floats(range(1, 21), c, 1, 1)
+        assert np.abs(out[k] - re).max() < 1e-9, c
+        assert list(out[k]) == [kloosterman_sum(n, c, 1, 1) for n in range(1, 21)], c
+
+
+@pytest.mark.parametrize("ng,hg", [(1, 1), (3, 1), (2, 1), (4, 2)])
+def test_fold_batch_is_its_single_grades(ng, hg):
+    """Odd and even c: one grade equals the scalar with ==, and a batch of
+    grades equals its one-grade sweeps bit for bit."""
+    rng = random.Random(ng * 10 + hg)
+    cs = sorted({_on_grid(rng.randrange(1, 3000), ng, hg) for _ in range(12)} | {ng})
+    assert {c % 2 for c in cs} == ({0, 1} if ng % 2 else {0})
+    n0, n1 = 3, 40
+    batch = _grades(n0, n1, cs, ng, hg)
+    singles = np.column_stack([_grades(n, n, cs, ng, hg)[:, 0] for n in range(n0, n1 + 1)])
+    assert batch.tobytes() == singles.tobytes()
+    for k, c in enumerate(cs):
+        assert singles[k, 0] == kloosterman_sum(n0, c, ng, hg), c
+
+
+def test_fold_across_blocks_against_full_range(monkeypatch):
+    """Selberg sums against the sum over every coprime d < c, in tiles of 1024 cells."""
     cs = [_on_grid(c, 3) for c in (1, 3, 4100, 7, 2 * kernels._BLOCK + 17, 12, 1)]
+    monkeypatch.setattr(kernels, "_BLOCK", 1024)
+    assert sum(_lifts(c) for c in cs) > 3 * kernels._BLOCK
     out = _grades(4, 6, cs, 3, 1)
     for k, c in enumerate(cs):
         re, im = ref.kloosterman_floats(range(4, 7), c, 3, 1)

@@ -31,6 +31,14 @@ def truncate(monkeypatch, **constants):
         monkeypatch.setattr(rademacher, name, value)
 
 
+def _lifts(c):
+    """The lifts the kernel screens for c at one grade, at most (as in
+    test_kernels): T_j for the largest root j < c/2 over the lift step c
+    (odd c) or c/2 (even c), plus one."""
+    half = (c + 1) // 2
+    return half * (half - 1) // 2 // (c if c % 2 else c // 2) + 1
+
+
 def test_store_has_one_record_per_key():
     # The cache keeps the first record of a key, so a duplicated key would
     # make the answer depend on the order of the lines.
@@ -302,7 +310,8 @@ def test_records_batch_matches_single_grades(m24_table):
 
 def test_stability_window_spans_sweep_chunks(m24_table, monkeypatch):
     """The run of equal roundings is carried across chunks: sweeping
-    c = 23, 46, ..., 460 in several chunks ends with the run of one chunk."""
+    c = 23, 46, ..., 460 in several chunks ends with the run of one chunk.
+    Chunks are sized from kernels._BLOCK; 64 cells make several of them."""
     chunks = []
     grades = kernels.kloosterman_grades
 
@@ -312,16 +321,16 @@ def test_stability_window_spans_sweep_chunks(m24_table, monkeypatch):
 
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
     ends = []
-    for c_max_initial in (460, 23):
+    for block in (kernels._BLOCK, 64):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
         # Nothing can pass the 1e-12 dip or the fallback gate: c <= 460
         # holds 20 checkpoints of 23A, fewer than STABILITY_MIN_RUN.
-        truncate(monkeypatch, C_MAX_INITIAL=c_max_initial, C_MAX_LIMIT=460,
-                 RESIDUAL_TOLERANCE=1e-12)
+        truncate(monkeypatch, C_MAX_LIMIT=460, RESIDUAL_TOLERANCE=1e-12)
         engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
         st = engine._sweep(m24_table.class_named("23A"), [1])[1]
         assert not st.done
         ends.append((st.stable_run, st.last_rounded))
-    assert chunks[0] == 20 and len(chunks) > 2
+    assert chunks[0] == 20 and len(chunks) > 3
     assert ends[0] == ends[1]
     # The final run reaches back over more than the last chunk.
     assert ends[1][0] > chunks[-1]
@@ -372,8 +381,9 @@ def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
         (stored.value, stored.gate, stored.c_max_used)
     # The doubling schedule alone would run the chunk 1601..3200 to its end.
     assert max(scanned) < 3200
-    useful = sum(c - 1 for c in range(1, rec.c_max_used + 1))
-    assert sum(c - 1 for c in scanned) <= 1.2 * useful + 4 * kernels._BLOCK
+    # In the kernel's work unit, the lifts it screens.
+    useful = sum(_lifts(c) for c in range(1, rec.c_max_used + 1))
+    assert sum(_lifts(c) for c in scanned) <= 1.2 * useful + 4 * kernels._BLOCK
 
 
 @pytest.mark.parametrize("lo, step", [(51, 1), (101, 1), (1601, 1), (20000, 1),
