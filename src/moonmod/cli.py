@@ -7,8 +7,9 @@ when every gate (orthogonality, integrality, reconstruction) passes.
 
 Cache resolution precedence: --cache flag, then the MOONMOD_CACHE
 environment variable (a directory holding <group>_coeffs.ldjson, named
-after the group the engine runs on: m24 for a table that fuses into M24,
-such as a5).  The named file overlays the packaged precomputed store,
+after the group whose records the engine keeps: m24 for M24 and for a
+table that fuses into it, such as a5, whose engine sweeps and stores
+M24's classes).  The named file overlays the packaged precomputed store,
 which is read into memory: file records win, and new values are appended
 to the file only.  With neither, nothing is written.  A file in the
 package data directory is refused: no command writes or deletes it.
@@ -27,31 +28,26 @@ import json
 import os
 import sys
 
-from .chartab import (CharacterTable, FusedProvider, TableError, UnknownClassError,
-                      bundled_table, load_table)
+from .chartab import (CharacterTable, TableError, UnknownClassError, bundled_table,
+                      fuses_into_m24, load_table)
 
 BUNDLED_GROUPS = ("m24", "a5")
-
-
-def _fused(table: CharacterTable) -> bool:
-    """Whether table is a subgroup of M24 whose classes all carry fusion
-    targets: its engine then runs on the ambient M24 data."""
-    return all(c.fusion_target for c in table.classes) and table.group_name != "M24"
 
 
 def _resolve_cache(args, table: CharacterTable | None = None) -> str | None:
     """The writable cache file, or None when only the packaged store applies;
     a file in the package data directory is refused with ValueError.
 
-    Under MOONMOD_CACHE the file is named after the group the engine runs
-    on, m24 for a fused table; table is loaded from --group if not given.
+    Under MOONMOD_CACHE the file is named after the group whose records the
+    engine keeps, m24 for a table that fuses into M24; table is loaded from
+    --group if not given.
     """
     from .store import checked_writable
 
     path, env_dir = args.cache, os.environ.get("MOONMOD_CACHE")
     if not path and env_dir:
         table = table or _load_group(args.group)
-        group = "m24" if _fused(table) else table.group_name.lower()
+        group = "m24" if fuses_into_m24(table) else table.group_name.lower()
         path = os.path.join(env_dir, f"{group}_coeffs.ldjson")
     return checked_writable(path) if path else None
 
@@ -63,19 +59,12 @@ def _load_group(name_or_path: str) -> CharacterTable:
 
 
 def _make_engine(args, table: CharacterTable):
-    """(engine, provider): the provider serves the requested table's classes.
-
-    Tables whose classes carry fusion targets are subgroups of M24: the
-    engine runs on the ambient M24 data and values flow through fusion.
-    """
+    """The coefficient engine serving table's classes, over the packaged
+    store and the resolved cache file."""
     from .rademacher import RademacherEngine
     from .store import bundled_cache
 
-    fused = _fused(table)
-    ambient = bundled_table("m24") if fused else table
-    engine = RademacherEngine(ambient, cache=bundled_cache(_resolve_cache(args, table)))
-    provider = FusedProvider(table, engine) if fused else engine
-    return engine, provider
+    return RademacherEngine(table, cache=bundled_cache(_resolve_cache(args, table)))
 
 
 def _parse_grades(spec: str) -> list[int]:
@@ -124,7 +113,8 @@ def cmd_validate(args) -> int:
     checks.append(f"parsed {table.group_name}: {len(table.classes)} classes, "
                   f"{len(table.irreps)} irreps")
     checks.append(f"class sizes sum to |G| = {table.group_order}")
-    # load_table's column orthogonality check at the identity enforces this.
+    # Implied by the row relation that load_table checks: for a square table
+    # it gives the column relation, whose entry at the identity is this sum.
     checks.append(f"sum of dim^2 = {table.group_order} = |G|")
     checks.append("row orthogonality exact")
     checks.append("column orthogonality exact")
@@ -135,7 +125,7 @@ def cmd_validate(args) -> int:
 
 def cmd_coeff(args) -> int:
     table = _load_group(args.group)
-    engine, provider = _make_engine(args, table)
+    engine = _make_engine(args, table)
     # Each named class once, in first-seen order.
     class_names = (list(dict.fromkeys(args.cls.split(","))) if args.cls
                    else [c.name for c in table.classes])
@@ -144,9 +134,7 @@ def cmd_coeff(args) -> int:
     grades = list(dict.fromkeys(_parse_grades(args.n)))
     rows = []
     for name in class_names:
-        cls = table.class_named(name)
-        target = cls.fusion_target if isinstance(provider, FusedProvider) else name
-        recs = sorted(engine.records(target, grades), key=lambda rec: rec.n)
+        recs = sorted(engine.records(name, grades), key=lambda rec: rec.n)
         rows.extend({**rec.json_fields(), "class": name} for rec in recs)
     if args.format == "json":
         doc = {"schema": 1, "group": table.group_name, "records": rows}
@@ -164,13 +152,13 @@ def cmd_decompose(args) -> int:
     from . import decomp
 
     table = _load_group(args.group)
-    engine, provider = _make_engine(args, table)
+    engine = _make_engine(args, table)
     grades = _parse_grades(args.n)
     profiles = {p.n: p for p in decomp.ratio_profile(
-        table, [n for n in grades if n >= 1], provider)}
+        table, [n for n in grades if n >= 1], engine)}
     # In request order: (n, multiplicities, profile); below n = 1 a grade
     # has no profile.
-    rows = [(n, profiles[n].mv if n >= 1 else decomp.multiplicities(table, n, provider),
+    rows = [(n, profiles[n].mv if n >= 1 else decomp.multiplicities(table, n, engine),
              profiles.get(n)) for n in grades]
     buf = io.StringIO()
     if args.format == "json":
@@ -201,10 +189,10 @@ def cmd_filtrate(args) -> int:
         result = filtration.filtrate_asymptotic(table, profile, args.residue,
                                                 args.modulus)
     else:
-        _, provider = _make_engine(args, table)
+        engine = _make_engine(args, table)
         [n] = _parse_grades(args.n)
-        mv = decomp.multiplicities(table, n, provider)
-        signs = filtration.signs_at(table, provider, n)
+        mv = decomp.multiplicities(table, n, engine)
+        signs = filtration.signs_at(table, engine, n)
         result = filtration.filtrate_exact(mv, table, signs)
         total = list(mv.m)
         for lvl in result.chain:
@@ -221,20 +209,20 @@ def cmd_asympt(args) -> int:
     from . import decomp, filtration
 
     table = _load_group(args.group)
-    engine, provider = _make_engine(args, table)
+    engine = _make_engine(args, table)
     grades = _parse_grades(args.n)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if args.free:
         writer.writerow(["n", "max_deviation"])
-        for prof in decomp.ratio_profile(table, grades, provider):
+        for prof in decomp.ratio_profile(table, grades, engine):
             writer.writerow([prof.n, f"{prof.max_deviation:.6g}"])
     else:
         writer.writerow(["n", "irrep", "observed", "predicted", "ratio"])
         for n in grades:
-            mv = decomp.multiplicities(table, n, provider)
+            mv = decomp.multiplicities(table, n, engine)
             _, nonfree = decomp.free_part_split(mv, table)
-            signs = filtration.signs_at(table, provider, n)
+            signs = filtration.signs_at(table, engine, n)
             pred = filtration.nonfree_asymptotic(table, signs, n)
             for i, chi in enumerate(table.irreps):
                 ratio = (nonfree.m[i] / pred[i]) if pred[i] else ""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .chartab import CharacterTable, class_sums
+from .chartab import CharacterTable
 
 
 class DecompositionError(Exception):
@@ -71,29 +71,34 @@ def multiplicities(table: CharacterTable, n: int, coeffs) -> MultiplicityVector:
     rational, irrational = table.sized_numerators()
     scale = 2 * table.group_order
     twice = [sum(map(mul, row, values)) for row in rational]
+    roots = [(i, d, t) for i, d, row in irrational if (t := sum(map(mul, row, values)))]
     ms = [t // scale for t in twice]
-    if (any(t % scale for t in twice) or (n >= 1 and min(ms) < 0)
-            or any(sum(map(mul, row, values)) for row in irrational)):
-        _refuse(table, n, values)
+    if roots or any(t % scale for t in twice) or (n >= 1 and min(ms) < 0):
+        _refuse(table, n, twice, roots)
     return MultiplicityVector(n, tuple(ms))
 
 
-def _refuse(table: CharacterTable, n: int, values: list[int]) -> None:
+def _refuse(table: CharacterTable, n: int, twice: list[int],
+            roots: list[tuple[int, int, int]]) -> None:
     """Raise the first failure of a grade that misses a gate, irrep by
-    irrep: irrational numerators, a remainder, then a negative multiplicity."""
+    irrep: irrational numerators, a remainder, then a negative multiplicity.
+
+    twice holds the rational numerators per irrep and roots the nonzero
+    sqrt(d) numerators as (irrep index, d, numerator), as multiplicities
+    took them.
+    """
     from fractions import Fraction
 
-    sums = class_sums(table, [c.size * v for c, v in zip(table.classes, values)])
     scale = 2 * table.group_order
-    for chi, twice in zip(table.irreps, sums):
-        irrational = {d: t for d, t in twice.items() if d != 1}
+    for i, (chi, t) in enumerate(zip(table.irreps, twice)):
+        irrational = {d: r for j, d, r in roots if j == i}
         if irrational:
             raise NonIntegral(n, chi.name,
                               f"irrational numerators {irrational} over {scale}")
-        m, rem = divmod(twice.get(1, 0), scale)
+        m, rem = divmod(t, scale)
         if rem:
             raise NonIntegral(n, chi.name,
-                              f"raw value {Fraction(twice[1], scale)} is not an integer")
+                              f"raw value {Fraction(t, scale)} is not an integer")
         if n >= 1 and m < 0:
             raise NegativeMultiplicity(n, chi.name, m)
     raise AssertionError(f"grade n={n} passes every gate")

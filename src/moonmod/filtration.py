@@ -33,7 +33,7 @@ import json
 import math
 from operator import mul
 
-from .chartab import CharacterTable, class_sums, distinct_orders
+from .chartab import CharacterTable, distinct_orders
 from .decomp import MultiplicityVector
 from .numerics import asymptotic_leading, kloosterman_sum, selberg_roots
 
@@ -155,14 +155,6 @@ def signs_at(table: CharacterTable, provider, n: int) -> dict[str, int]:
     return {c.name: _sgn(provider.value(c.name, n)) for c in table.classes}
 
 
-def _class_signs(table: CharacterTable, signs, n: int | None) -> tuple[int, ...]:
-    """The sign of each class, parallel to table.classes: signs is the dict
-    from signs_at or a SignProfile, evaluated at n."""
-    if isinstance(signs, SignProfile):
-        return tuple(signs.sign(c.name, n) for c in table.classes)
-    return tuple(signs[c.name] for c in table.classes)
-
-
 # -- level algebra -----------------------------------------------------------
 
 class ClassFunctionLevel:
@@ -202,10 +194,13 @@ def _order_sums(table: CharacterTable, signs: tuple[int, ...], order: int
     """
     rational, irrational = table.sized_numerators()
     sgn = [s if c.element_order == order else 0 for c, s in zip(table.classes, signs)]
-    if any(sum(map(mul, row, sgn)) for row in irrational):
-        sums = class_sums(table, [c.size * s for c, s in zip(table.classes, sgn)])
-        raise IrrationalDirection(order, tuple(sums))
-    return [sum(map(mul, row, sgn)) for row in rational]
+    twice = [sum(map(mul, row, sgn)) for row in rational]
+    roots = [(i, d, t) for i, d, row in irrational if (t := sum(map(mul, row, sgn)))]
+    if roots:
+        raise IrrationalDirection(order, tuple(
+            {**({1: t} if t else {}), **{d: r for j, d, r in roots if j == i}}
+            for i, t in enumerate(twice)))
+    return twice
 
 
 def minimizer_set(table: CharacterTable, level: ClassFunctionLevel,
@@ -335,15 +330,13 @@ def _chain(table: CharacterTable, signs: tuple[int, ...], remaining: list[int] |
 
 def filtrate_exact(mv: MultiplicityVector, table: CharacterTable, signs
                    ) -> FiltrationResult:
-    """Greedy exact filtration of one grade.
-
-    signs is either the dict from signs_at (actual signs at mv.n) or a
-    SignProfile (evaluated at mv.n).
-    """
+    """Greedy exact filtration of one grade; signs is the dict from
+    signs_at, the actual signs at mv.n."""
     if any(m < 0 for m in mv.m):
         raise ValueError("exact filtration requires a nonnegative multiplicity vector")
     remaining = list(mv.m)
-    chain, blocks, skipped = _chain(table, _class_signs(table, signs, mv.n), remaining)
+    chain, blocks, skipped = _chain(table, tuple(signs[c.name] for c in table.classes),
+                                   remaining)
     residual = tuple(remaining)
     if any(v < 0 for v in residual):
         raise StructureViolation(f"negative residual entries: {residual}")
@@ -361,13 +354,15 @@ def filtrate_asymptotic(table: CharacterTable, profile: SignProfile,
         raise ValueError(f"modulus {N} is not positive")
     if N % profile.N != 0:
         raise ValueError(f"modulus {N} is not a multiple of the profile lcm {profile.N}")
-    chain, blocks, skipped = _chain(table, _class_signs(table, profile, n0 % N), None)
+    signs = tuple(profile.sign(c.name, n0 % N) for c in table.classes)
+    chain, blocks, skipped = _chain(table, signs, None)
     return FiltrationResult("asymptotic", None, (n0 % N, N), chain, None,
                             blocks, skipped)
 
 
 def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
-    """Predicted non-free multiplicities from the leading correction term.
+    """Predicted non-free multiplicities from the leading correction term;
+    signs is the dict from signs_at, the actual signs at grade n.
 
     Uses the least non-identity element order e2: with j' the level-1
     minimizer and f'_i = chi_i - (dim_i/dim_j') chi_j',
@@ -383,7 +378,7 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
         raise ValueError("group has no non-identity elements")
     e2 = orders[1]
     level = _character_level(table)
-    J, nu = minimizer_set(table, level, _class_signs(table, signs, n), e2)
+    J, nu = minimizer_set(table, level, tuple(signs[c.name] for c in table.classes), e2)
     jp = min(J)
     dims = [chi.dim for chi in table.irreps]
     # The order-e2 class with the fastest growth (smallest n_g).

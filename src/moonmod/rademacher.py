@@ -34,7 +34,8 @@ from __future__ import annotations
 import math
 
 from .numerics import WORKING_DIGITS, bessel_i_half, selberg_roots
-from .chartab import CharacterTable, ConjugacyClass
+from .chartab import (CharacterTable, ConjugacyClass, UnknownClassError, bundled_table,
+                      fuses_into_m24)
 # perfbench/{run,setup_probe,selftest,make_reference,workloads,spans}.py read these here.
 from .store import CoefficientCache, CoefficientRecord, bundled_cache  # noqa: F401
 
@@ -144,12 +145,32 @@ class _GradeState:
 
 
 class RademacherEngine:
-    """Coefficient provider for one group's classes, with cache and gates."""
+    """Coefficient provider for one group's classes, with cache and gates.
+
+    A table that fuses into M24 (chartab.fuses_into_m24), such as A5, is
+    served through M24: the engine sweeps and stores the M24 class each
+    of its classes fuses to, keyed as M24's, and answers its class names.
+    """
 
     def __init__(self, table: CharacterTable, cache: CoefficientCache | None = None):
         self.table = table
+        # Served class name -> swept class name; None when both are table's.
+        self._fusion = None
+        if fuses_into_m24(table):
+            self._fusion = {c.name: c.fusion_target for c in table.classes}
+            table = bundled_table("m24")
+        self._swept = table
         self.group = table.group_name
         self.cache = cache if cache is not None else CoefficientCache(None)
+
+    def _swept_name(self, class_name: str) -> str:
+        """The swept class that serves class_name."""
+        if self._fusion is None:
+            return class_name
+        try:
+            return self._fusion[class_name]
+        except KeyError:
+            raise UnknownClassError(class_name) from None
 
     # -- series evaluation ---------------------------------------------------
 
@@ -281,14 +302,15 @@ class RademacherEngine:
     # -- provider / batch interface -----------------------------------------
 
     def records(self, class_name: str, grades) -> list[CoefficientRecord]:
-        """The records of one class at grades, in request order.
+        """The records of one class at grades, in request order, under the
+        swept class's name.
 
         Grades -1 and 0 are definitions: the polar coefficient is -2 and the
         constant one vanishes, for every class.  Store hits are read from the
         store; the misses are swept in one batch and appended to the store
         in first-seen order.
         """
-        cls = self.table.class_named(class_name)
+        cls = self._swept.class_named(self._swept_name(class_name))
         grades = list(grades)
         got: dict[int, CoefficientRecord] = {}
         todo = []
@@ -309,8 +331,9 @@ class RademacherEngine:
         """c_g(n); a store hit is read from the stored record as it is."""
         if n < 1:
             return self.records(class_name, [n])[0].value
-        rec = self.cache.get(self.group, class_name, n)
+        name = self._swept_name(class_name)
+        rec = self.cache.get(self.group, name, n)
         if rec is None:
             # Swept at once: records would look the grade up a second time.
-            return self._compute(self.table.class_named(class_name), [n])[n].value
+            return self._compute(self._swept.class_named(name), [n])[n].value
         return int(rec["value"])

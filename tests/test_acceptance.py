@@ -12,7 +12,7 @@ import time
 import pytest
 
 import test_filtration as tf
-from moonmod.chartab import FusedProvider, bundled_table
+from moonmod.chartab import bundled_table
 from moonmod.decomp import free_part_split, multiplicities, ratio_profile
 from moonmod.filtration import (filtrate_asymptotic, filtrate_exact,
                                 nonfree_asymptotic, sign_profile, signs_at)
@@ -126,8 +126,8 @@ def test_criterion_6_nonfree_asymptotics(m24_table, engine):
           f"supports 2*sqrt(2) = {2 * math.sqrt(2):.3f} over sqrt(2)")
 
 
-def test_criterion_7_a5_example(a5_table, engine):
-    provider = FusedProvider(a5_table, engine)
+def test_criterion_7_a5_example(a5_table, warm_cache):
+    provider = RademacherEngine(a5_table, cache=warm_cache)
     profile = sign_profile(a5_table)
     for c in a5_table.classes:
         for n in range(1, 101):

@@ -1,4 +1,4 @@
-"""Table loading, validation gates, fusion."""
+"""Table loading and validation gates."""
 
 import json
 import math
@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from moonmod.chartab import (DATA_DIR, FusionError, FusedProvider, OrthogonalityError,
-                             SizeSumError, TableParseError, _four_sum, _numerators,
-                             bundled_table, distinct_orders, load_table)
+from moonmod.chartab import (DATA_DIR, OrthogonalityError, SizeSumError, TableParseError,
+                             _four_sum, _numerators, bundled_table, distinct_orders,
+                             fuses_into_m24, load_table)
 from moonmod.cli import main
 from moonmod.quadratic import QuadraticValue, mul_roots
 
@@ -37,11 +37,12 @@ def test_bundled_m24_shape(m24):
     assert sum(chi.dim ** 2 for chi in m24.irreps) == m24.group_order
 
 
-def test_bundled_a5_shape(a5):
+def test_bundled_a5_shape(a5, m24):
     assert a5.group_order == 60
     assert len(a5.classes) == 5
     assert tuple(chi.dim for chi in a5.irreps) == (1, 3, 3, 4, 5)
     assert all(c.fusion_target for c in a5.classes)
+    assert fuses_into_m24(a5) and not fuses_into_m24(m24)
 
 
 def test_distinct_orders(a5):
@@ -145,8 +146,8 @@ def _term_by_term(terms) -> dict[int, int]:
 
 def _first_row_failure(doc) -> str | None:
     """The message of the first failing row relation, each sum taken term by
-    term.  (Columns are checked after rows, and exact row orthogonality of a
-    square table implies column orthogonality.)"""
+    term.  (Exact row orthogonality of a square table implies column
+    orthogonality, which is not checked again.)"""
     order, classes = doc["group_order"], doc["classes"]
     names = [r["name"] for r in doc["irreps"]]
     rows = [[QuadraticValue(v["a"], v["b"], v["d"]) for v in r["values"]]
@@ -183,6 +184,26 @@ def test_orthogonality_messages_match_term_by_term_sums(make, sample):
         with pytest.raises(OrthogonalityError) as err:
             load_table(doc)
         assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("make", [lambda: bundled_doc("m24"), lambda: bundled_doc("a5"),
+                                  _c4_times_d16], ids=["M24", "A5", "C4xD16"])
+def test_column_relation_holds(make):
+    """The column relation, taken term by term, on every table that loads.
+
+    load_table checks the row relation X D X* = I only, with X the square
+    table and D = diag(|[g_k]|/|G|).  Then X is invertible, X^-1 = D X*,
+    and so X* X = D^-1: four times sum_i conj chi_i(g_k) chi_i(g_l) is
+    4 |G| / |[g_k]| when k = l and 0 otherwise.
+    """
+    doc = make()
+    table = load_table(doc)
+    order = table.group_order
+    columns = list(zip(*(chi.values for chi in table.irreps)))
+    for k, ck in enumerate(table.classes):
+        for l in range(k, len(table.classes)):
+            got = _term_by_term((1, u.conjugate(), v) for u, v in zip(columns[k], columns[l]))
+            assert got == ({1: 4 * order // ck.size} if k == l else {}), (ck.name, l)
 
 
 def test_four_sum_matches_term_by_term_sums():
@@ -240,20 +261,3 @@ def test_nonpositive_level_refused(ng, hg, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("FAIL: class 2A: ng = ")
     assert "Traceback" not in out.err
-
-
-class _ConstantProvider:
-    def value(self, class_name, n):
-        return {"1A": 100, "2A": 4, "3A": 1, "5A": 0}[class_name]
-
-
-def test_fusion_delegates(a5):
-    provider = FusedProvider(a5, _ConstantProvider())
-    assert provider.value("5A", 3) == 0
-    assert provider.value("5B", 3) == 0  # both fuse to ambient 5A
-    assert provider.value("1A", 1) == 100
-
-
-def test_fusion_requires_targets(m24):
-    with pytest.raises(FusionError):
-        FusedProvider(m24, _ConstantProvider())  # M24 classes carry no targets

@@ -324,8 +324,8 @@ def test_cache_clear_keeps_packaged_store(monkeypatch, capsys):
 
 def test_default_cache_is_the_packaged_store_in_memory(monkeypatch, capsys):
     monkeypatch.delenv("MOONMOD_CACHE", raising=False)
-    engine, _ = _make_engine(build_parser().parse_args(["coeff", "--n", "1"]),
-                             bundled_table("m24"))
+    engine = _make_engine(build_parser().parse_args(["coeff", "--n", "1"]),
+                          bundled_table("m24"))
     assert engine.cache.path is None and len(engine.cache) > 0
     code, out, _ = run(capsys, ["cache"])
     assert code == 0

@@ -2,7 +2,8 @@
 
 decomp and filtration compute multiplicities, shares, minimizer sets,
 directions and the non-free prediction from the table's integer matrices.
-The reference below is the same algebra over class_sums and Fractions;
+The reference below is the same algebra over character sums taken term by
+term and Fractions;
 every float must come out ==, not merely close, because an int/int true
 division and float(Fraction) both round the exact quotient once.
 """
@@ -12,11 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from moonmod.chartab import FusedProvider, class_sums, distinct_orders
+from moonmod.chartab import distinct_orders
 from moonmod.decomp import NonIntegral, multiplicities, ratio_profile
-from moonmod.filtration import (DegenerateLevel, _character_level, minimizer_set,
-                                next_class_function, nonfree_asymptotic, signs_at)
+from moonmod.filtration import (DegenerateLevel, IrrationalDirection, _character_level,
+                                minimizer_set, next_class_function, nonfree_asymptotic,
+                                signs_at)
 from moonmod.numerics import asymptotic_leading
+from moonmod.rademacher import RademacherEngine
 
 GRADES = range(1, 61)
 
@@ -34,6 +37,21 @@ class ShiftedStore:
 
 
 # -- the Fraction reference ---------------------------------------------------
+
+def class_sums(table, weights):
+    """Twice sum_k weights[k] chi_i(g_k) for every irrep i, one term at a time,
+    as integer numerators keyed by squarefree radicand (1 is the rational
+    part), zeros dropped; weights are integers parallel to the classes."""
+    out = []
+    for chi in table.irreps:
+        twice = {1: 0}
+        for w, v in zip(weights, chi.values):
+            twice[1] += w * v.a
+            if v.b:
+                twice[v.d] = twice.get(v.d, 0) + w * v.b
+        out.append({s: t for s, t in twice.items() if t})
+    return out
+
 
 def ref_multiplicities(table, values):
     sums = class_sums(table, [c.size * v for c, v in zip(table.classes, values)])
@@ -99,8 +117,8 @@ def ref_nonfree(table, signs, n):
 # -- the tests -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def providers(m24_table, a5_table, engine):
-    return [(m24_table, engine), (a5_table, FusedProvider(a5_table, engine))]
+def providers(m24_table, a5_table, engine, warm_cache):
+    return [(m24_table, engine), (a5_table, RademacherEngine(a5_table, cache=warm_cache))]
 
 
 def test_matrix_decomposition_equals_class_sums(providers):
@@ -154,7 +172,7 @@ def test_nonfree_prediction_equals_fraction_reference(providers):
 
 
 # The messages of the decomposition that checked the grade through
-# class_sums; a failing grade must still read exactly so.
+# character sums taken term by term; a failing grade must still read exactly so.
 @pytest.mark.parametrize("n, shift, message", [
     (5, {("1A", 5): 1},
      "multiplicity of chi1 at n=5 is not integral: raw value 1/244823040 is not an integer"),
@@ -168,3 +186,21 @@ def test_perturbed_value_message(m24_table, warm_cache, n, shift, message):
     with pytest.raises(NonIntegral) as exc:
         multiplicities(m24_table, n, ShiftedStore(warm_cache, shift))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("group, split", [
+    ("a5", {"5A": 1, "5B": -1}), ("m24", {"7A": 1, "7B": -1}),
+    ("m24", {"15A": 0, "15B": 1}), ("m24", {"23A": -1, "23B": 1})])
+def test_irrational_direction_message(m24_table, a5_table, group, split):
+    """Signs that differ on Galois-conjugate classes: the refused order sums
+    read as the same sums taken term by term, keys in the same order."""
+    table = {"m24": m24_table, "a5": a5_table}[group]
+    signs = {c.name: split.get(c.name, 1) for c in table.classes}
+    order = table.class_named(next(iter(split))).element_order
+    with pytest.raises(IrrationalDirection) as exc:
+        minimizer_set(table, _character_level(table),
+                      tuple(signs[c.name] for c in table.classes), order)
+    weights = [c.size * signs[c.name] if c.element_order == order else 0
+               for c in table.classes]
+    raw = tuple(class_sums(table, weights))
+    assert str(exc.value) == f"direction at order {order} is irrational: {raw}"

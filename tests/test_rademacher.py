@@ -14,7 +14,9 @@ import mpmath
 import pytest
 
 import kloosterman_reference as ref
+import test_filtration as tf
 from moonmod import kernels, rademacher
+from moonmod.chartab import UnknownClassError, load_table
 from moonmod.numerics import asymptotic_leading
 from moonmod.rademacher import (HEAD_SWITCH, NonConvergent, RademacherEngine, _chunk_end,
                                 _series_digits, partial_kloosterman)
@@ -455,6 +457,55 @@ def test_store_miss_is_looked_up_once(m24_table, monkeypatch):
     assert lookups == [("M24", "1A", 1)]
     assert cache.records[("M24", "1A", 1)]["value"] == "90"
     assert eng.value("1A", 1) == 90 and cache.hits == 1
+
+
+def test_fused_engine_serves_m24_targets(a5_table, engine, warm_cache):
+    """An A5 engine answers each A5 class with the M24 class it fuses to."""
+    a5 = RademacherEngine(a5_table, cache=warm_cache)
+    grades = range(-1, 6)
+    for c in a5_table.classes:
+        want = [engine.value(c.fusion_target, n) for n in grades]
+        assert [a5.value(c.name, n) for n in grades] == want, c.name
+        recs = a5.records(c.name, grades)
+        assert [r.value for r in recs] == want, c.name
+        assert [r.json_fields() for r in recs] == \
+            [r.json_fields() for r in engine.records(c.fusion_target, grades)]
+
+
+@pytest.mark.parametrize("name", ["23A", "99Z"])
+@pytest.mark.parametrize("read", [lambda eng, name: eng.value(name, 1),
+                                  lambda eng, name: eng.records(name, [1])],
+                         ids=["value", "records"])
+def test_fused_engine_refuses_classes_it_lacks(a5_table, warm_cache, name, read):
+    """23A is an M24 class with no A5 class fusing to it: A5 lacks it too."""
+    a5 = RademacherEngine(a5_table, cache=warm_cache)
+    with pytest.raises(UnknownClassError) as exc:
+        read(a5, name)
+    assert exc.value.args == (name,)
+    assert str(exc.value) == f"unknown conjugacy class {name!r}"
+
+
+def test_unfused_table_is_swept_as_itself(m24_table, warm_cache):
+    """A table whose classes carry no fusion targets is swept and keyed as
+    itself; S3's 2A and 3A sit at M24 2A's and 3A's levels (n_g, h_g)."""
+    s3 = load_table(tf.S3_DOC)
+    cache = CoefficientCache(None)
+    eng = RademacherEngine(s3, cache=cache)
+    assert [eng.value(name, 1) for name in ("2A", "3A")] == \
+        [int(warm_cache.get("M24", name, 1)["value"]) for name in ("2A", "3A")]
+    assert sorted(cache.records) == [("S3", "2A", 1), ("S3", "3A", 1)]
+    with pytest.raises(UnknownClassError):
+        eng.value("23A", 1)
+
+
+def test_fused_cold_miss_appends_m24_record(m24_table, a5_table, tmp_path):
+    """A cold A5 miss appends the record of a cold M24 sweep, keyed as M24's."""
+    path = tmp_path / "m24_coeffs.ldjson"
+    a5 = RademacherEngine(a5_table, cache=CoefficientCache(path))
+    [want] = RademacherEngine(m24_table).records("5A", [1])
+    assert a5.value("5B", 1) == want.value
+    [line] = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line) == {**want.json_fields(), "group": "M24"}
 
 
 # Appends records n = 1..count of one class to the cache file named in argv,
