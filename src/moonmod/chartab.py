@@ -145,6 +145,8 @@ def _validate(table: CharacterTable) -> None:
         if c.ng % c.hg != 0:
             raise TableParseError(f"class {c.name}: hg = {c.hg} does not divide ng = {c.ng}")
     for chi in irreps:
+        if chi.dim < 1:
+            raise TableParseError(f"irrep {chi.name}: dim = {chi.dim} must be positive")
         if len(chi.values) != len(classes):
             raise TableParseError(f"irrep {chi.name}: wrong number of values")
         ident_val = chi.values[0]

@@ -10,7 +10,7 @@ partial order on the irreducibles: the blocks X_j \ X_{j+1}.
 
 Two modes share one chain loop: exact (a concrete grade n and its actual
 coefficient signs, integer arithmetic throughout, the reconstruction
-identity enforced) and asymptotic (a residue class n0 mod N, no
+identity true by construction) and asymptotic (a residue class n0 mod N, no
 coefficients).  For large n the sign of c_g(n) is that of the leading
 Rademacher term, K_{n_g}(n), so sign_profile reads each class's pattern
 of period n_g from (n_g, h_g) alone; an entry is 0 only where that sum,
@@ -331,16 +331,15 @@ def _chain(table: CharacterTable, signs: tuple[int, ...], remaining: list[int] |
 def filtrate_exact(mv: MultiplicityVector, table: CharacterTable, signs
                    ) -> FiltrationResult:
     """Greedy exact filtration of one grade; signs is the dict from
-    signs_at, the actual signs at mv.n."""
+    signs_at, the actual signs at mv.n.  The residual, mv.m minus
+    sum_j r_j L_j, is nonnegative: r_j <= remaining[i] // L_j(i) wherever
+    L_j(i) > 0, so no peel takes an entry below zero."""
     if any(m < 0 for m in mv.m):
         raise ValueError("exact filtration requires a nonnegative multiplicity vector")
     remaining = list(mv.m)
     chain, blocks, skipped = _chain(table, tuple(signs[c.name] for c in table.classes),
                                    remaining)
-    residual = tuple(remaining)
-    if any(v < 0 for v in residual):
-        raise StructureViolation(f"negative residual entries: {residual}")
-    return FiltrationResult("exact", mv.n, None, chain, residual, blocks, skipped)
+    return FiltrationResult("exact", mv.n, None, chain, tuple(remaining), blocks, skipped)
 
 
 def filtrate_asymptotic(table: CharacterTable, profile: SignProfile,

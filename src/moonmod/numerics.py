@@ -1,9 +1,6 @@
 r"""Exact and high-precision numerical primitives.
 
-Provides the half-integer Bessel function I_{1/2}, which takes a plain
-count of decimal digits (the Rademacher head derives its count from the
-grade, at least WORKING_DIGITS), and the roots of the
-Selberg form of the Kloosterman sum,
+Provides the roots of the Selberg form of the Kloosterman sum,
 
     K_c(n) = sqrt(c) * sum (-1)^j sin(pi (2j+1) / (2c))
 
@@ -12,10 +9,11 @@ J. Math. 6 (1956), for the partition sums; on the grid c = 0 mod n_g with
 h_g | n_g every twining sum is such a sum).  The mpmath head of
 moonmod.rademacher and the exact zero test of moonmod.filtration read
 these roots; kloosterman_sum is the plain-Python reference of
-moonmod.kernels, one root at a time.  asymptotic_leading is the size of
-the series' leading term, which reads n_g alone: the asymptotic filtration
-predicts from it without the coefficient engine.  mpmath is imported inside
-the one function that uses it.
+moonmod.kernels, one root at a time.  WORKING_DIGITS is the fewest decimal
+digits of the mpmath head, which derives its count from the grade.
+asymptotic_leading is the size of the series' leading term, which reads
+n_g alone: the asymptotic filtration predicts from it without the
+coefficient engine.  Nothing here imports mpmath.
 """
 
 from __future__ import annotations
@@ -24,17 +22,6 @@ import math
 
 # The fewest decimal digits of an mpmath evaluation in the Rademacher head.
 WORKING_DIGITS = 80
-
-
-def bessel_i_half(x, digits: int) -> mpmath.mpf:
-    """I_{1/2}(x) = sqrt(2/(pi x)) * sinh(x) for x > 0, to digits decimal digits."""
-    import mpmath
-
-    with mpmath.workdps(digits):
-        xf = mpmath.mpf(x)
-        if not mpmath.isfinite(xf) or xf <= 0:
-            raise ValueError("bessel_i_half requires x > 0")
-        return mpmath.sqrt(2 / (mpmath.pi * xf)) * mpmath.sinh(xf)
 
 
 def _selberg_residue(n: int, c: int, ng: int, hg: int) -> int:

@@ -15,7 +15,8 @@ j(j+1)/2 = c^2/(n_g h_g) - n mod c (numerics.selberg_roots).  Terms with
 large Bessel argument are evaluated in mpmath (partial_kloosterman) at
 _series_digits(n) decimal digits, a count derived from the size of the
 grade's leading term; the long oscillating tail runs through the float64
-kernel in moonmod.kernels.
+kernel in moonmod.kernels.  Head and tail write I_{1/2}(x) in its closed
+form sqrt(2/(pi x)) sinh(x).
 moonmod.store reads and appends the records; numpy, mpmath and the
 kernels are imported inside the functions that compute a coefficient, so
 a command served from the store loads none of them.
@@ -27,13 +28,16 @@ swept in batches per class, one root search per c serving every grade:
 RademacherEngine.records answers one class at a list of grades, with one
 sweep for all its store misses, and coeff asks for each class once.  Head
 and tail are both real, so the gates read the real partial sums only.
+A sweep keeps per grade only what its gates read, and builds the grade's
+CoefficientRecord where a gate accepts it; _compute stores that record or
+raises NonConvergent with the best residual seen.
 """
 
 from __future__ import annotations
 
 import math
 
-from .numerics import WORKING_DIGITS, bessel_i_half, selberg_roots
+from .numerics import WORKING_DIGITS, selberg_roots
 from .chartab import (CharacterTable, ConjugacyClass, UnknownClassError, bundled_table,
                       fuses_into_m24)
 # perfbench/{run,setup_probe,selftest,make_reference,workloads,spans}.py read these here.
@@ -75,14 +79,13 @@ STABILITY_MIN_RUN = 200
 
 
 class NonConvergent(Exception):
-    def __init__(self, class_name: str, n: int, best_raw: float, best_residual: float):
+    def __init__(self, class_name: str, n: int, best_residual: float):
         super().__init__(
             f"series for class {class_name} at n={n} did not stabilize "
             f"(best residual {best_residual:.3g})"
         )
         self.class_name = class_name
         self.n = n
-        self.best_raw = best_raw
         self.best_residual = best_residual
 
 
@@ -123,25 +126,19 @@ def _series_digits(n: int) -> int:
 
 
 class _GradeState:
-    __slots__ = ("n", "head_int", "head_frac", "cum", "done", "value",
-                 "residual", "c_used", "best_res", "best_raw", "gate", "stable_run", "last_rounded")
+    """What a sweep keeps of one grade; record is None until a gate accepts."""
 
-    def __init__(self, n: int):
-        self.n = n
+    __slots__ = ("head_int", "cum", "best_res", "stable_run", "last_rounded", "record")
+
+    def __init__(self):
         self.head_int = 0
-        self.head_frac = 0.0
         self.cum = 0.0
-        self.done = False
-        self.value = 0
-        self.residual = 0.0
-        self.c_used = 0
         self.best_res = float("inf")
-        self.best_raw = 0.0
-        self.gate = "dip"
         # The run of checkpoints, up to the last one swept, that round to
         # last_rounded; NaN equals no rounding, so the first run starts at 1.
         self.stable_run = 0
         self.last_rounded = math.nan
+        self.record = None
 
 
 class RademacherEngine:
@@ -153,7 +150,6 @@ class RademacherEngine:
     """
 
     def __init__(self, table: CharacterTable, cache: CoefficientCache | None = None):
-        self.table = table
         # Served class name -> swept class name; None when both are table's.
         self._fusion = None
         if fuses_into_m24(table):
@@ -193,29 +189,30 @@ class RademacherEngine:
             with mpmath.workdps(digits):
                 while c <= c_head_max:
                     x = mpmath.pi * mpmath.sqrt(q8) / (2 * c)
-                    fac = 4 * mpmath.pi * bessel_i_half(x, digits) \
+                    # I_{1/2}(x) = sqrt(2/(pi x)) sinh(x), as in the tail.
+                    fac = 4 * mpmath.pi * (mpmath.sqrt(2 / (mpmath.pi * x)) * mpmath.sinh(x)) \
                         / (c * mpmath.power(q8, mpmath.mpf(1) / 4))
                     head_re += fac * partial_kloosterman(n, c, cls.ng, cls.hg, digits)
                     c += step
                 st.head_int = int(mpmath.nint(head_re))
-                st.head_frac = float(head_re - mpmath.nint(head_re))
-                st.cum = st.head_frac
+                st.cum = float(head_re - mpmath.nint(head_re))
             tail_start[n] = c
         return tail_start
 
     def _sweep(self, cls: ConjugacyClass, grades: list[int]) -> dict[int, _GradeState]:
-        """Adaptive truncation for a batch of grades of one class, c = 0 mod n_g."""
+        """Adaptive truncation for a batch of grades of one class, c = 0 mod n_g;
+        each grade's state holds its record once a gate accepts it."""
         import numpy as np
 
         from . import kernels
 
         step = cls.ng
-        states = {n: _GradeState(n) for n in grades}
+        states = {n: _GradeState() for n in grades}
         tail_start = self._head_terms(cls, states)
 
         lo, hi = 1, min(_chunk_end(1, step, kernels._BLOCK), C_MAX_LIMIT)
         while True:
-            active = [n for n, st in states.items() if not st.done]
+            active = [n for n, st in states.items() if st.record is None]
             if not active:
                 break
             n0, n1 = min(active), max(active)
@@ -248,23 +245,18 @@ class RademacherEngine:
                     accept = gated & (run >= STABILITY_WINDOW) & (
                         resid <= RESIDUAL_TOLERANCE)
                     hits = np.flatnonzero(accept)
-                    end = int(hits[0]) + 1 if len(hits) else len(cs)
-                    seen = np.flatnonzero(gated[:end])
-                    if len(seen):
-                        k = seen[np.argmin(resid[seen])]
-                        if resid[k] < st.best_res:
-                            st.best_res = float(resid[k])
-                            st.best_raw = st.head_int + cum[k]
                     if len(hits):
                         k = hits[0]
-                        st.done = True
-                        st.value = st.head_int + int(rounded[k])
-                        st.residual = float(resid[k])
-                        st.c_used = int(cs[k])
-                    if not st.done:
-                        st.cum = float(cum[-1])
-                        st.stable_run = int(run[-1])
-                        st.last_rounded = float(rounded[-1])
+                        st.record = CoefficientRecord(
+                            cls.name, n, st.head_int + int(rounded[k]), float(resid[k]),
+                            int(cs[k]), "dip")
+                        continue
+                    seen = np.flatnonzero(gated)
+                    if len(seen):
+                        st.best_res = min(st.best_res, float(resid[seen].min()))
+                    st.cum = float(cum[-1])
+                    st.stable_run = int(run[-1])
+                    st.last_rounded = float(rounded[-1])
             if hi >= C_MAX_LIMIT:
                 break
             lo, hi = hi + 1, min(hi * 2, C_MAX_LIMIT,
@@ -273,16 +265,13 @@ class RademacherEngine:
         # Fallback gate: sparse-grid classes never dip below the residual
         # tolerance (intrinsic ~C^(-1/2) tail drift); accept a long-stable
         # rounding within the coarse stability tolerance instead.
-        for st in states.values():
+        for n, st in states.items():
             value_rounded = round(st.cum)
             r = abs(st.cum - value_rounded)
-            if (not st.done and st.stable_run >= STABILITY_MIN_RUN
+            if (st.record is None and st.stable_run >= STABILITY_MIN_RUN
                     and r <= STABILITY_TOLERANCE):
-                st.done = True
-                st.gate = "stability"
-                st.value = st.head_int + value_rounded
-                st.residual = r
-                st.c_used = C_MAX_LIMIT - (C_MAX_LIMIT % step)
+                st.record = CoefficientRecord(cls.name, n, st.head_int + value_rounded, r,
+                                              C_MAX_LIMIT - (C_MAX_LIMIT % step), "stability")
         return states
 
     def _compute(self, cls: ConjugacyClass, grades: list[int]
@@ -291,10 +280,9 @@ class RademacherEngine:
         states = self._sweep(cls, grades)
         out = {}
         for n in grades:
-            st = states[n]
-            if not st.done:
-                raise NonConvergent(cls.name, n, float(st.best_raw), st.best_res)
-            rec = CoefficientRecord(cls.name, n, st.value, st.residual, st.c_used, st.gate)
+            rec = states[n].record
+            if rec is None:
+                raise NonConvergent(cls.name, n, states[n].best_res)
             self.cache.put(self.group, cls.name, n, rec)
             out[n] = rec
         return out

@@ -247,6 +247,24 @@ def test_identity_value_must_match_dim():
         load_table(doc)
 
 
+def test_nonpositive_dim_refused(tmp_path, capsys):
+    """A negated trivial character (dim -1 with every value negated) passes
+    orthogonality; its dim is refused first, and validate reports a FAIL
+    line."""
+    doc = bundled_doc("a5")
+    chi1 = doc["irreps"][0]
+    chi1["dim"] = -1
+    for v in chi1["values"]:
+        v["a"] = -v["a"]
+    with pytest.raises(TableParseError, match="irrep chi1: dim = -1 must be positive"):
+        load_table(doc)
+    path = tmp_path / "bad.table"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "FAIL: irrep chi1: dim = -1 must be positive\n"
+
+
 @pytest.mark.parametrize("ng, hg", [(0, 1), (3, 0), (-2, 1), (3, -3)])
 def test_nonpositive_level_refused(ng, hg, tmp_path, capsys):
     """n_g and h_g are checked before they divide anything: a zero or

@@ -274,6 +274,19 @@ def test_bad_grade_spec(capsys, cache_args):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("spec", ["1,,2", "1..", "..3", "x"])
+@pytest.mark.parametrize("command", [["coeff", "--class", "1A"], ["decompose"]],
+                         ids=lambda argv: argv[0])
+def test_malformed_grade_spec_is_named(command, spec, capsys, cache_args):
+    """A part of a grade spec that is no integer or range is one error line
+    naming the whole spec, not int()'s message."""
+    code, out, err = run(capsys, command + ["--n", spec] + cache_args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"grade spec {spec!r}" in err and "int()" not in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("group, name", [("m24", "99Z"), ("a5", "9Z")])
 def test_coeff_unknown_class(group, name, capsys, cache_args):
     code, out, err = run(capsys, ["coeff", "--group", group, "--class", name,
@@ -283,7 +296,7 @@ def test_coeff_unknown_class(group, name, capsys, cache_args):
 
 
 @pytest.mark.parametrize("exc", [
-    NonConvergent("23A", 7, 12.4, 0.4),
+    NonConvergent("23A", 7, 0.4),
     DecompositionError("multiplicity of chi3 is not an integer"),
     FiltrationError("no minimizer"),
     TableError("bad table"),

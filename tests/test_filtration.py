@@ -24,6 +24,7 @@ from moonmod.filtration import (DegenerateLevel, IrrationalDirection,
                                 minimizer_set, re_kloosterman_is_zero,
                                 result_to_json, sign_profile, signs_at)
 from moonmod.numerics import selberg_roots
+from moonmod.rademacher import RademacherEngine
 
 
 # -- synthetic tables --------------------------------------------------------
@@ -194,19 +195,38 @@ def test_oracle_s3(s3, n):
     _compare(s3, S3Provider(), n)
 
 
+def _reconstructed(result):
+    """The residual plus r_j L_j at every level of an exact chain."""
+    total = list(result.residual)
+    for lvl in result.chain:
+        for i, coeff in lvl.direction.items():
+            total[i] += lvl.r * coeff
+    return tuple(total)
+
+
 def test_exact_reconstruction(s3):
     provider = S3Provider()
-    dims = [chi.dim for chi in s3.irreps]
     for n in (7, 30, 121):
         mv = multiplicities(s3, n, provider)
         result = filtrate_exact(mv, s3, signs_at(s3, provider, n))
-        total = list(result.residual)
-        for lvl in result.chain:
-            for i, coeff in lvl.direction.items():
-                total[i] += lvl.r * coeff
-        assert tuple(total) == mv.m
+        assert _reconstructed(result) == mv.m
         # maximality of each r: another copy never fits after subtraction
         assert all(r >= 0 for r in result.residual)
+
+
+@pytest.mark.parametrize("group, grades", [("m24", range(1, 61)), ("a5", range(1, 101))])
+def test_exact_reconstruction_on_stored_grades(group, grades, m24_table, a5_table,
+                                               warm_cache):
+    """On every stored grade the chain gives back the multiplicity vector
+    and leaves a nonnegative residual: filtrate exits 0 without checking
+    either, because the peeling subtracts only copies that fit."""
+    table = m24_table if group == "m24" else a5_table
+    provider = RademacherEngine(table, cache=warm_cache)
+    for n in grades:
+        mv = multiplicities(table, n, provider)
+        result = filtrate_exact(mv, table, signs_at(table, provider, n))
+        assert _reconstructed(result) == mv.m, (group, n)
+        assert min(result.residual) >= 0, (group, n)
 
 
 def test_regular_multiple_trivial_chain(s3):

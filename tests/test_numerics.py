@@ -1,15 +1,13 @@
-"""Brute-force oracles for the Bessel factor and for the reference Dedekind
-sum of tests/kloosterman_reference.py."""
+"""Brute-force oracles for the reference Dedekind sum of
+tests/kloosterman_reference.py."""
 
 import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from kloosterman_reference import dedekind_sum
-from moonmod.numerics import WORKING_DIGITS, bessel_i_half
 
 
 def sawtooth(x: Fraction) -> Fraction:
@@ -58,24 +56,3 @@ def test_dedekind_domain_errors():
         dedekind_sum(2, 4)
     with pytest.raises(ValueError):
         dedekind_sum(1, 0)
-
-
-def test_bessel_against_series():
-    # I_{1/2}(x) = sum_k (x/2)^{2k+1/2} / (k! Gamma(k + 3/2)).
-    for x in (0.1, 1.0, 5.0, 20.0):
-        with mpmath.workdps(60):
-            xm = mpmath.mpf(x)
-            series = sum(
-                (xm / 2) ** (2 * k + mpmath.mpf(1) / 2)
-                / (mpmath.factorial(k) * mpmath.gamma(k + mpmath.mpf(3) / 2))
-                for k in range(60)
-            )
-            rel = abs(bessel_i_half(x, WORKING_DIGITS) - series) / series
-            assert rel < mpmath.mpf(10) ** -45
-
-
-def test_bessel_domain():
-    with pytest.raises(ValueError):
-        bessel_i_half(0, WORKING_DIGITS)
-    with pytest.raises(ValueError):
-        bessel_i_half(-1.0, WORKING_DIGITS)

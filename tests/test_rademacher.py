@@ -83,6 +83,31 @@ def test_head_kloosterman_is_real_and_exact(m24_table):
     assert checked == 5 * 3 * len(levels) == 315
 
 
+@pytest.mark.parametrize("name, n", [("1A", 21), ("1A", 40), ("1A", 60), ("2A", 90)])
+def test_head_terms_match_mpmath_bessel(m24_table, name, n):
+    """_head_terms writes I_{1/2}(x) in closed form, sqrt(2/(pi x)) sinh(x);
+    a head summed with mpmath.besseli(1/2, x) at the same digits gives the
+    same integer part, the same float remainder that starts the tail, and
+    the same first c of the tail."""
+    cls = m24_table.class_named(name)
+    st = rademacher._GradeState()
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    tail_start = engine._head_terms(cls, {n: st})
+    q8 = 8 * n - 1
+    digits = _series_digits(n)
+    c = cls.ng
+    with mpmath.workdps(digits):
+        head = mpmath.mpf(0)
+        while c <= math.pi * math.sqrt(q8) / (2 * HEAD_SWITCH):
+            x = mpmath.pi * mpmath.sqrt(q8) / (2 * c)
+            head += 4 * mpmath.pi * mpmath.besseli(0.5, x) / (c * mpmath.root(q8, 4)) \
+                * partial_kloosterman(n, c, cls.ng, cls.hg, digits)
+            c += cls.ng
+        nearest = mpmath.nint(head)
+        assert (st.head_int, st.cum) == (int(nearest), float(head - nearest))
+    assert c > cls.ng and tail_start == {n: c}
+
+
 def test_known_identity_values(engine):
     for k, expect in enumerate(KNOWN_1A, start=1):
         assert engine.value("1A", k) == expect
@@ -330,7 +355,7 @@ def test_stability_window_spans_sweep_chunks(m24_table, monkeypatch):
         truncate(monkeypatch, C_MAX_LIMIT=460, RESIDUAL_TOLERANCE=1e-12)
         engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
         st = engine._sweep(m24_table.class_named("23A"), [1])[1]
-        assert not st.done
+        assert st.record is None
         ends.append((st.stable_run, st.last_rounded))
     assert chunks[0] == 20 and len(chunks) > 3
     assert ends[0] == ends[1]
