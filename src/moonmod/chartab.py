@@ -129,6 +129,11 @@ def _validate(table: CharacterTable) -> None:
         raise TableParseError(
             f"{len(classes)} classes but {len(irreps)} irreps in {table.group_name}"
         )
+    for kind, names in (("class", [c.name for c in classes]),
+                        ("irrep", [chi.name for chi in irreps])):
+        repeated = next((x for k, x in enumerate(names) if x in names[:k]), None)
+        if repeated is not None:
+            raise TableParseError(f"{kind} name {repeated} is repeated")
     total = sum(c.size for c in classes)
     if total != order:
         raise SizeSumError(

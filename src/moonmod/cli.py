@@ -337,7 +337,7 @@ def _reported_errors() -> tuple[type[Exception], ...]:
     from .rademacher import NonConvergent
 
     return (NonConvergent, TableError, UnknownClassError, DecompositionError,
-            FiltrationError, ValueError)
+            FiltrationError, ValueError, OSError)
 
 
 def _joined_grades(argv: list[str]) -> list[str]:

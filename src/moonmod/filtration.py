@@ -18,11 +18,11 @@ exactly real in its Selberg form, vanishes exactly in Z[e(1/(4 n_g))].
 The module never loads the coefficient engine: exact mode reads values from
 the provider it is handed, and the non-free prediction takes the size of
 the leading term from numerics.asymptotic_leading.
-The level algebra is exact and in integers: each level keeps its class
-functions as integer rows over the character basis, the sign-weighted
-class sums of one element order are rational because coefficients are
-Galois-invariant and are kept doubled, as integers, ratios are compared
-by cross-multiplication, and directions are normalized to canonical
+The level algebra is exact and in integers: each surviving irrep keeps
+only its sign-weighted class sums at each element order beyond the
+identity, which are rational because coefficients are Galois-invariant
+and are kept doubled, as integers; ratios are compared by
+cross-multiplication, and directions are normalized to canonical
 nonnegative integer vectors.
 """
 
@@ -157,30 +157,6 @@ def signs_at(table: CharacterTable, provider, n: int) -> dict[str, int]:
 
 # -- level algebra -----------------------------------------------------------
 
-class ClassFunctionLevel:
-    """State after l elimination steps: f_i^{(l)} = sum_k rows[i][k] chi_k as
-    integer rows over the character basis, the active (surviving) irrep
-    indices and the current integer direction L over them.  Rows of irreps
-    no longer active are left as they were and never read."""
-
-    __slots__ = ("order", "rows", "active", "direction")
-
-    def __init__(self, order: int, rows: list[tuple[int, ...]],
-                 active: tuple[int, ...], direction: dict[int, int]) -> None:
-        self.order = order  # element order e_l this level's direction belongs to
-        self.rows = rows
-        self.active = active
-        self.direction = direction  # active index -> coefficient
-
-
-def _character_level(table: CharacterTable) -> ClassFunctionLevel:
-    s = len(table.irreps)
-    rows = [tuple(int(i == k) for k in range(s)) for i in range(s)]
-    active = tuple(range(s))
-    direction = {i: table.irreps[i].dim for i in active}
-    return ClassFunctionLevel(1, rows, active, direction)
-
-
 def _order_sums(table: CharacterTable, signs: tuple[int, ...], order: int
                 ) -> list[int]:
     """2 w_k, with w_k = sum over classes of the given order of
@@ -203,41 +179,22 @@ def _order_sums(table: CharacterTable, signs: tuple[int, ...], order: int
     return twice
 
 
-def minimizer_set(table: CharacterTable, level: ClassFunctionLevel,
-                  signs: tuple[int, ...], order: int
-                  ) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Active indices minimizing nu_i / L(i) over entries with L(i) > 0,
-    where nu_i = sum_k rows[i][k] w_k.  Returns (J, 2 nu) with 2 nu_i an
-    integer; the ratios are compared by cross-multiplication."""
-    w = _order_sums(table, signs, order)
-    nu = {i: sum(map(mul, level.rows[i], w)) for i in level.active}
-    L = level.direction
-    candidates = [i for i in level.active if L[i] > 0]
+def minimizer_set(direction: dict[int, int], nu: dict[int, int], order: int
+                  ) -> tuple[int, ...]:
+    """J: the active indices minimizing nu_i / L(i) over entries with
+    L(i) > 0, for the direction L and nu twice the sign-weighted class sums
+    at the given order, both over the active irreps; the ratios are
+    compared by cross-multiplication."""
+    candidates = [i for i, Li in direction.items() if Li > 0]
     if not candidates:
         raise DegenerateLevel(order, "all normalizers zero")
     if not any(nu.values()):
         raise DegenerateLevel(order)
     b = candidates[0]
     for i in candidates:
-        if nu[i] * L[b] < nu[b] * L[i]:
+        if nu[i] * direction[b] < nu[b] * direction[i]:
             b = i
-    return tuple(i for i in candidates if nu[i] * L[b] == nu[b] * L[i]), nu
-
-
-def next_class_function(level: ClassFunctionLevel, J: tuple[int, ...],
-                        nu: dict[int, int], order: int) -> ClassFunctionLevel:
-    """Eliminate the minimizer: f_i' = f_i L(j') - L(i) f_{j'}, with the new
-    direction L'(i) = L(j') nu_i - L(i) nu_{j'} over the shrunken active set
-    (nu as minimizer_set returns it, twice the sums)."""
-    jp = min(J)
-    Ljp = level.direction[jp]
-    new_active = tuple(i for i in level.active if i not in J)
-    rows = list(level.rows)
-    for i in new_active:
-        Li = level.direction[i]
-        rows[i] = tuple(Ljp * a - Li * b for a, b in zip(level.rows[i], level.rows[jp]))
-    raw = {i: Ljp * nu[i] - level.direction[i] * nu[jp] for i in new_active}
-    return ClassFunctionLevel(order, rows, new_active, direction_vector(raw, order))
+    return tuple(i for i in candidates if nu[i] * direction[b] == nu[b] * direction[i])
 
 
 def direction_vector(raw: dict[int, int], order: int) -> dict[int, int]:
@@ -291,41 +248,52 @@ class FiltrationResult:
 def _chain(table: CharacterTable, signs: tuple[int, ...], remaining: list[int] | None):
     """(chain, order blocks, skipped orders) for the class signs.
 
-    With remaining, each level first peels r_j, the most copies of its
-    direction that fit, off remaining in place; without, every r_j is None.
+    Each active irrep i carries its direction entry L(i) and nu_i, twice its
+    sign-weighted class sums at every element order beyond the identity
+    (at level 1 the _order_sums column of chi_i).  Eliminating J, with
+    j' = min J, sends nu_i to L(j') nu_i - L(i) nu_j', and the next direction
+    is that new nu_i at the order just used.  All order sums are taken up
+    front, so signs split on Galois-conjugate classes raise
+    IrrationalDirection even at an order the chain would never reach; signs
+    from coefficient data agree there.  With remaining, each level first
+    peels r_j, the most copies of its direction that fit, off remaining in
+    place; without, every r_j is None.
     """
     orders = distinct_orders(table)[1:]  # beyond the identity
-    level = _character_level(table)
+    sums = [_order_sums(table, signs, order) for order in orders]
+    L = {i: chi.dim for i, chi in enumerate(table.irreps)}
+    nu = {i: [w[i] for w in sums] for i in L}
+    level_order, k = 1, 0
     chain: list[ChainLevel] = []
     blocks: list[tuple[int, ...]] = []
     skipped: list[int] = []
     while True:
-        support = level.active
+        support = tuple(L)
         r = None
         if remaining is not None:
-            pos = [(i, level.direction[i]) for i in support if level.direction[i] > 0]
+            pos = [(i, Li) for i, Li in L.items() if Li > 0]
             r = max(min(remaining[i] // Li for i, Li in pos) if pos else 0, 0)
             for i, Li in pos:
                 remaining[i] -= r * Li
-        nxt, J = None, ()
-        while orders:  # the next nondegenerate order eliminates its minimizers
-            order = orders.pop(0)
+        J = ()
+        while not J and k < len(orders):  # the next nondegenerate order
             try:
-                J, nu = minimizer_set(table, level, signs, order)
+                J = minimizer_set(L, {i: v[k] for i, v in nu.items()}, orders[k])
             except DegenerateLevel as exc:
                 skipped.append(exc.order)
-                continue
-            nxt = next_class_function(level, J, nu, order)
-            break
-        chain.append(ChainLevel(level.order, r, dict(level.direction), support, J))
-        if J:
-            blocks.append(J)
-        if nxt is None or not nxt.active:
-            final = tuple(i for i in support if i not in J)
-            if final:
-                blocks.append(final)
+            k += 1
+        chain.append(ChainLevel(level_order, r, L, support, J))
+        if not J:
+            blocks.append(support)
             return tuple(chain), tuple(blocks), tuple(skipped)
-        level = nxt
+        blocks.append(J)
+        Ljp, nu_jp = L[min(J)], nu[min(J)]
+        nu = {i: [Ljp * a - L[i] * b for a, b in zip(v, nu_jp)]
+              for i, v in nu.items() if i not in J}
+        if not nu:
+            return tuple(chain), tuple(blocks), tuple(skipped)
+        level_order = orders[k - 1]
+        L = direction_vector({i: v[k - 1] for i, v in nu.items()}, level_order)
 
 
 def filtrate_exact(mv: MultiplicityVector, table: CharacterTable, signs
@@ -376,10 +344,9 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
     if len(orders) < 2:
         raise ValueError("group has no non-identity elements")
     e2 = orders[1]
-    level = _character_level(table)
-    J, nu = minimizer_set(table, level, tuple(signs[c.name] for c in table.classes), e2)
-    jp = min(J)
+    nu = _order_sums(table, tuple(signs[c.name] for c in table.classes), e2)
     dims = [chi.dim for chi in table.irreps]
+    jp = min(minimizer_set(dict(enumerate(dims)), dict(enumerate(nu)), e2))
     # The order-e2 class with the fastest growth (smallest n_g).
     g = min((c for c in table.classes if c.element_order == e2), key=lambda c: c.ng)
     prefactor = asymptotic_leading(g.ng, n) / table.group_order

@@ -265,6 +265,24 @@ def test_nonpositive_dim_refused(tmp_path, capsys):
     assert out.out == "" and out.err == "FAIL: irrep chi1: dim = -1 must be positive\n"
 
 
+@pytest.mark.parametrize("key, name, message", [
+    ("irreps", "chi4", "irrep name chi4 is repeated"),
+    ("classes", "5A", "class name 5A is repeated")], ids=["irrep", "class"])
+def test_repeated_name_refused(key, name, message, tmp_path, capsys):
+    """A second irrep or class under a name already used would shadow the
+    first in every name-keyed output; the repeat is a parse error, and
+    validate reports it as a FAIL line."""
+    doc = bundled_doc("a5")
+    doc[key][4]["name"] = name  # chi5 or 5B
+    with pytest.raises(TableParseError, match=message):
+        load_table(doc)
+    path = tmp_path / "bad.table"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"FAIL: {message}\n"
+
+
 @pytest.mark.parametrize("ng, hg", [(0, 1), (3, 0), (-2, 1), (3, -3)])
 def test_nonpositive_level_refused(ng, hg, tmp_path, capsys):
     """n_g and h_g are checked before they divide anything: a zero or

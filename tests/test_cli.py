@@ -325,6 +325,25 @@ def test_untyped_errors_propagate(exc, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["cache", "--cache", "{dir}", "--clear"],
+    ["coeff", "--class", "1A", "--n", "1", "--cache", "{dir}"],
+    ["coeff", "--class", "1A", "--n", "200", "--cache", "{missing}"],
+    ["validate", "--out", "{missing}"],
+], ids=["cache clear dir", "coeff cache dir", "cold coeff cache missing dir",
+        "validate out missing dir"])
+def test_unopenable_file_exits_1(argv, tmp_path, monkeypatch, capsys):
+    """A --cache or --out file the OS refuses to open is one error line with
+    exit status 1, and a directory named as the cache file is left alone."""
+    monkeypatch.delenv("MOONMOD_CACHE", raising=False)
+    paths = {"dir": tmp_path / "store", "missing": tmp_path / "missing" / "x.ldjson"}
+    paths["dir"].mkdir()
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+    assert paths["dir"].is_dir()
+
+
 def test_cache_clear_keeps_packaged_store(monkeypatch, capsys):
     monkeypatch.delenv("MOONMOD_CACHE", raising=False)
     store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")

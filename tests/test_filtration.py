@@ -7,8 +7,10 @@ assumed growth-and-periodic-sign shape and are built so that every grade
 decomposes integrally.
 """
 
+import hashlib
 import json
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -18,11 +20,11 @@ import kloosterman_reference as ref
 from moonmod.chartab import load_table
 from moonmod.decomp import MultiplicityVector, multiplicities
 from moonmod.filtration import (DegenerateLevel, IrrationalDirection,
-                                SignProfile, StructureViolation,
-                                _character_level, direction_vector,
-                                filtrate_asymptotic, filtrate_exact,
-                                minimizer_set, re_kloosterman_is_zero,
-                                result_to_json, sign_profile, signs_at)
+                                SignProfile, StructureViolation, _order_sums,
+                                direction_vector, filtrate_asymptotic,
+                                filtrate_exact, minimizer_set,
+                                re_kloosterman_is_zero, result_to_json,
+                                sign_profile, signs_at)
 from moonmod.numerics import selberg_roots
 from moonmod.rademacher import RademacherEngine
 
@@ -263,15 +265,18 @@ def test_a5_asymptotic_blocks(a5_table):
         assert set(b) < set(a)
 
 
+def level1(table, signs, order):
+    """The level-1 direction (the dims) and nu at one order, keyed by irrep index."""
+    nu = _order_sums(table, signs, order)
+    return {i: chi.dim for i, chi in enumerate(table.irreps)}, dict(enumerate(nu))
+
+
 def test_a5_level1_minimizers(a5_table):
-    level = _character_level(a5_table)
     assert [c.name for c in a5_table.classes] == ["1A", "2A", "3A", "5A", "5B"]
     # n even: 15 chi_j(2A)/dim = (15, -5, -5, 0, 3), minimum at the 3-dims.
-    J, _ = minimizer_set(a5_table, level, (1, 1, 0, 0, 0), 2)
-    assert J == (1, 2)
+    assert minimizer_set(*level1(a5_table, (1, 1, 0, 0, 0), 2), 2) == (1, 2)
     # n odd: signs flip, the trivial goes first.
-    J, _ = minimizer_set(a5_table, level, (1, -1, 0, 0, 0), 2)
-    assert J == (0,)
+    assert minimizer_set(*level1(a5_table, (1, -1, 0, 0, 0), 2), 2) == (0,)
 
 
 def test_a5_level2_direction(a5_table):
@@ -283,22 +288,18 @@ def test_a5_level2_direction(a5_table):
 
 
 def test_minimizer_scale_invariance(a5_table):
-    level = _character_level(a5_table)
     signs = (1, 1, 0, 0, 0)  # 1A, 2A, 3A, 5A, 5B
-    J1, nu1 = minimizer_set(a5_table, level, signs, 2)
-    # Scale all f rows (and direction) by 3: same J, same canonical direction.
-    scaled = _character_level(a5_table)
-    scaled.rows = [tuple(3 * v for v in row) for row in scaled.rows]
-    scaled.direction = {i: 3 * v for i, v in scaled.direction.items()}
-    J2, nu2 = minimizer_set(a5_table, scaled, signs, 2)
-    assert J1 == J2
+    L, nu = level1(a5_table, signs, 2)
+    # Scale nu and the direction by 3: same J.
+    scaled = minimizer_set({i: 3 * v for i, v in L.items()},
+                           {i: 3 * v for i, v in nu.items()}, 2)
+    assert minimizer_set(L, nu, 2) == scaled
 
 
 def test_degenerate_level_raised(a5_table):
-    level = _character_level(a5_table)
     signs = (1, 1, 0, 0, 0)  # 1A, 2A, 3A, 5A, 5B
     with pytest.raises(DegenerateLevel):
-        minimizer_set(a5_table, level, signs, 3)
+        minimizer_set(*level1(a5_table, signs, 3), 3)
 
 
 def test_direction_vector_canonicalizes():
@@ -317,6 +318,23 @@ def test_signs_split_on_conjugate_classes_refused(a5_table):
     with pytest.raises(IrrationalDirection) as exc:
         filtrate_exact(mv, a5_table, signs)
     assert exc.value.order == 5
+
+
+def test_split_signs_refused_past_the_chain_end(m24_table):
+    """All order sums are taken before the chain starts: hand-made signs
+    whose chain ends at order 21 are still refused for 23A and 23B split."""
+    signs = {"1A": 0, "2A": -1, "2B": 0, "3A": 0, "3B": 0, "4A": 0, "4B": -1, "4C": 0,
+             "5A": 1, "6A": -1, "6B": -1, "7A": 0, "7B": 0, "8A": -1, "10A": 1,
+             "11A": -1, "12A": 1, "12B": -1, "14A": 0, "14B": 0, "15A": -1, "15B": -1,
+             "21A": -1, "21B": -1, "23A": 1, "23B": 1}
+    mv = MultiplicityVector(1, (0,) * 26)
+    result = filtrate_exact(mv, m24_table, signs)
+    # The order-21 minimizers empty the support of the order-15 level.
+    last = result.chain[-1]
+    assert last.level_order == 15 and last.J == last.support
+    with pytest.raises(IrrationalDirection) as exc:
+        filtrate_exact(mv, m24_table, {**signs, "23B": -1})
+    assert exc.value.order == 23
 
 
 def test_sign_profile_detection(s3):
@@ -424,3 +442,16 @@ def test_json_emitter(a5_table):
                                             "chi4": 4, "chi5": 5}
     # byte-stable across repeated serialization
     assert result_to_json(result, a5_table) == result_to_json(result, a5_table)
+
+
+@pytest.mark.parametrize("group, residues, digest", [
+    ("m24", random.Random(23).sample(range(212520), 300), "ecee84f89dbfada5"),
+    ("a5", range(30), "5ab0de744e6a56d0")], ids=["m24", "a5"])
+def test_asymptotic_chains_pinned(group, residues, digest, m24_table, a5_table):
+    """The asymptotic chains of sampled residue classes, byte for byte: the
+    first 16 hex digits of the sha256 of their joined JSON renderings."""
+    table = {"m24": m24_table, "a5": a5_table}[group]
+    profile = sign_profile(table)
+    text = "\n".join(result_to_json(filtrate_asymptotic(table, profile, r, profile.N), table)
+                     for r in residues)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

@@ -10,14 +10,14 @@ division and float(Fraction) both round the exact quotient once.
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from moonmod.chartab import distinct_orders
 from moonmod.decomp import NonIntegral, multiplicities, ratio_profile
-from moonmod.filtration import (DegenerateLevel, IrrationalDirection, _character_level,
-                                minimizer_set, next_class_function, nonfree_asymptotic,
-                                signs_at)
+from moonmod.filtration import (IrrationalDirection, _order_sums, filtrate_exact,
+                                nonfree_asymptotic, signs_at)
 from moonmod.numerics import asymptotic_leading
 from moonmod.rademacher import RademacherEngine
 
@@ -80,10 +80,20 @@ def ref_order_sums(table, signs, order):
     return [twice.get(1, 0) for twice in class_sums(table, weights)]
 
 
+def ref_level1(table):
+    """Level 1: the characters as rows over themselves, every irrep active,
+    the direction the dims.  A row maps k to the Fraction coefficient of
+    chi_k; a row at level l has at most l entries."""
+    s = len(table.irreps)
+    return SimpleNamespace(rows={i: {i: Fraction(1)} for i in range(s)},
+                           active=tuple(range(s)),
+                           direction={i: chi.dim for i, chi in enumerate(table.irreps)})
+
+
 def ref_minimizer(table, level, signs, order):
     """(J, nu) with nu as Fractions: the minimum ratio taken over Fractions."""
     w2 = ref_order_sums(table, signs, order)
-    nu = {i: Fraction(sum(a * wk2 for a, wk2 in zip(level.rows[i], w2)), 2)
+    nu = {i: Fraction(sum(a * w2[k] for k, a in level.rows[i].items()), 2)
           for i in level.active}
     candidates = [i for i in level.active if level.direction[i] > 0]
     if not candidates or not any(nu.values()):
@@ -103,9 +113,40 @@ def ref_direction(level, J, nu):
     return {i: v // g for i, v in ints.items()}
 
 
+def ref_chain(table, signs, m):
+    """([(level order, r, direction, J)], residual, skipped orders) of the
+    greedy exact chain: each level peels the most copies of its direction
+    that fit, then the next nondegenerate order eliminates its minimizers J
+    by f'_i = f_i - (L(i)/L(j')) f_j' on the Fraction rows, j' = min J."""
+    remaining = list(m)
+    orders = distinct_orders(table)[1:]
+    level, level_order, out, skipped = ref_level1(table), 1, [], []
+    while True:
+        pos = [i for i in level.active if level.direction[i] > 0]
+        r = max(min(remaining[i] // level.direction[i] for i in pos) if pos else 0, 0)
+        for i in pos:
+            remaining[i] -= r * level.direction[i]
+        J = None
+        while J is None and orders:
+            order = orders.pop(0)
+            J, nu = ref_minimizer(table, level, signs, order)
+            if J is None:
+                skipped.append(order)
+        out.append((level_order, r, level.direction, J or ()))
+        active = tuple(i for i in level.active if i not in (J or ()))
+        if J is None or not active:
+            return out, tuple(remaining), tuple(skipped)
+        fj, rows = level.rows[min(J)], {}
+        for i in active:
+            f, c = level.rows[i], Fraction(level.direction[i], level.direction[min(J)])
+            rows[i] = {k: f.get(k, 0) - c * fj.get(k, 0) for k in f.keys() | fj.keys()}
+        level = SimpleNamespace(rows=rows, active=active, direction=ref_direction(level, J, nu))
+        level_order = order
+
+
 def ref_nonfree(table, signs, n):
     e2 = distinct_orders(table)[1]
-    J, nu = ref_minimizer(table, _character_level(table), signs, e2)
+    J, nu = ref_minimizer(table, ref_level1(table), signs, e2)
     jp = min(J)
     dims = [chi.dim for chi in table.irreps]
     g = min((c for c in table.classes if c.element_order == e2), key=lambda c: c.ng)
@@ -138,29 +179,20 @@ def test_shares_and_deviation_equal_fraction_reference(providers):
 
 
 def test_minimizer_sets_and_directions_equal_fraction_reference(providers):
-    """Every level of every exact chain: same J, nu twice the reference's,
-    and the same canonical next direction."""
+    """Every level of every exact chain: the same order, r, canonical
+    direction and minimizer set as the chain over Fraction rows, and the
+    same residual and skipped (degenerate) orders."""
     levels = 0
     for table, provider in providers:
         for n in GRADES:
             signs = signs_at(table, provider, n)
-            class_signs = tuple(signs[c.name] for c in table.classes)
-            level = _character_level(table)
-            for order in distinct_orders(table)[1:]:
-                J_ref, nu_ref = ref_minimizer(table, level, signs, order)
-                if J_ref is None:
-                    with pytest.raises(DegenerateLevel):
-                        minimizer_set(table, level, class_signs, order)
-                    continue
-                J, nu = minimizer_set(table, level, class_signs, order)
-                assert J == J_ref, (table.group_name, n, order)
-                assert nu == {i: 2 * v for i, v in nu_ref.items()}
-                nxt = next_class_function(level, J, nu, order)
-                assert nxt.direction == ref_direction(level, J, nu_ref)
-                levels += 1
-                if not nxt.active:
-                    break
-                level = nxt
+            mv = multiplicities(table, n, provider)
+            result = filtrate_exact(mv, table, signs)
+            chain, residual, skipped = ref_chain(table, signs, mv.m)
+            assert [(lvl.level_order, lvl.r, lvl.direction, lvl.J)
+                    for lvl in result.chain] == chain, (table.group_name, n)
+            assert (result.residual, result.skipped_orders) == (residual, skipped)
+            levels += len(chain)
     assert levels > 300
 
 
@@ -198,8 +230,7 @@ def test_irrational_direction_message(m24_table, a5_table, group, split):
     signs = {c.name: split.get(c.name, 1) for c in table.classes}
     order = table.class_named(next(iter(split))).element_order
     with pytest.raises(IrrationalDirection) as exc:
-        minimizer_set(table, _character_level(table),
-                      tuple(signs[c.name] for c in table.classes), order)
+        _order_sums(table, tuple(signs[c.name] for c in table.classes), order)
     weights = [c.size * signs[c.name] if c.element_order == order else 0
                for c in table.classes]
     raw = tuple(class_sums(table, weights))
