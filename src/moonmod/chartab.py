@@ -3,13 +3,14 @@ r"""Class data and character tables with exact validation.
 Tables are JSON documents: group_name, group_order, classes (name, size,
 element_order, ng, hg, optional fusion_target) and irreps (name, dim,
 values as {a, b, d} quadratic triples parallel to the classes).  Loading
-validates size sums and the row orthogonality relation exactly: four times
-each sum of products of values (a + b sqrt(d))/2 is kept as integer
-numerators keyed by squarefree radicand, so a class may mix values from
-several quadratic fields.  The rational part of a sum is one integer dot
-product; only the entries with b != 0 add cross terms.  The table is
-square, so the row relation implies the column relation, which is not
-checked again.  A table whose classes all carry fusion targets into M24
+validates size sums and the row orthogonality relation exactly.  Every
+exact class sum of the package (the row relation, a grade's
+multiplicities, the filtration's order sums) comes from
+CharacterTable.twice_sums: twice sum_k |[g_k]| w_k chi_i(g_k) for integer
+weights w, as integer numerators keyed by squarefree radicand, so a class
+may mix values from several quadratic fields.  The table is square, so
+the row relation implies the column relation, which is not checked
+again.  A table whose classes all carry fusion targets into M24
 (fuses_into_m24) takes its coefficients from M24's classes.  Bundled
 files for M24 and A5 live in DATA_DIR, the package's data directory.
 """
@@ -73,7 +74,7 @@ class Irreducible:
 
 
 class CharacterTable:
-    __slots__ = ("group_name", "group_order", "classes", "irreps", "_index", "_sized")
+    __slots__ = ("group_name", "group_order", "classes", "irreps", "_index", "_rows")
 
     def __init__(self, group_name: str, group_order: int,
                  classes: tuple[ConjugacyClass, ...],
@@ -83,7 +84,15 @@ class CharacterTable:
         self.classes = classes
         self.irreps = irreps
         self._index = {c.name: k for k, c in enumerate(classes)}
-        self._sized = None
+        # The row |[g_k]| a_ik of every irrep i, and one row (i, d, row) per
+        # irrep i and radicand d != 1 among its values, in the order d first
+        # appears, with row[k] = |[g_k]| b_ik where chi_i(g_k) lies in
+        # Q(sqrt d) and 0 elsewhere.
+        sizes = [c.size for c in classes]
+        self._rows = ([[s * v.a for s, v in zip(sizes, chi.values)] for chi in irreps],
+                      [(i, d, [s * v.b if v.d == d else 0 for s, v in zip(sizes, chi.values)])
+                       for i, chi in enumerate(irreps)
+                       for d in dict.fromkeys(v.d for v in chi.values if v.b)])
 
     def class_index(self, name: str) -> int:
         try:
@@ -94,25 +103,18 @@ class CharacterTable:
     def class_named(self, name: str) -> ConjugacyClass:
         return self.classes[self.class_index(name)]
 
-    def sized_numerators(self) -> tuple[list[list[int]], list[tuple[int, int, list[int]]]]:
-        """The integer matrices of the size-weighted class sums, built once.
-
-        Returns (rational, irrational): rational[i][k] = |[g_k]| a_ik for
-        every irrep i, and one labelled row (i, d, row) per irrep i and
-        radicand d != 1 among its values, in the order d first appears,
-        with row[k] = |[g_k]| b_ik where chi_i(g_k) lies in Q(sqrt d) and 0
-        elsewhere.  For integer weights w, twice sum_k |[g_k]| w_k chi_i(g_k)
-        is rational[i] . w plus, for each of irrep i's rows, (row . w) sqrt d:
-        it is rational exactly when all those dot products vanish.
-        """
-        if self._sized is None:
-            sizes = [c.size for c in self.classes]
-            rational = [[s * v.a for s, v in zip(sizes, chi.values)] for chi in self.irreps]
-            irrational = [(i, d, [s * v.b if v.d == d else 0 for s, v in zip(sizes, chi.values)])
-                          for i, chi in enumerate(self.irreps)
-                          for d in dict.fromkeys(v.d for v in chi.values if v.b)]
-            self._sized = (rational, irrational)
-        return self._sized
+    def twice_sums(self, weights) -> tuple[list[int], dict[int, dict[int, int]]]:
+        """2 sum_k |[g_k]| w_k chi_i(g_k) for every irrep i, for integer
+        weights w parallel to the classes, as integer numerators: twice[i]
+        is the rational part and roots[i][d] the coefficient of sqrt d, with
+        only the irreps and radicands whose coefficient is nonzero kept.
+        Each numerator is one dot product of w with an integer row."""
+        rational, irrational = self._rows
+        roots: dict[int, dict[int, int]] = {}
+        for i, d, row in irrational:
+            if t := sum(map(mul, row, weights)):
+                roots.setdefault(i, {})[d] = t
+        return [sum(map(mul, row, weights)) for row in rational], roots
 
 
 def _parse_value(obj, where: str) -> QuadraticValue:
@@ -163,58 +165,28 @@ def _validate(table: CharacterTable) -> None:
     # The row relation X D X* = I, D = diag(|[g_k]|/|G|), exactly on integer
     # numerators (four times the sum).  X is square, so X is invertible and
     # X* X = D^-1: the column relation, and with it sum dim^2 = |G|, follows.
-    sizes = [c.size for c in classes]
-    conj = [[v.conjugate() for v in chi.values] for chi in irreps]
-    rows = [_numerators(chi.values, sizes) for chi in irreps]
-    conj_rows = [_numerators(row) for row in conj]
+    # 2 conj(chi_j) is an integer vector a plus, per radicand d' of its
+    # values, an integer vector b times sqrt(d'): twice_sums(a) is every
+    # irrep's sum with the rational part, and twice_sums(b) times sqrt(d')
+    # its sum with that part, each sqrt(d) landing at mul_roots(d, d').
     full = {1: 4 * order}
-    for i, chi_i in enumerate(irreps):
-        for j in range(i, len(irreps)):
-            got = _four_sum(rows[i], conj_rows[j])
+    for j, chi_j in enumerate(irreps):
+        conj = [v.conjugate() for v in chi_j.values]
+        twice, roots = table.twice_sums([v.a for v in conj])
+        acc = [{1: twice[i], **roots.get(i, {})} for i in range(j + 1)]
+        for dp in dict.fromkeys(v.d for v in conj if v.b):
+            twice, roots = table.twice_sums([v.b if v.d == dp else 0 for v in conj])
+            for i in range(j + 1):
+                for d, t in ((1, twice[i]), *roots.get(i, {}).items()):
+                    c, s = mul_roots(d, dp)
+                    acc[i][s] = acc[i].get(s, 0) + c * t
+        for i in range(j + 1):
+            got = {s: t for s, t in sorted(acc[i].items()) if t}
             if got != (full if i == j else {}):
                 raise OrthogonalityError(
-                    f"row orthogonality fails for ({chi_i.name}, {irreps[j].name}): "
+                    f"row orthogonality fails for ({irreps[i].name}, {chi_j.name}): "
                     f"four times the sum is {got}"
                 )
-
-
-def _numerators(values, weights=None):
-    """A value vector, each entry times its integer weight (default 1), as
-    (list of numerators a, {index: (numerator b, d)} for the entries with b != 0)."""
-    if weights is None:
-        weights = [1] * len(values)
-    return ([w * v.a for w, v in zip(weights, values)],
-            {k: (w * v.b, v.d) for k, (w, v) in enumerate(zip(weights, values)) if v.b})
-
-
-def _four_sum(x, y) -> dict[int, int]:
-    """4 sum_k x_k y_k of two vectors from _numerators, as integer numerators
-    keyed by squarefree radicand, zeros dropped.
-
-    The rational part is one dot product of the numerator lists; only the
-    entries with b != 0 add cross terms, keyed through mul_roots.  Keys come
-    in the order of their first nonzero term: k ascending and, within a k,
-    the rational part, the root of y, the root of x, then their product.
-    """
-    (xa, xb), (ya, yb) = x, y
-    rational = sum(map(mul, xa, ya))
-    lead = next((k for k, t in enumerate(map(mul, xa, ya)) if t), None)
-    acc: dict[int, int] = {}
-    for k in sorted(xb.keys() | yb.keys()):
-        if lead is not None and lead <= k:
-            acc[1] = acc.get(1, 0) + rational
-            lead = None
-        u, v = xb.get(k), yb.get(k)
-        if v and xa[k]:
-            acc[v[1]] = acc.get(v[1], 0) + xa[k] * v[0]
-        if u and ya[k]:
-            acc[u[1]] = acc.get(u[1], 0) + u[0] * ya[k]
-        if u and v:
-            c, s = mul_roots(u[1], v[1])
-            acc[s] = acc.get(s, 0) + c * u[0] * v[0]
-    if lead is not None:
-        acc[1] = acc.get(1, 0) + rational
-    return {s: t for s, t in acc.items() if t}
 
 
 def load_table(source) -> CharacterTable:

@@ -16,12 +16,16 @@ after the group whose records the engine keeps: m24 for M24 and for a
 table that fuses into it, such as a5, whose engine sweeps and stores
 M24's classes).  The named file overlays the packaged precomputed store,
 which is read into memory: file records win, and new values are appended
-to the file only.  With neither, nothing is written.  A file in the
-package data directory is refused: no command writes or deletes it.
+to the file only.  With neither, nothing is written.  No command writes
+or deletes package data: an --out file in the package data directory is
+refused before any table is loaded, a cache file there before any store
+is read.  An engine command refuses a cache file whose directory is
+missing before it reads a store.
 
 Each command imports the modules it uses when it runs: validate loads the
-table modules only, cache adds moonmod.store, coeff the store and the
-engine, and only the commands that decompose or filtrate load those layers.
+table modules only (and moonmod.store to check an --out path), cache adds
+moonmod.store, coeff the store and the engine, and only the commands that
+decompose or filtrate load those layers.
 """
 
 from __future__ import annotations
@@ -69,7 +73,13 @@ def _make_engine(args, table: CharacterTable):
     from .rademacher import RademacherEngine
     from .store import bundled_cache
 
-    return RademacherEngine(table, cache=bundled_cache(_resolve_cache(args, table)))
+    path = _resolve_cache(args, table)
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        # The error the first append would meet, before any sweep runs.
+        import errno
+
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    return RademacherEngine(table, cache=bundled_cache(path))
 
 
 def _parse_grades(spec: str) -> list[int]:
@@ -362,6 +372,10 @@ def main(argv=None) -> int:
     if args.command == "filtrate" and args.n is not None and _several_grades(args.n):
         parser.error("argument --n: filtrate takes a single grade")
     try:
+        if args.out:
+            from .store import checked_writable
+
+            checked_writable(args.out)
         return COMMANDS[args.command](args)
     except Exception as exc:
         if not isinstance(exc, _reported_errors()):

@@ -8,16 +8,14 @@ the per-class coefficients c_g(n); orthogonality gives
 Coefficients are exact integers and character values (a + b sqrt(d))/2
 with integer a, b, so twice the sum has integer numerators: one per irrep
 for the rational part and one per radicand d of its values for the
-sqrt(d) part, each a dot product with a row of the table's integer
-matrices.  Every irrational numerator must vanish and the rational one
-must be divisible by 2|G|, with no tolerance.  Negative multiplicities at
-n >= 1 are an error signal, not a warning.  Shares and deviations are
+sqrt(d) part, all from one CharacterTable.twice_sums call.  Every
+irrational numerator must vanish and the rational one must be divisible
+by 2|G|, with no tolerance.  Negative multiplicities at n >= 1 are an
+error signal, not a warning.  Shares and deviations are
 int/int divisions, each rounded once.
 """
 
 from __future__ import annotations
-
-from operator import mul
 
 from .chartab import CharacterTable
 
@@ -62,46 +60,26 @@ def multiplicities(table: CharacterTable, n: int, coeffs) -> MultiplicityVector:
 
     coeffs is either a mapping from class name to the integer c_g(n) or a
     provider object with a value(class_name, n) method.  Twice each sum is
-    one dot product of the coefficients with a row of the table's integer
-    matrices (CharacterTable.sized_numerators); every sqrt(d) row must give
-    zero.  Without the conjugation: the rational part is the same, and the
-    irrational part vanishes exactly when the conjugated one does.
+    CharacterTable.twice_sums of the coefficients; irrep by irrep, a
+    nonzero sqrt(d) numerator, a remainder, then a negative multiplicity is
+    refused.  Without the conjugation: the rational part is the same, and
+    the irrational part vanishes exactly when the conjugated one does.
     """
-    values = [_coeff_lookup(coeffs, c.name, n) for c in table.classes]
-    rational, irrational = table.sized_numerators()
+    twice, roots = table.twice_sums([_coeff_lookup(coeffs, c.name, n) for c in table.classes])
     scale = 2 * table.group_order
-    twice = [sum(map(mul, row, values)) for row in rational]
-    roots = [(i, d, t) for i, d, row in irrational if (t := sum(map(mul, row, values)))]
-    ms = [t // scale for t in twice]
-    if roots or any(t % scale for t in twice) or (n >= 1 and min(ms) < 0):
-        _refuse(table, n, twice, roots)
-    return MultiplicityVector(n, tuple(ms))
-
-
-def _refuse(table: CharacterTable, n: int, twice: list[int],
-            roots: list[tuple[int, int, int]]) -> None:
-    """Raise the first failure of a grade that misses a gate, irrep by
-    irrep: irrational numerators, a remainder, then a negative multiplicity.
-
-    twice holds the rational numerators per irrep and roots the nonzero
-    sqrt(d) numerators as (irrep index, d, numerator), as multiplicities
-    took them.
-    """
-    from fractions import Fraction
-
-    scale = 2 * table.group_order
+    ms = []
     for i, (chi, t) in enumerate(zip(table.irreps, twice)):
-        irrational = {d: r for j, d, r in roots if j == i}
-        if irrational:
-            raise NonIntegral(n, chi.name,
-                              f"irrational numerators {irrational} over {scale}")
+        if i in roots:
+            raise NonIntegral(n, chi.name, f"irrational numerators {roots[i]} over {scale}")
         m, rem = divmod(t, scale)
         if rem:
-            raise NonIntegral(n, chi.name,
-                              f"raw value {Fraction(t, scale)} is not an integer")
+            from fractions import Fraction
+
+            raise NonIntegral(n, chi.name, f"raw value {Fraction(t, scale)} is not an integer")
         if n >= 1 and m < 0:
             raise NegativeMultiplicity(n, chi.name, m)
-    raise AssertionError(f"grade n={n} passes every gate")
+        ms.append(m)
+    return MultiplicityVector(n, tuple(ms))
 
 
 class RatioProfile:

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from operator import mul
 
 from .chartab import CharacterTable, distinct_orders
 from .decomp import MultiplicityVector
@@ -160,22 +159,18 @@ def signs_at(table: CharacterTable, provider, n: int) -> dict[str, int]:
 def _order_sums(table: CharacterTable, signs: tuple[int, ...], order: int
                 ) -> list[int]:
     """2 w_k, with w_k = sum over classes of the given order of
-    |[g]| sgn(c_g) chi_k(g), one dot product each with the table's integer
-    matrices (CharacterTable.sized_numerators); signs runs parallel to
-    table.classes.
+    |[g]| sgn(c_g) chi_k(g): CharacterTable.twice_sums of the signs at that
+    order; signs runs parallel to table.classes.
 
     Coefficients are Galois-invariant, so their signs agree on conjugate
     classes and every w_k is rational; signs that differ there can only
     come from hand-made input, which is refused.
     """
-    rational, irrational = table.sized_numerators()
-    sgn = [s if c.element_order == order else 0 for c, s in zip(table.classes, signs)]
-    twice = [sum(map(mul, row, sgn)) for row in rational]
-    roots = [(i, d, t) for i, d, row in irrational if (t := sum(map(mul, row, sgn)))]
+    twice, roots = table.twice_sums(
+        [s if c.element_order == order else 0 for c, s in zip(table.classes, signs)])
     if roots:
         raise IrrationalDirection(order, tuple(
-            {**({1: t} if t else {}), **{d: r for j, d, r in roots if j == i}}
-            for i, t in enumerate(twice)))
+            {**({1: t} if t else {}), **roots.get(i, {})} for i, t in enumerate(twice)))
     return twice
 
 

@@ -163,10 +163,11 @@ def bundled_cache(path: str | os.PathLike | None = None) -> CoefficientCache:
 
 
 def checked_writable(path: str) -> str:
-    """path, the cache file a command may append to or delete, unless it
-    lies in DATA_DIR: package data is never written."""
+    """path, a cache file a command may append to or delete or an --out
+    file it writes, unless it lies in DATA_DIR: package data is never
+    written."""
     data = os.path.realpath(DATA_DIR)
     if os.path.commonpath([os.path.realpath(path), data]) == data:
-        raise ValueError(f"cache file {path} lies in the package data directory "
+        raise ValueError(f"{path} lies in the package data directory "
                          f"{DATA_DIR}, which is read-only")
     return path

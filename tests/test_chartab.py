@@ -8,8 +8,7 @@ import random
 import pytest
 
 from moonmod.chartab import (DATA_DIR, OrthogonalityError, SizeSumError, TableParseError,
-                             _four_sum, _numerators, bundled_table, distinct_orders,
-                             fuses_into_m24, load_table)
+                             bundled_table, distinct_orders, fuses_into_m24, load_table)
 from moonmod.cli import main
 from moonmod.quadratic import QuadraticValue, mul_roots
 
@@ -155,7 +154,8 @@ def _first_row_failure(doc) -> str | None:
     conj = [[v.conjugate() for v in row] for row in rows]
     for i in range(len(rows)):
         for j in range(i, len(rows)):
-            got = _term_by_term(zip((c["size"] for c in classes), rows[i], conj[j]))
+            got = dict(sorted(_term_by_term(zip((c["size"] for c in classes),
+                                                rows[i], conj[j])).items()))
             if got != ({1: 4 * order} if i == j else {}):
                 return (f"row orthogonality fails for ({names[i]}, {names[j]}): "
                         f"four times the sum is {got}")
@@ -167,23 +167,32 @@ def _first_row_failure(doc) -> str | None:
     ids=["C4xD16", "A5"])
 def test_orthogonality_messages_match_term_by_term_sums(make, sample):
     """One-entry changes off the identity class (a + 2, b doubled, b negated)
-    fail with the pair and the radicand -> numerator dict, keys in order,
-    of sums taken term by term; C4 x D16 draws a fixed sample of 40 of its 1164."""
+    fail with the pair and the radicand -> numerator dict, keys sorted, of
+    sums taken term by term; C4 x D16 draws a fixed sample of 40 of its 1164
+    and adds one two-entry change (chi1.4 with b doubled at a sqrt(2) class
+    and, later, at a sqrt(-1) class) whose sum has two radicands."""
     base = make()
-    changes = [(r, k, part, delta)
+    changes = [[(r, k, part, delta)]
                for r, irrep in enumerate(base["irreps"])
                for k, v in enumerate(irrep["values"][1:], start=1)
                for part, delta in [("a", 2)] + ([("b", v["b"]), ("b", -2 * v["b"])]
                                                 if v["b"] else [])]
     if sample:
         changes = random.Random(0).sample(changes, sample)
-    for r, k, part, delta in changes:
+        values = base["irreps"][19]["values"]
+        assert [values[k]["d"] for k in (2, 7)] == [2, -1]
+        changes.append([(19, k, "b", values[k]["b"]) for k in (2, 7)])
+    for change in changes:
         doc = json.loads(json.dumps(base))
-        doc["irreps"][r]["values"][k][part] += delta
+        for r, k, part, delta in change:
+            doc["irreps"][r]["values"][k][part] += delta
         expected = _first_row_failure(doc)
         with pytest.raises(OrthogonalityError) as err:
             load_table(doc)
         assert str(err.value) == expected
+    if sample:
+        assert expected == ("row orthogonality fails for (chi0.0, chi1.4): "
+                            "four times the sum is {-1: -8, 2: 8}")
 
 
 @pytest.mark.parametrize("make", [lambda: bundled_doc("m24"), lambda: bundled_doc("a5"),
@@ -206,24 +215,26 @@ def test_column_relation_holds(make):
             assert got == ({1: 4 * order // ck.size} if k == l else {}), (ck.name, l)
 
 
-def test_four_sum_matches_term_by_term_sums():
-    """The validator's sum of two value vectors equals the term-by-term sum,
-    keys in the same order, on random vectors mixing radicands."""
-    rng = random.Random(1)
-    for _ in range(400):
-        size = rng.randint(1, 12)
-
-        def value():
-            d = rng.choice([1, 1, 1, -1, 2, -2, 3, 5, -7, 6, -15])
-            b = 0 if d == 1 else rng.choice([-3, -1, 1, 2])
-            return QuadraticValue(rng.choice([0, 0, -4, -1, 1, 2, 6]), b, d)
-
-        x = [value() for _ in range(size)]
-        y = [value() for _ in range(size)]
-        w = [rng.randint(1, 9) for _ in range(size)]
-        got = _four_sum(_numerators(x, w), _numerators(y))
-        want = _term_by_term(zip(w, x, y))
-        assert list(got.items()) == list(want.items()), (x, y, w)
+@pytest.mark.parametrize("make", [lambda: bundled_doc("m24"), lambda: bundled_doc("a5"),
+                                  _c4_times_d16], ids=["M24", "A5", "C4xD16"])
+def test_twice_sums_match_term_by_term(make):
+    """twice_sums equals 2 sum_k |[g_k]| w_k chi_i(g_k) taken term by term
+    (as 4 sum of each value times the value 1/2), rational part and sqrt(d)
+    parts alike, on random integer weights; zeros are dropped."""
+    table = load_table(make())
+    sizes = [c.size for c in table.classes]
+    half = QuadraticValue(1, 0, 1)
+    rng = random.Random(24)
+    for _ in range(40):
+        weights = [rng.choice([0, 0, -1, 1, rng.randint(-50, 50)]) for _ in sizes]
+        twice, roots = table.twice_sums(weights)
+        assert len(twice) == len(table.irreps)
+        assert all(root and all(root.values()) for root in roots.values())
+        for i, chi in enumerate(table.irreps):
+            got = {s: t for s, t in {1: twice[i], **roots.get(i, {})}.items() if t}
+            want = _term_by_term((s * w, v, half)
+                                 for s, w, v in zip(sizes, weights, chi.values))
+            assert got == want, (chi.name, weights)
 
 
 def test_bad_size_sum():

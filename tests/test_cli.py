@@ -11,11 +11,11 @@ from importlib import resources
 import pytest
 
 import moonmod.cli
-from moonmod.chartab import TableError, UnknownClassError, bundled_table
+from moonmod.chartab import DATA_DIR, TableError, UnknownClassError, bundled_table
 from moonmod.cli import _make_engine, build_parser, main
 from moonmod.decomp import DecompositionError
 from moonmod.filtration import FiltrationError
-from moonmod.rademacher import NonConvergent
+from moonmod.rademacher import NonConvergent, RademacherEngine
 from moonmod.store import RecordModeError, bundled_cache
 
 REPO_CACHE = os.path.join(os.path.dirname(__file__), "..", "src", "moonmod", "data",
@@ -329,12 +329,18 @@ def test_untyped_errors_propagate(exc, monkeypatch, capsys):
     ["cache", "--cache", "{dir}", "--clear"],
     ["coeff", "--class", "1A", "--n", "1", "--cache", "{dir}"],
     ["coeff", "--class", "1A", "--n", "200", "--cache", "{missing}"],
+    ["decompose", "--n", "61", "--cache", "{missing}"],
     ["validate", "--out", "{missing}"],
 ], ids=["cache clear dir", "coeff cache dir", "cold coeff cache missing dir",
-        "validate out missing dir"])
+        "cold decompose cache missing dir", "validate out missing dir"])
 def test_unopenable_file_exits_1(argv, tmp_path, monkeypatch, capsys):
     """A --cache or --out file the OS refuses to open is one error line with
-    exit status 1, and a directory named as the cache file is left alone."""
+    exit status 1, and a directory named as the cache file is left alone.
+    A cache file in a missing directory is refused before any sweep."""
+    def no_sweep(*_args, **_kwargs):
+        raise AssertionError("swept before the cache path was checked")
+
+    monkeypatch.setattr(RademacherEngine, "_sweep", no_sweep)
     monkeypatch.delenv("MOONMOD_CACHE", raising=False)
     paths = {"dir": tmp_path / "store", "missing": tmp_path / "missing" / "x.ldjson"}
     paths["dir"].mkdir()
@@ -437,7 +443,8 @@ def test_cache_file_in_package_data_refused(argv, data_copy, tmp_path, capsys):
     for path in (store, link):
         code, out, err = run(capsys, argv + ["--cache", str(path)])
         assert (code, out) == (1, "")
-        assert err.startswith("error: cache file") and "read-only" in err
+        assert err == (f"error: {path} lies in the package data directory "
+                       f"{data_copy}, which is read-only\n")
     assert store.read_bytes() == before
 
 
@@ -451,8 +458,31 @@ def test_cache_dir_in_package_data_refused(argv, data_copy, monkeypatch, capsys)
     monkeypatch.setenv("MOONMOD_CACHE", str(data_copy))
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: cache file") and "read-only" in err
+    assert err == (f"error: {store} lies in the package data directory "
+                   f"{data_copy}, which is read-only\n")
     assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [["validate", "--group", "a5"],
+                                  ["decompose", "--group", "a5", "--n", "1"]], ids=" ".join)
+def test_out_file_in_package_data_refused(argv, data_copy, tmp_path, monkeypatch, capsys):
+    """--out naming a package data file, directly or through a link, is
+    refused before any table is loaded, and the file is left as it was."""
+    def no_table(_name):
+        raise AssertionError("table loaded before the --out path was checked")
+
+    monkeypatch.setattr(moonmod.cli, "_load_group", no_table)
+    table = data_copy / "a5.table"
+    shutil.copyfile(os.path.join(DATA_DIR, "a5.table"), table)
+    before = table.read_bytes()
+    link = tmp_path / "link.table"
+    link.symlink_to(table)
+    for path in (table, link):
+        code, out, err = run(capsys, argv + ["--out", str(path)])
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path} lies in the package data directory "
+                       f"{data_copy}, which is read-only\n")
+    assert table.read_bytes() == before
 
 
 # -- import boundary ---------------------------------------------------------
