@@ -19,8 +19,9 @@ which is read into memory: file records win, and new values are appended
 to the file only.  With neither, nothing is written.  No command writes
 or deletes package data: an --out file in the package data directory is
 refused before any table is loaded, a cache file there before any store
-is read.  An engine command refuses a cache file whose directory is
-missing before it reads a store.
+is read.  An --out file whose directory is missing is refused before any
+table is loaded, and an engine command refuses such a cache file before
+it reads a store.
 
 Each command imports the modules it uses when it runs: validate loads the
 table modules only (and moonmod.store to check an --out path), cache adds
@@ -74,12 +75,19 @@ def _make_engine(args, table: CharacterTable):
     from .store import bundled_cache
 
     path = _resolve_cache(args, table)
-    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        # The error the first append would meet, before any sweep runs.
+    if path:
+        _in_existing_dir(path)
+    return RademacherEngine(table, cache=bundled_cache(path))
+
+
+def _in_existing_dir(path: str) -> str:
+    """path, unless its directory is missing: then the FileNotFoundError
+    that the first write would meet, raised before any work runs."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         import errno
 
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    return RademacherEngine(table, cache=bundled_cache(path))
+    return path
 
 
 def _parse_grades(spec: str) -> list[int]:
@@ -375,7 +383,7 @@ def main(argv=None) -> int:
         if args.out:
             from .store import checked_writable
 
-            checked_writable(args.out)
+            _in_existing_dir(checked_writable(args.out))
         return COMMANDS[args.command](args)
     except Exception as exc:
         if not isinstance(exc, _reported_errors()):

@@ -19,7 +19,8 @@ kernel in moonmod.kernels.  Head and tail write I_{1/2}(x) in its closed
 form sqrt(2/(pi x)) sinh(x).
 moonmod.store reads and appends the records; numpy, mpmath and the
 kernels are imported inside the functions that compute a coefficient, so
-a command served from the store loads none of them.
+a command served from the store loads none of them, and a coefficient
+without a head term loads no mpmath.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
 like a random walk of step ~1/c), so truncation is adaptive, with the
@@ -61,15 +62,23 @@ HEAD_SWITCH = 20.0
 # either gate, as the sweep left it (ROADMAP: known defect 1, direction 1).
 # A C_MAX_LIMIT of 60000 covers the grades of the packaged store:
 # integrality dips for grades up to ~60 are observed out to c ~ 3*10^4.
-# The dip gate reads checkpoints from C_MAX_INITIAL on.  The sweep's chunks
-# are sized from kernels._BLOCK by _chunk_end, in nominal (c, d) pairs,
-# d < c: the first holds kernels._BLOCK = 16384 of them, each later one
-# doubles the last c, capped at 16 * kernels._BLOCK = 262144 pairs.  The
-# kernel screens about c/8 lifts per odd c and c/4 per even c, so a capped
-# chunk is 45000-49000 lifts on the 1A grid, about three tiles.  Chunk ends
-# depend only on c and n_g, never on the number of grades in a batch, and
-# the dip gate runs after each chunk.  _sweep reads these names at call
-# time.
+# The dip gate reads checkpoints from C_MAX_INITIAL on, and the sweep's
+# first chunk ends at the first of them, the first c of the grid at or past
+# C_MAX_INITIAL (50 to 69 by n_g): a grade accepted there costs one kernel
+# call over that short grid (c = 7, 14, ..., 56 for 7B; 23, 46, 69 for
+# 23B), and any other grade pays that call's fixed cost, about 0.1-0.3 ms
+# on a 2-vCPU VM, on top of the chunks that follow.  Of the 1720 packaged
+# records, 534 are accepted there, none at levels 1, 2, 4 and 8.  The
+# second chunk ends where _chunk_end puts kernels._BLOCK = 16384 nominal
+# (c, d) pairs, d < c, from c = 1 (c = 181 on the 1A grid, 851 on the 23A
+# grid); each later one at least doubles the last c, capped at
+# 16 * kernels._BLOCK = 262144 pairs.  The kernel screens about c/8 lifts
+# per odd c and c/4 per even c, so a capped chunk is 45000-49000 lifts on
+# the 1A grid, about three tiles.
+# Chunk ends depend only on c and n_g, never on the number of grades in a
+# batch, and the dip gate runs after each chunk.  The running sum is one
+# left fold from the head on, so no partial sum, and no record, depends on
+# where the chunks end.  _sweep reads these names at call time.
 C_MAX_INITIAL = 50
 C_MAX_LIMIT = 60000
 RESIDUAL_TOLERANCE = 1e-4
@@ -174,15 +183,21 @@ class RademacherEngine:
                     ) -> dict[int, int]:
         """Full-precision contributions for Bessel arguments above HEAD_SWITCH.
 
-        Returns, per grade, the first admissible c handled by the tail.
+        Returns, per grade, the first admissible c handled by the tail.  A
+        grade whose first c is already past the head (on the 1A grid, every
+        n below 21) has no head term and never loads mpmath.
         """
-        import mpmath
-
         step = cls.ng
         tail_start = {}
         for n, st in states.items():
             q8 = 8 * n - 1
             c_head_max = math.pi * math.sqrt(q8) / (2 * HEAD_SWITCH)
+            if step > c_head_max:
+                # No head term: head_int = 0 and cum = 0.0 as the state has them.
+                tail_start[n] = step
+                continue
+            import mpmath
+
             digits = _series_digits(n)
             head_re = mpmath.mpf(0)
             c = step
@@ -210,7 +225,10 @@ class RademacherEngine:
         states = {n: _GradeState() for n in grades}
         tail_start = self._head_terms(cls, states)
 
-        lo, hi = 1, min(_chunk_end(1, step, kernels._BLOCK), C_MAX_LIMIT)
+        # The first chunk ends at the first c the dip gate reads, the second
+        # where a chunk of kernels._BLOCK nominal pairs from c = 1 would end.
+        second = _chunk_end(1, step, kernels._BLOCK)
+        lo, hi = 1, min(-(-C_MAX_INITIAL // step) * step, C_MAX_LIMIT)
         while True:
             active = [n for n, st in states.items() if st.record is None]
             if not active:
@@ -232,7 +250,10 @@ class RademacherEngine:
                     start_c = tail_start[n]
                     usable = cs >= start_c
                     terms = np.where(usable, fac * kl[:, j], 0.0)
-                    cum = st.cum + np.cumsum(terms)
+                    # One left fold from the head on: a partial sum does
+                    # not depend on where the chunks end.
+                    terms[0] += st.cum
+                    cum = np.cumsum(terms)
                     rounded = np.rint(cum)
                     resid = np.abs(cum - rounded)
                     # run[k]: checkpoints up to k, across chunks, that round
@@ -259,7 +280,7 @@ class RademacherEngine:
                     st.last_rounded = float(rounded[-1])
             if hi >= C_MAX_LIMIT:
                 break
-            lo, hi = hi + 1, min(hi * 2, C_MAX_LIMIT,
+            lo, hi = hi + 1, min(max(hi * 2, second), C_MAX_LIMIT,
                                  _chunk_end(hi + 1, step, 16 * kernels._BLOCK))
 
         # Fallback gate: sparse-grid classes never dip below the residual

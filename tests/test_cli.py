@@ -11,6 +11,7 @@ from importlib import resources
 import pytest
 
 import moonmod.cli
+from moonmod import kernels
 from moonmod.chartab import DATA_DIR, TableError, UnknownClassError, bundled_table
 from moonmod.cli import _make_engine, build_parser, main
 from moonmod.decomp import DecompositionError
@@ -350,6 +351,22 @@ def test_unopenable_file_exits_1(argv, tmp_path, monkeypatch, capsys):
     assert paths["dir"].is_dir()
 
 
+def test_out_in_missing_dir_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    """An --out file whose directory is missing is refused before a table
+    is loaded or a coefficient swept: grade 61 is not in the store."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("worked before the --out path was checked")
+
+    monkeypatch.setattr(kernels, "kloosterman_grades", refuse)
+    monkeypatch.setattr(moonmod.cli, "_load_group", refuse)
+    monkeypatch.delenv("MOONMOD_CACHE", raising=False)
+    out_path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, ["decompose", "--n", "61", "--out", str(out_path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno ") and err.count("\n") == 1, err
+    assert not out_path.parent.exists()
+
+
 def test_cache_clear_keeps_packaged_store(monkeypatch, capsys):
     monkeypatch.delenv("MOONMOD_CACHE", raising=False)
     store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
@@ -595,7 +612,9 @@ def test_error_in_fresh_interpreter(argv, message):
 
 
 def test_cold_coeff_loads_numeric_stack(tmp_path):
-    """Without the packaged store, an empty cache file makes coeff compute."""
+    """Without the packaged store, an empty cache file makes coeff compute:
+    numpy for the tail, and mpmath only for a grade with a head term (on
+    the 1A grid, from n = 21 on)."""
     pkg = tmp_path / "src" / "moonmod"
     shutil.copytree(os.path.join(SRC_DIR, "moonmod"), pkg,
                     ignore=shutil.ignore_patterns("*.ldjson", "__pycache__"))
@@ -604,8 +623,11 @@ def test_cold_coeff_loads_numeric_stack(tmp_path):
     code, out, numeric, _, _ = run_child(["coeff", "--class", "1A", "--n", "1",
                                        "--cache", str(store)], str(tmp_path / "src"))
     assert code == 0 and out.splitlines()[1].split(",")[:3] == ["1A", "1", "90"]
-    assert sorted(numeric) == ["mpmath", "numpy"]
+    assert sorted(numeric) == ["numpy"]
     assert json.loads(store.read_text())["value"] == "90"
+    code, _, numeric, _, _ = run_child(["coeff", "--class", "1A", "--n", "21",
+                                        "--cache", str(store)], str(tmp_path / "src"))
+    assert code == 0 and sorted(numeric) == ["mpmath", "numpy"]
 
 
 def test_cold_coeff_sweeps_each_class_once(tmp_path, capsys, monkeypatch):

@@ -356,11 +356,55 @@ def test_stability_window_spans_sweep_chunks(m24_table, monkeypatch):
         engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
         st = engine._sweep(m24_table.class_named("23A"), [1])[1]
         assert st.record is None
-        ends.append((st.stable_run, st.last_rounded))
-    assert chunks[0] == 20 and len(chunks) > 3
+        ends.append((st.stable_run, st.last_rounded, st.cum))
+    assert len(chunks) > 3
     assert ends[0] == ends[1]
     # The final run reaches back over more than the last chunk.
     assert ends[1][0] > chunks[-1]
+
+
+def test_chunk_ends_change_no_record(m24_table, monkeypatch):
+    """The running sum is one left fold from the head on, so records do
+    not depend on where the chunks end: 1A n = 23 (one head term), 2A
+    n = 51, 7B n = 24 and 23B n = 27, swept cold with the default chunks
+    and with the many small ones of a 64-cell block, agree to the last bit."""
+    pairs = [("1A", 23), ("2A", 51), ("7B", 24), ("23B", 27)]
+    got = []
+    for block in (kernels._BLOCK, 64):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+        got.append([(rec.value, rec.gate, rec.c_max_used, repr(rec.residual))
+                    for name, n in pairs for rec in engine.records(name, [n])])
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("name, n, first_c, accepted_there, heads", [
+    ("7B", 24, 56, True, 0), ("23B", 27, 69, True, 0), ("1A", 23, 50, False, 1)])
+def test_first_chunk_ends_at_the_first_gated_c(m24_table, monkeypatch, name, n, first_c,
+                                               accepted_there, heads):
+    """The first chunk ends at the first c of the grid at or past
+    C_MAX_INITIAL = 50: a grade the dip gate accepts there costs one kernel
+    call, and a grade without a head term calls no mpmath."""
+    calls, head_calls = [], []
+    grades, head = kernels.kloosterman_grades, rademacher.partial_kloosterman
+
+    def recording(n0, n1, cs, *rest):
+        calls.append([int(c) for c in cs])
+        return grades(n0, n1, cs, *rest)
+
+    def counting(*args):
+        head_calls.append(args)
+        return head(*args)
+
+    monkeypatch.setattr(kernels, "kloosterman_grades", recording)
+    monkeypatch.setattr(rademacher, "partial_kloosterman", counting)
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    [rec] = engine.records(name, [n])
+    step = m24_table.class_named(name).ng
+    assert calls[0] == list(range(step, first_c + 1, step))
+    assert (len(calls) == 1) == accepted_there
+    assert ((rec.gate, rec.c_max_used) == ("dip", first_c)) == accepted_there
+    assert len(head_calls) == heads
 
 
 def test_dip_gate_waits_for_a_stable_run(m24_table, monkeypatch):
