@@ -8,9 +8,10 @@ over the j < c with j(j+1)/2 = c^2/(n_g h_g) - n mod c (Whiteman, Pacific
 J. Math. 6 (1956), for the partition sums; on the grid c = 0 mod n_g with
 h_g | n_g every twining sum is such a sum).  The mpmath head of
 moonmod.rademacher and the exact zero test of moonmod.filtration read
-these roots; kloosterman_sum is the plain-Python reference of
-moonmod.kernels, one root at a time.  WORKING_DIGITS is the fewest decimal
-digits of the mpmath head, which derives its count from the grade.
+these roots.  kloosterman_sum walks them one at a time in plain Python:
+moonmod.kernels serves its short calls with it, and its lift search
+reproduces it bit for bit on longer ones.  WORKING_DIGITS is the fewest
+decimal digits of the mpmath head, which derives its count from the grade.
 asymptotic_leading is the size of the series' leading term, which reads
 n_g alone: the asymptotic filtration predicts from it without the
 coefficient engine.  Nothing here imports mpmath.

@@ -66,8 +66,11 @@ HEAD_SWITCH = 20.0
 # first chunk ends at the first of them, the first c of the grid at or past
 # C_MAX_INITIAL (50 to 69 by n_g): a grade accepted there costs one kernel
 # call over that short grid (c = 7, 14, ..., 56 for 7B; 23, 46, 69 for
-# 23B), and any other grade pays that call's fixed cost, about 0.1-0.3 ms
-# on a 2-vCPU VM, on top of the chunks that follow.  Of the 1720 packaged
+# 23B), and any other grade pays that call on top of the chunks that
+# follow.  For one grade its work, sum(cs), is below kernels._SCALAR_WORK
+# at every level but 1A's (1 + ... + 50 = 1275), so the scalar runs it in
+# 7-90 us on a 2-vCPU VM; 1A's call, and the store rebuild's batches of 60
+# and 100 grades, pay the lift search's 0.1-0.25 ms.  Of the 1720 packaged
 # records, 534 are accepted there, none at levels 1, 2, 4 and 8.  The
 # second chunk ends where _chunk_end puts kernels._BLOCK = 16384 nominal
 # (c, d) pairs, d < c, from c = 1 (c = 181 on the 1A grid, 851 on the 23A
