@@ -13,6 +13,8 @@ the row relation implies the column relation, which is not checked
 again.  A table whose classes all carry fusion targets into M24
 (fuses_into_m24) takes its coefficients from M24's classes.  Bundled
 files for M24 and A5 live in DATA_DIR, the package's data directory.
+MoonmodError is the base of every failure type of the package; a command
+reports exactly the MoonmodError, ValueError and OSError failures.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ from .quadratic import QuadraticValue, mul_roots
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-class TableError(Exception):
+class MoonmodError(Exception):
+    """Base class of the package's failures; see moonmod.cli for how they are reported."""
+
+
+class TableError(MoonmodError):
     """Base class for table ingestion failures."""
 
 
@@ -44,7 +50,7 @@ class OrthogonalityError(TableError):
     pass
 
 
-class UnknownClassError(KeyError):
+class UnknownClassError(MoonmodError, KeyError):
     """A conjugacy class name the table does not have."""
 
     def __str__(self) -> str:

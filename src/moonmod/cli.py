@@ -4,7 +4,8 @@ Subcommands: validate, coeff, decompose, filtrate, asympt, cache.  Every
 command is deterministic given configuration and cache state; rerunning
 with a warm cache produces byte-identical output.  Exit status is 0 only
 when every gate a command runs passes: the table's orthogonality, a
-coefficient's truncation gate, a grade's integrality; a failure is one
+coefficient's truncation gate, a grade's integrality.  A command reports
+exactly the MoonmodError, ValueError and OSError failures, each as one
 `error:` line (validate: one `FAIL:` line) and exit status 1.  The
 reconstruction identities of decomposition and filtration follow from
 their exact integer arithmetic and are asserted by the tests, not
@@ -38,7 +39,7 @@ import json
 import os
 import sys
 
-from .chartab import (CharacterTable, TableError, UnknownClassError, bundled_table,
+from .chartab import (CharacterTable, MoonmodError, TableError, bundled_table,
                       fuses_into_m24, load_table)
 
 BUNDLED_GROUPS = ("m24", "a5")
@@ -117,6 +118,15 @@ def _several_grades(spec: str) -> bool:
         return False
 
 
+def _csv(header: list[str], rows) -> str:
+    """header and rows as CSV text, each line ended by a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -163,13 +173,11 @@ def cmd_coeff(args) -> int:
         rows.extend({**rec.json_fields(), "class": name} for rec in recs)
     if args.format == "json":
         doc = {"schema": 1, "group": table.group_name, "records": rows}
-        _emit(json.dumps(doc, indent=1, sort_keys=True) + "\n", args.out)
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows({**row, "residual": f"{row['residual']:.3e}"} for row in rows)
-        _emit(buf.getvalue(), args.out)
+        text = _csv(list(rows[0]), ({**row, "residual": f"{row['residual']:.3e}"}.values()
+                                    for row in rows))
+    _emit(text, args.out)
     return 0
 
 
@@ -185,23 +193,20 @@ def cmd_decompose(args) -> int:
     # has no profile.
     rows = [(n, profiles[n].mv if n >= 1 else decomp.multiplicities(table, n, engine),
              profiles.get(n)) for n in grades]
-    buf = io.StringIO()
     if args.format == "json":
         doc = {"schema": 1, "group": table.group_name, "grades": [
             {"n": n,
              "multiplicities": {chi.name: mv.m[i] for i, chi in enumerate(table.irreps)},
              "max_deviation": prof.max_deviation if prof else None}
             for n, mv, prof in rows]}
-        buf.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     else:
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "irrep", "dim", "multiplicity", "ratio", "limit_ratio"])
-        for n, mv, prof in rows:
-            for i, chi in enumerate(table.irreps):
-                writer.writerow([n, chi.name, chi.dim, mv.m[i],
-                                 f"{float(prof.observed[i]):.12g}" if prof else "",
-                                 f"{float(prof.limits[i]):.12g}" if prof else ""])
-    _emit(buf.getvalue(), args.out)
+        text = _csv(["n", "irrep", "dim", "multiplicity", "ratio", "limit_ratio"],
+                    ([n, chi.name, chi.dim, mv.m[i],
+                      f"{float(prof.observed[i]):.12g}" if prof else "",
+                      f"{float(prof.limits[i]):.12g}" if prof else ""]
+                     for n, mv, prof in rows for i, chi in enumerate(table.irreps)))
+    _emit(text, args.out)
     return 0
 
 
@@ -229,24 +234,22 @@ def cmd_asympt(args) -> int:
     table = _load_group(args.group)
     engine = _make_engine(args, table)
     grades = _parse_grades(args.n)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if args.free:
-        writer.writerow(["n", "max_deviation"])
-        for prof in decomp.ratio_profile(table, grades, engine):
-            writer.writerow([prof.n, f"{prof.max_deviation:.6g}"])
+        text = _csv(["n", "max_deviation"],
+                    ([prof.n, f"{prof.max_deviation:.6g}"]
+                     for prof in decomp.ratio_profile(table, grades, engine)))
     else:
-        writer.writerow(["n", "irrep", "observed", "predicted", "ratio"])
+        rows = []
         for n in grades:
             mv = decomp.multiplicities(table, n, engine)
             _, nonfree = decomp.free_part_split(mv, table)
             signs = filtration.signs_at(table, engine, n)
             pred = filtration.nonfree_asymptotic(table, signs, n)
-            for i, chi in enumerate(table.irreps):
-                ratio = (nonfree.m[i] / pred[i]) if pred[i] else ""
-                writer.writerow([n, chi.name, nonfree.m[i], f"{pred[i]:.6g}",
-                                 f"{ratio:.6g}" if ratio != "" else ""])
-    _emit(buf.getvalue(), args.out)
+            rows.extend([n, chi.name, nonfree.m[i], f"{pred[i]:.6g}",
+                         f"{nonfree.m[i] / pred[i]:.6g}" if pred[i] else ""]
+                        for i, chi in enumerate(table.irreps))
+        text = _csv(["n", "irrep", "observed", "predicted", "ratio"], rows)
+    _emit(text, args.out)
     return 0
 
 
@@ -345,19 +348,6 @@ COMMANDS = {
 }
 
 
-def _reported_errors() -> tuple[type[Exception], ...]:
-    """The failures a command reports as an `error:` line with exit status 1.
-
-    Imported on the error path only: a command loads just the modules it uses.
-    """
-    from .decomp import DecompositionError
-    from .filtration import FiltrationError
-    from .rademacher import NonConvergent
-
-    return (NonConvergent, TableError, UnknownClassError, DecompositionError,
-            FiltrationError, ValueError, OSError)
-
-
 def _joined_grades(argv: list[str]) -> list[str]:
     """argv with each `--n SPEC` whose SPEC starts with '-' and a digit
     joined into `--n=SPEC`: argparse reads a separate `-1..3` as an option."""
@@ -385,9 +375,7 @@ def main(argv=None) -> int:
 
             _in_existing_dir(checked_writable(args.out))
         return COMMANDS[args.command](args)
-    except Exception as exc:
-        if not isinstance(exc, _reported_errors()):
-            raise
+    except (MoonmodError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

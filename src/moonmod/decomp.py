@@ -17,10 +17,10 @@ int/int divisions, each rounded once.
 
 from __future__ import annotations
 
-from .chartab import CharacterTable
+from .chartab import CharacterTable, MoonmodError
 
 
-class DecompositionError(Exception):
+class DecompositionError(MoonmodError):
     """Base class for decomposition failures."""
 
 

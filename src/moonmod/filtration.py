@@ -17,7 +17,7 @@ of period n_g from (n_g, h_g) alone; an entry is 0 only where that sum,
 exactly real in its Selberg form, vanishes exactly in Z[e(1/(4 n_g))].
 The module never loads the coefficient engine: exact mode reads values from
 the provider it is handed, and the non-free prediction takes the size of
-the leading term from numerics.asymptotic_leading.
+the leading term from numerics.asymptotic_leading and |K_{n_g}(n)|.
 The level algebra is exact and in integers: each surviving irrep keeps
 only its sign-weighted class sums at each element order beyond the
 identity, which are rational because coefficients are Galois-invariant
@@ -32,12 +32,12 @@ import functools
 import json
 import math
 
-from .chartab import CharacterTable, distinct_orders
+from .chartab import CharacterTable, MoonmodError, distinct_orders
 from .decomp import MultiplicityVector
 from .numerics import asymptotic_leading, kloosterman_sum, selberg_roots
 
 
-class FiltrationError(Exception):
+class FiltrationError(MoonmodError):
     """Base class for filtration failures."""
 
 
@@ -331,9 +331,10 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
 
         m'_i(n) ~ (C_n exp(D_n/e2) / |G|) sum_{[g], order e2} |[g]| f'_i(g) sgn(c_g(n)),
 
-    with C_n exp(D_n/e2) the leading Rademacher term of the order-e2 class
-    of smallest level n_g (numerics.asymptotic_leading); that level is e2
-    on both bundled tables.  Entries at i in J_1 vanish by construction.
+    with C_n exp(D_n/e2) the size of the leading Rademacher term of the
+    order-e2 class g of smallest level n_g: numerics.asymptotic_leading
+    times |K_{n_g}(n)| (1 for n_g <= 2; that level is e2 on both bundled
+    tables).  Entries at i in J_1 vanish by construction.
     """
     orders = distinct_orders(table)
     if len(orders) < 2:
@@ -344,7 +345,8 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
     jp = min(minimizer_set(dict(enumerate(dims)), dict(enumerate(nu)), e2))
     # The order-e2 class with the fastest growth (smallest n_g).
     g = min((c for c in table.classes if c.element_order == e2), key=lambda c: c.ng)
-    prefactor = asymptotic_leading(g.ng, n) / table.group_order
+    prefactor = (asymptotic_leading(g.ng, n) * abs(kloosterman_sum(n, g.ng, g.ng, g.hg))
+                 / table.group_order)
     # The bracket sum_k f'_i(g_k) ... = nu_i - nu_j' dim_i / dim_j', over one
     # integer denominator (nu is twice the sums) and rounded once.
     return [prefactor * ((nu[i] * dims[jp] - nu[jp] * dims[i]) / (2 * dims[jp]))

@@ -12,9 +12,9 @@ these roots.  kloosterman_sum walks them one at a time in plain Python:
 moonmod.kernels serves its short calls with it, and its lift search
 reproduces it bit for bit on longer ones.  WORKING_DIGITS is the fewest
 decimal digits of the mpmath head, which derives its count from the grade.
-asymptotic_leading is the size of the series' leading term, which reads
-n_g alone: the asymptotic filtration predicts from it without the
-coefficient engine.  Nothing here imports mpmath.
+asymptotic_leading is the leading term's size over |K_{n_g}(n)|, which
+reads n_g alone: the asymptotic filtration predicts from it and that sum
+without the coefficient engine.  Nothing here imports mpmath.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> float:
 
 
 def asymptotic_leading(ng: int, n: int) -> float:
-    """Unsigned leading magnitude C_{n,g} * exp(D_n / n_g) of c_g(n)."""
+    """Unsigned leading magnitude C_{n,g} * exp(D_n / n_g) of c_g(n) over |K_{n_g}(n)|."""
     if n < 1:
         raise ValueError("n must be at least 1")
     q8 = 8 * n - 1

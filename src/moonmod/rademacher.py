@@ -39,8 +39,8 @@ from __future__ import annotations
 import math
 
 from .numerics import WORKING_DIGITS, selberg_roots
-from .chartab import (CharacterTable, ConjugacyClass, UnknownClassError, bundled_table,
-                      fuses_into_m24)
+from .chartab import (CharacterTable, ConjugacyClass, MoonmodError, UnknownClassError,
+                      bundled_table, fuses_into_m24)
 # perfbench/{run,setup_probe,selftest,make_reference,workloads,spans}.py read these here.
 from .store import CoefficientCache, CoefficientRecord, bundled_cache  # noqa: F401
 
@@ -90,7 +90,7 @@ STABILITY_TOLERANCE = 0.05
 STABILITY_MIN_RUN = 200
 
 
-class NonConvergent(Exception):
+class NonConvergent(MoonmodError):
     def __init__(self, class_name: str, n: int, best_residual: float):
         super().__init__(
             f"series for class {class_name} at n={n} did not stabilize "

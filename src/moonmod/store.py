@@ -27,7 +27,7 @@ class CoefficientRecord:
     __slots__ = ("class_name", "n", "value", "residual", "c_max_used", "gate")
 
     def __init__(self, class_name: str, n: int, value: int, residual: float,
-                 c_max_used: int, gate: str = "dip") -> None:
+                 c_max_used: int, gate: str) -> None:
         self.class_name = class_name
         self.n = n
         self.value = value

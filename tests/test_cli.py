@@ -1,18 +1,22 @@
 """End-to-end command-line behavior on the warm cache."""
 
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import moonmod.cli
 from moonmod import kernels
-from moonmod.chartab import DATA_DIR, TableError, UnknownClassError, bundled_table
+from moonmod.chartab import (DATA_DIR, MoonmodError, TableError, UnknownClassError,
+                             bundled_table)
 from moonmod.cli import _make_engine, build_parser, main
 from moonmod.decomp import DecompositionError
 from moonmod.filtration import FiltrationError
@@ -326,6 +330,20 @@ def test_untyped_errors_propagate(exc, monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_every_failure_type_is_reported():
+    """Every exception class of the package is a MoonmodError or a
+    ValueError, so that a command reports it without naming it."""
+    seen = []
+    for path in sorted(Path(moonmod.cli.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"moonmod.{path.stem}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, Exception) and cls.__module__ == module.__name__:
+                assert issubclass(cls, (MoonmodError, ValueError)), cls
+                seen.append(cls.__name__)
+    assert {"TableError", "UnknownClassError", "DecompositionError", "FiltrationError",
+            "NonConvergent", "RecordModeError"} <= set(seen)
+
+
 @pytest.mark.parametrize("argv", [
     ["cache", "--cache", "{dir}", "--clear"],
     ["coeff", "--class", "1A", "--n", "1", "--cache", "{dir}"],
@@ -609,6 +627,19 @@ def test_error_in_fresh_interpreter(argv, message):
     proc = subprocess.run([sys.executable, "-m", "moonmod.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
+def test_error_path_loads_no_other_layer():
+    """Reporting a failure imports nothing: an unknown class in coeff is one
+    error line, and neither the decomposition nor the filtration is loaded."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    env.pop("MOONMOD_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", CHILD, "coeff", "--class", "99Z", "--n", "1"],
+                          capture_output=True, text=True, env=env)
+    error, _, modules, _ = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert error == "error: unknown conjugacy class '99Z'"
+    assert not {"moonmod.decomp", "moonmod.filtration"} & set(modules.split())
 
 
 def test_cold_coeff_loads_numeric_stack(tmp_path):

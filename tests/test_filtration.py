@@ -23,9 +23,9 @@ from moonmod.filtration import (DegenerateLevel, IrrationalDirection,
                                 SignProfile, StructureViolation, _order_sums,
                                 direction_vector, filtrate_asymptotic,
                                 filtrate_exact, minimizer_set,
-                                re_kloosterman_is_zero, result_to_json,
-                                sign_profile, signs_at)
-from moonmod.numerics import selberg_roots
+                                nonfree_asymptotic, re_kloosterman_is_zero,
+                                result_to_json, sign_profile, signs_at)
+from moonmod.numerics import asymptotic_leading, selberg_roots
 from moonmod.rademacher import RademacherEngine
 
 
@@ -428,6 +428,27 @@ def test_zero_test_matches_reference_on_grid(m24_table):
                 split["zero, no roots" if zero and not roots
                       else "zero, roots" if zero else "nonzero"] += 1
     assert split == {"zero, no roots": 2995, "zero, roots": 91, "nonzero": 2227}
+
+
+def test_nonfree_prediction_carries_kloosterman_size():
+    """The size of the c = n_g term carries |K_{n_g}(n)|, which is 1 only for
+    n_g <= 2: with S3's 2A at (n_g, h_g) = (6, 1), |K_6(n)| over every
+    coprime d is sqrt(3), or 0 at n = 1 mod 3, where the prediction is 0."""
+    doc = json.loads(json.dumps(S3_DOC))
+    doc["classes"][1]["ng"] = 6
+    table = load_table(doc)
+    signs = {"1A": 1, "2A": 1, "3A": 1}
+    for n in range(1, 13):
+        size = abs(complex(ref.kloosterman(n, 6, 6, 1)))
+        assert size == pytest.approx(0 if n % 3 == 1 else math.sqrt(3), abs=1e-12)
+        # Twice the order-2 sums are (6, -6, 0) and the level-1 minimizer is
+        # sgn, so the brackets (6, 0, 6) cancel |G| = 6.
+        lead = asymptotic_leading(6, n) * size
+        pred = nonfree_asymptotic(table, signs, n)
+        if n % 3 == 1:
+            assert pred == [0.0, 0.0, 0.0], n
+        else:
+            assert pred == pytest.approx([lead, 0.0, lead], rel=1e-12), n
 
 
 def test_json_emitter(a5_table):

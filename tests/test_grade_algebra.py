@@ -18,7 +18,7 @@ from moonmod.chartab import distinct_orders
 from moonmod.decomp import NonIntegral, multiplicities, ratio_profile
 from moonmod.filtration import (IrrationalDirection, _order_sums, filtrate_exact,
                                 nonfree_asymptotic, signs_at)
-from moonmod.numerics import asymptotic_leading
+from moonmod.numerics import asymptotic_leading, kloosterman_sum
 from moonmod.rademacher import RademacherEngine
 
 GRADES = range(1, 61)
@@ -150,7 +150,8 @@ def ref_nonfree(table, signs, n):
     jp = min(J)
     dims = [chi.dim for chi in table.irreps]
     g = min((c for c in table.classes if c.element_order == e2), key=lambda c: c.ng)
-    prefactor = asymptotic_leading(g.ng, n) / table.group_order
+    prefactor = (asymptotic_leading(g.ng, n) * abs(kloosterman_sum(n, g.ng, g.ng, g.hg))
+                 / table.group_order)
     return [prefactor * float(nu[i] - nu[jp] * Fraction(dims[i], dims[jp]))
             for i in range(len(dims))]
 

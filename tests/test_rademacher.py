@@ -163,7 +163,7 @@ def test_cache_round_trip(tmp_path):
 def test_cache_tolerates_torn_line(tmp_path):
     path = tmp_path / "cache.ldjson"
     cache = CoefficientCache(path)
-    rec = CoefficientRecord("1A", 1, 90, 1e-5, 127)
+    rec = CoefficientRecord("1A", 1, 90, 1e-5, 127, "dip")
     cache.put("M24", "1A", 1, rec)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"group": "M24", "class": "1A", "n": 2, "val')  # torn tail
@@ -173,7 +173,7 @@ def test_cache_tolerates_torn_line(tmp_path):
     # The torn line is dropped in memory only; loading never rewrites the file.
     assert path.read_bytes() == before
     # The next append starts on a line of its own.
-    again.put("M24", "1A", 3, CoefficientRecord("1A", 3, 1540, 1e-5, 300))
+    again.put("M24", "1A", 3, CoefficientRecord("1A", 3, 1540, 1e-5, 300, "dip"))
     fresh = CoefficientCache(path)
     assert {key: int(r["value"]) for key, r in fresh.records.items()} == \
         {("M24", "1A", 1): 90, ("M24", "1A", 3): 1540}
@@ -586,7 +586,7 @@ APPENDER = (
     "cache = CoefficientCache(path)\n"
     "print('ready', flush=True)\n"
     "for n in range(1, int(count) + 1):\n"
-    "    cache.put('M24', cls, n, CoefficientRecord(cls, n, 10 ** n, 1e-5, 100 + n))\n"
+    "    cache.put('M24', cls, n, CoefficientRecord(cls, n, 10 ** n, 1e-5, 100 + n, 'dip'))\n"
 )
 
 
