@@ -1,14 +1,12 @@
 r"""Hot loop for the Rademacher tail: Kloosterman sums by their Selberg form.
 
-kloosterman_grades picks one of two paths by the size of the call.  A call
-whose work ncols * sum(cs) is below _SCALAR_WORK runs the plain-Python
-kloosterman_sum of moonmod.numerics, one (c, grade) at a time: a cold
-coefficient accepted at its first gated c makes one call over 3-8 values
-of c, and there numpy's fixed set-up costs more than the whole root walk.
-Every other call runs _lift_search, numpy code vectorised over tiles of
-(c, lift) cells, whose cost grows far more slowly with the call.  Both
-paths give the same bits.  This module is the only one that imports numpy
-at module level.
+kloosterman_grades is numpy code vectorised over tiles of (c, lift) cells,
+whose cost grows far more slowly with a call than its fixed set-up of
+0.1-0.25 ms.  Short work never reaches it: the sweep in moonmod.rademacher
+runs a short first chunk of c in plain Python on numerics.kloosterman_sum,
+which computes the same numbers one root at a time, and sends every other
+chunk here.  This module is the only one that imports numpy at module
+level.
 
 For c = 0 mod n_g and m = n_g*h_g, m divides c^2 (h_g divides n_g), so
 e(-c d/m) = e(-(c^2/m) d/c) and every twining sum is the 1A sum at the
@@ -46,8 +44,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import kloosterman_sum
-
 # There is no compiled path; kept as a constant for callers that report it.
 USE_NUMBA = False
 
@@ -61,16 +57,6 @@ _BLOCK = 16384
 # floor of the rounded root is the integer square root.
 _C_LIMIT = 2 ** 24
 _INT64_MAX = np.iinfo(np.int64).max
-
-# A call whose work ncols * sum(cs) is below _SCALAR_WORK runs the scalar
-# numerics.kloosterman_sum, whose root walk takes about ncols * sum(cs) / 2
-# Python steps; any other runs the lift search, whose numpy set-up costs
-# about 0.1-0.25 ms whatever the call's size.  Timed on a 2-vCPU VM (median
-# of 7 repeats; 135 calls over 9 levels, 1-4 grades, c up to 300): the
-# scalar was faster on every call with work below 1275 (7-170 us against
-# 54-235 us), the lift search on every call with work 2940 or more, and
-# either won in between.
-_SCALAR_WORK = 1000
 
 
 def _check_grid(cs: np.ndarray, ng: int, hg: int) -> None:
@@ -123,8 +109,8 @@ def _tiles(lifts: np.ndarray):
         r0 = r1
 
 
-def _lift_search(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
-                 out: np.ndarray) -> None:
+def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
+                       out: np.ndarray) -> None:
     """K_c(n) for all grades n0 <= n <= n1 at once; out has shape (len(cs), n1-n0+1).
 
     The roots j < c/2 of column g are the j with T_j = U - g over the
@@ -134,9 +120,15 @@ def _lift_search(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     x^2 <= 8U + 1 exceeds 8(U - w) + 1.  That test runs over the
     (row, lift) grid in tiles of at most _BLOCK cells, rows in order of
     their lift counts, and the lifts that pass are settled exactly: their
-    roots are N(U - w) <= j < N(U), j < c/2.  cs is a nonempty int64 array
-    that passed _check_bounds and _check_grid.
+    roots are N(U - w) <= j < N(U), j < c/2.  Raises ValueError, before any
+    work, for c off the n_g grid or if the root search could leave the
+    exact range.
     """
+    cs = np.asarray(cs, dtype=np.int64)
+    if not len(cs):
+        return
+    _check_bounds(n0, n1, int(cs.max()))
+    _check_grid(cs, ng, hg)
     ncols = n1 - n0 + 1
     shift = (cs * cs // (ng * hg) - n0) % cs
     even = 1 - (cs & 1)
@@ -217,22 +209,3 @@ def _lift_search(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
         acc[wrap] = np.where(neg, 0.0 - src, src)
     out[order] = acc
 
-
-def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
-                       out: np.ndarray) -> None:
-    """K_c(n) for all grades n0 <= n <= n1 at once; out has shape (len(cs), n1-n0+1).
-
-    A call with less work than _SCALAR_WORK fills out from kloosterman_sum,
-    one (c, grade) at a time; any other runs _lift_search.  Both give the
-    same bits.  Raises ValueError, before any work, for c off the n_g grid
-    or if the root search could leave the exact range.
-    """
-    cs = np.asarray(cs, dtype=np.int64)
-    if len(cs):
-        _check_bounds(n0, n1, int(cs.max()))
-    _check_grid(cs, ng, hg)
-    if (n1 - n0 + 1) * int(cs.sum()) >= _SCALAR_WORK:
-        _lift_search(n0, n1, cs, ng, hg, out)
-        return
-    for k, c in enumerate(cs.tolist()):
-        out[k] = [kloosterman_sum(n, c, ng, hg) for n in range(n0, n1 + 1)]

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import WORKING_DIGITS, selberg_roots
+from .numerics import WORKING_DIGITS, kloosterman_sum, selberg_roots
 from .chartab import (CharacterTable, ConjugacyClass, MoonmodError, UnknownClassError,
                       bundled_table, fuses_into_m24)
 # perfbench/{run,setup_probe,selftest,make_reference,workloads,spans}.py read these here.
@@ -64,20 +64,28 @@ HEAD_SWITCH = 20.0
 # integrality dips for grades up to ~60 are observed out to c ~ 3*10^4.
 # The dip gate reads checkpoints from C_MAX_INITIAL on, and the sweep's
 # first chunk ends at the first of them, the first c of the grid at or past
-# C_MAX_INITIAL (50 to 69 by n_g): a grade accepted there costs one kernel
-# call over that short grid (c = 7, 14, ..., 56 for 7B; 23, 46, 69 for
-# 23B), and any other grade pays that call on top of the chunks that
-# follow.  For one grade its work, sum(cs), is below kernels._SCALAR_WORK
-# at every level but 1A's (1 + ... + 50 = 1275), so the scalar runs it in
-# 7-90 us on a 2-vCPU VM; 1A's call, and the store rebuild's batches of 60
-# and 100 grades, pay the lift search's 0.1-0.25 ms.  Of the 1720 packaged
-# records, 534 are accepted there, none at levels 1, 2, 4 and 8.  The
-# second chunk ends where _chunk_end puts kernels._BLOCK = 16384 nominal
-# (c, d) pairs, d < c, from c = 1 (c = 181 on the 1A grid, 851 on the 23A
-# grid); each later one at least doubles the last c, capped at
-# 16 * kernels._BLOCK = 262144 pairs.  The kernel screens about c/8 lifts
-# per odd c and c/4 per even c, so a capped chunk is 45000-49000 lifts on
-# the 1A grid, about three tiles.
+# C_MAX_INITIAL (50 to 69 by n_g).  A first chunk whose work, grades times
+# sum(cs), is below _SCALAR_WORK runs as one plain-Python pass
+# (_scalar_chunk); for one grade that is every level, 1A's (1 + ... + 50 =
+# 1275) included.  So a grade accepted there (c = 7, 14, ..., 56 for 7B;
+# 23, 46, 69 for 23B) never enters the kernel and costs 30-240 us on a
+# 2-vCPU VM, 1A the most, against 0.15-0.38 ms for the numpy chunk, whose
+# kernel set-up and some 35 numpy calls on arrays of 1-8 elements
+# dominate; any other grade pays the pass on top of the numpy chunks that
+# follow.  _SCALAR_WORK was timed on the first chunk alone, gate included,
+# both layouts, medians of 21 repeats: over 172 shapes (every level, 1-40
+# grades, work up to 6000) the scalar pass was faster on every shape of
+# work below 3825, and numpy on 1A's three and four grades (3825, 5100)
+# and on three shapes of work 5200-5508 at levels 2 and 3; an earlier,
+# noisier run tied on 1A's two grades (2550), so 2500 stays below that.
+# The store rebuild's batches of 60 and 100 grades (work 7560 or more) take
+# the numpy chunk.  Of the 1720 packaged records, 534 are accepted in the
+# first chunk, none at levels 1, 2, 4 and 8.  The second chunk ends where
+# _chunk_end puts kernels._BLOCK = 16384 nominal (c, d) pairs, d < c, from
+# c = 1 (c = 181 on the 1A grid, 851 on the 23A grid); each later one at
+# least doubles the last c, capped at 16 * kernels._BLOCK = 262144 pairs.
+# The kernel screens about c/8 lifts per odd c and c/4 per even c, so a
+# capped chunk is 45000-49000 lifts on the 1A grid, about three tiles.
 # Chunk ends depend only on c and n_g, never on the number of grades in a
 # batch, and the dip gate runs after each chunk.  The running sum is one
 # left fold from the head on, so no partial sum, and no record, depends on
@@ -88,6 +96,7 @@ RESIDUAL_TOLERANCE = 1e-4
 STABILITY_WINDOW = 3
 STABILITY_TOLERANCE = 0.05
 STABILITY_MIN_RUN = 200
+_SCALAR_WORK = 2500
 
 
 class NonConvergent(MoonmodError):
@@ -151,6 +160,42 @@ class _GradeState:
         self.stable_run = 0
         self.last_rounded = math.nan
         self.record = None
+
+
+def _scalar_chunk(cls: ConjugacyClass, n: int, st: _GradeState, cs: range,
+                  start_c: int) -> None:
+    """One grade's chunk over cs in Python floats, with the same bits as the
+    numpy chunk of _sweep: the same float operations in the same order, and
+    sinh from numpy (math.sinh rounds some arguments differently).
+
+    K_c(n) comes from kloosterman_sum, which the kernel reproduces bit for
+    bit.  The left fold, the run of equal roundings and the dip gate read
+    and update st as the numpy chunk does: an accepted grade gets its record
+    and keeps the rest of st as it came.
+    """
+    import numpy as np
+
+    q8 = 8 * n - 1
+    x_top = math.pi * math.sqrt(q8) / 2.0
+    xs = [x_top / c for c in cs]
+    q8_root = q8 ** 0.25
+    cum, run, last, best = st.cum, st.stable_run, st.last_rounded, st.best_res
+    for c, x, sinh_x in zip(cs, xs, np.sinh(xs).tolist()):
+        if c >= start_c:
+            fac = 4.0 * math.pi * math.sqrt(2.0 / (math.pi * x)) * sinh_x / (c * q8_root)
+            cum += fac * kloosterman_sum(n, c, cls.ng, cls.hg)
+        rounded = round(cum)
+        resid = abs(cum - rounded)
+        run = run + 1 if rounded == last else 1
+        last = rounded
+        if c >= start_c and c >= C_MAX_INITIAL:
+            if run >= STABILITY_WINDOW and resid <= RESIDUAL_TOLERANCE:
+                st.record = CoefficientRecord(cls.name, n, st.head_int + rounded, resid,
+                                              c, "dip")
+                return
+            best = min(best, resid)
+    # np.rint keeps the sign of a zero; round() does not.
+    st.cum, st.stable_run, st.last_rounded, st.best_res = cum, run, math.copysign(last, cum), best
 
 
 class RademacherEngine:
@@ -228,17 +273,24 @@ class RademacherEngine:
         states = {n: _GradeState() for n in grades}
         tail_start = self._head_terms(cls, states)
 
-        # The first chunk ends at the first c the dip gate reads, the second
-        # where a chunk of kernels._BLOCK nominal pairs from c = 1 would end.
+        # The first chunk ends at the first c the dip gate reads, and runs as
+        # one scalar pass when its work is below _SCALAR_WORK; the second
+        # ends where a chunk of kernels._BLOCK nominal pairs from c = 1 would.
         second = _chunk_end(1, step, kernels._BLOCK)
         lo, hi = 1, min(-(-C_MAX_INITIAL // step) * step, C_MAX_LIMIT)
+        first_cs = range(step, hi + 1, step)
+        scalar = len(states) * sum(first_cs) < _SCALAR_WORK
         while True:
             active = [n for n, st in states.items() if st.record is None]
             if not active:
                 break
-            n0, n1 = min(active), max(active)
-            cs = np.arange(((lo + step - 1) // step) * step, hi + 1, step, dtype=np.int64)
-            if len(cs):
+            if scalar:
+                for n in active:
+                    _scalar_chunk(cls, n, states[n], first_cs, tail_start[n])
+                scalar = False
+            elif len(cs := np.arange(((lo + step - 1) // step) * step, hi + 1, step,
+                                     dtype=np.int64)):
+                n0, n1 = min(active), max(active)
                 kl = np.empty((len(cs), n1 - n0 + 1))
                 kernels.kloosterman_grades(n0, n1, cs, cls.ng, cls.hg, kl)
                 csf = cs.astype(np.float64)

@@ -1,7 +1,8 @@
 """Tail kernels and the Selberg form against the definition of K_c(n), summed
 over every coprime d by tests/kloosterman_reference.py, and against the
-scalar kloosterman_sum.  kloosterman_grades sends short calls to that
-scalar, so the lift search is judged through kernels._lift_search."""
+scalar kloosterman_sum.  The sweep's short first chunk runs that scalar
+instead of the kernel; tests/test_rademacher.py holds the two layouts to
+the same bits."""
 
 import json
 import math
@@ -129,20 +130,10 @@ def test_c_equals_one():
     assert kloosterman_sum(5, 1, 1, 1) == 1 + 0j
 
 
-def _work(n0, n1, cs):
-    """The size kloosterman_grades reads to choose its path."""
-    return (n1 - n0 + 1) * int(np.sum(cs))
-
-
 def _grades(n0, n1, cs, ng, hg):
-    """The lift search's sums, after checking that kloosterman_grades, on
-    whichever path the call's size sends it, gives the same bits."""
-    cs = np.asarray(cs, dtype=np.int64)
+    """The kernel's sums for grades n0..n1 at cs."""
     out = np.empty((len(cs), n1 - n0 + 1))
-    kernels._lift_search(n0, n1, cs, ng, hg, out)
-    chosen = np.empty_like(out)
-    kernels.kloosterman_grades(n0, n1, cs, ng, hg, chosen)
-    assert chosen.tobytes() == out.tobytes(), (n0, n1, list(cs), ng, hg)
+    kernels.kloosterman_grades(n0, n1, np.asarray(cs, dtype=np.int64), ng, hg, out)
     return out
 
 
@@ -319,25 +310,6 @@ def test_selberg_form_matches_definition(m24_table):
                 (ng, hg, c, grades[i])
 
 
-def test_both_paths_give_the_same_bits(m24_table):
-    """Seeded random calls on both sides of _SCALAR_WORK, at all 21 levels
-    of M24 and 1-4 grades, equal the lift search byte for byte."""
-    rng = random.Random(23)
-    levels = sorted({(cls.ng, cls.hg) for cls in m24_table.classes})
-    assert len(levels) == 21
-    sides = set()
-    for i in range(21 * 15):
-        ng, hg = levels[i % 21]
-        grid = [c for c in range(ng, 401, ng) if c * c % (ng * hg) == 0]
-        cs = sorted(rng.sample(grid, rng.randint(1, min(len(grid), 8))))
-        n0 = rng.randint(-1, 600)
-        n1 = n0 + rng.randint(0, 3)
-        sides.add((ng, hg, _work(n0, n1, cs) < kernels._SCALAR_WORK))
-        _grades(n0, n1, cs, ng, hg)
-    # Every level is called on both paths.
-    assert len(sides) == 42
-
-
 def _stored(name, n):
     store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
     for line in store.read_text(encoding="utf-8").splitlines():
@@ -346,53 +318,52 @@ def _stored(name, n):
     raise AssertionError((name, n))
 
 
-@pytest.mark.parametrize("name,n", [("7B", 24), ("23B", 27)])
-def test_first_gated_chunk_skips_the_lift_search(m24_table, monkeypatch, name, n):
-    """A cold grade accepted at its first gated c makes one kernel call, over
-    c = 7..56 (7B) or 23..69 (23B), and the scalar serves all of it."""
-    def refuse(*args):
-        raise AssertionError(f"lift search entered for c = {list(args[2])}")
-
-    monkeypatch.setattr(kernels, "_lift_search", refuse)
-    [rec] = RademacherEngine(m24_table, cache=CoefficientCache(None)).records(name, [n])
-    assert (rec.value, rec.gate, rec.c_max_used) == _stored(name, n)
-    assert rec.c_max_used < 70
-
-
 def test_dense_chunk_enters_the_lift_search(m24_table, monkeypatch):
-    """A cold 1A n = 23 sweeps ten chunks: each call enters the lift search
-    exactly when its work reaches _SCALAR_WORK, c = 1..50 (work 1275) and
-    c = 363..724 among them."""
-    calls, entered = [], []
-    grades, lift = kernels.kloosterman_grades, kernels._lift_search
+    """Every chunk after the first enters the kernel: a cold 1A n = 23 sweeps
+    c = 1..50 in the scalar first chunk and the nine chunks from c = 51 on,
+    363..724 among them, in the kernel.  A first chunk of 60 grades, the
+    shape of a store rebuild's batch, enters the kernel at every level."""
+    class Stop(Exception):
+        pass
+
+    calls = []
+    grades = kernels.kloosterman_grades
 
     def recording(n0, n1, cs, *rest):
-        calls.append((int(cs[0]), int(cs[-1]), _work(n0, n1, cs)))
+        calls.append((n0, n1, int(cs[0]), int(cs[-1])))
         return grades(n0, n1, cs, *rest)
 
-    def entering(n0, n1, cs, *rest):
-        entered.append((int(cs[0]), int(cs[-1])))
-        return lift(n0, n1, cs, *rest)
-
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
-    monkeypatch.setattr(kernels, "_lift_search", entering)
     [rec] = RademacherEngine(m24_table, cache=CoefficientCache(None)).records("1A", [23])
     assert (rec.value, rec.gate, rec.c_max_used) == _stored("1A", 23)
-    assert len(calls) == 10
-    assert entered == [(lo, hi) for lo, hi, work in calls if work >= kernels._SCALAR_WORK]
-    assert {(1, 50), (363, 724)} <= set(entered)
+    assert len(calls) == 9 and calls[0][2] == 51 and (23, 23, 363, 724) in calls
+    assert [lo for _, _, lo, _ in calls[1:]] == [hi + 1 for _, _, _, hi in calls[:-1]]
+    assert calls[-1][2] <= rec.c_max_used <= calls[-1][3]
+
+    def stopping(n0, n1, cs, *rest):
+        calls.append((n0, n1, int(cs[0]), int(cs[-1])))
+        raise Stop
+
+    monkeypatch.setattr(kernels, "kloosterman_grades", stopping)
+    levels = {(cls.ng, cls.hg): cls for cls in m24_table.classes}
+    assert len(levels) == 21
+    for cls in levels.values():
+        calls.clear()
+        with pytest.raises(Stop):
+            RademacherEngine(m24_table, cache=CoefficientCache(None)).records(
+                cls.name, range(1, 61))
+        assert calls == [(1, 60, cls.ng, -(-50 // cls.ng) * cls.ng)], cls.name
 
 
 @pytest.mark.parametrize("c,ng,hg", [(5, 2, 1), (6, 4, 2), (22, 23, 1), (0, 1, 1),
                                      (-3, 1, 1), (2, 2, 4)])
 def test_off_grid_c_raises(c, ng, hg):
     """Both functions refuse c unless n_g | c and n_g h_g | c^2; the kernel
-    does so on either path, before it writes to out."""
+    does so for a short and a long call, before it writes to out."""
     with pytest.raises(ValueError, match="grid"):
         kloosterman_sum(1, c, ng, hg)
     on_grid = [_on_grid(k * 50, ng, hg) for k in range(1, 20)]
     for n1, cs in [(1, [c]), (4, on_grid + [c])]:
-        assert (_work(1, n1, cs) < kernels._SCALAR_WORK) == (n1 == 1), cs
         out = np.full((len(cs), n1), 7.0)
         with pytest.raises(ValueError, match="grid"):
             kernels.kloosterman_grades(1, n1, np.array(cs), ng, hg, out)
@@ -417,12 +388,10 @@ def test_packaged_23_stability_records_recompute(m24_table):
 
 
 def test_int64_overflow_guard():
-    """Refused on either path, before the kernel writes to out: a short and
-    a long call whose grade overflows, and a c past the float64 roots."""
+    """Refused before the kernel writes to out: a short and a long call
+    whose grade overflows, and a c past the float64 roots."""
     n = 2 ** 63 - 1000
     calls = [(n, n, [5, 60], 5), (n, n, list(range(5, 501, 5)), 5), (1, 1, [5, 2 ** 24], 1)]
-    assert [_work(n0, n1, cs) < kernels._SCALAR_WORK for n0, n1, cs, _ in calls] == \
-        [True, False, False]
     for n0, n1, cs, ng in calls:
         out = np.full((len(cs), n1 - n0 + 1), 7.0)
         with pytest.raises(ValueError, match="overflow"):

@@ -292,13 +292,18 @@ def test_nonconvergent_when_budget_tiny(m24_table, monkeypatch):
     truncate(monkeypatch, C_MAX_INITIAL=5, C_MAX_LIMIT=40, RESIDUAL_TOLERANCE=1e-12)
     eng = RademacherEngine(m24_table, cache=CoefficientCache(None))
     scanned = []
-    grades = kernels.kloosterman_grades
+    grades, scalar = kernels.kloosterman_grades, rademacher.kloosterman_sum
 
     def recording(n0, n1, cs, *rest):
         scanned.extend(int(c) for c in cs)
         return grades(n0, n1, cs, *rest)
 
+    def recording_scalar(n, c, *rest):
+        scanned.append(c)
+        return scalar(n, c, *rest)
+
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
+    monkeypatch.setattr(rademacher, "kloosterman_sum", recording_scalar)
     with pytest.raises(NonConvergent) as err:
         eng.records("23A", [1])
     assert err.value.n == 1
@@ -383,28 +388,122 @@ def test_chunk_ends_change_no_record(m24_table, monkeypatch):
 def test_first_chunk_ends_at_the_first_gated_c(m24_table, monkeypatch, name, n, first_c,
                                                accepted_there, heads):
     """The first chunk ends at the first c of the grid at or past
-    C_MAX_INITIAL = 50: a grade the dip gate accepts there costs one kernel
+    C_MAX_INITIAL = 50: it sums K_c(n) by kloosterman_sum at each c of the
+    tail up to there, a grade the dip gate accepts there costs no kernel
     call, and a grade without a head term calls no mpmath."""
-    calls, head_calls = [], []
-    grades, head = kernels.kloosterman_grades, rademacher.partial_kloosterman
+    scalar_cs, calls, head_calls = [], [], []
+    grades, scalar = kernels.kloosterman_grades, rademacher.kloosterman_sum
+    head = rademacher.partial_kloosterman
 
     def recording(n0, n1, cs, *rest):
         calls.append([int(c) for c in cs])
         return grades(n0, n1, cs, *rest)
+
+    def recording_scalar(n, c, *rest):
+        scalar_cs.append(c)
+        return scalar(n, c, *rest)
 
     def counting(*args):
         head_calls.append(args)
         return head(*args)
 
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
+    monkeypatch.setattr(rademacher, "kloosterman_sum", recording_scalar)
     monkeypatch.setattr(rademacher, "partial_kloosterman", counting)
     engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
     [rec] = engine.records(name, [n])
     step = m24_table.class_named(name).ng
-    assert calls[0] == list(range(step, first_c + 1, step))
-    assert (len(calls) == 1) == accepted_there
+    # Head terms take the first c's, one each.
+    assert scalar_cs == list(range(step * (heads + 1), first_c + 1, step))
+    assert (calls == []) == accepted_there
+    assert accepted_there or calls[0][0] == first_c + step
     assert ((rec.gate, rec.c_max_used) == ("dip", first_c)) == accepted_there
     assert len(head_calls) == heads
+
+
+@pytest.mark.parametrize("name, n, first_kernel_c", [
+    ("7B", 24, None), ("23B", 27, None), ("1A", 1, 51)], ids=["7B-24", "23B-27", "1A-1"])
+def test_first_gated_chunk_skips_the_lift_search(m24_table, warm_cache, monkeypatch, name, n,
+                                                 first_kernel_c):
+    """A cold grade's first chunk never enters the kernel: 7B n = 24
+    (c = 7..56) and 23B n = 27 (c = 23..69) are accepted there with no
+    kernel call, and 1A n = 1 (c = 1..50, work 1275) first calls it at 51."""
+    class Entered(Exception):
+        pass
+
+    def refuse(n0, n1, cs, *rest):
+        raise Entered(int(cs[0]))
+
+    monkeypatch.setattr(kernels, "kloosterman_grades", refuse)
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    stored = CoefficientRecord.from_json(warm_cache.records[("M24", name, n)])
+    if first_kernel_c is None:
+        [rec] = engine.records(name, [n])
+        assert (rec.value, rec.gate, rec.c_max_used) == \
+            (stored.value, stored.gate, stored.c_max_used)
+    else:
+        with pytest.raises(Entered) as err:
+            engine.records(name, [n])
+        assert err.value.args == (first_kernel_c,)
+        assert stored.c_max_used >= first_kernel_c
+
+
+def _state(st):
+    """Every field of a _GradeState, floats by repr so that equal means the same bits."""
+    rec = st.record
+    return (st.head_int, repr(st.cum), repr(st.best_res), st.stable_run,
+            repr(st.last_rounded),
+            rec and (rec.n, rec.value, rec.gate, rec.c_max_used, repr(rec.residual)))
+
+
+def _both_layouts(engine, monkeypatch, name, grades):
+    """The sweep's states of grades, with the first chunk forced into the
+    numpy layout and then into the scalar one."""
+    cls = engine._swept.class_named(name)
+    got = []
+    for work in (0, 10 ** 9):
+        monkeypatch.setattr(rademacher, "_SCALAR_WORK", work)
+        states = engine._sweep(cls, list(grades))
+        got.append({n: _state(st) for n, st in states.items()})
+    return got
+
+
+def test_scalar_first_chunk_matches_vector_chunk(m24_table, warm_cache, monkeypatch):
+    """The scalar first chunk gives the numpy chunk's bits: the same records,
+    residual included, and the same _GradeState carried into the chunks
+    that follow.
+
+    Swept to its first gated c only, grades 1..60 at every level of M24:
+    grades accepted there and not, and 1A n >= 21 with a head term.  Swept
+    to the end, per level a grade accepted in the first chunk (where one
+    is) and one accepted past it, a batch of three grades, and 21A n = 27,
+    which returns 1 at c = 147 (ROADMAP known defect 1).
+    """
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    levels = {(cls.ng, cls.hg): cls for cls in m24_table.classes}
+    assert len(levels) == 21
+    full = [("1A", [23]), ("7B", [23, 24, 25]), ("21A", [27])]
+    for cls in levels.values():
+        first_c = -(-rademacher.C_MAX_INITIAL // cls.ng) * cls.ng
+        stored = {n: warm_cache.records[("M24", cls.name, n)] for n in range(1, 61)}
+        there = [n for n, r in stored.items() if r["gate"] == "dip" and r["c_max_used"] == first_c]
+        past = [n for n, r in stored.items()
+                if r["gate"] == "dip" and first_c < r["c_max_used"] <= 2000]
+        full += [(cls.name, [n]) for n in there[:1] + past[:1]]
+        with monkeypatch.context() as m:
+            m.setattr(rademacher, "C_MAX_LIMIT", first_c)
+            vector, scalar = _both_layouts(engine, m, cls.name, range(1, 61))
+        assert vector == scalar, cls.name
+        # The first chunk accepts the packaged store's grades accepted there.
+        assert [n for n in there if vector[n][-1] is None] == [], cls.name
+    records = {}
+    for name, grades in full:
+        vector, scalar = _both_layouts(engine, monkeypatch, name, grades)
+        assert vector == scalar, (name, grades)
+        records.update({(name, n): rec for n, (*_, rec) in vector.items()})
+    assert records[("21A", 27)][1:4] == (1, "dip", 147)
+    assert len(records) > 30
+    assert {rec[3] <= 69 for rec in records.values()} == {True, False}
 
 
 def test_dip_gate_waits_for_a_stable_run(m24_table, monkeypatch):
