@@ -109,18 +109,22 @@ class CharacterTable:
     def class_named(self, name: str) -> ConjugacyClass:
         return self.classes[self.class_index(name)]
 
-    def twice_sums(self, weights) -> tuple[list[int], dict[int, dict[int, int]]]:
-        """2 sum_k |[g_k]| w_k chi_i(g_k) for every irrep i, for integer
-        weights w parallel to the classes, as integer numerators: twice[i]
-        is the rational part and roots[i][d] the coefficient of sqrt d, with
-        only the irreps and radicands whose coefficient is nonzero kept.
-        Each numerator is one dot product of w with an integer row."""
+    def twice_sums(self, weights, irreps: int | None = None
+                   ) -> tuple[list[int], dict[int, dict[int, int]]]:
+        """2 sum_k |[g_k]| w_k chi_i(g_k) for every irrep i, or for the
+        first irreps ones, for integer weights w parallel to the classes, as
+        integer numerators: twice[i] is the rational part and roots[i][d]
+        the coefficient of sqrt d, with only the irreps and radicands whose
+        coefficient is nonzero kept.  Each numerator is one dot product of w
+        with an integer row."""
         rational, irrational = self._rows
         roots: dict[int, dict[int, int]] = {}
         for i, d, row in irrational:
+            if irreps is not None and i >= irreps:
+                break
             if t := sum(map(mul, row, weights)):
                 roots.setdefault(i, {})[d] = t
-        return [sum(map(mul, row, weights)) for row in rational], roots
+        return [sum(map(mul, row, weights)) for row in rational[:irreps]], roots
 
 
 def _parse_value(obj, where: str) -> QuadraticValue:
@@ -172,16 +176,17 @@ def _validate(table: CharacterTable) -> None:
     # numerators (four times the sum).  X is square, so X is invertible and
     # X* X = D^-1: the column relation, and with it sum dim^2 = |G|, follows.
     # 2 conj(chi_j) is an integer vector a plus, per radicand d' of its
-    # values, an integer vector b times sqrt(d'): twice_sums(a) is every
+    # values, an integer vector b times sqrt(d'): twice_sums(a) is each
     # irrep's sum with the rational part, and twice_sums(b) times sqrt(d')
     # its sum with that part, each sqrt(d) landing at mul_roots(d, d').
+    # Only the pairs i <= j are read, so only irreps 0..j are summed.
     full = {1: 4 * order}
     for j, chi_j in enumerate(irreps):
         conj = [v.conjugate() for v in chi_j.values]
-        twice, roots = table.twice_sums([v.a for v in conj])
+        twice, roots = table.twice_sums([v.a for v in conj], j + 1)
         acc = [{1: twice[i], **roots.get(i, {})} for i in range(j + 1)]
         for dp in dict.fromkeys(v.d for v in conj if v.b):
-            twice, roots = table.twice_sums([v.b if v.d == dp else 0 for v in conj])
+            twice, roots = table.twice_sums([v.b if v.d == dp else 0 for v in conj], j + 1)
             for i in range(j + 1):
                 for d, t in ((1, twice[i]), *roots.get(i, {}).items()):
                     c, s = mul_roots(d, dp)

@@ -2,7 +2,7 @@ r"""Hot loop for the Rademacher tail: Kloosterman sums by their Selberg form.
 
 kloosterman_grades is numpy code vectorised over tiles of (c, lift) cells,
 whose cost grows far more slowly with a call than its fixed set-up of
-0.1-0.25 ms.  Short work never reaches it: the sweep in moonmod.rademacher
+0.08-0.2 ms.  Short work never reaches it: the sweep in moonmod.rademacher
 runs a short first chunk of c in plain Python on numerics.kloosterman_sum,
 which computes the same numbers one root at a time, and sends every other
 chunk here.  This module is the only one that imports numpy at module
@@ -30,14 +30,22 @@ residues r and r + c/2), and base = shift mod s,
 shift = (c^2/m - n0) mod c.  With w = min(s, n1 - n0 + 1) columns each T_j
 lands in one lift, and T_j < c^2/8 for j < c/2: about c/8 lifts for odd c
 and c/4 for even c.  A lift holds a root only if an odd square lies in
-(8(U - w) + 1, 8U + 1]; one float64 square root per lift screens for it,
-and the lifts that pass are settled in exact integers, their roots being
+(8(U - w) + 1, 8U + 1]; one square root per lift screens for it, and the
+lifts that pass are settled in exact integers, their roots being
 N(U - w) <= j < N(U) with N(t) = #{j >= 0: T_j <= t}.  So one pass serves
 every grade, and a sine is taken only at a root.  Column g + s is column g
 (odd c) or its negation (even c).  Each column accumulates its roots in
 increasing j and is scaled by sqrt(c) after the last tile, in the same
 float operations as kloosterman_sum, so a single grade reproduces that
 scalar bit for bit.
+
+The screen runs in float32 when every c of a call is below _F32_LIMIT =
+4000: there every lift that can hold a root has 8U + 1 < 2**24, where
+float32 holds the integers and their square roots floor exactly (see the
+constant), and in float64 otherwise.  One grade (w = 1) has its own loop,
+_one_grade: a lift then holds at most one root, 8U + 1 = (2j + 1)^2, so
+the screen asks for an exact square and the settle reads j off the root
+and checks it in int64.  Its rows need no sort and its columns no wrap.
 """
 
 from __future__ import annotations
@@ -57,6 +65,14 @@ _BLOCK = 16384
 # floor of the rounded root is the integer square root.
 _C_LIMIT = 2 ** 24
 _INT64_MAX = np.iinfo(np.int64).max
+# Below this largest c the screen runs in float32.  A lift that can hold a
+# root has 8U + 1 < c^2 + 8c < 2**24 (U <= T_j + w - 1, j < c/2, w <= c),
+# so 8U + 1, 8(U - w) + 1 and the squares below them are exact float32
+# integers.  The root of a non-square v < k^2 <= 2**24 lies more than
+# 1/(2k) >= 2**-13, half a float32 step below 4096, under k, so its
+# correctly rounded float32 root is no integer and floors to the integer
+# square root.  Lifts that only pad a tile may round; they hold no root.
+_F32_LIMIT = 4000
 
 
 def _check_grid(cs: np.ndarray, ng: int, hg: int) -> None:
@@ -109,6 +125,61 @@ def _tiles(lifts: np.ndarray):
         r0 = r1
 
 
+def _one_grade(n: int, cs: np.ndarray, ng: int, hg: int, out: np.ndarray,
+               dtype: type) -> None:
+    """K_c(n) for one grade into out[:, 0], c off the grid already refused.
+
+    With one column a lift U holds at most one root j < c/2, T_j = U, and
+    then 8U + 1 = (2j + 1)^2: the screen asks for an exact square.  Odd and
+    even c, about c/8 and c/4 lifts, are tiled apart in the order given,
+    and a tile is as wide as the running maximum of its rows' lift counts:
+    for increasing c, as the sweep sends them, about each row's own count.
+    The settle reads the root x = 2j + 1 off each hit and keeps it if
+    x^2 = 8U + 1 in int64 and j < c/2, dropping padding and rounded lifts;
+    one bincount then sums each row's terms in increasing j, as
+    kloosterman_sum does.
+    """
+    shift = (cs * cs // (ng * hg) - n) % cs
+    odd = cs & 1
+    step = cs >> (1 - odd)
+    base = shift % step
+    half = (cs + 1) >> 1
+    lifts = (half * (half - 1) // 2 - base) // step + 1
+    step8 = (8 * step).astype(dtype)
+    base8 = (8 * base + 1).astype(dtype)
+    buf = np.empty(_BLOCK, dtype)
+    rows_hit, k_hit, x_hit = [], [], []
+    for rows in (np.flatnonzero(odd), np.flatnonzero(odd == 0)):
+        g_step8, g_base8 = step8[rows, None], base8[rows, None]
+        for r0, r1, k0, k1 in _tiles(np.maximum.accumulate(lifts[rows])):
+            shape = (r1 - r0, k1 - k0)
+            x = buf[:shape[0] * shape[1]].reshape(shape)
+            np.multiply(g_step8[r0:r1], np.arange(k0, k1, dtype=dtype), out=x)
+            x += g_base8[r0:r1]
+            np.sqrt(x, out=x)
+            hit = np.flatnonzero(x == np.floor(x))
+            if len(hit):
+                r, k = np.divmod(hit, k1 - k0)
+                rows_hit.append(rows[r + r0])
+                k_hit.append(k + k0)
+                x_hit.append(buf[hit])
+    acc = np.zeros(len(cs))
+    if rows_hit:
+        r, k = np.concatenate(rows_hit), np.concatenate(k_hit)
+        x = np.concatenate(x_hit).astype(np.int64)
+        c, u = cs[r], base[r] + step[r] * k
+        keep = (x * x == 8 * u + 1) & (x <= c)
+        r, u, x, c = r[keep], u[keep], x[keep], c[keep]
+        term = np.sin(np.pi * x / (2 * c))
+        # Odd c counts each root twice but the middle one, x = c.
+        term *= 1 + (odd[r] & (x < c))
+        # Negative for odd j, and for even c at the mirror residue r + c/2.
+        mirror = ((u - shift[r]) % c).astype(bool)
+        np.negative(term, out=term, where=((x >> 1) & 1).astype(bool) ^ mirror)
+        acc = np.bincount(r, term, len(cs))
+    out[:, 0] = acc * np.sqrt(cs.astype(np.float64))
+
+
 def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
                        out: np.ndarray) -> None:
     """K_c(n) for all grades n0 <= n <= n1 at once; out has shape (len(cs), n1-n0+1).
@@ -120,15 +191,21 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     x^2 <= 8U + 1 exceeds 8(U - w) + 1.  That test runs over the
     (row, lift) grid in tiles of at most _BLOCK cells, rows in order of
     their lift counts, and the lifts that pass are settled exactly: their
-    roots are N(U - w) <= j < N(U), j < c/2.  Raises ValueError, before any
-    work, for c off the n_g grid or if the root search could leave the
-    exact range.
+    roots are N(U - w) <= j < N(U), j < c/2.  One grade (n0 == n1) goes to
+    _one_grade.  The screen runs in float32 when every c is below
+    _F32_LIMIT.  Raises ValueError, before any work, for c off the n_g grid
+    or if the root search could leave the exact range.
     """
     cs = np.asarray(cs, dtype=np.int64)
     if not len(cs):
         return
-    _check_bounds(n0, n1, int(cs.max()))
+    c_max = int(cs.max())
+    _check_bounds(n0, n1, c_max)
     _check_grid(cs, ng, hg)
+    dtype = np.float32 if c_max < _F32_LIMIT else np.float64
+    if n0 == n1:
+        _one_grade(n0, cs, ng, hg, out, dtype)
+        return
     ncols = n1 - n0 + 1
     shift = (cs * cs // (ng * hg) - n0) % cs
     even = 1 - (cs & 1)
@@ -170,17 +247,18 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
         wts = np.concatenate([acc[r_lo:r_hi].ravel(), term])
         acc[r_lo:r_hi] = np.bincount(bins, wts, size).reshape(-1, ncols)
 
-    # 8U + 1 = step8*k + base8 and 8w as float64 columns, all exact integers.
-    step8 = 8.0 * step[:, None]
-    base8 = 8.0 * base[:, None] + 1.0
-    wide8 = 8.0 * w[:, None]
+    # 8U + 1 = step8*k + base8 and 8w as columns of dtype, exact integers
+    # wherever a root can lie.
+    step8 = (8 * step[:, None]).astype(dtype)
+    base8 = (8 * base[:, None] + 1).astype(dtype)
+    wide8 = (8 * w[:, None]).astype(dtype)
     # Every tile reuses the same two _BLOCK-cell buffers.
-    v_buf, x_buf = np.empty(_BLOCK), np.empty(_BLOCK)
+    v_buf, x_buf = np.empty(_BLOCK, dtype), np.empty(_BLOCK, dtype)
     rows_hit, k_hit, held = [], [], 0
     for r0, r1, k0, k1 in _tiles(lifts):
         shape = (r1 - r0, k1 - k0)
         v = v_buf[:shape[0] * shape[1]].reshape(shape)
-        np.multiply(step8[r0:r1], np.arange(k0, k1, dtype=np.float64), out=v)
+        np.multiply(step8[r0:r1], np.arange(k0, k1, dtype=dtype), out=v)
         v += base8[r0:r1]
         x = np.sqrt(v, out=x_buf[:v.size].reshape(shape))
         np.floor(x, out=x)

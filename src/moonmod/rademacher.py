@@ -68,22 +68,23 @@ HEAD_SWITCH = 20.0
 # sum(cs), is below _SCALAR_WORK runs as one plain-Python pass
 # (_scalar_chunk); for one grade that is every level, 1A's (1 + ... + 50 =
 # 1275) included.  So a grade accepted there (c = 7, 14, ..., 56 for 7B;
-# 23, 46, 69 for 23B) never enters the kernel and costs 30-240 us on a
-# 2-vCPU VM, 1A the most, against 0.15-0.38 ms for the numpy chunk, whose
+# 23, 46, 69 for 23B) never enters the kernel and costs 20-225 us on a
+# 2-vCPU VM, 1A the most, against 0.13-0.35 ms for the numpy chunk, whose
 # kernel set-up and some 35 numpy calls on arrays of 1-8 elements
 # dominate; any other grade pays the pass on top of the numpy chunks that
 # follow.  _SCALAR_WORK was timed on the first chunk alone, gate included,
-# both layouts, medians of 21 repeats: over 172 shapes (every level, 1-40
-# grades, work up to 6000) the scalar pass was faster on every shape of
-# work below 3825, and numpy on 1A's three and four grades (3825, 5100)
-# and on three shapes of work 5200-5508 at levels 2 and 3; an earlier,
-# noisier run tied on 1A's two grades (2550), so 2500 stays below that.
-# The store rebuild's batches of 60 and 100 grades (work 7560 or more) take
-# the numpy chunk.  Of the 1720 packaged records, 534 are accepted in the
-# first chunk, none at levels 1, 2, 4 and 8.  The second chunk ends where
-# _chunk_end puts kernels._BLOCK = 16384 nominal (c, d) pairs, d < c, from
-# c = 1 (c = 181 on the 1A grid, 851 on the 23A grid); each later one at
-# least doubles the last c, capped at 16 * kernels._BLOCK = 262144 pairs.
+# both layouts, medians of 21 repeats, against the kernel with its float32
+# screen and one-grade loop: over 172 shapes (every level, 1-40 grades,
+# work up to 6000) the scalar pass was faster on every shape of work below
+# 2550, and numpy on 1A's two to four grades (2550-5100) and on three
+# shapes of work 3900-5200 at level 2, so 2500 stays below the first of
+# them.  The store rebuild's batches of 60 and 100 grades (work 7560 or
+# more) take the numpy chunk.  Of the 1720 packaged records, 534 are
+# accepted in the first chunk, none at levels 1, 2, 4 and 8.  The second
+# chunk ends where _chunk_end puts kernels._BLOCK = 16384 nominal (c, d)
+# pairs, d < c, from c = 1 (c = 181 on the 1A grid, 851 on the 23A grid);
+# each later one at least doubles the last c, capped at 16 * kernels._BLOCK
+# = 262144 pairs.
 # The kernel screens about c/8 lifts per odd c and c/4 per even c, so a
 # capped chunk is 45000-49000 lifts on the 1A grid, about three tiles.
 # Chunk ends depend only on c and n_g, never on the number of grades in a
@@ -295,6 +296,7 @@ class RademacherEngine:
                 kernels.kloosterman_grades(n0, n1, cs, cls.ng, cls.hg, kl)
                 csf = cs.astype(np.float64)
                 idx = np.arange(len(cs))
+                c_lo = int(cs[0])
                 for n in active:
                     st = states[n]
                     j = n - n0
@@ -302,9 +304,14 @@ class RademacherEngine:
                     x = (math.pi * math.sqrt(q8) / 2.0) / csf
                     fac = 4.0 * math.pi * np.sqrt(2.0 / (math.pi * x)) * np.sinh(x) \
                         / (csf * q8 ** 0.25)
-                    start_c = tail_start[n]
-                    usable = cs >= start_c
-                    terms = np.where(usable, fac * kl[:, j], 0.0)
+                    terms = fac * kl[:, j]
+                    # A chunk from the tail start and C_MAX_INITIAL on, as
+                    # every chunk after the first is, needs no masks.
+                    masked = c_lo < max(tail_start[n], C_MAX_INITIAL)
+                    if masked:
+                        usable = cs >= tail_start[n]
+                        terms[~usable] = 0.0
+                        gated = usable & (cs >= C_MAX_INITIAL)
                     # One left fold from the head on: a partial sum does
                     # not depend on where the chunks end.
                     terms[0] += st.cum
@@ -317,9 +324,9 @@ class RademacherEngine:
                     same = rounded == np.concatenate(([st.last_rounded], rounded[:-1]))
                     first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
                     run = idx - first + 1
-                    gated = usable & (cs >= C_MAX_INITIAL)
-                    accept = gated & (run >= STABILITY_WINDOW) & (
-                        resid <= RESIDUAL_TOLERANCE)
+                    accept = (run >= STABILITY_WINDOW) & (resid <= RESIDUAL_TOLERANCE)
+                    if masked:
+                        accept &= gated
                     hits = np.flatnonzero(accept)
                     if len(hits):
                         k = hits[0]
@@ -327,9 +334,9 @@ class RademacherEngine:
                             cls.name, n, st.head_int + int(rounded[k]), float(resid[k]),
                             int(cs[k]), "dip")
                         continue
-                    seen = np.flatnonzero(gated)
+                    seen = resid[gated] if masked else resid
                     if len(seen):
-                        st.best_res = min(st.best_res, float(resid[seen].min()))
+                        st.best_res = min(st.best_res, float(seen.min()))
                     st.cum = float(cum[-1])
                     st.stable_run = int(run[-1])
                     st.last_rounded = float(rounded[-1])

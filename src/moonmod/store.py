@@ -97,15 +97,15 @@ class CoefficientCache:
         with self._lock:
             if (group, class_name, n) in self.records:
                 return
-            self.records[(group, class_name, n)] = rec
             if self.path:
                 import fcntl
 
                 line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
-                # One unbuffered write per record; after a torn tail line the
-                # record starts on a line of its own.  The file lock keeps
-                # another process from appending between the check and the
-                # write; closing the file releases it.
+                # Unbuffered writes until the whole line is on disk; after a
+                # torn tail line the record starts on a line of its own.  A
+                # write that takes no byte raises, and the record is not
+                # kept.  The file lock keeps another process from appending
+                # between the check and the write; closing the file releases it.
                 with open(self.path, "a+b", buffering=0) as fh:
                     fcntl.flock(fh, fcntl.LOCK_EX)
                     end = fh.seek(0, os.SEEK_END)
@@ -113,7 +113,14 @@ class CoefficientCache:
                         fh.seek(end - 1)
                         if fh.read(1) != b"\n":
                             line = b"\n" + line
-                    fh.write(line)
+                    view = memoryview(line)
+                    while view:
+                        written = fh.write(view)
+                        if not written:
+                            raise OSError(f"short write to {self.path}: "
+                                          f"{len(view)} of {len(line)} bytes not written")
+                        view = view[written:]
+            self.records[(group, class_name, n)] = rec
 
     def seed(self, lines) -> None:
         """Merge parsed records from an iterable of ldjson lines (no writes).

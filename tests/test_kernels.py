@@ -310,6 +310,53 @@ def test_selberg_form_matches_definition(m24_table):
                 (ng, hg, c, grades[i])
 
 
+def test_f32_bound_window(m24_table):
+    """The float32 screen's bound, and the sums on both sides of it.
+
+    Below _F32_LIMIT every lift that can hold a root has 8U + 1 < 2**24: at
+    c = _F32_LIMIT - 1 and - 2, the last lift of any base at the widest
+    w = s (the step) lies at U <= T_j + s - 1, j the largest root < c/2.
+    At every level, the grid c in a window on both sides of the bound, one
+    call below it (float32 screen) and one at or above it (float64): one
+    grade equals kloosterman_sum with ==, and batches of 2 and 40 grades
+    equal their one-grade calls bit for bit.  The grades take in -1, 1, a
+    middle root (odd c) and a mirror-only residue (even c) at each call's
+    first c of each kind."""
+    limit = kernels._F32_LIMIT
+    for c in (limit - 1, limit - 2):
+        half = (c + 1) // 2
+        step = c if c % 2 else c // 2
+        assert 8 * (half * (half - 1) // 2 + step - 1) + 1 < 2 ** 24, c
+    levels = sorted({(cls.ng, cls.hg) for cls in m24_table.classes})
+    assert len(levels) == 21
+    for ng, hg in levels:
+        grid = range(_on_grid(limit - 80, ng, hg), limit + 80, ng)
+        below = [c for c in grid if c < limit and c * c % (ng * hg) == 0]
+        above = [c for c in grid if c >= limit and c * c % (ng * hg) == 0]
+        assert below and above, (ng, hg)
+        for cs in (below, above):
+            # 1A grade g at c is grade g + c^2/m at this level.
+            grades = {-1, 1}
+            odd = [c for c in cs if c % 2]
+            if odd:
+                n = _middle_root(odd[0]) + odd[0] ** 2 // (ng * hg) - odd[0]
+                assert (odd[0] - 1) // 2 in selberg_roots(n, odd[0], ng, hg)
+                grades.add(n)
+            even = [c for c in cs if c % 2 == 0][0]
+            n = _mirror_only(even)[0] + even ** 2 // (ng * hg) - even
+            assert min(selberg_roots(n, even, ng, hg)) >= even / 2
+            grades.add(n)
+            for n in sorted(grades):
+                one = _grades(n, n, cs, ng, hg)[:, 0]
+                assert list(one) == [kloosterman_sum(n, c, ng, hg) for c in cs], (ng, hg, n)
+            for width in (2, 40):
+                n0 = min(grades)
+                batch = _grades(n0, n0 + width - 1, cs, ng, hg)
+                singles = np.column_stack([_grades(n, n, cs, ng, hg)[:, 0]
+                                           for n in range(n0, n0 + width)])
+                assert batch.tobytes() == singles.tobytes(), (ng, hg, width)
+
+
 def _stored(name, n):
     store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
     for line in store.read_text(encoding="utf-8").splitlines():

@@ -1,6 +1,7 @@
 """Coefficient engine: gates, cache, known values."""
 
 import fcntl
+import io
 import json
 import math
 import os
@@ -177,6 +178,40 @@ def test_cache_tolerates_torn_line(tmp_path):
     fresh = CoefficientCache(path)
     assert {key: int(r["value"]) for key, r in fresh.records.items()} == \
         {("M24", "1A", 1): 90, ("M24", "1A", 3): 1540}
+
+
+def test_cache_put_finishes_short_writes(tmp_path, monkeypatch):
+    """A write that takes part of a line is continued until the record is
+    whole on disk.  One that takes no byte (a full disk) raises OSError and
+    keeps no record, and the next record starts on a line of its own."""
+    path = tmp_path / "cache.ldjson"
+    budget = {"bytes": 10 ** 6}
+
+    class ShortWrites(io.FileIO):
+        """Takes at most 3 bytes a write, and nothing once the budget is spent."""
+
+        def write(self, data):
+            take = min(3, budget["bytes"], len(data))
+            budget["bytes"] -= take
+            return super().write(bytes(data[:take])) if take else 0
+
+    def appends_short(file, mode="r", **kwargs):
+        return ShortWrites(file, mode) if "a" in mode else open(file, mode, **kwargs)
+
+    monkeypatch.setattr("moonmod.store.open", appends_short, raising=False)
+    cache = CoefficientCache(path)
+    cache.put("M24", "1A", 1, CoefficientRecord("1A", 1, 90, 1e-5, 127, "dip"))
+    assert CoefficientCache(path).records == cache.records
+    budget["bytes"] = 10
+    with pytest.raises(OSError, match="short write"):
+        cache.put("M24", "2A", 3, CoefficientRecord("2A", 3, -28, 2.5e-5, 410, "dip"))
+    assert ("M24", "2A", 3) not in cache.records
+    assert not path.read_bytes().endswith(b"\n")
+    budget["bytes"] = 10 ** 6
+    cache.put("M24", "1A", 3, CoefficientRecord("1A", 3, 1540, 1e-5, 300, "dip"))
+    lines = path.read_bytes().split(b"\n")
+    assert [json.loads(lines[k])["n"] for k in (0, 2)] == [1, 3] and lines[3] == b""
+    assert CoefficientCache(path).records == cache.records
 
 
 def _record_line(cls, n, value="7", **extra) -> str:
