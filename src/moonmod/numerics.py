@@ -9,10 +9,10 @@ J. Math. 6 (1956), for the partition sums; on the grid c = 0 mod n_g with
 h_g | n_g every twining sum is such a sum).  The mpmath head of
 moonmod.rademacher and the exact zero test of moonmod.filtration read
 these roots.  kloosterman_sum walks them one at a time in plain Python:
-the sweep of moonmod.rademacher runs a short first chunk of c on it, and
-the kernel of moonmod.kernels reproduces it bit for bit on every other
-chunk.  WORKING_DIGITS is the fewest
-decimal digits of the mpmath head, which derives its count from the grade.
+the sweep of moonmod.rademacher runs the first chunk of c of every grade
+on it, and the kernel of moonmod.kernels reproduces it bit for bit on
+every later chunk.  WORKING_DIGITS is the fewest decimal digits of the
+mpmath head, which derives its count from the grade.
 asymptotic_leading is the leading term's size over |K_{n_g}(n)|, which
 reads n_g alone: the asymptotic filtration predicts from it and that sum
 without the coefficient engine.  Nothing here imports mpmath.

@@ -62,42 +62,31 @@ HEAD_SWITCH = 20.0
 # either gate, as the sweep left it (ROADMAP: known defect 1, direction 1).
 # A C_MAX_LIMIT of 60000 covers the grades of the packaged store:
 # integrality dips for grades up to ~60 are observed out to c ~ 3*10^4.
-# The dip gate reads checkpoints from C_MAX_INITIAL on, and the sweep's
-# first chunk ends at the first of them, the first c of the grid at or past
-# C_MAX_INITIAL (50 to 69 by n_g).  A first chunk whose work, grades times
-# sum(cs), is below _SCALAR_WORK runs as one plain-Python pass
-# (_scalar_chunk); for one grade that is every level, 1A's (1 + ... + 50 =
-# 1275) included.  So a grade accepted there (c = 7, 14, ..., 56 for 7B;
-# 23, 46, 69 for 23B) never enters the kernel and costs 20-225 us on a
-# 2-vCPU VM, 1A the most, against 0.13-0.35 ms for the numpy chunk, whose
-# kernel set-up and some 35 numpy calls on arrays of 1-8 elements
-# dominate; any other grade pays the pass on top of the numpy chunks that
-# follow.  _SCALAR_WORK was timed on the first chunk alone, gate included,
-# both layouts, medians of 21 repeats, against the kernel with its float32
-# screen and one-grade loop: over 172 shapes (every level, 1-40 grades,
-# work up to 6000) the scalar pass was faster on every shape of work below
-# 2550, and numpy on 1A's two to four grades (2550-5100) and on three
-# shapes of work 3900-5200 at level 2, so 2500 stays below the first of
-# them.  The store rebuild's batches of 60 and 100 grades (work 7560 or
-# more) take the numpy chunk.  Of the 1720 packaged records, 534 are
-# accepted in the first chunk, none at levels 1, 2, 4 and 8.  The second
-# chunk ends where _chunk_end puts kernels._BLOCK = 16384 nominal (c, d)
-# pairs, d < c, from c = 1 (c = 181 on the 1A grid, 851 on the 23A grid);
-# each later one at least doubles the last c, capped at 16 * kernels._BLOCK
-# = 262144 pairs.
+# The dip gate reads checkpoints from C_MAX_INITIAL on.  The sweep's first
+# chunk runs as one plain-Python pass (_scalar_chunk) per grade and ends at
+# the first c of the grid at or past C_MAX_INITIAL (50 to 69 by n_g), or
+# at the last tail start of its grades where a head reaches beyond that
+# (on the 1A grid, n above about 50700), so that no kernel chunk reaches
+# below C_MAX_INITIAL or a grade's tail start.  A grade accepted there (c = 7, 14,
+# ..., 56 for 7B; 23, 46, 69 for 23B) never enters the kernel; any other
+# pays the pass, at most 1275 Kloosterman sums a grade (1A), on top of the
+# kernel chunks that follow.  The second chunk ends where _chunk_end puts
+# kernels._BLOCK = 16384 nominal (c, d) pairs, d < c, from c = 1 (c = 181
+# on the 1A grid, 851 on the 23A grid); each later one at least doubles
+# the last c, capped at 16 * kernels._BLOCK = 262144 pairs.
 # The kernel screens about c/8 lifts per odd c and c/4 per even c, so a
 # capped chunk is 45000-49000 lifts on the 1A grid, about three tiles.
-# Chunk ends depend only on c and n_g, never on the number of grades in a
-# batch, and the dip gate runs after each chunk.  The running sum is one
-# left fold from the head on, so no partial sum, and no record, depends on
-# where the chunks end.  _sweep reads these names at call time.
+# No record depends on where the chunks end: the running sum is one left
+# fold from the head on, in the same float operations in the scalar pass
+# and in the kernel chunks, and the dip gate reads every checkpoint of a
+# chunk, so a batch of grades is swept exactly as each grade alone.
+# _sweep reads these names at call time.
 C_MAX_INITIAL = 50
 C_MAX_LIMIT = 60000
 RESIDUAL_TOLERANCE = 1e-4
 STABILITY_WINDOW = 3
 STABILITY_TOLERANCE = 0.05
 STABILITY_MIN_RUN = 200
-_SCALAR_WORK = 2500
 
 
 class NonConvergent(MoonmodError):
@@ -165,14 +154,16 @@ class _GradeState:
 
 def _scalar_chunk(cls: ConjugacyClass, n: int, st: _GradeState, cs: range,
                   start_c: int) -> None:
-    """One grade's chunk over cs in Python floats, with the same bits as the
-    numpy chunk of _sweep: the same float operations in the same order, and
-    sinh from numpy (math.sinh rounds some arguments differently).
+    """One grade's first chunk over cs in Python floats, in the same float
+    operations and order as the kernel chunks of _sweep, with sinh from
+    numpy (math.sinh rounds some arguments differently), so a term has the
+    same bits whichever of the two sums it.
 
     K_c(n) comes from kloosterman_sum, which the kernel reproduces bit for
-    bit.  The left fold, the run of equal roundings and the dip gate read
-    and update st as the numpy chunk does: an accepted grade gets its record
-    and keeps the rest of st as it came.
+    bit.  Terms start at start_c, the grade's tail start; the run of equal
+    roundings counts every c, and the dip gate reads the checkpoints from
+    there and from C_MAX_INITIAL on.  An accepted grade gets its record and
+    keeps the rest of st as it came.
     """
     import numpy as np
 
@@ -195,8 +186,7 @@ def _scalar_chunk(cls: ConjugacyClass, n: int, st: _GradeState, cs: range,
                                               c, "dip")
                 return
             best = min(best, resid)
-    # np.rint keeps the sign of a zero; round() does not.
-    st.cum, st.stable_run, st.last_rounded, st.best_res = cum, run, math.copysign(last, cum), best
+    st.cum, st.stable_run, st.last_rounded, st.best_res = cum, run, last, best
 
 
 class RademacherEngine:
@@ -274,76 +264,57 @@ class RademacherEngine:
         states = {n: _GradeState() for n in grades}
         tail_start = self._head_terms(cls, states)
 
-        # The first chunk ends at the first c the dip gate reads, and runs as
-        # one scalar pass when its work is below _SCALAR_WORK; the second
-        # ends where a chunk of kernels._BLOCK nominal pairs from c = 1 would.
+        # The first chunk runs as the scalar pass and ends at the first c the
+        # dip gate reads, or at the last tail start if that is later; the
+        # second ends where a chunk of kernels._BLOCK nominal pairs from
+        # c = 1 would.
         second = _chunk_end(1, step, kernels._BLOCK)
-        lo, hi = 1, min(-(-C_MAX_INITIAL // step) * step, C_MAX_LIMIT)
+        hi = min(-(-max(C_MAX_INITIAL, *tail_start.values()) // step) * step, C_MAX_LIMIT)
         first_cs = range(step, hi + 1, step)
-        scalar = len(states) * sum(first_cs) < _SCALAR_WORK
-        while True:
+        for n, st in states.items():
+            _scalar_chunk(cls, n, st, first_cs, tail_start[n])
+        while hi < C_MAX_LIMIT:
             active = [n for n, st in states.items() if st.record is None]
             if not active:
                 break
-            if scalar:
-                for n in active:
-                    _scalar_chunk(cls, n, states[n], first_cs, tail_start[n])
-                scalar = False
-            elif len(cs := np.arange(((lo + step - 1) // step) * step, hi + 1, step,
-                                     dtype=np.int64)):
-                n0, n1 = min(active), max(active)
-                kl = np.empty((len(cs), n1 - n0 + 1))
-                kernels.kloosterman_grades(n0, n1, cs, cls.ng, cls.hg, kl)
-                csf = cs.astype(np.float64)
-                idx = np.arange(len(cs))
-                c_lo = int(cs[0])
-                for n in active:
-                    st = states[n]
-                    j = n - n0
-                    q8 = 8 * n - 1
-                    x = (math.pi * math.sqrt(q8) / 2.0) / csf
-                    fac = 4.0 * math.pi * np.sqrt(2.0 / (math.pi * x)) * np.sinh(x) \
-                        / (csf * q8 ** 0.25)
-                    terms = fac * kl[:, j]
-                    # A chunk from the tail start and C_MAX_INITIAL on, as
-                    # every chunk after the first is, needs no masks.
-                    masked = c_lo < max(tail_start[n], C_MAX_INITIAL)
-                    if masked:
-                        usable = cs >= tail_start[n]
-                        terms[~usable] = 0.0
-                        gated = usable & (cs >= C_MAX_INITIAL)
-                    # One left fold from the head on: a partial sum does
-                    # not depend on where the chunks end.
-                    terms[0] += st.cum
-                    cum = np.cumsum(terms)
-                    rounded = np.rint(cum)
-                    resid = np.abs(cum - rounded)
-                    # run[k]: checkpoints up to k, across chunks, that round
-                    # as k does.  A run carried from the last chunk starts
-                    # at index -stable_run, a new one at its own index.
-                    same = rounded == np.concatenate(([st.last_rounded], rounded[:-1]))
-                    first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
-                    run = idx - first + 1
-                    accept = (run >= STABILITY_WINDOW) & (resid <= RESIDUAL_TOLERANCE)
-                    if masked:
-                        accept &= gated
-                    hits = np.flatnonzero(accept)
-                    if len(hits):
-                        k = hits[0]
-                        st.record = CoefficientRecord(
-                            cls.name, n, st.head_int + int(rounded[k]), float(resid[k]),
-                            int(cs[k]), "dip")
-                        continue
-                    seen = resid[gated] if masked else resid
-                    if len(seen):
-                        st.best_res = min(st.best_res, float(seen.min()))
-                    st.cum = float(cum[-1])
-                    st.stable_run = int(run[-1])
-                    st.last_rounded = float(rounded[-1])
-            if hi >= C_MAX_LIMIT:
-                break
             lo, hi = hi + 1, min(max(hi * 2, second), C_MAX_LIMIT,
                                  _chunk_end(hi + 1, step, 16 * kernels._BLOCK))
+            cs = np.arange(-(-lo // step) * step, hi + 1, step, dtype=np.int64)
+            if not len(cs):
+                continue
+            n0, n1 = min(active), max(active)
+            kl = np.empty((len(cs), n1 - n0 + 1))
+            kernels.kloosterman_grades(n0, n1, cs, cls.ng, cls.hg, kl)
+            csf = cs.astype(np.float64)
+            idx = np.arange(len(cs))
+            for n in active:
+                st = states[n]
+                q8 = 8 * n - 1
+                x = (math.pi * math.sqrt(q8) / 2.0) / csf
+                fac = 4.0 * math.pi * np.sqrt(2.0 / (math.pi * x)) * np.sinh(x) \
+                    / (csf * q8 ** 0.25)
+                terms = fac * kl[:, n - n0]
+                terms[0] += st.cum
+                cum = np.cumsum(terms)
+                rounded = np.rint(cum)
+                resid = np.abs(cum - rounded)
+                # run[k]: checkpoints up to k, across chunks, that round as
+                # k does.  A run carried from the last chunk starts at index
+                # -stable_run, a new one at its own index.
+                same = rounded == np.concatenate(([st.last_rounded], rounded[:-1]))
+                first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
+                run = idx - first + 1
+                hits = np.flatnonzero((run >= STABILITY_WINDOW) & (resid <= RESIDUAL_TOLERANCE))
+                if len(hits):
+                    k = hits[0]
+                    st.record = CoefficientRecord(
+                        cls.name, n, st.head_int + int(rounded[k]), float(resid[k]),
+                        int(cs[k]), "dip")
+                    continue
+                st.best_res = min(st.best_res, float(resid.min()))
+                st.cum = float(cum[-1])
+                st.stable_run = int(run[-1])
+                st.last_rounded = float(rounded[-1])
 
         # Fallback gate: sparse-grid classes never dip below the residual
         # tolerance (intrinsic ~C^(-1/2) tail drift); accept a long-stable

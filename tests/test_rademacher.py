@@ -1,6 +1,7 @@
 """Coefficient engine: gates, cache, known values."""
 
 import fcntl
+import hashlib
 import io
 import json
 import math
@@ -418,6 +419,32 @@ def test_chunk_ends_change_no_record(m24_table, monkeypatch):
     assert got[0] == got[1]
 
 
+@pytest.mark.parametrize("head_switch, records", [
+    (0.3, [("1A", 23, 500376870, "dip", 1779, "1.6916472038446158e-05"),
+           ("2A", 12, 616, "dip", 856, "2.1130812534186916e-05"),
+           ("2A", 30, 34272, "dip", 2550, "3.828865895031731e-05"),
+           ("3A", 9, 42, "dip", 1368, "9.814794630421298e-05"),
+           ("3A", 40, 0, "dip", 96, "0.0")]),
+    (0.1, [("1A", 23, 500376870, "dip", 1779, "1.691647203850167e-05"),
+           ("2A", 12, 616, "dip", 856, "2.1130812534311816e-05"),
+           ("2A", 30, 34272, "dip", 2550, "3.828865895042833e-05"),
+           ("3A", 9, 42, "dip", 1368, "9.814794630465707e-05"),
+           ("3A", 40, 0, "dip", 282, "0.0")])])
+def test_head_past_the_first_gated_c(m24_table, monkeypatch, head_switch, records):
+    """A head that runs past C_MAX_INITIAL, as on the 1A grid above n of
+    about 50700, moves the first chunk's end past the last tail start, so
+    no kernel chunk adds a term the head already holds.  A lower
+    HEAD_SWITCH makes such heads at small n (1A n = 23's runs to c = 70 at
+    0.3 and to c = 212 at 0.1); the records keep the bits they had when the
+    gate masked the kernel chunks below each tail start instead."""
+    monkeypatch.setattr(rademacher, "HEAD_SWITCH", head_switch)
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    got = [(name, r.n, r.value, r.gate, r.c_max_used, repr(r.residual))
+           for name, grades in [("1A", [23]), ("2A", [12, 30]), ("3A", [9, 40])]
+           for r in engine.records(name, grades)]
+    assert got == records
+
+
 @pytest.mark.parametrize("name, n, first_c, accepted_there, heads", [
     ("7B", 24, 56, True, 0), ("23B", 27, 69, True, 0), ("1A", 23, 50, False, 1)])
 def test_first_chunk_ends_at_the_first_gated_c(m24_table, monkeypatch, name, n, first_c,
@@ -483,41 +510,24 @@ def test_first_gated_chunk_skips_the_lift_search(m24_table, warm_cache, monkeypa
         assert stored.c_max_used >= first_kernel_c
 
 
-def _state(st):
-    """Every field of a _GradeState, floats by repr so that equal means the same bits."""
-    rec = st.record
-    return (st.head_int, repr(st.cum), repr(st.best_res), st.stable_run,
-            repr(st.last_rounded),
-            rec and (rec.n, rec.value, rec.gate, rec.c_max_used, repr(rec.residual)))
-
-
-def _both_layouts(engine, monkeypatch, name, grades):
-    """The sweep's states of grades, with the first chunk forced into the
-    numpy layout and then into the scalar one."""
-    cls = engine._swept.class_named(name)
-    got = []
-    for work in (0, 10 ** 9):
-        monkeypatch.setattr(rademacher, "_SCALAR_WORK", work)
-        states = engine._sweep(cls, list(grades))
-        got.append({n: _state(st) for n, st in states.items()})
-    return got
-
-
-def test_scalar_first_chunk_matches_vector_chunk(m24_table, warm_cache, monkeypatch):
-    """The scalar first chunk gives the numpy chunk's bits: the same records,
-    residual included, and the same _GradeState carried into the chunks
-    that follow.
+def test_first_chunk_records_and_states_are_pinned(m24_table, warm_cache, monkeypatch):
+    """The sweep's records, residual included, and the state it carries past
+    the first chunk keep the bits pinned below.  They were taken while a
+    batch's first chunk could still run in numpy, where that layout and the
+    scalar pass agreed on every one of them.
 
     Swept to its first gated c only, grades 1..60 at every level of M24:
     grades accepted there and not, and 1A n >= 21 with a head term.  Swept
     to the end, per level a grade accepted in the first chunk (where one
     is) and one accepted past it, a batch of three grades, and 21A n = 27,
-    which returns 1 at c = 147 (ROADMAP known defect 1).
+    which returns 1 at c = 147 (ROADMAP known defect 1).  Digest (a) reads
+    each record, digest (b) each grade not yet accepted.
     """
     engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
     levels = {(cls.ng, cls.hg): cls for cls in m24_table.classes}
     assert len(levels) == 21
     full = [("1A", [23]), ("7B", [23, 24, 25]), ("21A", [27])]
+    sweeps = []
     for cls in levels.values():
         first_c = -(-rademacher.C_MAX_INITIAL // cls.ng) * cls.ng
         stored = {n: warm_cache.records[("M24", cls.name, n)] for n in range(1, 61)}
@@ -527,18 +537,25 @@ def test_scalar_first_chunk_matches_vector_chunk(m24_table, warm_cache, monkeypa
         full += [(cls.name, [n]) for n in there[:1] + past[:1]]
         with monkeypatch.context() as m:
             m.setattr(rademacher, "C_MAX_LIMIT", first_c)
-            vector, scalar = _both_layouts(engine, m, cls.name, range(1, 61))
-        assert vector == scalar, cls.name
+            states = engine._sweep(cls, list(range(1, 61)))
         # The first chunk accepts the packaged store's grades accepted there.
-        assert [n for n in there if vector[n][-1] is None] == [], cls.name
-    records = {}
+        assert [n for n in there if states[n].record is None] == [], cls.name
+        sweeps.append((cls.name, states))
     for name, grades in full:
-        vector, scalar = _both_layouts(engine, monkeypatch, name, grades)
-        assert vector == scalar, (name, grades)
-        records.update({(name, n): rec for n, (*_, rec) in vector.items()})
-    assert records[("21A", 27)][1:4] == (1, "dip", 147)
-    assert len(records) > 30
-    assert {rec[3] <= 69 for rec in records.values()} == {True, False}
+        sweeps.append((name, engine._sweep(m24_table.class_named(name), grades)))
+    records = [st.record for _, states in sweeps for st in states.values() if st.record]
+    carried = [f"{name} {n} {st.cum!r} {st.stable_run} {st.best_res!r}"
+               for name, states in sweeps for n, st in states.items() if st.record is None]
+    lines = [f"{r.class_name} {r.n} {r.value} {r.gate} {r.c_max_used} {r.residual!r}"
+             for r in records]
+    assert (len(lines), len(carried)) == (388, 910)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "426f6a3e0935fb14046fc583a3a2a93491575895712996b85fc4c3ee09eb0b45"
+    assert hashlib.sha256("\n".join(carried).encode()).hexdigest() == \
+        "547bb2c766cadb3bae804f1b6aa18de13d4f4c57456e2b5bc88eedb6146cc5cf"
+    [defect] = [r for r in records if (r.class_name, r.n) == ("21A", 27)]
+    assert (defect.value, defect.gate, defect.c_max_used) == (1, "dip", 147)
+    assert {r.c_max_used <= 69 for r in records} == {True, False}
 
 
 def test_dip_gate_waits_for_a_stable_run(m24_table, monkeypatch):
