@@ -70,12 +70,15 @@ HEAD_SWITCH = 20.0
 # below C_MAX_INITIAL or a grade's tail start.  A grade accepted there (c = 7, 14,
 # ..., 56 for 7B; 23, 46, 69 for 23B) never enters the kernel; any other
 # pays the pass, at most 1275 Kloosterman sums a grade (1A), on top of the
-# kernel chunks that follow.  The second chunk ends where _chunk_end puts
-# kernels._BLOCK = 16384 nominal (c, d) pairs, d < c, from c = 1 (c = 181
-# on the 1A grid, 851 on the 23A grid); each later one at least doubles
-# the last c, capped at 16 * kernels._BLOCK = 262144 pairs.
-# The kernel screens about c/8 lifts per odd c and c/4 per even c, so a
-# capped chunk is 45000-49000 lifts on the 1A grid, about three tiles.
+# kernel chunks that follow.  Every chunk ends on the grid, the last at
+# the last grid c at or below C_MAX_LIMIT.  The second ends at
+# sqrt(2 kernels._BLOCK n_g) rounded down to the grid, where
+# kernels._BLOCK = 16384 nominal (c, d) pairs, d < c, from c = 1 end (c = 181
+# on the 1A grid, 851 on the 23A grid).  Each later one at least doubles
+# the last c, hi, but takes at most max(1, 16 * kernels._BLOCK // hi) grid
+# steps past it, about 262144 pairs.  The kernel screens about c/8 lifts
+# per odd c and c/4 per even c, so a capped chunk below c = 20000 on the
+# 1A grid is 44000-50000 lifts, about three tiles.
 # No record depends on where the chunks end: the running sum is one left
 # fold from the head on, in the same float operations in the scalar pass
 # and in the kernel chunks, and the dip gate reads every checkpoint of a
@@ -110,24 +113,6 @@ def partial_kloosterman(n: int, c: int, ng: int, hg: int, digits: int):
             s = mpmath.sinpi(mpmath.mpf(2 * j + 1) / (2 * c))
             total += -s if j & 1 else s
         return mpmath.sqrt(c) * total
-
-
-def _chunk_end(lo: int, step: int, budget: int) -> int:
-    """Last c of the chunk from lo: at most budget nominal (c, d) pairs, d < c,
-    and at least one c.
-
-    From first, the first c of the grid at or past lo, x c's hold
-    x (first - 1) + step x (x - 1) / 2 pairs, so x fits while
-    q(x) = step x^2 + b x <= 2 budget with b = 2 first - step - 2.  The
-    root of q - 2 budget, taken with an integer square root, is exact or
-    one short; one check of the inequality settles it.
-    """
-    first = -(-lo // step) * step
-    b = 2 * first - step - 2
-    x = (math.isqrt(b * b + 8 * step * budget) - b) // (2 * step)
-    if step * (x + 1) ** 2 + b * (x + 1) <= 2 * budget:
-        x += 1
-    return first + max(x - 1, 0) * step
 
 
 def _series_digits(n: int) -> int:
@@ -265,23 +250,22 @@ class RademacherEngine:
         tail_start = self._head_terms(cls, states)
 
         # The first chunk runs as the scalar pass and ends at the first c the
-        # dip gate reads, or at the last tail start if that is later; the
-        # second ends where a chunk of kernels._BLOCK nominal pairs from
-        # c = 1 would.
-        second = _chunk_end(1, step, kernels._BLOCK)
-        hi = min(-(-max(C_MAX_INITIAL, *tail_start.values()) // step) * step, C_MAX_LIMIT)
+        # dip gate reads, or at the last tail start if that is later.  Every
+        # chunk ends on the grid; the second where kernels._BLOCK nominal
+        # pairs from c = 1 do.
+        last = C_MAX_LIMIT - C_MAX_LIMIT % step
+        second = math.isqrt(2 * kernels._BLOCK * step) // step * step
+        hi = min(-(-max(C_MAX_INITIAL, *tail_start.values()) // step) * step, last)
         first_cs = range(step, hi + 1, step)
         for n, st in states.items():
             _scalar_chunk(cls, n, st, first_cs, tail_start[n])
-        while hi < C_MAX_LIMIT:
+        while hi < last:
             active = [n for n, st in states.items() if st.record is None]
             if not active:
                 break
-            lo, hi = hi + 1, min(max(hi * 2, second), C_MAX_LIMIT,
-                                 _chunk_end(hi + 1, step, 16 * kernels._BLOCK))
-            cs = np.arange(-(-lo // step) * step, hi + 1, step, dtype=np.int64)
-            if not len(cs):
-                continue
+            lo, hi = hi + step, min(max(hi * 2, second), last,
+                                    hi + step * max(1, 16 * kernels._BLOCK // hi))
+            cs = np.arange(lo, hi + 1, step, dtype=np.int64)
             n0, n1 = min(active), max(active)
             kl = np.empty((len(cs), n1 - n0 + 1))
             kernels.kloosterman_grades(n0, n1, cs, cls.ng, cls.hg, kl)
@@ -325,7 +309,7 @@ class RademacherEngine:
             if (st.record is None and st.stable_run >= STABILITY_MIN_RUN
                     and r <= STABILITY_TOLERANCE):
                 st.record = CoefficientRecord(cls.name, n, st.head_int + value_rounded, r,
-                                              C_MAX_LIMIT - (C_MAX_LIMIT % step), "stability")
+                                              last, "stability")
         return states
 
     def _compute(self, cls: ConjugacyClass, grades: list[int]

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import kloosterman_reference as ref
-from moonmod import kernels
+from moonmod import kernels, rademacher
 from moonmod.numerics import WORKING_DIGITS, kloosterman_sum, selberg_roots
 from moonmod.rademacher import RademacherEngine, partial_kloosterman
 from moonmod.store import CoefficientCache
@@ -99,8 +99,7 @@ def test_python_fallback_agrees():
     There is one kernel path, so this checks that a fresh interpreter gives
     the same sums.  The child inherits the parent's environment, with the
     directory that holds the parent's ``moonmod`` first on ``PYTHONPATH`` so
-    that both interpreters test the same copy.  MOONMOD_NO_NUMBA is still
-    set in the child; no module reads it any more.
+    that both interpreters test the same copy.
     """
     code = (
         "import numpy as np\n"
@@ -113,7 +112,7 @@ def test_python_fallback_agrees():
     )
     # moonmod is a namespace package (no __file__), so locate it via kernels.
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
-    env = dict(os.environ, MOONMOD_NO_NUMBA="1")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -367,11 +366,13 @@ def _stored(name, n):
 
 def test_dense_chunk_enters_the_lift_search(m24_table, monkeypatch):
     """Every chunk after the first enters the kernel: a cold 1A n = 23 sweeps
-    c = 1..50 in the scalar first chunk and the nine chunks from c = 51 on,
-    363..724 among them, in the kernel.  A batch of 60 grades, the shape of
-    a store rebuild's batch, runs its first chunk as the scalar pass too: at
-    every level it first enters the kernel at the grid c after the first
-    gated c."""
+    c = 1..50 in the scalar first chunk and the eight chunks from c = 51 on,
+    363..724 among them, in the kernel.  At every level, a grade swept to a
+    C_MAX_LIMIT off most grids sends the kernel non-empty chunks of grid
+    c's, each from the grid c after the last one's end, up to the last grid
+    c at or below the limit.  A batch of 60 grades, the shape of a store
+    rebuild's batch, runs its first chunk as the scalar pass too: at every
+    level it first enters the kernel at the grid c after the first gated c."""
     class Stop(Exception):
         pass
 
@@ -385,17 +386,39 @@ def test_dense_chunk_enters_the_lift_search(m24_table, monkeypatch):
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
     [rec] = RademacherEngine(m24_table, cache=CoefficientCache(None)).records("1A", [23])
     assert (rec.value, rec.gate, rec.c_max_used) == _stored("1A", 23)
-    assert len(calls) == 9 and calls[0][2] == 51 and (23, 23, 363, 724) in calls
+    assert len(calls) == 8 and calls[0][2] == 51 and (23, 23, 363, 724) in calls
     assert [lo for _, _, lo, _ in calls[1:]] == [hi + 1 for _, _, _, hi in calls[:-1]]
     assert calls[-1][2] <= rec.c_max_used <= calls[-1][3]
+
+    def zeros(n0, n1, cs, ng, hg, out):
+        calls.append((len(cs), int(cs[0]), int(cs[-1])))
+        out[:] = 0.0
+
+    monkeypatch.setattr(kernels, "kloosterman_grades", zeros)
+    levels = {(cls.ng, cls.hg): cls for cls in m24_table.classes}
+    assert len(levels) == 21
+    with monkeypatch.context() as m:
+        # No gate can pass, so each sweep runs to the limit.
+        m.setattr(rademacher, "C_MAX_LIMIT", 3001)
+        m.setattr(rademacher, "RESIDUAL_TOLERANCE", -1.0)
+        m.setattr(rademacher, "STABILITY_MIN_RUN", 10 ** 6)
+        for cls in levels.values():
+            step = cls.ng
+            calls.clear()
+            [st] = RademacherEngine(m24_table, cache=CoefficientCache(None))._sweep(
+                cls, [1]).values()
+            assert st.record is None
+            assert all(k > 0 and lo % step == hi % step == 0 for k, lo, hi in calls), \
+                (cls.name, calls)
+            assert [lo for _, lo, _ in calls[1:]] == [hi + step for _, _, hi in calls[:-1]], \
+                (cls.name, calls)
+            assert calls[-1][2] == 3001 - 3001 % step, (cls.name, calls)
 
     def stopping(n0, n1, cs, *rest):
         calls.append((n0, n1, int(cs[0]), int(cs[-1])))
         raise Stop
 
     monkeypatch.setattr(kernels, "kloosterman_grades", stopping)
-    levels = {(cls.ng, cls.hg): cls for cls in m24_table.classes}
-    assert len(levels) == 21
     for cls in levels.values():
         calls.clear()
         with pytest.raises(Stop):

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 import time
@@ -20,8 +19,8 @@ import test_filtration as tf
 from moonmod import kernels, rademacher
 from moonmod.chartab import UnknownClassError, load_table
 from moonmod.numerics import asymptotic_leading
-from moonmod.rademacher import (HEAD_SWITCH, NonConvergent, RademacherEngine, _chunk_end,
-                                _series_digits, partial_kloosterman)
+from moonmod.rademacher import (HEAD_SWITCH, NonConvergent, RademacherEngine, _series_digits,
+                                partial_kloosterman)
 from moonmod.store import CoefficientCache, CoefficientRecord, RecordModeError
 
 KNOWN_1A = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100]
@@ -572,17 +571,20 @@ def test_dip_gate_waits_for_a_stable_run(m24_table, monkeypatch):
 
 
 def test_stability_gate_cold(m24_table, monkeypatch):
-    """On an empty cache, 23A never dips; the fallback gate accepts at C_MAX_LIMIT."""
-    truncate(monkeypatch, C_MAX_LIMIT=2300, STABILITY_MIN_RUN=50)
-    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
-    recs = engine.records("23A", [1, 2, 3])
-    assert [(r.value, r.gate, r.c_max_used) for r in recs] == \
-        [(-2, "stability", 2300), (2, "stability", 2300), (-1, "stability", 2300)]
-    # c = 23, 46, ..., 2300 are 100 checkpoints: no run can reach 101.
-    truncate(monkeypatch, STABILITY_MIN_RUN=101)
-    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
-    with pytest.raises(NonConvergent):
-        engine.records("23A", [1, 2, 3])
+    """On an empty cache, 23A never dips; the fallback gate accepts at the
+    last c of the grid at or below C_MAX_LIMIT, which is 2300 for a limit
+    on the grid and for one past it."""
+    for limit in (2300, 2310):
+        truncate(monkeypatch, C_MAX_LIMIT=limit, STABILITY_MIN_RUN=50)
+        engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+        recs = engine.records("23A", [1, 2, 3])
+        assert [(r.value, r.gate, r.c_max_used) for r in recs] == \
+            [(-2, "stability", 2300), (2, "stability", 2300), (-1, "stability", 2300)], limit
+        # c = 23, 46, ..., 2300 are 100 checkpoints: no run can reach 101.
+        truncate(monkeypatch, STABILITY_MIN_RUN=101)
+        engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+        with pytest.raises(NonConvergent):
+            engine.records("23A", [1, 2, 3])
 
 
 def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
@@ -606,44 +608,6 @@ def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
     # In the kernel's work unit, the lifts it screens.
     useful = sum(_lifts(c) for c in range(1, rec.c_max_used + 1))
     assert sum(_lifts(c) for c in scanned) <= 1.2 * useful + 4 * kernels._BLOCK
-
-
-@pytest.mark.parametrize("lo, step", [(51, 1), (101, 1), (1601, 1), (20000, 1),
-                                      (47, 23), (2000, 7), (3, 12)])
-def test_chunk_end_is_the_largest_within_budget(lo, step):
-    budget = 16384
-    end = _chunk_end(lo, step, budget)
-    cs = range(-(-lo // step) * step, end + 1, step)
-    assert cs and end % step == 0
-    pairs = sum(c - 1 for c in cs)
-    assert pairs <= budget or len(cs) == 1
-    assert pairs + end + step - 1 > budget
-
-
-def _chunk_end_by_steps(lo, step, budget):
-    """The chunk end one c at a time: the reference of the closed form."""
-    first = end = -(-lo // step) * step
-    while ((end - first) // step + 2) * (first + end + step - 2) <= 2 * budget:
-        end += step
-    return end
-
-
-def test_chunk_end_closed_form_matches_steps(m24_table):
-    rng = random.Random(15)
-    steps = sorted({c.ng for c in m24_table.classes})
-    budgets = sorted({*range(1, 70), *(2 ** k + e for k in range(7, 18) for e in (-1, 0, 1)),
-                      *(rng.randrange(1, 2 ** 17 + 1) for _ in range(40))} - {2 ** 17 + 1})
-    checked = 0
-    for step in steps:
-        los = {*range(1, 3 * step + 3), 69999, 70000,
-               *(k * step + e for k in (100, 2999) for e in (-1, 0, 1)),
-               *(rng.randrange(1, 70001) for _ in range(12))}
-        for lo in los:
-            for budget in budgets:
-                assert _chunk_end(lo, step, budget) == _chunk_end_by_steps(lo, step, budget), \
-                    (lo, step, budget)
-                checked += 1
-    assert checked > 50000
 
 
 def test_store_hit_builds_no_record(m24_table, warm_cache, monkeypatch):
