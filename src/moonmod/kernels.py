@@ -2,7 +2,7 @@ r"""Hot loop for the Rademacher tail: Kloosterman sums by their Selberg form.
 
 kloosterman_grades is numpy code vectorised over tiles of (c, lift) cells,
 whose cost grows far more slowly with a call than its fixed set-up of
-0.08-0.2 ms.  The sweep in moonmod.rademacher runs the first chunk of c,
+0.05-0.2 ms.  The sweep in moonmod.rademacher runs the first chunk of c,
 up to the first c its gate reads, in plain Python on
 numerics.kloosterman_sum, which computes the same numbers one root at a
 time, and sends every later chunk here.  This module is the only one that
@@ -42,10 +42,11 @@ scalar bit for bit.
 The screen runs in float32 when every c of a call is below _F32_LIMIT =
 4000: there every lift that can hold a root has 8U + 1 < 2**24, where
 float32 holds the integers and their square roots floor exactly (see the
-constant), and in float64 otherwise.  One grade (w = 1) has its own loop,
-_one_grade: a lift then holds at most one root, 8U + 1 = (2j + 1)^2, so
-the screen asks for an exact square and the settle reads j off the root
-and checks it in int64.  Its rows need no sort and its columns no wrap.
+constant), and in float64 otherwise.  One grade (w = 1) and a batch share
+the set-up, the row order and the tile loop, _screen, and differ in the
+screen's test and the settle: with one column a lift holds at most one
+root, 8U + 1 = (2j + 1)^2, so the screen asks for an exact square and j is
+read off its root.
 """
 
 from __future__ import annotations
@@ -125,59 +126,35 @@ def _tiles(lifts: np.ndarray):
         r0 = r1
 
 
-def _one_grade(n: int, cs: np.ndarray, ng: int, hg: int, out: np.ndarray,
-               dtype: type) -> None:
-    """K_c(n) for one grade into out[:, 0], c off the grid already refused.
+def _screen(lifts: np.ndarray, step8: np.ndarray, base8: np.ndarray,
+            wide8: np.ndarray | None, dtype: type):
+    """(r, k, x) for each tile's hits: the rows r and lifts k, in row-major
+    order, whose 8U + 1 = step8*k + base8 passes the screen.
 
-    With one column a lift U holds at most one root j < c/2, T_j = U, and
-    then 8U + 1 = (2j + 1)^2: the screen asks for an exact square.  Odd and
-    even c, about c/8 and c/4 lifts, are tiled apart in the order given,
-    and a tile is as wide as the running maximum of its rows' lift counts:
-    for increasing c, as the sweep sends them, about each row's own count.
-    The settle reads the root x = 2j + 1 off each hit and keeps it if
-    x^2 = 8U + 1 in int64 and j < c/2, dropping padding and rounded lifts;
-    one bincount then sums each row's terms in increasing j, as
-    kloosterman_sum does.
+    One grade (wide8 None) asks for an exact square root x of 8U + 1 and
+    yields the roots; a batch asks for a square in (8U + 1 - wide8, 8U + 1]
+    and yields x = None.  Every tile reuses the same two _BLOCK-cell buffers.
     """
-    shift = (cs * cs // (ng * hg) - n) % cs
-    odd = cs & 1
-    step = cs >> (1 - odd)
-    base = shift % step
-    half = (cs + 1) >> 1
-    lifts = (half * (half - 1) // 2 - base) // step + 1
-    step8 = (8 * step).astype(dtype)
-    base8 = (8 * base + 1).astype(dtype)
-    buf = np.empty(_BLOCK, dtype)
-    rows_hit, k_hit, x_hit = [], [], []
-    for rows in (np.flatnonzero(odd), np.flatnonzero(odd == 0)):
-        g_step8, g_base8 = step8[rows, None], base8[rows, None]
-        for r0, r1, k0, k1 in _tiles(np.maximum.accumulate(lifts[rows])):
-            shape = (r1 - r0, k1 - k0)
-            x = buf[:shape[0] * shape[1]].reshape(shape)
-            np.multiply(g_step8[r0:r1], np.arange(k0, k1, dtype=dtype), out=x)
-            x += g_base8[r0:r1]
-            np.sqrt(x, out=x)
+    v_buf, x_buf = np.empty(_BLOCK, dtype), np.empty(_BLOCK, dtype)
+    for r0, r1, k0, k1 in _tiles(lifts):
+        shape = (r1 - r0, k1 - k0)
+        v = v_buf[:shape[0] * shape[1]].reshape(shape)
+        np.multiply(step8[r0:r1], np.arange(k0, k1, dtype=dtype), out=v)
+        v += base8[r0:r1]
+        x = np.sqrt(v, out=x_buf[:v.size].reshape(shape))
+        if wide8 is None:
             hit = np.flatnonzero(x == np.floor(x))
-            if len(hit):
-                r, k = np.divmod(hit, k1 - k0)
-                rows_hit.append(rows[r + r0])
-                k_hit.append(k + k0)
-                x_hit.append(buf[hit])
-    acc = np.zeros(len(cs))
-    if rows_hit:
-        r, k = np.concatenate(rows_hit), np.concatenate(k_hit)
-        x = np.concatenate(x_hit).astype(np.int64)
-        c, u = cs[r], base[r] + step[r] * k
-        keep = (x * x == 8 * u + 1) & (x <= c)
-        r, u, x, c = r[keep], u[keep], x[keep], c[keep]
-        term = np.sin(np.pi * x / (2 * c))
-        # Odd c counts each root twice but the middle one, x = c.
-        term *= 1 + (odd[r] & (x < c))
-        # Negative for odd j, and for even c at the mirror residue r + c/2.
-        mirror = ((u - shift[r]) % c).astype(bool)
-        np.negative(term, out=term, where=((x >> 1) & 1).astype(bool) ^ mirror)
-        acc = np.bincount(r, term, len(cs))
-    out[:, 0] = acc * np.sqrt(cs.astype(np.float64))
+            root = x_buf[hit]
+        else:
+            np.floor(x, out=x)
+            x *= x
+            v -= wide8[r0:r1]
+            # Lifts past a row's last one hold only j >= c/2, dropped as roots.
+            hit = np.flatnonzero(x > v)
+            root = None
+        if len(hit):
+            r, k = np.divmod(hit, k1 - k0)
+            yield r + r0, k + k0, root
 
 
 def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
@@ -187,14 +164,11 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     The roots j < c/2 of column g are the j with T_j = U - g over the
     lifts U = base + s*k, k >= 0, up to T_j for the largest j < c/2; for
     even c the lifts k + shift // s odd hold the mirror residue and count
-    negatively.  A lift can hold a root only if the largest square
-    x^2 <= 8U + 1 exceeds 8(U - w) + 1.  That test runs over the
-    (row, lift) grid in tiles of at most _BLOCK cells, rows in order of
-    their lift counts, and the lifts that pass are settled exactly: their
-    roots are N(U - w) <= j < N(U), j < c/2.  One grade (n0 == n1) goes to
-    _one_grade.  The screen runs in float32 when every c is below
-    _F32_LIMIT.  Raises ValueError, before any work, for c off the n_g grid
-    or if the root search could leave the exact range.
+    negatively.  _screen keeps the lifts whose 8U + 1 can hold a root, rows
+    in order of their lift counts, and they are settled exactly: a batch's
+    roots are N(U - w) <= j < N(U), j < c/2, and one grade's is j = x >> 1,
+    kept if x^2 = 8U + 1 in int64.  Raises ValueError, before any work,
+    for c off the n_g grid or if the root search could leave the exact range.
     """
     cs = np.asarray(cs, dtype=np.int64)
     if not len(cs):
@@ -203,9 +177,6 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     _check_bounds(n0, n1, c_max)
     _check_grid(cs, ng, hg)
     dtype = np.float32 if c_max < _F32_LIMIT else np.float64
-    if n0 == n1:
-        _one_grade(n0, cs, ng, hg, out, dtype)
-        return
     ncols = n1 - n0 + 1
     shift = (cs * cs // (ng * hg) - n0) % cs
     even = 1 - (cs & 1)
@@ -223,59 +194,62 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
         a[order] for a in (cs, shift, even, step, w, base, half, mid, lifts))
     # Even c: lift k is negative when k + shift // s is odd (shift < s for odd c).
     flip = shift // step
-    acc = np.zeros((len(cs), ncols))
+    # 8U + 1 = step8*k + base8 (and 8w) in dtype, exact wherever a root can lie.
+    step8 = (8 * step[:, None]).astype(dtype)
+    base8 = (8 * base[:, None] + 1).astype(dtype)
 
-    def settle(r: np.ndarray, k: np.ndarray) -> None:
-        """Add the roots of the lifts (row r, lift k), in row-major order,
-        to acc's columns U - T_j."""
-        u = base[r] + step[r] * k
-        j = _count(u - w[r])
-        many = np.maximum(np.minimum(_count(u), half[r]) - j, 0)
-        r, j, u, k = (np.repeat(a, many) for a in (r, j, u, k))
-        if not len(r):
-            return
-        if many.max() > 1:
-            j += np.arange(len(j)) - np.repeat(np.cumsum(many) - many, many)
+    def terms(r: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The signed, folded terms of the roots j at (row r, lift k)."""
         term = np.sin(np.pi * (2 * j + 1) / (2 * cs[r]))
         term *= np.where(j < mid[r], 2.0, 1.0)
         np.negative(term, out=term, where=((j + even[r] * (k + flip[r])) & 1).astype(bool))
-        # bincount adds in input order; each column's running total goes
-        # first, then its roots in increasing j.
-        r_lo, r_hi = int(r[0]), int(r[-1]) + 1
-        size = (r_hi - r_lo) * ncols
-        bins = np.concatenate([np.arange(size), (r - r_lo) * ncols + u - (j * (j + 1) >> 1)])
-        wts = np.concatenate([acc[r_lo:r_hi].ravel(), term])
-        acc[r_lo:r_hi] = np.bincount(bins, wts, size).reshape(-1, ncols)
+        return term
 
-    # 8U + 1 = step8*k + base8 and 8w as columns of dtype, exact integers
-    # wherever a root can lie.
-    step8 = (8 * step[:, None]).astype(dtype)
-    base8 = (8 * base[:, None] + 1).astype(dtype)
-    wide8 = (8 * w[:, None]).astype(dtype)
-    # Every tile reuses the same two _BLOCK-cell buffers.
-    v_buf, x_buf = np.empty(_BLOCK, dtype), np.empty(_BLOCK, dtype)
-    rows_hit, k_hit, held = [], [], 0
-    for r0, r1, k0, k1 in _tiles(lifts):
-        shape = (r1 - r0, k1 - k0)
-        v = v_buf[:shape[0] * shape[1]].reshape(shape)
-        np.multiply(step8[r0:r1], np.arange(k0, k1, dtype=dtype), out=v)
-        v += base8[r0:r1]
-        x = np.sqrt(v, out=x_buf[:v.size].reshape(shape))
-        np.floor(x, out=x)
-        x *= x
-        v -= wide8[r0:r1]
-        # Lifts past a row's last one hold only j >= c/2, dropped as roots.
-        hit = np.flatnonzero(x > v)
-        if len(hit):
-            r, k = np.divmod(hit, k1 - k0)
-            rows_hit.append(r + r0)
-            k_hit.append(k + k0)
+    if ncols == 1:
+        # A lift holds at most one root, 8U + 1 = x^2 with x = 2j + 1;
+        # padding lifts and rounded roots fail x^2 = 8U + 1 or x <= c.  One
+        # bincount sums each row's terms in increasing j.
+        acc = np.zeros((len(cs), 1))
+        hits = list(_screen(lifts, step8, base8, None, dtype))
+        if hits:
+            r, k, x = (np.concatenate(a) for a in zip(*hits))
+            x = x.astype(np.int64)
+            keep = (x * x == 8 * (base[r] + step[r] * k) + 1) & (x <= cs[r])
+            r, k, j = r[keep], k[keep], x[keep] >> 1
+            acc[:, 0] = np.bincount(r, terms(r, j, k), len(cs))
+    else:
+        acc = np.zeros((len(cs), ncols))
+
+        def settle(r: np.ndarray, k: np.ndarray) -> None:
+            """Add the roots of the lifts (row r, lift k), in row-major order,
+            to acc's columns U - T_j."""
+            u = base[r] + step[r] * k
+            j = _count(u - w[r])
+            many = np.maximum(np.minimum(_count(u), half[r]) - j, 0)
+            r, j, u, k = (np.repeat(a, many) for a in (r, j, u, k))
+            if not len(r):
+                return
+            if many.max() > 1:
+                j += np.arange(len(j)) - np.repeat(np.cumsum(many) - many, many)
+            term = terms(r, j, k)
+            # bincount adds in input order; each column's running total goes
+            # first, then its roots in increasing j.
+            r_lo, r_hi = int(r[0]), int(r[-1]) + 1
+            size = (r_hi - r_lo) * ncols
+            bins = np.concatenate([np.arange(size), (r - r_lo) * ncols + u - (j * (j + 1) >> 1)])
+            wts = np.concatenate([acc[r_lo:r_hi].ravel(), term])
+            acc[r_lo:r_hi] = np.bincount(bins, wts, size).reshape(-1, ncols)
+
+        rows_hit, k_hit, held = [], [], 0
+        for r, k, _ in _screen(lifts, step8, base8, (8 * w[:, None]).astype(dtype), dtype):
+            rows_hit.append(r)
+            k_hit.append(k)
             held += len(r)
-        if held >= _BLOCK:
+            if held >= _BLOCK:
+                settle(np.concatenate(rows_hit), np.concatenate(k_hit))
+                rows_hit, k_hit, held = [], [], 0
+        if held:
             settle(np.concatenate(rows_hit), np.concatenate(k_hit))
-            rows_hit, k_hit, held = [], [], 0
-    if held:
-        settle(np.concatenate(rows_hit), np.concatenate(k_hit))
     acc *= np.sqrt(cs.astype(np.float64))[:, None]
     # Column g is column g mod s, negated for even c when g // s is odd;
     # 0.0 - x negates without making -0.0.
@@ -286,4 +260,3 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
         neg = (even[wrap, None] & (g // step[wrap, None])).astype(bool)
         acc[wrap] = np.where(neg, 0.0 - src, src)
     out[order] = acc
-

@@ -125,7 +125,8 @@ class CoefficientCache:
     def seed(self, lines) -> None:
         """Merge parsed records from an iterable of ldjson lines (no writes).
 
-        The first record of a key wins; lines that do not parse are skipped.
+        The first record of a key wins; lines that do not parse, and records
+        whose key, value, residual or c_max_used do not read, are skipped.
         The lines are parsed as one JSON array when no value can run past
         its line: with no '[' and a '{' only at each line's start nothing
         nests, and a string cannot hold the separator's raw newline.  That
@@ -151,7 +152,7 @@ class CoefficientCache:
         for rec in recs:
             try:
                 key = (rec["group"], rec["class"], int(rec["n"]))
-                int(rec["value"])
+                int(rec["value"]), float(rec["residual"]), int(rec["c_max_used"])
             except (ValueError, KeyError, TypeError):
                 continue
             self.records.setdefault(key, rec)

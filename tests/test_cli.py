@@ -453,6 +453,23 @@ def test_cache_record_with_foreign_mode_refused(tmp_path, capsys):
     assert err.startswith("error:") and "omega-floor" in err
 
 
+def test_cache_record_without_residual_skipped(tmp_path):
+    """A cache-file record with no residual or c_max_used is skipped like
+    any malformed line: the packaged record serves the command, with no
+    traceback."""
+    path = tmp_path / "cache.ldjson"
+    path.write_text(json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "91",
+                                "mode": "classical"}) + "\n")
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    env.pop("MOONMOD_CACHE", None)
+    proc = subprocess.run([sys.executable, "-m", "moonmod.cli", "coeff", "--class", "1A",
+                           "--n", "1", "--cache", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].split(",")[:3] == ["1A", "1", "90"]
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.fixture
 def data_copy(tmp_path, monkeypatch):
     """The store's package data directory, pointed at a copy of the store."""

@@ -171,6 +171,15 @@ def test_single_grade_equals_scalar_sum():
         z = kloosterman_sum(n, c, ng, hg)
         assert out[k, 0] == z, c
         assert abs(z - ref.kloosterman_floats([n], c, ng, hg)[0][0]) < 1e-9, c
+    # Rows out of order, a repeated c and a row wider than a tile, none of
+    # whose sums is zero: one grade sorts its rows by lift count as a batch
+    # does, writes each row back in place, and still equals the scalar.
+    cs = [3000, 24 * kernels._BLOCK + 25, 1500, 3000, 24]
+    assert _lifts(cs[1]) > kernels._BLOCK
+    out = _grades(5, 5, cs, 1, 1)
+    for k, c in enumerate(cs):
+        z = kloosterman_sum(5, c, 1, 1)
+        assert z != 0 and out[k, 0] == z, c
 
 
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1)])

@@ -222,7 +222,8 @@ def _record_line(cls, n, value="7", **extra) -> str:
 
 def _per_line_records(lines) -> dict:
     """The store's records by the plain rule: each line parsed alone, lines
-    or records that do not parse skipped, the first record of a key kept."""
+    or records whose key, value, residual or c_max_used do not parse
+    skipped, the first record of a key kept."""
     records = {}
     for line in lines:
         if not line.strip():
@@ -230,7 +231,7 @@ def _per_line_records(lines) -> dict:
         try:
             rec = json.loads(line)
             key = (rec["group"], rec["class"], int(rec["n"]))
-            int(rec["value"])
+            int(rec["value"]), float(rec["residual"]), int(rec["c_max_used"])
         except (ValueError, KeyError, TypeError):
             continue
         records.setdefault(key, rec)
@@ -248,6 +249,11 @@ ADVERSARIAL_LINES = {
                       _record_line("1A", 3)],
     "non-integer value": [_record_line("1A", 1, value="1.5"),
                           _record_line("1A", 2, value="x"), _record_line("1A", 3)],
+    "missing residual": [_record_line("1A", 1),
+                         json.dumps({"group": "M24", "class": "1A", "n": 2, "value": "91",
+                                     "c_max_used": 99, "mode": "classical"}),
+                         _record_line("1A", 3)],
+    "non-numeric c_max_used": [_record_line("1A", 1, c_max_used="x"), _record_line("1A", 2)],
     "U+2028 in a string": [_record_line("1A", 1),
                            json.dumps({"group": "M24", "class": "2A\u20282B", "n": 1,
                                        "value": "7"}, ensure_ascii=False),
@@ -278,6 +284,8 @@ KEPT = {
     "bare values": [("1A", 1, "7")],
     "missing value": [("1A", 1, "7"), ("1A", 3, "7")],
     "non-integer value": [("1A", 3, "7")],
+    "missing residual": [("1A", 1, "7"), ("1A", 3, "7")],
+    "non-numeric c_max_used": [("1A", 2, "7")],
     "U+2028 in a string": [("1A", 1, "7"), ("1A", 2, "7")],
     "duplicate key": [("1A", 1, "90"), ("1A", 2, "7")],
     "blank and whitespace lines": [("1A", 1, "7"), ("1A", 2, "7")],
