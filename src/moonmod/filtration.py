@@ -334,8 +334,11 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
     with C_n exp(D_n/e2) the size of the leading Rademacher term of the
     order-e2 class g of smallest level n_g: numerics.asymptotic_leading
     times |K_{n_g}(n)| (1 for n_g <= 2; that level is e2 on both bundled
-    tables).  Entries at i in J_1 vanish by construction.
+    tables).  Entries at i in J_1 vanish by construction.  Raises ValueError
+    for n < 1, before it reads any level.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     orders = distinct_orders(table)
     if len(orders) < 2:
         raise ValueError("group has no non-identity elements")

@@ -4,9 +4,10 @@ kloosterman_grades is numpy code vectorised over tiles of (c, lift) cells,
 whose cost grows far more slowly with a call than its fixed set-up of
 0.05-0.2 ms.  The sweep in moonmod.rademacher runs the first chunk of c,
 up to the first c its gate reads, in plain Python on
-numerics.kloosterman_sum, which computes the same numbers one root at a
-time, and sends every later chunk here.  This module is the only one that
-imports numpy at module level.
+numerics.kloosterman_table, whose entries are the numbers that
+numerics.kloosterman_sum computes one root at a time, and sends every
+later chunk here.  This module is the only one that imports numpy at
+module level.
 
 For c = 0 mod n_g and m = n_g*h_g, m divides c^2 (h_g divides n_g), so
 e(-c d/m) = e(-(c^2/m) d/c) and every twining sum is the 1A sum at the

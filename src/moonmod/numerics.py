@@ -8,11 +8,13 @@ over the j < c with j(j+1)/2 = c^2/(n_g h_g) - n mod c (Whiteman, Pacific
 J. Math. 6 (1956), for the partition sums; on the grid c = 0 mod n_g with
 h_g | n_g every twining sum is such a sum).  The mpmath head of
 moonmod.rademacher and the exact zero test of moonmod.filtration read
-these roots.  kloosterman_sum walks them one at a time in plain Python:
-the sweep of moonmod.rademacher runs the first chunk of c of every grade
-on it, and the kernel of moonmod.kernels reproduces it bit for bit on
-every later chunk.  WORKING_DIGITS is the fewest decimal digits of the
-mpmath head, which derives its count from the grade.
+these roots.  kloosterman_sum walks them one at a time in plain Python,
+and the kernel of moonmod.kernels reproduces it bit for bit.
+kloosterman_table(c) makes that walk once for all residues mod c, with
+the same bits: the first chunk of c of every sweep of moonmod.rademacher
+reads it, and the kernel sums every later chunk.  WORKING_DIGITS is the
+fewest decimal digits of the mpmath head, which derives its count from
+the grade.
 asymptotic_leading is the leading term's size over |K_{n_g}(n)|, which
 reads n_g alone: the asymptotic filtration predicts from it and that sum
 without the coefficient engine.  Nothing here imports mpmath.
@@ -20,6 +22,7 @@ without the coefficient engine.  Nothing here imports mpmath.
 
 from __future__ import annotations
 
+import functools
 import math
 
 # The fewest decimal digits of an mpmath evaluation in the Rademacher head.
@@ -69,6 +72,36 @@ def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> float:
             s *= 2.0
         total += -s if (j & 1) ^ (t == mirror) else s
     return math.sqrt(c) * total
+
+
+@functools.cache
+def kloosterman_table(c: int) -> tuple[float, ...]:
+    """K_c at every residue r mod c of c^2/(n_g h_g) - n, entry r.
+
+    One walk of j < c/2 in increasing j adds each signed, folded sine of
+    kloosterman_sum to the entry of its residue T_j mod c and, for even c,
+    its negation to the entry of T_j + c/2; then every entry is scaled by
+    sqrt(c).  These are kloosterman_sum's float operations in its order,
+    so entry r has its bits, the sign of zero included.  Memoised per c;
+    only the sweep's first chunk reads it, whose grid c run to the first
+    at or past rademacher.C_MAX_INITIAL (at the 21 levels of M24, 58 c <= 69
+    and 1735 floats for every grade below about 50700), or to the last
+    tail start of a higher grade.
+    """
+    entries = [0.0] * c
+    half = c // 2 if c % 2 == 0 else 0
+    for j in range((c + 1) // 2):
+        t = (j * (j + 1) >> 1) % c
+        s = math.sin(math.pi * (2 * j + 1) / (2 * c))
+        if 2 * j + 1 < c and c % 2:
+            s *= 2.0
+        if j & 1:
+            s = -s
+        entries[t] += s
+        if half:
+            entries[(t + half) % c] += -s
+    root = math.sqrt(c)
+    return tuple(root * e for e in entries)
 
 
 def asymptotic_leading(ng: int, n: int) -> float:

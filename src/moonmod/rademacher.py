@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import WORKING_DIGITS, kloosterman_sum, selberg_roots
+from .numerics import WORKING_DIGITS, _selberg_residue, kloosterman_table, selberg_roots
 from .chartab import (CharacterTable, ConjugacyClass, MoonmodError, UnknownClassError,
                       bundled_table, fuses_into_m24)
 # perfbench/{run,setup_probe,selftest,make_reference,workloads,spans}.py read these here.
@@ -69,8 +69,11 @@ HEAD_SWITCH = 20.0
 # (on the 1A grid, n above about 50700), so that no kernel chunk reaches
 # below C_MAX_INITIAL or a grade's tail start.  A grade accepted there (c = 7, 14,
 # ..., 56 for 7B; 23, 46, 69 for 23B) never enters the kernel; any other
-# pays the pass, at most 1275 Kloosterman sums a grade (1A), on top of the
-# kernel chunks that follow.  Every chunk ends on the grid, the last at
+# pays the pass, at most 50 table reads a grade (1A), on top of the kernel
+# chunks that follow.  The pass reads each K_c(n) from the memoised
+# numerics.kloosterman_table(c), built once per c and process: for every
+# grade below about 50700 the 21 levels' first chunks hold 58 distinct
+# c <= 69, 1735 floats in all.  Every chunk ends on the grid, the last at
 # the last grid c at or below C_MAX_LIMIT.  The second ends at
 # sqrt(2 kernels._BLOCK n_g) rounded down to the grid, where
 # kernels._BLOCK = 16384 nominal (c, d) pairs, d < c, from c = 1 end (c = 181
@@ -144,11 +147,12 @@ def _scalar_chunk(cls: ConjugacyClass, n: int, st: _GradeState, cs: range,
     numpy (math.sinh rounds some arguments differently), so a term has the
     same bits whichever of the two sums it.
 
-    K_c(n) comes from kloosterman_sum, which the kernel reproduces bit for
-    bit.  Terms start at start_c, the grade's tail start; the run of equal
-    roundings counts every c, and the dip gate reads the checkpoints from
-    there and from C_MAX_INITIAL on.  An accepted grade gets its record and
-    keeps the rest of st as it came.
+    K_c(n) is entry c^2/(n_g h_g) - n mod c of kloosterman_table(c), which
+    has the bits of kloosterman_sum, as the kernel has; _selberg_residue
+    raises for c off the grid.  Terms start at start_c, the grade's tail
+    start; the run of equal roundings counts every c, and the dip gate
+    reads the checkpoints from there and from C_MAX_INITIAL on.  An
+    accepted grade gets its record and keeps the rest of st as it came.
     """
     import numpy as np
 
@@ -160,7 +164,7 @@ def _scalar_chunk(cls: ConjugacyClass, n: int, st: _GradeState, cs: range,
     for c, x, sinh_x in zip(cs, xs, np.sinh(xs).tolist()):
         if c >= start_c:
             fac = 4.0 * math.pi * math.sqrt(2.0 / (math.pi * x)) * sinh_x / (c * q8_root)
-            cum += fac * kloosterman_sum(n, c, cls.ng, cls.hg)
+            cum += fac * kloosterman_table(c)[_selberg_residue(n, c, cls.ng, cls.hg)]
         rounded = round(cum)
         resid = abs(cum - rounded)
         run = run + 1 if rounded == last else 1

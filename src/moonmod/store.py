@@ -22,6 +22,10 @@ from .chartab import DATA_DIR
 # named in the mode field of stored records and of coeff output.
 DEDEKIND_MODE = "classical"
 
+# The line of an appended record, json.dumps(rec, sort_keys=True) without
+# building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
 
 class CoefficientRecord:
     __slots__ = ("class_name", "n", "value", "residual", "c_max_used", "gate")
@@ -100,7 +104,7 @@ class CoefficientCache:
             if self.path:
                 import fcntl
 
-                line = (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
+                line = (_encode(rec) + "\n").encode("utf-8")
                 # Unbuffered writes until the whole line is on disk; after a
                 # torn tail line the record starts on a line of its own.  A
                 # write that takes no byte raises, and the record is not
@@ -109,10 +113,8 @@ class CoefficientCache:
                 with open(self.path, "a+b", buffering=0) as fh:
                     fcntl.flock(fh, fcntl.LOCK_EX)
                     end = fh.seek(0, os.SEEK_END)
-                    if end:
-                        fh.seek(end - 1)
-                        if fh.read(1) != b"\n":
-                            line = b"\n" + line
+                    if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                        line = b"\n" + line
                     view = memoryview(line)
                     while view:
                         written = fh.write(view)

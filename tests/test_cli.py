@@ -245,6 +245,14 @@ def test_asympt_free_trend(capsys, cache_args):
     assert dev[50] < dev[10]
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_asympt_nonfree_below_grade_one(capsys, cache_args, n):
+    """Grade 0, where every sign vanishes, is refused for its grade, as
+    grade -1 is, and not as a degenerate level."""
+    code, out, err = run(capsys, ["asympt", "--nonfree", "--n", n] + cache_args)
+    assert (code, out, err) == (1, "", "error: n must be at least 1\n")
+
+
 def test_asympt_nonfree(capsys, cache_args):
     code, out, _ = run(capsys, ["asympt", "--nonfree", "--n", "40"] + cache_args)
     assert code == 0

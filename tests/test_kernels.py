@@ -1,8 +1,8 @@
 """Tail kernels and the Selberg form against the definition of K_c(n), summed
 over every coprime d by tests/kloosterman_reference.py, and against the
-scalar kloosterman_sum.  The sweep's first chunk runs that scalar instead
-of the kernel, for one grade and for a batch; tests/test_rademacher.py pins
-the records and states it leaves."""
+scalar kloosterman_sum.  The sweep's first chunk reads kloosterman_table,
+which has that scalar's bits, instead of the kernel, for one grade and for
+a batch; tests/test_rademacher.py pins the records and states it leaves."""
 
 import json
 import math
@@ -19,7 +19,7 @@ import pytest
 
 import kloosterman_reference as ref
 from moonmod import kernels, rademacher
-from moonmod.numerics import WORKING_DIGITS, kloosterman_sum, selberg_roots
+from moonmod.numerics import WORKING_DIGITS, kloosterman_sum, kloosterman_table, selberg_roots
 from moonmod.rademacher import RademacherEngine, partial_kloosterman
 from moonmod.store import CoefficientCache
 
@@ -162,15 +162,17 @@ def test_grades_across_blocks():
 
 
 def test_single_grade_equals_scalar_sum():
+    # One case per level: a grid c and a grade drawn so that a drawn j < c/2
+    # is a root, so the sum compared is not zero.
     rng = random.Random(17)
-    ng, hg = rng.choice([(1, 1), (2, 1), (4, 2), (12, 12), (23, 1)])
-    cs = [_on_grid(c, ng, hg) for c in [1] + sorted(rng.sample(range(2, 6000), 4))]
-    n = rng.randrange(1, 60)
-    out = _grades(n, n, cs, ng, hg)
-    for k, c in enumerate(cs):
+    for ng, hg in [(1, 1), (2, 1), (4, 2), (12, 12), (23, 1)]:
+        c = _on_grid(rng.randrange(2, 6000), ng, hg)
+        j = rng.randrange((c + 1) // 2)
+        n = (c * c // (ng * hg) - j * (j + 1) // 2 - 1) % c + 1
+        assert j in selberg_roots(n, c, ng, hg), (ng, hg, c)
         z = kloosterman_sum(n, c, ng, hg)
-        assert out[k, 0] == z, c
-        assert abs(z - ref.kloosterman_floats([n], c, ng, hg)[0][0]) < 1e-9, c
+        assert z != 0 and _grades(n, n, [c], ng, hg)[0, 0] == z, (ng, hg, n, c)
+        assert abs(z - ref.kloosterman_floats([n], c, ng, hg)[0][0]) < 1e-9, (ng, hg, n, c)
     # Rows out of order, a repeated c and a row wider than a tile, none of
     # whose sums is zero: one grade sorts its rows by lift count as a batch
     # does, writes each row back in place, and still equals the scalar.
@@ -180,6 +182,33 @@ def test_single_grade_equals_scalar_sum():
     for k, c in enumerate(cs):
         z = kloosterman_sum(5, c, 1, 1)
         assert z != 0 and out[k, 0] == z, c
+
+
+def test_kloosterman_table_has_the_walks_bits(m24_table):
+    """kloosterman_table(c)[r] has the repr of kloosterman_sum at residue r,
+    the sign of zero included: at every residue of every c <= 300, and on
+    the grid of each of the 21 levels up to c = 700 at six residues a c,
+    three of them residues of a drawn root j < c/2 or its mirror."""
+    for c in range(1, 301):
+        table = kloosterman_table(c)
+        assert len(table) == c
+        got = [repr(z) for z in table]
+        assert got == [repr(kloosterman_sum(-r % c, c, 1, 1)) for r in range(c)], c
+    rng = random.Random(35)
+    levels = sorted({(cls.ng, cls.hg) for cls in m24_table.classes})
+    assert len(levels) == 21
+    for ng, hg in levels:
+        for c in range(_on_grid(301, ng, hg), 701, ng):
+            if c * c % (ng * hg):
+                continue
+            mirror = c // 2 if c % 2 == 0 else 0
+            roots = [rng.randrange((c + 1) // 2) for _ in range(3)]
+            residues = [(j * (j + 1) // 2 + mirror * rng.randrange(2)) % c
+                        for j in roots] + [rng.randrange(c) for _ in range(3)]
+            for r in residues:
+                n = (c * c // (ng * hg) - r) % c
+                assert repr(kloosterman_table(c)[r]) == repr(kloosterman_sum(n, c, ng, hg)), \
+                    (ng, hg, c, r)
 
 
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1)])

@@ -16,12 +16,12 @@ import pytest
 
 import kloosterman_reference as ref
 import test_filtration as tf
-from moonmod import kernels, rademacher
+from moonmod import kernels, numerics, rademacher
 from moonmod.chartab import UnknownClassError, load_table
 from moonmod.numerics import asymptotic_leading
 from moonmod.rademacher import (HEAD_SWITCH, NonConvergent, RademacherEngine, _series_digits,
                                 partial_kloosterman)
-from moonmod.store import CoefficientCache, CoefficientRecord, RecordModeError
+from moonmod.store import CoefficientCache, CoefficientRecord, RecordModeError, _encode
 
 KNOWN_1A = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100]
 KNOWN_2A = [-6, 14, -28, 42, -56, 86, -138, 188]
@@ -50,6 +50,21 @@ def test_store_has_one_record_per_key():
             if line.strip()]
     keys = [(r["group"], r["class"], int(r["n"])) for r in recs]
     assert len(keys) == len(set(keys))
+
+
+def test_store_lines_are_the_append_encoding(tmp_path):
+    """Every packaged store line is the append encoder's rendering of its
+    parsed record, and an appended record is the bytes of
+    json.dumps(rec, sort_keys=True) and a newline."""
+    store = resources.files("moonmod.data").joinpath("m24_coeffs.ldjson")
+    lines = [line for line in store.read_text(encoding="utf-8").splitlines() if line.strip()]
+    assert len(lines) == 1720
+    assert [line for line in lines if _encode(json.loads(line)) != line] == []
+    path = tmp_path / "cache.ldjson"
+    CoefficientCache(path).put("M24", "2A", 3, CoefficientRecord("2A", 3, -28, 2.5e-5, 410,
+                                                                 "dip"))
+    rec = {"group": "M24", **CoefficientRecord("2A", 3, -28, 2.5e-5, 410, "dip").json_fields()}
+    assert path.read_bytes() == (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_asymptotic_leading_formula():
@@ -335,23 +350,46 @@ def test_nonconvergent_when_budget_tiny(m24_table, monkeypatch):
     truncate(monkeypatch, C_MAX_INITIAL=5, C_MAX_LIMIT=40, RESIDUAL_TOLERANCE=1e-12)
     eng = RademacherEngine(m24_table, cache=CoefficientCache(None))
     scanned = []
-    grades, scalar = kernels.kloosterman_grades, rademacher.kloosterman_sum
+    grades, table = kernels.kloosterman_grades, rademacher.kloosterman_table
 
     def recording(n0, n1, cs, *rest):
         scanned.extend(int(c) for c in cs)
         return grades(n0, n1, cs, *rest)
 
-    def recording_scalar(n, c, *rest):
+    def recording_table(c):
         scanned.append(c)
-        return scalar(n, c, *rest)
+        return table(c)
 
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
-    monkeypatch.setattr(rademacher, "kloosterman_sum", recording_scalar)
+    monkeypatch.setattr(rademacher, "kloosterman_table", recording_table)
     with pytest.raises(NonConvergent) as err:
         eng.records("23A", [1])
     assert err.value.n == 1
     # The sweep stays on the level grid c = 0 mod 23; nothing re-sweeps off it.
     assert scanned and all(c % 23 == 0 for c in scanned), scanned
+
+
+def test_first_chunk_tables_hold_only_first_chunk_c(m24_table, warm_cache):
+    """A cold sweep of one grade at each of the 21 levels leaves in the
+    table memo only the c of the first chunks, 58 of them up to c = 69.
+    Each level sweeps its stored grade n <= 20 (no head term) of least
+    c_max_used, and gets the stored value back."""
+    levels = {}
+    for (_, name, n), rec in warm_cache.records.items():
+        cls = m24_table.class_named(name)
+        best = levels.get((cls.ng, cls.hg))
+        if n <= 20 and (best is None or rec["c_max_used"] < best["c_max_used"]):
+            levels[cls.ng, cls.hg] = rec
+    assert len(levels) == 21
+    numerics.kloosterman_table.cache_clear()
+    eng = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    for rec in levels.values():
+        assert eng.value(rec["class"], rec["n"]) == int(rec["value"]), rec
+    # Each first chunk is the grid up to the first c at or past C_MAX_INITIAL.
+    top = rademacher.C_MAX_INITIAL
+    first = {c for ng, _ in levels for c in range(ng, -(-top // ng) * ng + 1, ng)}
+    assert len(first) == 58 and max(first) == 69
+    assert numerics.kloosterman_table.cache_info().currsize == len(first)
 
 
 def test_stability_gate_on_sparse_class(engine):
@@ -457,27 +495,27 @@ def test_head_past_the_first_gated_c(m24_table, monkeypatch, head_switch, record
 def test_first_chunk_ends_at_the_first_gated_c(m24_table, monkeypatch, name, n, first_c,
                                                accepted_there, heads):
     """The first chunk ends at the first c of the grid at or past
-    C_MAX_INITIAL = 50: it sums K_c(n) by kloosterman_sum at each c of the
-    tail up to there, a grade the dip gate accepts there costs no kernel
-    call, and a grade without a head term calls no mpmath."""
+    C_MAX_INITIAL = 50: it reads K_c(n) from kloosterman_table(c) at each c
+    of the tail up to there, a grade the dip gate accepts there costs no
+    kernel call, and a grade without a head term calls no mpmath."""
     scalar_cs, calls, head_calls = [], [], []
-    grades, scalar = kernels.kloosterman_grades, rademacher.kloosterman_sum
+    grades, table = kernels.kloosterman_grades, rademacher.kloosterman_table
     head = rademacher.partial_kloosterman
 
     def recording(n0, n1, cs, *rest):
         calls.append([int(c) for c in cs])
         return grades(n0, n1, cs, *rest)
 
-    def recording_scalar(n, c, *rest):
+    def recording_table(c):
         scalar_cs.append(c)
-        return scalar(n, c, *rest)
+        return table(c)
 
     def counting(*args):
         head_calls.append(args)
         return head(*args)
 
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
-    monkeypatch.setattr(rademacher, "kloosterman_sum", recording_scalar)
+    monkeypatch.setattr(rademacher, "kloosterman_table", recording_table)
     monkeypatch.setattr(rademacher, "partial_kloosterman", counting)
     engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
     [rec] = engine.records(name, [n])
