@@ -162,7 +162,7 @@ def cmd_coeff(args) -> int:
     table = _load_group(args.group)
     engine = _make_engine(args, table)
     # Each named class once, in first-seen order.
-    class_names = (list(dict.fromkeys(args.cls.split(","))) if args.cls
+    class_names = (list(dict.fromkeys(args.cls.split(","))) if args.cls is not None
                    else [c.name for c in table.classes])
     # Each grade once: first-seen order keeps cold store appends in request
     # order, and the rows are sorted by n.

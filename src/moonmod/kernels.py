@@ -4,10 +4,8 @@ kloosterman_grades is numpy code vectorised over tiles of (c, lift) cells,
 whose cost grows far more slowly with a call than its fixed set-up of
 0.05-0.2 ms.  The sweep in moonmod.rademacher runs the first chunk of c,
 up to the first c its gate reads, in plain Python on
-numerics.kloosterman_table, whose entries are the numbers that
-numerics.kloosterman_sum computes one root at a time, and sends every
-later chunk here.  This module is the only one that imports numpy at
-module level.
+numerics.kloosterman_table, and sends every later chunk here.  This
+module is the only one that imports numpy at module level.
 
 For c = 0 mod n_g and m = n_g*h_g, m divides c^2 (h_g divides n_g), so
 e(-c d/m) = e(-(c^2/m) d/c) and every twining sum is the 1A sum at the
@@ -37,8 +35,8 @@ N(U - w) <= j < N(U) with N(t) = #{j >= 0: T_j <= t}.  So one pass serves
 every grade, and a sine is taken only at a root.  Column g + s is column g
 (odd c) or its negation (even c).  Each column accumulates its roots in
 increasing j and is scaled by sqrt(c) after the last tile, in the same
-float operations as kloosterman_sum, so a single grade reproduces that
-scalar bit for bit.
+float operations as numerics.kloosterman_table's walk, so every column
+reproduces that table's entry bit for bit.
 
 The screen runs in float32 when every c of a call is below _F32_LIMIT =
 4000: there every lift that can hold a root has 8U + 1 < 2**24, where

@@ -8,13 +8,13 @@ over the j < c with j(j+1)/2 = c^2/(n_g h_g) - n mod c (Whiteman, Pacific
 J. Math. 6 (1956), for the partition sums; on the grid c = 0 mod n_g with
 h_g | n_g every twining sum is such a sum).  The mpmath head of
 moonmod.rademacher and the exact zero test of moonmod.filtration read
-these roots.  kloosterman_sum walks them one at a time in plain Python,
-and the kernel of moonmod.kernels reproduces it bit for bit.
-kloosterman_table(c) makes that walk once for all residues mod c, with
-the same bits: the first chunk of c of every sweep of moonmod.rademacher
-reads it, and the kernel sums every later chunk.  WORKING_DIGITS is the
-fewest decimal digits of the mpmath head, which derives its count from
-the grade.
+these roots.  kloosterman_table(c) walks them once in plain Python for
+all residues mod c, and kloosterman_sum looks one residue up in it: the
+first chunk of c of every sweep of moonmod.rademacher reads the table,
+and the kernel of moonmod.kernels, which sums every later chunk,
+reproduces its entries bit for bit.  WORKING_DIGITS is the fewest
+decimal digits of the mpmath head, which derives its count from the
+grade.
 asymptotic_leading is the leading term's size over |K_{n_g}(n)|, which
 reads n_g alone: the asymptotic filtration predicts from it and that sum
 without the coefficient engine.  Nothing here imports mpmath.
@@ -53,40 +53,31 @@ def selberg_roots(n: int, c: int, ng: int, hg: int) -> list[int]:
 def kloosterman_sum(n: int, c: int, ng: int, hg: int) -> float:
     """Sum over d coprime to c of e(n d/c - 3 s(d,c)/2 - c d/(ng hg)).
 
-    Summed in float64 as moonmod.kernels does it, folded onto j < c/2 by
-    the mirror j <-> c-1-j (T_j = j(j+1)/2, T_{c-1-j} = T_j + c(c-1-2j)/2):
-    in increasing j < c/2, the signed sine at each root of residue r, twice
-    for odd c unless j = (c-1)/2, and for even c minus the signed sine at
-    each root of residue r + c/2; then scaled by sqrt(c).  The sum is
-    exactly real.
+    The sum is exactly real: entry c^2/(ng hg) - n mod c of
+    kloosterman_table(c).  Raises ValueError for c off the grid (see
+    _selberg_residue) before any table is built.
     """
     r = _selberg_residue(n, c, ng, hg)
-    mirror = (r + c // 2) % c if c % 2 == 0 else -1
-    total = 0.0
-    for j in range((c + 1) // 2):
-        t = (j * (j + 1) >> 1) % c
-        if t != r and t != mirror:
-            continue
-        s = math.sin(math.pi * (2 * j + 1) / (2 * c))
-        if 2 * j + 1 < c and c % 2:
-            s *= 2.0
-        total += -s if (j & 1) ^ (t == mirror) else s
-    return math.sqrt(c) * total
+    return kloosterman_table(c)[r]
 
 
 @functools.cache
 def kloosterman_table(c: int) -> tuple[float, ...]:
     """K_c at every residue r mod c of c^2/(n_g h_g) - n, entry r.
 
-    One walk of j < c/2 in increasing j adds each signed, folded sine of
-    kloosterman_sum to the entry of its residue T_j mod c and, for even c,
-    its negation to the entry of T_j + c/2; then every entry is scaled by
-    sqrt(c).  These are kloosterman_sum's float operations in its order,
-    so entry r has its bits, the sign of zero included.  Memoised per c;
-    only the sweep's first chunk reads it, whose grid c run to the first
-    at or past rademacher.C_MAX_INITIAL (at the 21 levels of M24, 58 c <= 69
-    and 1735 floats for every grade below about 50700), or to the last
-    tail start of a higher grade.
+    Summed in float64 as moonmod.kernels does it, folded onto j < c/2 by
+    the mirror j <-> c-1-j (T_j = j(j+1)/2, T_{c-1-j} = T_j + c(c-1-2j)/2):
+    one walk of j < c/2 in increasing j adds the signed sine of each j,
+    twice for odd c unless j = (c-1)/2, to the entry of its residue
+    T_j mod c and, for even c, its negation to the entry of T_j + c/2;
+    then every entry is scaled by sqrt(c).  The kernel sums each column in
+    these float operations and order, so its sums have the entries' bits,
+    the sign of zero included.  Memoised per c.  The sweep's first chunk
+    reads it, whose grid c run to the first at or past
+    rademacher.C_MAX_INITIAL (at the 21 levels of M24, 58 c <= 69 and 1735
+    floats for every grade below about 50700), or to the last tail start
+    of a higher grade; kloosterman_sum reads it at c = n_g for
+    moonmod.filtration.
     """
     entries = [0.0] * c
     half = c // 2 if c % 2 == 0 else 0

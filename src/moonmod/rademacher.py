@@ -147,12 +147,12 @@ def _scalar_chunk(cls: ConjugacyClass, n: int, st: _GradeState, cs: range,
     numpy (math.sinh rounds some arguments differently), so a term has the
     same bits whichever of the two sums it.
 
-    K_c(n) is entry c^2/(n_g h_g) - n mod c of kloosterman_table(c), which
-    has the bits of kloosterman_sum, as the kernel has; _selberg_residue
-    raises for c off the grid.  Terms start at start_c, the grade's tail
-    start; the run of equal roundings counts every c, and the dip gate
-    reads the checkpoints from there and from C_MAX_INITIAL on.  An
-    accepted grade gets its record and keeps the rest of st as it came.
+    K_c(n) is entry c^2/(n_g h_g) - n mod c of kloosterman_table(c),
+    whose bits the kernel reproduces; _selberg_residue raises for c off
+    the grid.  Terms start at start_c, the grade's tail start; the run of
+    equal roundings counts every c, and the dip gate reads the checkpoints
+    from there and from C_MAX_INITIAL on.  An accepted grade gets its
+    record and keeps the rest of st as it came.
     """
     import numpy as np
 

@@ -128,7 +128,8 @@ class CoefficientCache:
         """Merge parsed records from an iterable of ldjson lines (no writes).
 
         The first record of a key wins; lines that do not parse, and records
-        whose key, value, residual or c_max_used do not read, are skipped.
+        whose key, value, residual or c_max_used do not read, or whose n,
+        value or c_max_used is a JSON float or boolean, are skipped.
         The lines are parsed as one JSON array when no value can run past
         its line: with no '[' and a '{' only at each line's start nothing
         nests, and a string cannot hold the separator's raw newline.  That
@@ -153,9 +154,14 @@ class CoefficientCache:
                     continue
         for rec in recs:
             try:
-                key = (rec["group"], rec["class"], int(rec["n"]))
-                int(rec["value"]), float(rec["residual"]), int(rec["c_max_used"])
+                n, value, c_max_used = rec["n"], rec["value"], rec["c_max_used"]
+                key = (rec["group"], rec["class"], int(n))
+                int(value), float(rec["residual"]), int(c_max_used)
             except (ValueError, KeyError, TypeError):
+                continue
+            # int() reads a JSON float or bool as a truncated integer.
+            if (type(n) in (bool, float) or type(value) in (bool, float)
+                    or type(c_max_used) in (bool, float)):
                 continue
             self.records.setdefault(key, rec)
 

@@ -300,8 +300,10 @@ def test_malformed_grade_spec_is_named(command, spec, capsys, cache_args):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("group, name", [("m24", "99Z"), ("a5", "9Z")])
+@pytest.mark.parametrize("group, name", [("m24", "99Z"), ("a5", "9Z"), ("m24", "")])
 def test_coeff_unknown_class(group, name, capsys, cache_args):
+    """An empty --class is an unknown class, as the empty name in --class
+    1A,,2A is, and does not stand for every class."""
     code, out, err = run(capsys, ["coeff", "--group", group, "--class", name,
                                   "--n", "1"] + cache_args)
     assert (code, out) == (1, "")

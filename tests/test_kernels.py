@@ -1,7 +1,8 @@
 """Tail kernels and the Selberg form against the definition of K_c(n), summed
-over every coprime d by tests/kloosterman_reference.py, and against the
-scalar kloosterman_sum.  The sweep's first chunk reads kloosterman_table,
-which has that scalar's bits, instead of the kernel, for one grade and for
+over every coprime d by tests/kloosterman_reference.py, and against
+kloosterman_table, the one plain-Python walk, whose entries the kernel
+reproduces bit for bit; kloosterman_sum looks one entry up.  The sweep's
+first chunk reads the table instead of the kernel, for one grade and for
 a batch; tests/test_rademacher.py pins the records and states it leaves."""
 
 import json
@@ -22,6 +23,14 @@ from moonmod import kernels, rademacher
 from moonmod.numerics import WORKING_DIGITS, kloosterman_sum, kloosterman_table, selberg_roots
 from moonmod.rademacher import RademacherEngine, partial_kloosterman
 from moonmod.store import CoefficientCache
+
+
+@pytest.fixture(autouse=True)
+def _drop_kloosterman_tables():
+    """kloosterman_sum at a large c builds and memoises a whole table; drop
+    them after each test, so that the suite does not hold them all."""
+    yield
+    kloosterman_table.cache_clear()
 
 
 def _on_grid(c, ng, hg=1):
@@ -184,31 +193,25 @@ def test_single_grade_equals_scalar_sum():
         assert z != 0 and out[k, 0] == z, c
 
 
-def test_kloosterman_table_has_the_walks_bits(m24_table):
-    """kloosterman_table(c)[r] has the repr of kloosterman_sum at residue r,
-    the sign of zero included: at every residue of every c <= 300, and on
-    the grid of each of the 21 levels up to c = 700 at six residues a c,
-    three of them residues of a drawn root j < c/2 or its mirror."""
+def test_kloosterman_table_has_the_kernels_bits(m24_table):
+    """kloosterman_table(c)[r] has the bits of the kernel's sum at residue r,
+    the sign of zero included: against the batch row of grades 1..c at
+    every c <= 300, and against one batch of grades 1..700 at each of the
+    21 levels, at every residue of every grid c in 301..700."""
     for c in range(1, 301):
         table = kloosterman_table(c)
         assert len(table) == c
-        got = [repr(z) for z in table]
-        assert got == [repr(kloosterman_sum(-r % c, c, 1, 1)) for r in range(c)], c
-    rng = random.Random(35)
+        want = np.array([table[-n % c] for n in range(1, c + 1)])
+        assert _grades(1, c, [c], 1, 1)[0].tobytes() == want.tobytes(), c
     levels = sorted({(cls.ng, cls.hg) for cls in m24_table.classes})
     assert len(levels) == 21
     for ng, hg in levels:
-        for c in range(_on_grid(301, ng, hg), 701, ng):
-            if c * c % (ng * hg):
-                continue
-            mirror = c // 2 if c % 2 == 0 else 0
-            roots = [rng.randrange((c + 1) // 2) for _ in range(3)]
-            residues = [(j * (j + 1) // 2 + mirror * rng.randrange(2)) % c
-                        for j in roots] + [rng.randrange(c) for _ in range(3)]
-            for r in residues:
-                n = (c * c // (ng * hg) - r) % c
-                assert repr(kloosterman_table(c)[r]) == repr(kloosterman_sum(n, c, ng, hg)), \
-                    (ng, hg, c, r)
+        cs = [c for c in range(_on_grid(301, ng, hg), 701, ng) if c * c % (ng * hg) == 0]
+        out = _grades(1, 700, cs, ng, hg)
+        for k, c in enumerate(cs):
+            table, shift = kloosterman_table(c), c * c // (ng * hg)
+            want = np.array([table[(shift - n) % c] for n in range(1, c + 1)])
+            assert out[k, :c].tobytes() == want.tobytes(), (ng, hg, c)
 
 
 @pytest.mark.parametrize("ng,hg", [(1, 1), (2, 1)])
@@ -469,10 +472,13 @@ def test_dense_chunk_enters_the_lift_search(m24_table, monkeypatch):
 @pytest.mark.parametrize("c,ng,hg", [(5, 2, 1), (6, 4, 2), (22, 23, 1), (0, 1, 1),
                                      (-3, 1, 1), (2, 2, 4)])
 def test_off_grid_c_raises(c, ng, hg):
-    """Both functions refuse c unless n_g | c and n_g h_g | c^2; the kernel
-    does so for a short and a long call, before it writes to out."""
+    """Both functions refuse c unless n_g | c and n_g h_g | c^2: the scalar
+    before it builds a table, the kernel for a short and a long call,
+    before it writes to out."""
+    tables = kloosterman_table.cache_info().currsize
     with pytest.raises(ValueError, match="grid"):
         kloosterman_sum(1, c, ng, hg)
+    assert kloosterman_table.cache_info().currsize == tables
     on_grid = [_on_grid(k * 50, ng, hg) for k in range(1, 20)]
     for n1, cs in [(1, [c]), (4, on_grid + [c])]:
         out = np.full((len(cs), n1), 7.0)

@@ -237,8 +237,9 @@ def _record_line(cls, n, value="7", **extra) -> str:
 
 def _per_line_records(lines) -> dict:
     """The store's records by the plain rule: each line parsed alone, lines
-    or records whose key, value, residual or c_max_used do not parse
-    skipped, the first record of a key kept."""
+    or records whose key, value, residual or c_max_used do not parse, or
+    whose n, value or c_max_used is a float or a bool, skipped, the first
+    record of a key kept."""
     records = {}
     for line in lines:
         if not line.strip():
@@ -248,6 +249,8 @@ def _per_line_records(lines) -> dict:
             key = (rec["group"], rec["class"], int(rec["n"]))
             int(rec["value"]), float(rec["residual"]), int(rec["c_max_used"])
         except (ValueError, KeyError, TypeError):
+            continue
+        if any(isinstance(rec[f], (bool, float)) for f in ("n", "value", "c_max_used")):
             continue
         records.setdefault(key, rec)
     return records
@@ -269,6 +272,13 @@ ADVERSARIAL_LINES = {
                                      "c_max_used": 99, "mode": "classical"}),
                          _record_line("1A", 3)],
     "non-numeric c_max_used": [_record_line("1A", 1, c_max_used="x"), _record_line("1A", 2)],
+    # int() would read each as a truncated integer: n = true as 1, and so on.
+    "float or bool fields": [_record_line("1A", True, value=2.9, c_max_used=56.5),
+                             _record_line("1A", 1.0), _record_line("1A", 2, value=90.0),
+                             _record_line("1A", 3, value=True),
+                             _record_line("1A", 4, c_max_used=99.0),
+                             _record_line("1A", 5, c_max_used=False),
+                             _record_line("1A", 1, value="90")],
     "U+2028 in a string": [_record_line("1A", 1),
                            json.dumps({"group": "M24", "class": "2A\u20282B", "n": 1,
                                        "value": "7"}, ensure_ascii=False),
@@ -301,6 +311,7 @@ KEPT = {
     "non-integer value": [("1A", 3, "7")],
     "missing residual": [("1A", 1, "7"), ("1A", 3, "7")],
     "non-numeric c_max_used": [("1A", 2, "7")],
+    "float or bool fields": [("1A", 1, "90")],
     "U+2028 in a string": [("1A", 1, "7"), ("1A", 2, "7")],
     "duplicate key": [("1A", 1, "90"), ("1A", 2, "7")],
     "blank and whitespace lines": [("1A", 1, "7"), ("1A", 2, "7")],
