@@ -45,7 +45,8 @@ constant), and in float64 otherwise.  One grade (w = 1) and a batch share
 the set-up, the row order and the tile loop, _screen, and differ in the
 screen's test and the settle: with one column a lift holds at most one
 root, 8U + 1 = (2j + 1)^2, so the screen asks for an exact square and j is
-read off its root.
+read off its root.  One grade also skips what only a batch reads: the
+column widths w, half in row order, and the wrap of columns g >= s.
 """
 
 from __future__ import annotations
@@ -180,17 +181,21 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     shift = (cs * cs // (ng * hg) - n0) % cs
     even = 1 - (cs & 1)
     step = cs >> even
-    w = np.minimum(step, ncols)
     base = shift % step
     # Roots j < half; for odd c, j < mid counts twice (mid = -1 for even c).
     half = (cs + 1) >> 1
     mid = np.where(even, -1, half - 1)
-    lifts = (half * (half - 1) // 2 + w - 1 - base) // step + 1
+    # Lifts up to T_j of the largest j < c/2, and w - 1 more for a batch.
+    top = half * (half - 1) // 2 - base
+    if ncols > 1:
+        w = np.minimum(step, ncols)
+        top += w - 1
+    lifts = top // step + 1
     # Rows in order of their lift counts, so a tile's rows are about as
     # wide as each other; acc holds them in that order.
     order = np.argsort(lifts, kind="stable")
-    cs, shift, even, step, w, base, half, mid, lifts = (
-        a[order] for a in (cs, shift, even, step, w, base, half, mid, lifts))
+    cs, shift, even, step, base, mid, lifts = (
+        a[order] for a in (cs, shift, even, step, base, mid, lifts))
     # Even c: lift k is negative when k + shift // s is odd (shift < s for odd c).
     flip = shift // step
     # 8U + 1 = step8*k + base8 (and 8w) in dtype, exact wherever a root can lie.
@@ -217,6 +222,7 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
             r, k, j = r[keep], k[keep], x[keep] >> 1
             acc[:, 0] = np.bincount(r, terms(r, j, k), len(cs))
     else:
+        w, half = w[order], half[order]
         acc = np.zeros((len(cs), ncols))
 
         def settle(r: np.ndarray, k: np.ndarray) -> None:
@@ -251,8 +257,8 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
             settle(np.concatenate(rows_hit), np.concatenate(k_hit))
     acc *= np.sqrt(cs.astype(np.float64))[:, None]
     # Column g is column g mod s, negated for even c when g // s is odd;
-    # 0.0 - x negates without making -0.0.
-    wrap = np.flatnonzero(step < ncols)
+    # 0.0 - x negates without making -0.0.  One grade has column 0 only.
+    wrap = np.flatnonzero(step < ncols) if ncols > 1 else ()
     if len(wrap):
         g = np.arange(ncols)
         src = acc[wrap[:, None], g % step[wrap, None]]

@@ -19,8 +19,10 @@ kernel in moonmod.kernels.  Head and tail write I_{1/2}(x) in its closed
 form sqrt(2/(pi x)) sinh(x).
 moonmod.store reads and appends the records; numpy, mpmath and the
 kernels are imported inside the functions that compute a coefficient, so
-a command served from the store loads none of them, and a coefficient
-without a head term loads no mpmath.
+a command served from the store loads none of them.  A coefficient
+without a head term loads no mpmath, and one that its first chunk of c
+accepts loads numpy (for its sinh) but not moonmod.kernels, which _sweep
+imports only once some grade survives that chunk.
 
 The tail converges conditionally and slowly (the partial-sum error behaves
 like a random walk of step ~1/c), so truncation is adaptive, with the
@@ -68,12 +70,13 @@ HEAD_SWITCH = 20.0
 # at the last tail start of its grades where a head reaches beyond that
 # (on the 1A grid, n above about 50700), so that no kernel chunk reaches
 # below C_MAX_INITIAL or a grade's tail start.  A grade accepted there (c = 7, 14,
-# ..., 56 for 7B; 23, 46, 69 for 23B) never enters the kernel; any other
-# pays the pass, at most 50 table reads a grade (1A), on top of the kernel
-# chunks that follow.  The pass reads each K_c(n) from the memoised
-# numerics.kloosterman_table(c), built once per c and process: for every
-# grade below about 50700 the 21 levels' first chunks hold 58 distinct
-# c <= 69, 1735 floats in all.  Every chunk ends on the grid, the last at
+# ..., 56 for 7B; 23, 46, 69 for 23B) never enters or imports the kernel;
+# any other pays the pass, at most 50 table reads a grade (1A), on top of
+# the kernel chunks that follow.  The pass hoists its per-grade constants
+# and reads each K_c(n) from the memoised numerics.kloosterman_table(c),
+# built once per c and process: for every grade below about 50700 the 21
+# levels' first chunks hold 58 distinct c <= 69, 1735 floats in all.
+# Every chunk ends on the grid, the last at
 # the last grid c at or below C_MAX_LIMIT.  The second ends at
 # sqrt(2 kernels._BLOCK n_g) rounded down to the grid, where
 # kernels._BLOCK = 16384 nominal (c, d) pairs, d < c, from c = 1 end (c = 181
@@ -85,7 +88,10 @@ HEAD_SWITCH = 20.0
 # No record depends on where the chunks end: the running sum is one left
 # fold from the head on, in the same float operations in the scalar pass
 # and in the kernel chunks, and the dip gate reads every checkpoint of a
-# chunk, so a batch of grades is swept exactly as each grade alone.
+# chunk, so a batch of grades is swept exactly as each grade alone.  A
+# kernel chunk (_kernel_chunk) forms the run at every checkpoint only when
+# one of them lies within RESIDUAL_TOLERANCE; otherwise none can pass, and
+# the run is carried from the chunk's last change of rounding.
 # _sweep reads these names at call time.
 C_MAX_INITIAL = 50
 C_MAX_LIMIT = 60000
@@ -140,42 +146,97 @@ class _GradeState:
         self.record = None
 
 
-def _scalar_chunk(cls: ConjugacyClass, n: int, st: _GradeState, cs: range,
+def _scalar_chunk(cls: ConjugacyClass, n: int, st: _GradeState, hi: int,
                   start_c: int) -> None:
-    """One grade's first chunk over cs in Python floats, in the same float
-    operations and order as the kernel chunks of _sweep, with sinh from
-    numpy (math.sinh rounds some arguments differently), so a term has the
-    same bits whichever of the two sums it.
+    """One grade's first chunk, c = n_g, 2 n_g, ..., hi, in Python floats,
+    in the same float operations and order as the kernel chunks of _sweep,
+    with sinh from numpy (math.sinh rounds some arguments differently), so
+    a term has the same bits whichever of the two sums it.
 
     K_c(n) is entry c^2/(n_g h_g) - n mod c of kloosterman_table(c),
-    whose bits the kernel reproduces; _selberg_residue raises for c off
-    the grid.  Terms start at start_c, the grade's tail start; the run of
-    equal roundings counts every c, and the dip gate reads the checkpoints
-    from there and from C_MAX_INITIAL on.  An accepted grade gets its
-    record and keeps the rest of st as it came.
+    whose bits the kernel reproduces.  The grid is checked once, at
+    c = n_g: _selberg_residue raises unless n_g h_g divides n_g^2, and then
+    it divides c^2 for every multiple c of n_g.  Terms start at start_c,
+    the grade's tail start; the run of equal roundings counts every c, and
+    the dip gate reads the checkpoints from there and from C_MAX_INITIAL
+    on.  An accepted grade gets its record and keeps the rest of st as it
+    came.
     """
     import numpy as np
 
+    ng, m = cls.ng, cls.ng * cls.hg
+    _selberg_residue(n, ng, ng, cls.hg)
+    cs = range(ng, hi + 1, ng)
+    table, sqrt, pi = kloosterman_table, math.sqrt, math.pi
+    four_pi = 4.0 * pi
     q8 = 8 * n - 1
-    x_top = math.pi * math.sqrt(q8) / 2.0
+    x_top = pi * sqrt(q8) / 2.0
     xs = [x_top / c for c in cs]
     q8_root = q8 ** 0.25
+    gated = max(start_c, C_MAX_INITIAL)
+    window, tolerance = STABILITY_WINDOW, RESIDUAL_TOLERANCE
     cum, run, last, best = st.cum, st.stable_run, st.last_rounded, st.best_res
     for c, x, sinh_x in zip(cs, xs, np.sinh(xs).tolist()):
         if c >= start_c:
-            fac = 4.0 * math.pi * math.sqrt(2.0 / (math.pi * x)) * sinh_x / (c * q8_root)
-            cum += fac * kloosterman_table(c)[_selberg_residue(n, c, cls.ng, cls.hg)]
+            # The kernel chunks' factor, then K_c(n): the same float operations.
+            cum += four_pi * sqrt(2.0 / (pi * x)) * sinh_x / (c * q8_root) \
+                * table(c)[(c * c // m - n) % c]
         rounded = round(cum)
         resid = abs(cum - rounded)
         run = run + 1 if rounded == last else 1
         last = rounded
-        if c >= start_c and c >= C_MAX_INITIAL:
-            if run >= STABILITY_WINDOW and resid <= RESIDUAL_TOLERANCE:
+        if c >= gated:
+            if run >= window and resid <= tolerance:
                 st.record = CoefficientRecord(cls.name, n, st.head_int + rounded, resid,
                                               c, "dip")
                 return
             best = min(best, resid)
     st.cum, st.stable_run, st.last_rounded, st.best_res = cum, run, last, best
+
+
+def _kernel_chunk(name: str, n: int, st: _GradeState, cs, terms) -> None:
+    """Add one kernel chunk's terms, at the c of cs, to grade n's running
+    sum as one left fold from st.cum, and read the dip gate at each c.
+
+    An accepted grade gets its record and keeps the rest of st as it came.
+    The run array is built only when some checkpoint lies within
+    RESIDUAL_TOLERANCE; otherwise no checkpoint can pass, and the run is
+    carried from the chunk's last change of rounding.
+    """
+    import numpy as np
+
+    terms[0] += st.cum
+    cum = np.cumsum(terms)
+    rounded = np.rint(cum)
+    resid = np.abs(cum - rounded)
+    low = float(resid.min())
+    if low <= RESIDUAL_TOLERANCE:
+        # run[k]: checkpoints up to k, across chunks, that round as k does.
+        # A run carried from the last chunk starts at index -stable_run, a
+        # new one at its own index.
+        idx = np.arange(len(cs))
+        same = rounded == np.concatenate(([st.last_rounded], rounded[:-1]))
+        first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
+        run = idx - first + 1
+        hits = np.flatnonzero((run >= STABILITY_WINDOW) & (resid <= RESIDUAL_TOLERANCE))
+        if len(hits):
+            k = hits[0]
+            st.record = CoefficientRecord(name, n, st.head_int + int(rounded[k]),
+                                          float(resid[k]), int(cs[k]), "dip")
+            return
+        st.stable_run = int(run[-1])
+    else:
+        # NaN differs from every rounding, as in same above.
+        change = np.flatnonzero(rounded[1:] != rounded[:-1])
+        if len(change):
+            st.stable_run = len(cs) - 1 - int(change[-1])
+        elif rounded[0] == st.last_rounded:
+            st.stable_run += len(cs)
+        else:
+            st.stable_run = len(cs)
+    st.best_res = min(st.best_res, low)
+    st.cum = float(cum[-1])
+    st.last_rounded = float(rounded[-1])
 
 
 class RademacherEngine:
@@ -245,10 +306,6 @@ class RademacherEngine:
     def _sweep(self, cls: ConjugacyClass, grades: list[int]) -> dict[int, _GradeState]:
         """Adaptive truncation for a batch of grades of one class, c = 0 mod n_g;
         each grade's state holds its record once a gate accepts it."""
-        import numpy as np
-
-        from . import kernels
-
         step = cls.ng
         states = {n: _GradeState() for n in grades}
         tail_start = self._head_terms(cls, states)
@@ -256,17 +313,20 @@ class RademacherEngine:
         # The first chunk runs as the scalar pass and ends at the first c the
         # dip gate reads, or at the last tail start if that is later.  Every
         # chunk ends on the grid; the second where kernels._BLOCK nominal
-        # pairs from c = 1 do.
+        # pairs from c = 1 do.  moonmod.kernels loads only once a grade
+        # survives the scalar pass.
         last = C_MAX_LIMIT - C_MAX_LIMIT % step
-        second = math.isqrt(2 * kernels._BLOCK * step) // step * step
         hi = min(-(-max(C_MAX_INITIAL, *tail_start.values()) // step) * step, last)
-        first_cs = range(step, hi + 1, step)
         for n, st in states.items():
-            _scalar_chunk(cls, n, st, first_cs, tail_start[n])
-        while hi < last:
-            active = [n for n, st in states.items() if st.record is None]
-            if not active:
-                break
+            _scalar_chunk(cls, n, st, hi, tail_start[n])
+        active = [n for n, st in states.items() if st.record is None]
+        if active and hi < last:
+            import numpy as np
+
+            from . import kernels
+
+            second = math.isqrt(2 * kernels._BLOCK * step) // step * step
+        while active and hi < last:
             lo, hi = hi + step, min(max(hi * 2, second), last,
                                     hi + step * max(1, 16 * kernels._BLOCK // hi))
             cs = np.arange(lo, hi + 1, step, dtype=np.int64)
@@ -274,35 +334,13 @@ class RademacherEngine:
             kl = np.empty((len(cs), n1 - n0 + 1))
             kernels.kloosterman_grades(n0, n1, cs, cls.ng, cls.hg, kl)
             csf = cs.astype(np.float64)
-            idx = np.arange(len(cs))
             for n in active:
-                st = states[n]
                 q8 = 8 * n - 1
                 x = (math.pi * math.sqrt(q8) / 2.0) / csf
                 fac = 4.0 * math.pi * np.sqrt(2.0 / (math.pi * x)) * np.sinh(x) \
                     / (csf * q8 ** 0.25)
-                terms = fac * kl[:, n - n0]
-                terms[0] += st.cum
-                cum = np.cumsum(terms)
-                rounded = np.rint(cum)
-                resid = np.abs(cum - rounded)
-                # run[k]: checkpoints up to k, across chunks, that round as
-                # k does.  A run carried from the last chunk starts at index
-                # -stable_run, a new one at its own index.
-                same = rounded == np.concatenate(([st.last_rounded], rounded[:-1]))
-                first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
-                run = idx - first + 1
-                hits = np.flatnonzero((run >= STABILITY_WINDOW) & (resid <= RESIDUAL_TOLERANCE))
-                if len(hits):
-                    k = hits[0]
-                    st.record = CoefficientRecord(
-                        cls.name, n, st.head_int + int(rounded[k]), float(resid[k]),
-                        int(cs[k]), "dip")
-                    continue
-                st.best_res = min(st.best_res, float(resid.min()))
-                st.cum = float(cum[-1])
-                st.stable_run = int(run[-1])
-                st.last_rounded = float(rounded[-1])
+                _kernel_chunk(cls.name, n, states[n], cs, fac * kl[:, n - n0])
+            active = [n for n in active if states[n].record is None]
 
         # Fallback gate: sparse-grid classes never dip below the residual
         # tolerance (intrinsic ~C^(-1/2) tail drift); accept a long-stable

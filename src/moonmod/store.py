@@ -5,9 +5,13 @@ fields and from_json reads them back.  CoefficientCache.get is the one
 place a stored record is read, and it refuses one made with a Dedekind sum
 variant other than DEDEKIND_MODE.  Store files are append-only, a torn
 last line is skipped and never rewritten, and appends from several
-processes are serialised by a lock on the file.  bundled_cache layers a
-writable file over the packaged store, which is only read: checked_writable
-refuses any cache file in DATA_DIR.  The module loads no engine and no numpy.
+processes are serialised by a lock on the file.  CoefficientCache.put
+appends one record, the line _encode writes, through a descriptor that it
+opens by path, locks, writes and closes, so a file deleted since the last
+append is created anew and no descriptor outlives its append.
+bundled_cache layers a writable file over the packaged store, which is
+only read: checked_writable refuses any cache file in DATA_DIR.  The
+module loads no engine and no numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from json.encoder import encode_basestring_ascii as _quote
 
 from .chartab import DATA_DIR
 
@@ -22,9 +27,23 @@ from .chartab import DATA_DIR
 # named in the mode field of stored records and of coeff output.
 DEDEKIND_MODE = "classical"
 
-# The line of an appended record, json.dumps(rec, sort_keys=True) without
-# building an encoder per call.
-_encode = json.JSONEncoder(sort_keys=True).encode
+
+def _encode(rec: dict) -> str:
+    """The line of an appended record, json.dumps(rec, sort_keys=True), for
+    rec the group and the json_fields of a CoefficientRecord.
+
+    Written out field by field in key order: JSONEncoder.encode builds a
+    C encoder on every call, which cost an append more than its writes.
+    The strings are escaped by json's own encode_basestring_ascii, and the
+    integers and the residual print as json prints them, by int.__repr__
+    and float.__repr__; a stored residual is finite, at most a gate's
+    tolerance.
+    """
+    return (f'{{"c_max_used": {int.__repr__(rec["c_max_used"])}, '
+            f'"class": {_quote(rec["class"])}, "gate": {_quote(rec["gate"])}, '
+            f'"group": {_quote(rec["group"])}, "mode": {_quote(rec["mode"])}, '
+            f'"n": {int.__repr__(rec["n"])}, "residual": {float.__repr__(rec["residual"])}, '
+            f'"value": {_quote(rec["value"])}}}')
 
 
 class CoefficientRecord:
@@ -105,23 +124,28 @@ class CoefficientCache:
                 import fcntl
 
                 line = (_encode(rec) + "\n").encode("utf-8")
-                # Unbuffered writes until the whole line is on disk; after a
-                # torn tail line the record starts on a line of its own.  A
-                # write that takes no byte raises, and the record is not
-                # kept.  The file lock keeps another process from appending
-                # between the check and the write; closing the file releases it.
-                with open(self.path, "a+b", buffering=0) as fh:
-                    fcntl.flock(fh, fcntl.LOCK_EX)
-                    end = fh.seek(0, os.SEEK_END)
-                    if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                # Writes through the descriptor until the whole line is in the
+                # file; after a torn tail line the record starts on a line of
+                # its own.  A write that takes no byte raises, and the record
+                # is not kept.  The file is opened by path on every append, so
+                # one deleted since the last append is created anew.  The
+                # file lock keeps another process from appending between the
+                # check and the write; closing the descriptor releases it.
+                fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+                try:
+                    fcntl.flock(fd, fcntl.LOCK_EX)
+                    end = os.lseek(fd, 0, os.SEEK_END)
+                    if end and os.pread(fd, 1, end - 1) != b"\n":
                         line = b"\n" + line
                     view = memoryview(line)
                     while view:
-                        written = fh.write(view)
+                        written = os.write(fd, view)
                         if not written:
                             raise OSError(f"short write to {self.path}: "
                                           f"{len(view)} of {len(line)} bytes not written")
                         view = view[written:]
+                finally:
+                    os.close(fd)
             self.records[(group, class_name, n)] = rec
 
     def seed(self, lines) -> None:

@@ -1,27 +1,31 @@
 """Coefficient engine: gates, cache, known values."""
 
+import collections
 import fcntl
 import hashlib
-import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+import types
 from importlib import resources
 
 import mpmath
+import numpy as np
 import pytest
 
 import kloosterman_reference as ref
 import test_filtration as tf
 from moonmod import kernels, numerics, rademacher
-from moonmod.chartab import UnknownClassError, load_table
+from moonmod.chartab import ConjugacyClass, UnknownClassError, load_table
 from moonmod.numerics import asymptotic_leading
 from moonmod.rademacher import (HEAD_SWITCH, NonConvergent, RademacherEngine, _series_digits,
                                 partial_kloosterman)
-from moonmod.store import CoefficientCache, CoefficientRecord, RecordModeError, _encode
+from moonmod.store import (CoefficientCache, CoefficientRecord, RecordModeError, _encode,
+                           bundled_cache)
 
 KNOWN_1A = [90, 462, 1540, 4554, 11592, 27830, 61686, 131100]
 KNOWN_2A = [-6, 14, -28, 42, -56, 86, -138, 188]
@@ -65,6 +69,29 @@ def test_store_lines_are_the_append_encoding(tmp_path):
                                                                  "dip"))
     rec = {"group": "M24", **CoefficientRecord("2A", 3, -28, 2.5e-5, 410, "dip").json_fields()}
     assert path.read_bytes() == (json.dumps(rec, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_append_encoding_is_json_dumps():
+    """_encode writes json.dumps(rec, sort_keys=True) for records whose
+    strings hold quotes, backslashes, control and non-ASCII characters,
+    with residuals from the smallest subnormal up and values of any size."""
+    rng = random.Random(38)
+    alphabet = ["A", "z", "0", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+                "\u03c0", "\u2028", "\U0001d11e"]
+    residuals = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.7679944444136355e-14, 1e-5,
+                 2.5e-5, 1e-4, 0.05, 0.5, 1e16, 1.0000000000000002]
+
+    def word():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+
+    for _ in range(500):
+        residual = (rng.choice(residuals) if rng.random() < 0.5
+                    else rng.random() * 10.0 ** rng.randrange(-20, 1))
+        record = CoefficientRecord(word(), rng.randrange(1, 10 ** 6),
+                                   rng.randrange(-10 ** 40, 10 ** 40), residual,
+                                   rng.randrange(60001), word())
+        rec = {"group": word(), **record.json_fields()}
+        assert _encode(rec) == json.dumps(rec, sort_keys=True)
 
 
 def test_asymptotic_leading_formula():
@@ -202,18 +229,16 @@ def test_cache_put_finishes_short_writes(tmp_path, monkeypatch):
     path = tmp_path / "cache.ldjson"
     budget = {"bytes": 10 ** 6}
 
-    class ShortWrites(io.FileIO):
+    def short_write(fd, data):
         """Takes at most 3 bytes a write, and nothing once the budget is spent."""
+        take = min(3, budget["bytes"], len(data))
+        budget["bytes"] -= take
+        return os.write(fd, bytes(data[:take])) if take else 0
 
-        def write(self, data):
-            take = min(3, budget["bytes"], len(data))
-            budget["bytes"] -= take
-            return super().write(bytes(data[:take])) if take else 0
-
-    def appends_short(file, mode="r", **kwargs):
-        return ShortWrites(file, mode) if "a" in mode else open(file, mode, **kwargs)
-
-    monkeypatch.setattr("moonmod.store.open", appends_short, raising=False)
+    # The store appends through os.write; only its own view of os is patched.
+    store_os = types.SimpleNamespace(**vars(os))
+    store_os.write = short_write
+    monkeypatch.setattr("moonmod.store.os", store_os)
     cache = CoefficientCache(path)
     cache.put("M24", "1A", 1, CoefficientRecord("1A", 1, 90, 1e-5, 127, "dip"))
     assert CoefficientCache(path).records == cache.records
@@ -227,6 +252,20 @@ def test_cache_put_finishes_short_writes(tmp_path, monkeypatch):
     lines = path.read_bytes().split(b"\n")
     assert [json.loads(lines[k])["n"] for k in (0, 2)] == [1, 3] and lines[3] == b""
     assert CoefficientCache(path).records == cache.records
+
+
+def test_cache_put_recreates_a_removed_file(tmp_path):
+    """A store file deleted between two appends, as `cache --clear` in
+    another process leaves it, is created anew by the next append and holds
+    its record on a line of its own."""
+    path = tmp_path / "cache.ldjson"
+    cache = CoefficientCache(path)
+    cache.put("M24", "1A", 1, CoefficientRecord("1A", 1, 90, 1e-5, 127, "dip"))
+    path.unlink()
+    cache.put("M24", "1A", 3, CoefficientRecord("1A", 3, 1540, 1e-5, 300, "dip"))
+    line, end = path.read_bytes().split(b"\n")
+    assert json.loads(line)["n"] == 3 and end == b""
+    assert CoefficientCache(path).records.keys() == {("M24", "1A", 3)}
 
 
 def _record_line(cls, n, value="7", **extra) -> str:
@@ -627,6 +666,98 @@ def test_dip_gate_waits_for_a_stable_run(m24_table, monkeypatch):
     assert got == [(88, "dip", 2), (90, "dip", 39)]
 
 
+@pytest.mark.parametrize("ng, hg, n", [(2, 4, 1), (4, 8, 5), (3, 9, 300)])
+def test_sweep_refuses_a_level_off_the_grid(m24_table, ng, hg, n):
+    """Where n_g h_g does not divide n_g^2, c = n_g is off the Selberg
+    grid: the sweep raises ValueError there, in the scalar pass (no head
+    term) or in the head (3, 9 at n = 300)."""
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    with pytest.raises(ValueError, match="off the grid"):
+        engine._sweep(ConjugacyClass("X", 1, ng, ng, hg), [n])
+
+
+def _array_gate(name, n, st, cs, terms):
+    """A kernel chunk's dip gate as one array pass, with the run of equal
+    roundings formed at every checkpoint: the formula the sweep used before
+    the run array was built only near an integer."""
+    idx = np.arange(len(cs))
+    terms[0] += st.cum
+    cum = np.cumsum(terms)
+    rounded = np.rint(cum)
+    resid = np.abs(cum - rounded)
+    same = rounded == np.concatenate(([st.last_rounded], rounded[:-1]))
+    first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
+    run = idx - first + 1
+    hits = np.flatnonzero((run >= rademacher.STABILITY_WINDOW)
+                          & (resid <= rademacher.RESIDUAL_TOLERANCE))
+    if len(hits):
+        k = hits[0]
+        st.record = CoefficientRecord(name, n, st.head_int + int(rounded[k]), float(resid[k]),
+                                      int(cs[k]), "dip")
+        return
+    st.best_res = min(st.best_res, float(resid.min()))
+    st.cum = float(cum[-1])
+    st.stable_run = int(run[-1])
+    st.last_rounded = float(rounded[-1])
+
+
+def _gate_state(st):
+    rec = st.record and (st.record.value, st.record.residual, st.record.c_max_used,
+                         st.record.gate)
+    return rec, st.stable_run, repr(st.last_rounded), repr(st.best_res), repr(st.cum)
+
+
+def test_kernel_chunk_gate_equals_the_array_formula():
+    """_kernel_chunk leaves the record, run, last rounding, best residual and
+    running sum of the array formula, on seeded chunks that carry a run or
+    start from NaN, keep or change their rounding, and hit at index 0, 1, 2."""
+    rng = np.random.default_rng(38)
+    seen = collections.Counter()
+    for _ in range(4000):
+        size = int(rng.choice([1, 2, 3, 4, 9, 40]))
+        states = [rademacher._GradeState() for _ in range(2)]
+        start = int(rng.integers(-3, 4))
+        nan_start = rng.random() < 0.2
+        if not nan_start:
+            run = int(rng.integers(1, 5)) if rng.random() < 0.9 else 200
+            cum0, best = start + rng.uniform(-0.45, 0.45), rng.uniform(0.0, 0.5)
+            for st in states:
+                st.stable_run, st.last_rounded, st.cum, st.best_res = run, float(start), cum0, best
+        # Roundings that stay on the last one, stay on another, or walk.
+        walk = rng.choice(["last", "other", "walk"])
+        if walk == "last":
+            targets = np.full(size, start)
+        elif walk == "other":
+            targets = np.full(size, start + int(rng.choice([-1, 1])))
+        else:
+            targets = start + np.cumsum(rng.integers(-1, 2, size) * (rng.random(size) < 0.3))
+        near = rng.random(size) < rng.choice([0.0, 0.2, 0.7])
+        offsets = np.where(near, rng.uniform(-9e-5, 9e-5, size),
+                           rng.choice([-1, 1], size) * rng.uniform(1e-3, 0.45, size))
+        cum = targets + offsets
+        terms = np.diff(np.concatenate(([states[0].cum], cum)))
+        cs = np.arange(1, size + 1, dtype=np.int64) * 7
+        rounded = np.rint(np.cumsum(np.concatenate(([terms[0] + states[0].cum], terms[1:]))))
+        _array_gate("7B", 5, states[0], cs, terms.copy())
+        rademacher._kernel_chunk("7B", 5, states[1], cs, terms.copy())
+        assert _gate_state(states[1]) == _gate_state(states[0])
+        if nan_start:
+            seen["nan start"] += 1
+        elif rounded[0] == start:
+            seen["carried run"] += 1
+        if (rounded == start).all():
+            seen["all on the last rounding"] += 1
+        elif (rounded == rounded[0]).all():
+            seen["all equal, not the last"] += 1
+        if states[0].record is not None:
+            seen[f"hit at {list(cs).index(states[0].record.c_max_used)}"] += 1
+        else:
+            seen["no hit"] += 1
+    wanted = ["nan start", "carried run", "all on the last rounding", "all equal, not the last",
+              "hit at 0", "hit at 1", "hit at 2", "no hit"]
+    assert all(seen[case] >= 20 for case in wanted), seen
+
+
 def test_stability_gate_cold(m24_table, monkeypatch):
     """On an empty cache, 23A never dips; the fallback gate accepts at the
     last c of the grid at or below C_MAX_LIMIT, which is 2300 for a limit
@@ -749,6 +880,36 @@ def test_fused_cold_miss_appends_m24_record(m24_table, a5_table, tmp_path):
     assert json.loads(line) == {**want.json_fields(), "group": "M24"}
 
 
+# Sweeps 7B n = 24, accepted in its first chunk, then 1A n = 1, which needs
+# kernel chunks, with a session cache; prints each record's value, gate and
+# c_max_used, and whether moonmod.kernels is loaded after it.
+FIRST_CHUNK_CHILD = (
+    "import sys\n"
+    "from moonmod.chartab import bundled_table\n"
+    "from moonmod.rademacher import RademacherEngine\n"
+    "from moonmod.store import CoefficientCache\n"
+    "engine = RademacherEngine(bundled_table('m24'), cache=CoefficientCache(None))\n"
+    "for cls, n in (('7B', 24), ('1A', 1)):\n"
+    "    [rec] = engine.records(cls, [n])\n"
+    "    print(rec.value, rec.gate, rec.c_max_used, 'moonmod.kernels' in sys.modules)\n"
+)
+
+
+def test_first_chunk_value_loads_no_kernel():
+    """A grade accepted in the scalar pass gets its stored record without
+    loading moonmod.kernels; the first grade that needs a kernel chunk
+    loads it."""
+    stored = bundled_cache().records
+    want = []
+    for cls, n, loaded in (("7B", 24, False), ("1A", 1, True)):
+        rec = CoefficientRecord.from_json(stored[("M24", cls, n)])
+        want.append(f"{rec.value} {rec.gate} {rec.c_max_used} {loaded}")
+    proc = subprocess.run([sys.executable, "-c", FIRST_CHUNK_CHILD], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == want
+
+
 # Appends records n = 1..count of one class to the cache file named in argv,
 # after a line "ready" on stdout.
 APPENDER = (
@@ -762,12 +923,16 @@ APPENDER = (
 )
 
 
-def _appender(path, cls, count):
+def _src_env():
+    """The environment of a child interpreter that imports this moonmod."""
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src_dir, os.environ.get("PYTHONPATH")) if p))
+
+
+def _appender(path, cls, count):
     return subprocess.Popen([sys.executable, "-c", APPENDER, str(path), cls, str(count)],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 def test_cache_concurrent_appends(tmp_path):
