@@ -33,7 +33,7 @@ sweep for all its store misses, and coeff asks for each class once.  Head
 and tail are both real, so the gates read the real partial sums only.
 A sweep keeps per grade only what its gates read, and builds the grade's
 CoefficientRecord where a gate accepts it; _compute stores that record or
-raises NonConvergent with the best residual seen.
+raises NonConvergent with the residual at the last c swept.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ HEAD_SWITCH = 20.0
 # fold from the head on, in the same float operations in the scalar pass
 # and in the kernel chunks, and the dip gate reads every checkpoint of a
 # chunk, so a batch of grades is swept exactly as each grade alone.  A
-# kernel chunk (_kernel_chunk) forms the run at every checkpoint only when
-# one of them lies within RESIDUAL_TOLERANCE; otherwise none can pass, and
-# the run is carried from the chunk's last change of rounding.
+# kernel chunk (_kernel_chunk) forms the run only at its checkpoints within
+# RESIDUAL_TOLERANCE, and carries it, by the one rule of the chunk's changes
+# of rounding.
 # _sweep reads these names at call time.
 C_MAX_INITIAL = 50
 C_MAX_LIMIT = 60000
@@ -102,14 +102,19 @@ STABILITY_MIN_RUN = 200
 
 
 class NonConvergent(MoonmodError):
-    def __init__(self, class_name: str, n: int, best_residual: float):
+    """No gate accepted grade n; residual is the one at the last c swept."""
+
+    def __init__(self, class_name: str, n: int, residual: float):
+        why = (f"above the stability tolerance {STABILITY_TOLERANCE}"
+               if residual > STABILITY_TOLERANCE else
+               f"its run of equal roundings short of {STABILITY_MIN_RUN}")
         super().__init__(
             f"series for class {class_name} at n={n} did not stabilize "
-            f"(best residual {best_residual:.3g})"
+            f"(residual {residual:.3g} at the last c, {why})"
         )
         self.class_name = class_name
         self.n = n
-        self.best_residual = best_residual
+        self.residual = residual
 
 
 def partial_kloosterman(n: int, c: int, ng: int, hg: int, digits: int):
@@ -133,12 +138,11 @@ def _series_digits(n: int) -> int:
 class _GradeState:
     """What a sweep keeps of one grade; record is None until a gate accepts."""
 
-    __slots__ = ("head_int", "cum", "best_res", "stable_run", "last_rounded", "record")
+    __slots__ = ("head_int", "cum", "stable_run", "last_rounded", "record")
 
     def __init__(self):
         self.head_int = 0
         self.cum = 0.0
-        self.best_res = float("inf")
         # The run of checkpoints, up to the last one swept, that round to
         # last_rounded; NaN equals no rounding, so the first run starts at 1.
         self.stable_run = 0
@@ -148,50 +152,46 @@ class _GradeState:
 
 def _scalar_chunk(cls: ConjugacyClass, n: int, st: _GradeState, hi: int,
                   start_c: int) -> None:
-    """One grade's first chunk, c = n_g, 2 n_g, ..., hi, in Python floats,
-    in the same float operations and order as the kernel chunks of _sweep,
-    with sinh from numpy (math.sinh rounds some arguments differently), so
-    a term has the same bits whichever of the two sums it.
+    """One grade's first chunk, c = start_c (its tail start), start_c + n_g,
+    ..., hi, in Python floats, in the same float operations and order as
+    the kernel chunks of _sweep, with sinh from numpy (math.sinh rounds
+    some arguments differently), so a term has the same bits whichever of
+    the two sums it.
 
     K_c(n) is entry c^2/(n_g h_g) - n mod c of kloosterman_table(c),
     whose bits the kernel reproduces.  The grid is checked once, at
     c = n_g: _selberg_residue raises unless n_g h_g divides n_g^2, and then
-    it divides c^2 for every multiple c of n_g.  Terms start at start_c,
-    the grade's tail start; the run of equal roundings counts every c, and
-    the dip gate reads the checkpoints from there and from C_MAX_INITIAL
-    on.  An accepted grade gets its record and keeps the rest of st as it
-    came.
+    it divides c^2 for every multiple c of n_g.  The run of equal
+    roundings goes on from the one st carries (the head's checkpoints,
+    from _head_terms), and the dip gate reads the checkpoints from
+    C_MAX_INITIAL on.  An accepted grade gets its record and keeps the
+    rest of st as it came.
     """
     import numpy as np
 
     ng, m = cls.ng, cls.ng * cls.hg
     _selberg_residue(n, ng, ng, cls.hg)
-    cs = range(ng, hi + 1, ng)
+    cs = range(start_c, hi + 1, ng)
     table, sqrt, pi = kloosterman_table, math.sqrt, math.pi
     four_pi = 4.0 * pi
     q8 = 8 * n - 1
     x_top = pi * sqrt(q8) / 2.0
     xs = [x_top / c for c in cs]
     q8_root = q8 ** 0.25
-    gated = max(start_c, C_MAX_INITIAL)
-    window, tolerance = STABILITY_WINDOW, RESIDUAL_TOLERANCE
-    cum, run, last, best = st.cum, st.stable_run, st.last_rounded, st.best_res
+    gated, window, tolerance = C_MAX_INITIAL, STABILITY_WINDOW, RESIDUAL_TOLERANCE
+    cum, run, last = st.cum, st.stable_run, st.last_rounded
     for c, x, sinh_x in zip(cs, xs, np.sinh(xs).tolist()):
-        if c >= start_c:
-            # The kernel chunks' factor, then K_c(n): the same float operations.
-            cum += four_pi * sqrt(2.0 / (pi * x)) * sinh_x / (c * q8_root) \
-                * table(c)[(c * c // m - n) % c]
+        # The kernel chunks' factor, then K_c(n): the same float operations.
+        cum += four_pi * sqrt(2.0 / (pi * x)) * sinh_x / (c * q8_root) \
+            * table(c)[(c * c // m - n) % c]
         rounded = round(cum)
-        resid = abs(cum - rounded)
         run = run + 1 if rounded == last else 1
         last = rounded
-        if c >= gated:
-            if run >= window and resid <= tolerance:
-                st.record = CoefficientRecord(cls.name, n, st.head_int + rounded, resid,
-                                              c, "dip")
-                return
-            best = min(best, resid)
-    st.cum, st.stable_run, st.last_rounded, st.best_res = cum, run, last, best
+        if c >= gated and run >= window and abs(cum - rounded) <= tolerance:
+            st.record = CoefficientRecord(cls.name, n, st.head_int + rounded,
+                                          abs(cum - rounded), c, "dip")
+            return
+    st.cum, st.stable_run, st.last_rounded = cum, run, last
 
 
 def _kernel_chunk(name: str, n: int, st: _GradeState, cs, terms) -> None:
@@ -199,9 +199,12 @@ def _kernel_chunk(name: str, n: int, st: _GradeState, cs, terms) -> None:
     sum as one left fold from st.cum, and read the dip gate at each c.
 
     An accepted grade gets its record and keeps the rest of st as it came.
-    The run array is built only when some checkpoint lies within
-    RESIDUAL_TOLERANCE; otherwise no checkpoint can pass, and the run is
-    carried from the chunk's last change of rounding.
+    The run at checkpoint k is k minus the last change of rounding at or
+    before k, plus 1; before the chunk's first change it is k + 1 plus the
+    run carried in, if index 0 rounds as st.last_rounded (NaN, as no
+    rounding, never does).  The gate judges, in order, only the
+    checkpoints within RESIDUAL_TOLERANCE, and the run leaves by the same
+    rule.
     """
     import numpy as np
 
@@ -209,32 +212,16 @@ def _kernel_chunk(name: str, n: int, st: _GradeState, cs, terms) -> None:
     cum = np.cumsum(terms)
     rounded = np.rint(cum)
     resid = np.abs(cum - rounded)
-    low = float(resid.min())
-    if low <= RESIDUAL_TOLERANCE:
-        # run[k]: checkpoints up to k, across chunks, that round as k does.
-        # A run carried from the last chunk starts at index -stable_run, a
-        # new one at its own index.
-        idx = np.arange(len(cs))
-        same = rounded == np.concatenate(([st.last_rounded], rounded[:-1]))
-        first = np.maximum.accumulate(np.where(same, -st.stable_run, idx))
-        run = idx - first + 1
-        hits = np.flatnonzero((run >= STABILITY_WINDOW) & (resid <= RESIDUAL_TOLERANCE))
-        if len(hits):
-            k = hits[0]
+    # j in ends: a run ends at j, and the rounding changes at j + 1.
+    ends = np.flatnonzero(rounded[1:] != rounded[:-1])
+    carried = st.stable_run if rounded[0] == st.last_rounded else 0
+    for k in np.flatnonzero(resid <= RESIDUAL_TOLERANCE).tolist():
+        i = ends.searchsorted(k)
+        if (k - int(ends[i - 1]) if i else k + 1 + carried) >= STABILITY_WINDOW:
             st.record = CoefficientRecord(name, n, st.head_int + int(rounded[k]),
                                           float(resid[k]), int(cs[k]), "dip")
             return
-        st.stable_run = int(run[-1])
-    else:
-        # NaN differs from every rounding, as in same above.
-        change = np.flatnonzero(rounded[1:] != rounded[:-1])
-        if len(change):
-            st.stable_run = len(cs) - 1 - int(change[-1])
-        elif rounded[0] == st.last_rounded:
-            st.stable_run += len(cs)
-        else:
-            st.stable_run = len(cs)
-    st.best_res = min(st.best_res, low)
+    st.stable_run = len(cs) - 1 - int(ends[-1]) if len(ends) else len(cs) + carried
     st.cum = float(cum[-1])
     st.last_rounded = float(rounded[-1])
 
@@ -274,7 +261,9 @@ class RademacherEngine:
 
         Returns, per grade, the first admissible c handled by the tail.  A
         grade whose first c is already past the head (on the 1A grid, every
-        n below 21) has no head term and never loads mpmath.
+        n below 21) has no head term and never loads mpmath.  A headed
+        grade's state carries the run of its head's checkpoints, c // n_g - 1
+        of them for tail start c, all at st.cum and so rounding alike.
         """
         step = cls.ng
         tail_start = {}
@@ -300,6 +289,7 @@ class RademacherEngine:
                     c += step
                 st.head_int = int(mpmath.nint(head_re))
                 st.cum = float(head_re - mpmath.nint(head_re))
+            st.stable_run, st.last_rounded = c // step - 1, round(st.cum)
             tail_start[n] = c
         return tail_start
 
@@ -360,11 +350,11 @@ class RademacherEngine:
         states = self._sweep(cls, grades)
         out = {}
         for n in grades:
-            rec = states[n].record
-            if rec is None:
-                raise NonConvergent(cls.name, n, states[n].best_res)
-            self.cache.put(self.group, cls.name, n, rec)
-            out[n] = rec
+            st = states[n]
+            if st.record is None:
+                raise NonConvergent(cls.name, n, abs(st.cum - round(st.cum)))
+            self.cache.put(self.group, cls.name, n, st.record)
+            out[n] = st.record
         return out
 
     # -- provider / batch interface -----------------------------------------

@@ -379,6 +379,20 @@ def test_unopenable_file_exits_1(argv, tmp_path, monkeypatch, capsys):
     assert paths["dir"].is_dir()
 
 
+def test_nonconvergent_coeff_exits_1_and_appends_nothing(tmp_path, capsys):
+    """Cold 21A n = 144 passes no gate: coeff prints one error line with the
+    residual at the last c swept, exits 1, and leaves the cache file as it was."""
+    store = tmp_path / "m24_coeffs.ldjson"
+    shutil.copyfile(REPO_CACHE, store)
+    before = store.read_bytes()
+    code, out, err = run(capsys, ["coeff", "--class", "21A", "--n", "144",
+                                  "--cache", str(store)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: series for class 21A at n=144 did not stabilize (residual ")
+    assert err.count("\n") == 1, err
+    assert store.read_bytes() == before
+
+
 def test_out_in_missing_dir_refused_before_any_work(tmp_path, monkeypatch, capsys):
     """An --out file whose directory is missing is refused before a table
     is loaded or a coefficient swept: grade 61 is not in the store."""

@@ -639,7 +639,7 @@ def test_first_chunk_records_and_states_are_pinned(m24_table, warm_cache, monkey
     for name, grades in full:
         sweeps.append((name, engine._sweep(m24_table.class_named(name), grades)))
     records = [st.record for _, states in sweeps for st in states.values() if st.record]
-    carried = [f"{name} {n} {st.cum!r} {st.stable_run} {st.best_res!r}"
+    carried = [f"{name} {n} {st.cum!r} {st.stable_run}"
                for name, states in sweeps for n, st in states.items() if st.record is None]
     lines = [f"{r.class_name} {r.n} {r.value} {r.gate} {r.c_max_used} {r.residual!r}"
              for r in records]
@@ -647,7 +647,7 @@ def test_first_chunk_records_and_states_are_pinned(m24_table, warm_cache, monkey
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "426f6a3e0935fb14046fc583a3a2a93491575895712996b85fc4c3ee09eb0b45"
     assert hashlib.sha256("\n".join(carried).encode()).hexdigest() == \
-        "547bb2c766cadb3bae804f1b6aa18de13d4f4c57456e2b5bc88eedb6146cc5cf"
+        "eb39d9d49f30e0a677b9fcace76b7844cea7da445048b810f74e0ab70b43c224"
     [defect] = [r for r in records if (r.class_name, r.n) == ("21A", 27)]
     assert (defect.value, defect.gate, defect.c_max_used) == (1, "dip", 147)
     assert {r.c_max_used <= 69 for r in records} == {True, False}
@@ -695,7 +695,6 @@ def _array_gate(name, n, st, cs, terms):
         st.record = CoefficientRecord(name, n, st.head_int + int(rounded[k]), float(resid[k]),
                                       int(cs[k]), "dip")
         return
-    st.best_res = min(st.best_res, float(resid.min()))
     st.cum = float(cum[-1])
     st.stable_run = int(run[-1])
     st.last_rounded = float(rounded[-1])
@@ -704,13 +703,15 @@ def _array_gate(name, n, st, cs, terms):
 def _gate_state(st):
     rec = st.record and (st.record.value, st.record.residual, st.record.c_max_used,
                          st.record.gate)
-    return rec, st.stable_run, repr(st.last_rounded), repr(st.best_res), repr(st.cum)
+    return rec, st.stable_run, repr(st.last_rounded), repr(st.cum)
 
 
 def test_kernel_chunk_gate_equals_the_array_formula():
-    """_kernel_chunk leaves the record, run, last rounding, best residual and
-    running sum of the array formula, on seeded chunks that carry a run or
-    start from NaN, keep or change their rounding, and hit at index 0, 1, 2."""
+    """_kernel_chunk leaves the record, run, last rounding and running sum
+    of the array formula, on seeded chunks that carry a run or start from
+    NaN, keep or change their rounding, hit at index 0, 1, 2, accept at
+    index 0 or 1 only by the carried run, and refuse a checkpoint within
+    the tolerance for its short run before accepting a later one."""
     rng = np.random.default_rng(38)
     seen = collections.Counter()
     for _ in range(4000):
@@ -720,9 +721,9 @@ def test_kernel_chunk_gate_equals_the_array_formula():
         nan_start = rng.random() < 0.2
         if not nan_start:
             run = int(rng.integers(1, 5)) if rng.random() < 0.9 else 200
-            cum0, best = start + rng.uniform(-0.45, 0.45), rng.uniform(0.0, 0.5)
+            cum0 = start + rng.uniform(-0.45, 0.45)
             for st in states:
-                st.stable_run, st.last_rounded, st.cum, st.best_res = run, float(start), cum0, best
+                st.stable_run, st.last_rounded, st.cum = run, float(start), cum0
         # Roundings that stay on the last one, stay on another, or walk.
         walk = rng.choice(["last", "other", "walk"])
         if walk == "last":
@@ -737,7 +738,8 @@ def test_kernel_chunk_gate_equals_the_array_formula():
         cum = targets + offsets
         terms = np.diff(np.concatenate(([states[0].cum], cum)))
         cs = np.arange(1, size + 1, dtype=np.int64) * 7
-        rounded = np.rint(np.cumsum(np.concatenate(([terms[0] + states[0].cum], terms[1:]))))
+        sums = np.cumsum(np.concatenate(([terms[0] + states[0].cum], terms[1:])))
+        rounded = np.rint(sums)
         _array_gate("7B", 5, states[0], cs, terms.copy())
         rademacher._kernel_chunk("7B", 5, states[1], cs, terms.copy())
         assert _gate_state(states[1]) == _gate_state(states[0])
@@ -750,11 +752,18 @@ def test_kernel_chunk_gate_equals_the_array_formula():
         elif (rounded == rounded[0]).all():
             seen["all equal, not the last"] += 1
         if states[0].record is not None:
-            seen[f"hit at {list(cs).index(states[0].record.c_max_used)}"] += 1
+            k = list(cs).index(states[0].record.c_max_used)
+            seen[f"hit at {k}"] += 1
+            # Without the carried run, index k's run is at most k + 1.
+            if k + 1 < rademacher.STABILITY_WINDOW and not nan_start and rounded[0] == start:
+                seen["hit by the carried run"] += 1
+            if (np.abs(sums[:k] - rounded[:k]) <= rademacher.RESIDUAL_TOLERANCE).any():
+                seen["refused near an integer, then hit"] += 1
         else:
             seen["no hit"] += 1
     wanted = ["nan start", "carried run", "all on the last rounding", "all equal, not the last",
-              "hit at 0", "hit at 1", "hit at 2", "no hit"]
+              "hit at 0", "hit at 1", "hit at 2", "no hit", "hit by the carried run",
+              "refused near an integer, then hit"]
     assert all(seen[case] >= 20 for case in wanted), seen
 
 
@@ -771,8 +780,21 @@ def test_stability_gate_cold(m24_table, monkeypatch):
         # c = 23, 46, ..., 2300 are 100 checkpoints: no run can reach 101.
         truncate(monkeypatch, STABILITY_MIN_RUN=101)
         engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
-        with pytest.raises(NonConvergent):
+        with pytest.raises(NonConvergent, match="run of equal roundings short of 101"):
             engine.records("23A", [1, 2, 3])
+
+
+def test_nonconvergent_reports_the_last_residual(m24_table):
+    """Cold 21A n = 144 passes no gate by C_MAX_LIMIT: the residual at the
+    last c swept, which the error reports, is above STABILITY_TOLERANCE."""
+    engine = RademacherEngine(m24_table, cache=CoefficientCache(None))
+    with pytest.raises(NonConvergent) as err:
+        engine.records("21A", [144])
+    assert (err.value.class_name, err.value.n) == ("21A", 144)
+    assert err.value.residual > rademacher.STABILITY_TOLERANCE
+    assert str(err.value).endswith(f"(residual {err.value.residual:.3g} at the last c, "
+                                   f"above the stability tolerance 0.05)")
+    assert len(engine.cache) == 0
 
 
 def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
