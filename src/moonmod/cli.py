@@ -17,17 +17,25 @@ after the group whose records the engine keeps: m24 for M24 and for a
 table that fuses into it, such as a5, whose engine sweeps and stores
 M24's classes).  The named file overlays the packaged precomputed store,
 which is read into memory: file records win, and new values are appended
-to the file only.  With neither, nothing is written.  No command writes
-or deletes package data: an --out file in the package data directory is
-refused before any table is loaded, a cache file there before any store
-is read.  An --out file whose directory is missing is refused before any
-table is loaded, and an engine command refuses such a cache file before
-it reads a store.
+to the file only.  With neither, nothing is written.  Only coeff and
+cache read the file or append to it.  decompose, filtrate --n and asympt
+read their values from the exact q-series oracle (moonmod.qseries), at
+any grade, for M24 and every table that fuses into it; they resolve the
+cache file and refuse it as coeff does, but never open it.  A table whose
+classes are not M24's keeps the engine, store and file included.  No
+command writes or deletes package data: an --out file in the package data
+directory is refused before any table is loaded, a cache file there
+before any store is read.  An --out file whose directory is missing is
+refused before any table is loaded, and a cache file there before any
+value is read.
 
 Each command imports the modules it uses when it runs: validate loads the
 table modules only (and moonmod.store to check an --out path), cache adds
-moonmod.store, coeff the store and the engine, and only the commands that
-decompose or filtrate load those layers.
+moonmod.store, coeff the store and the engine.  decompose adds decomp and
+qseries, filtrate --n and asympt filtration and numerics as well, and
+each of them moonmod.store only to check a --cache or --out path; for a
+served table none loads the engine, numpy or mpmath.  filtrate --residue
+reads the table alone.
 """
 
 from __future__ import annotations
@@ -69,16 +77,33 @@ def _load_group(name_or_path: str) -> CharacterTable:
     return load_table(name_or_path)
 
 
+def _checked_cache(args, table: CharacterTable) -> str | None:
+    """The resolved cache file, refused if it lies in package data or in a
+    missing directory."""
+    path = _resolve_cache(args, table)
+    return _in_existing_dir(path) if path else None
+
+
 def _make_engine(args, table: CharacterTable):
     """The coefficient engine serving table's classes, over the packaged
     store and the resolved cache file."""
     from .rademacher import RademacherEngine
     from .store import bundled_cache
 
-    path = _resolve_cache(args, table)
-    if path:
-        _in_existing_dir(path)
-    return RademacherEngine(table, cache=bundled_cache(path))
+    return RademacherEngine(table, cache=bundled_cache(_checked_cache(args, table)))
+
+
+def _coefficients(args, table: CharacterTable, grades: list[int]):
+    """The provider of decompose, filtrate --n and asympt: the q-series
+    oracle, computed to the largest of grades, for a table it serves (M24
+    and the tables that fuse into it), the engine for any other.  The
+    cache file is refused as for the engine, but the oracle never opens it."""
+    from . import qseries
+
+    if not qseries.serves(table):
+        return _make_engine(args, table)
+    _checked_cache(args, table)
+    return qseries.QSeriesOracle(table, max(grades))
 
 
 def _in_existing_dir(path: str) -> str:
@@ -185,13 +210,13 @@ def cmd_decompose(args) -> int:
     from . import decomp
 
     table = _load_group(args.group)
-    engine = _make_engine(args, table)
     grades = _parse_grades(args.n)
+    coeffs = _coefficients(args, table, grades)
     profiles = {p.n: p for p in decomp.ratio_profile(
-        table, [n for n in grades if n >= 1], engine)}
+        table, [n for n in grades if n >= 1], coeffs)}
     # In request order: (n, multiplicities, profile); below n = 1 a grade
     # has no profile.
-    rows = [(n, profiles[n].mv if n >= 1 else decomp.multiplicities(table, n, engine),
+    rows = [(n, profiles[n].mv if n >= 1 else decomp.multiplicities(table, n, coeffs),
              profiles.get(n)) for n in grades]
     if args.format == "json":
         doc = {"schema": 1, "group": table.group_name, "grades": [
@@ -219,10 +244,10 @@ def cmd_filtrate(args) -> int:
         result = filtration.filtrate_asymptotic(table, profile, args.residue,
                                                 args.modulus)
     else:
-        engine = _make_engine(args, table)
         [n] = _parse_grades(args.n)
-        mv = decomp.multiplicities(table, n, engine)
-        signs = filtration.signs_at(table, engine, n)
+        coeffs = _coefficients(args, table, [n])
+        mv = decomp.multiplicities(table, n, coeffs)
+        signs = filtration.signs_at(table, coeffs, n)
         result = filtration.filtrate_exact(mv, table, signs)
     _emit(filtration.result_to_json(result, table) + "\n", args.out)
     return 0
@@ -232,18 +257,18 @@ def cmd_asympt(args) -> int:
     from . import decomp, filtration
 
     table = _load_group(args.group)
-    engine = _make_engine(args, table)
     grades = _parse_grades(args.n)
+    coeffs = _coefficients(args, table, grades)
     if args.free:
         text = _csv(["n", "max_deviation"],
                     ([prof.n, f"{prof.max_deviation:.6g}"]
-                     for prof in decomp.ratio_profile(table, grades, engine)))
+                     for prof in decomp.ratio_profile(table, grades, coeffs)))
     else:
         rows = []
         for n in grades:
-            mv = decomp.multiplicities(table, n, engine)
+            mv = decomp.multiplicities(table, n, coeffs)
             _, nonfree = decomp.free_part_split(mv, table)
-            signs = filtration.signs_at(table, engine, n)
+            signs = filtration.signs_at(table, coeffs, n)
             pred = filtration.nonfree_asymptotic(table, signs, n)
             rows.extend([n, chi.name, nonfree.m[i], f"{pred[i]:.6g}",
                          f"{nonfree.m[i] / pred[i]:.6g}" if pred[i] else ""]

@@ -625,6 +625,10 @@ NOT_LOADED = {
               "moonmod.filtration", "moonmod.kernels"},
     # The asymptotic filtration reads the table alone.
     "filtrate --residue": {"moonmod.rademacher", "moonmod.kernels"},
+    # The exact commands read the q-series oracle, not the engine.
+    "decompose": {"moonmod.rademacher", "moonmod.kernels"},
+    "filtrate": {"moonmod.rademacher", "moonmod.kernels"},
+    "asympt": {"moonmod.rademacher", "moonmod.kernels"},
 }
 
 
@@ -641,6 +645,66 @@ def test_warm_command_loads_no_numeric_stack(argv, tmp_path, capsys):
     assert not NOT_LOADED.get(mode, {"moonmod.kernels"}) & set(modules)
     assert run(capsys, argv) == (0, out, "")
     assert store.read_bytes() == before
+
+
+def test_any_grade_in_fresh_interpreter():
+    """decompose reads any grade from the oracle, past the store and past
+    the engine's reach: 21A at n = 144 passes no gate of the engine, so
+    coeff still fails there."""
+    code, out, numeric, modules, _ = run_child(["decompose", "--n", "144"], SRC_DIR)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert (code, numeric) == (0, [])
+    assert len(rows) == 26 and all(int(r[3]) >= 0 for r in rows), rows
+    assert not {"moonmod.rademacher", "moonmod.kernels"} & set(modules)
+    code, out, _, _, _ = run_child(["coeff", "--class", "21A", "--n", "144"], SRC_DIR)
+    assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "1..3"], ["filtrate", "--n", "30"],
+    ["asympt", "--free", "--n", "1..3"], ["asympt", "--nonfree", "--n", "30"],
+    ["decompose", "--group", "a5", "--n", "1"]], ids=" ".join)
+def test_served_command_neither_reads_nor_appends_the_cache(argv, tmp_path, capsys):
+    """A served command resolves the cache file but never reads it: one
+    whose record coeff refuses (a foreign Dedekind mode) serves it, and
+    its bytes stay as they were."""
+    path = tmp_path / "m24_coeffs.ldjson"
+    path.write_text(json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "91",
+                                "residual": 1e-5, "c_max_used": 127,
+                                "mode": "omega-floor", "gate": "dip"}) + "\n")
+    before = path.read_bytes()
+    want = run(capsys, argv)
+    assert want[0] == 0
+    assert run(capsys, argv + ["--cache", str(path)]) == want
+    assert path.read_bytes() == before
+    code, _, err = run(capsys, ["coeff", "--class", "1A", "--n", "1", "--cache", str(path)])
+    assert code == 1 and "omega-floor" in err
+
+
+def test_table_not_m24_goes_through_the_engine(tmp_path, monkeypatch, capsys):
+    """A5 without its fusion targets has classes that are not M24's: its
+    decomposition asks the Rademacher engine, which sweeps and appends."""
+    doc = json.loads(resources.files("moonmod.data").joinpath("a5.table").read_text())
+    for cls in doc["classes"]:
+        del cls["fusion_target"]
+    table = tmp_path / "a5_own.table"
+    table.write_text(json.dumps(doc))
+    asked = []
+    value = RademacherEngine.value
+
+    def counting(self, class_name, n):
+        asked.append((class_name, n))
+        return value(self, class_name, n)
+
+    monkeypatch.setattr(RademacherEngine, "value", counting)
+    store = tmp_path / "a5_coeffs.ldjson"
+    code, out, _ = run(capsys, ["decompose", "--group", str(table), "--n", "1",
+                                "--cache", str(store)])
+    assert code == 0
+    assert asked == [(c["name"], 1) for c in doc["classes"]]
+    assert [json.loads(line)["group"] for line in store.read_text().splitlines()] == \
+        ["A5"] * 5
+    assert run(capsys, ["decompose", "--group", "a5", "--n", "1"]) == (0, out, "")
 
 
 def test_cache_command_loads_only_the_store(tmp_path):
