@@ -12,7 +12,8 @@ may mix values from several quadratic fields.  The table is square, so
 the row relation implies the column relation, which is not checked
 again.  A table whose classes all carry fusion targets into M24
 (fuses_into_m24) takes its coefficients from M24's classes.  Bundled
-files for M24 and A5 live in DATA_DIR, the package's data directory.
+files for M24 and A5 live in DATA_DIR, the package's data directory,
+which no command writes (checked_writable).
 MoonmodError is the base of every failure type of the package; a command
 reports exactly the MoonmodError, ValueError and OSError failures.
 """
@@ -28,6 +29,17 @@ from .quadratic import QuadraticValue, mul_roots
 
 # The package data, next to the modules: installs must be unpacked files.
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def checked_writable(path: str) -> str:
+    """path, a cache file a command may append to or delete or an --out
+    file it writes, unless it lies in DATA_DIR: package data is never
+    written."""
+    data = os.path.realpath(DATA_DIR)
+    if os.path.commonpath([os.path.realpath(path), data]) == data:
+        raise ValueError(f"{path} lies in the package data directory "
+                         f"{DATA_DIR}, which is read-only")
+    return path
 
 
 class MoonmodError(Exception):

@@ -19,23 +19,21 @@ M24's classes).  The named file overlays the packaged precomputed store,
 which is read into memory: file records win, and new values are appended
 to the file only.  With neither, nothing is written.  Only coeff and
 cache read the file or append to it.  decompose, filtrate --n and asympt
-read their values from the exact q-series oracle (moonmod.qseries), at
-any grade, for M24 and every table that fuses into it; they resolve the
-cache file and refuse it as coeff does, but never open it.  A table whose
-classes are not M24's keeps the engine, store and file included.  No
-command writes or deletes package data: an --out file in the package data
-directory is refused before any table is loaded, a cache file there
-before any store is read.  An --out file whose directory is missing is
-refused before any table is loaded, and a cache file there before any
-value is read.
+resolve the file and refuse it as coeff does, but never open it: they
+read their values, at any grade and for any table, from the exact
+q-series oracle (moonmod.qseries), which serves each class by M24's
+series at its level (n_g, h_g) and refuses a level that M24 lacks.  No
+command writes or deletes package data (chartab.checked_writable): an
+--out file in the package data directory is refused before any table is
+loaded, a cache file there before any store is read.  An --out file
+whose directory is missing is refused before any table is loaded, and a
+cache file there before any value is read.
 
 Each command imports the modules it uses when it runs: validate loads the
-table modules only (and moonmod.store to check an --out path), cache adds
-moonmod.store, coeff the store and the engine.  decompose adds decomp and
-qseries, filtrate --n and asympt filtration and numerics as well, and
-each of them moonmod.store only to check a --cache or --out path; for a
-served table none loads the engine, numpy or mpmath.  filtrate --residue
-reads the table alone.
+table modules only, cache adds moonmod.store, coeff the store and the
+engine.  decompose adds decomp and qseries, filtrate --n and asympt
+filtration and numerics as well; none of them loads the store, the
+engine, numpy or mpmath.  filtrate --residue reads the table alone.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import os
 import sys
 
 from .chartab import (CharacterTable, MoonmodError, TableError, bundled_table,
-                      fuses_into_m24, load_table)
+                      checked_writable, fuses_into_m24, load_table)
 
 BUNDLED_GROUPS = ("m24", "a5")
 
@@ -61,8 +59,6 @@ def _resolve_cache(args, table: CharacterTable | None = None) -> str | None:
     engine keeps, m24 for a table that fuses into M24; table is loaded from
     --group if not given.
     """
-    from .store import checked_writable
-
     path, env_dir = args.cache, os.environ.get("MOONMOD_CACHE")
     if not path and env_dir:
         table = table or _load_group(args.group)
@@ -85,8 +81,8 @@ def _checked_cache(args, table: CharacterTable) -> str | None:
 
 
 def _make_engine(args, table: CharacterTable):
-    """The coefficient engine serving table's classes, over the packaged
-    store and the resolved cache file."""
+    """The coefficient engine of coeff, serving table's classes over the
+    packaged store and the resolved cache file."""
     from .rademacher import RademacherEngine
     from .store import bundled_cache
 
@@ -95,15 +91,13 @@ def _make_engine(args, table: CharacterTable):
 
 def _coefficients(args, table: CharacterTable, grades: list[int]):
     """The provider of decompose, filtrate --n and asympt: the q-series
-    oracle, computed to the largest of grades, for a table it serves (M24
-    and the tables that fuse into it), the engine for any other.  The
-    cache file is refused as for the engine, but the oracle never opens it."""
-    from . import qseries
+    oracle, computed to the largest of grades, serving each class by the
+    series of M24 at its level (n_g, h_g).  The cache file is refused as
+    for coeff, but never opened."""
+    from .qseries import QSeriesOracle
 
-    if not qseries.serves(table):
-        return _make_engine(args, table)
     _checked_cache(args, table)
-    return qseries.QSeriesOracle(table, max(grades))
+    return QSeriesOracle(table, max(grades))
 
 
 def _in_existing_dir(path: str) -> str:
@@ -396,8 +390,6 @@ def main(argv=None) -> int:
         parser.error("argument --n: filtrate takes a single grade")
     try:
         if args.out:
-            from .store import checked_writable
-
             _in_existing_dir(checked_writable(args.out))
         return COMMANDS[args.command](args)
     except (MoonmodError, ValueError, OSError) as exc:

@@ -26,11 +26,14 @@ serves every E2(N tau).  A QSeriesOracle computes the series once, up to
 the largest grade its command asks for.  Nothing here imports the
 coefficient engine, the store, numpy or mpmath.
 
-The coefficient engine (moonmod.rademacher) stays the method under test of
-coeff, cache and the packaged store; decompose, filtrate --n and asympt
-read their values here (QSeriesOracle) for M24 and every table that fuses
-into it.  Tier-1 checks this module against every packaged record, through
-each class's Sturm bound.
+A twining function is fixed by its level (n_g, h_g), as is the series the
+engine sums for it: m24_classes serves each class of any table by M24's
+series at its level, and refuses a level that M24 lacks or a fusion
+target at another level.  The engine (moonmod.rademacher) stays the
+method under test of coeff, cache and the packaged store, and checks
+fusion targets by the same rule; decompose, filtrate --n and asympt read
+their values here.  Tier-1 checks this module against every packaged
+record, through each class's Sturm bound.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 from operator import add
 
-from .chartab import CharacterTable, UnknownClassError, fuses_into_m24
+from .chartab import CharacterTable, TableError, UnknownClassError
 
 # The scale of every integer series: 24 * lcm(3, 4, 5, 11).
 D = 15840
@@ -249,37 +252,39 @@ def coefficients(top: int) -> dict[str, list[int]]:
     return out
 
 
-def serves(table: CharacterTable) -> bool:
-    """Whether the oracle serves table: M24 by class names and (n_g, h_g),
-    or a table that fuses into M24."""
-    return fuses_into_m24(table) or \
-        {c.name: (c.ng, c.hg) for c in table.classes} == LEVELS
+def m24_classes(table: CharacterTable) -> dict[str, str]:
+    """The class of M24 whose series serves each class of table: its fusion
+    target, else the first class of M24 at its level (n_g, h_g), as the
+    engine sums that level.  TableError refuses a class at a level that M24
+    lacks, or whose target is not a class of M24 at its level."""
+    first = {level: name for name, level in reversed(LEVELS.items())}
+    out = {}
+    for c in table.classes:
+        level = (c.ng, c.hg)
+        out[c.name] = target = c.fusion_target or first.get(level)
+        if LEVELS.get(target) != level:
+            raise TableError(f"class {c.name}: its level (n_g, h_g) = {level} is not "
+                             f"that of {target or 'a class'} in M24")
+    return out
 
 
 class QSeriesOracle:
-    """Coefficient provider for a table the oracle serves (see serves), with
-    RademacherEngine.value's contract: grades -1 and 0 are definitions, a
-    grade below -1 raises ValueError and an unknown class
-    UnknownClassError; a table that fuses into M24 reads the classes it
-    fuses to.  The series run once, at the first grade above 0 asked for,
-    to that grade or top if larger, and again only for a grade beyond."""
+    """Coefficient provider for any table at levels of M24 (m24_classes),
+    with RademacherEngine.value's contract: grades -1 and 0 are definitions,
+    a grade below -1 raises ValueError, an unknown class UnknownClassError.
+    The series run once, at the first grade above 0 asked for, to that grade
+    or top if larger, and again only for a grade beyond."""
 
     def __init__(self, table: CharacterTable, top: int = 0):
-        self._fusion = ({c.name: c.fusion_target for c in table.classes}
-                        if fuses_into_m24(table) else None)
+        self._names = m24_classes(table)
         self._top = top
         self._series: dict[str, list[int]] = {}
 
     def value(self, class_name: str, n: int) -> int:
-        """c_g(n) for the class that serves class_name."""
-        name = class_name
-        if self._fusion is not None:
-            try:
-                name = self._fusion[class_name]
-            except KeyError:
-                raise UnknownClassError(class_name) from None
-        if name not in LEVELS:
-            raise UnknownClassError(name)
+        """c_g(n) for the class of M24 that serves class_name."""
+        name = self._names.get(class_name)
+        if name is None:
+            raise UnknownClassError(class_name)
         if n < -1:
             raise ValueError("n must be at least -1")
         if n < 1:

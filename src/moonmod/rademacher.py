@@ -58,10 +58,9 @@ HEAD_SWITCH = 20.0
 # grid (large n_g) carry an intrinsic slowly decaying tail drift and may
 # never dip that deep; the fallback gate accepts, at C_MAX_LIMIT, a value
 # whose final run has reached STABILITY_MIN_RUN with residual at most
-# STABILITY_TOLERANCE, and marks the record gate="stability".  Only
-# decompose, filtrate --n and asympt check that a grade decomposes
-# integrally across all classes; coeff and the store take a record, of
-# either gate, as the sweep left it (ROADMAP: known defect 1, direction 1).
+# STABILITY_TOLERANCE, and marks the record gate="stability".  coeff and the
+# store take a record, of either gate, as the sweep left it: no command checks
+# that an engine grade decomposes integrally (ROADMAP: known defect 1, direction 1).
 # A C_MAX_LIMIT of 60000 covers the grades of the packaged store:
 # integrality dips for grades up to ~60 are observed out to c ~ 3*10^4.
 # The dip gate reads checkpoints from C_MAX_INITIAL on.  The sweep's first
@@ -232,24 +231,25 @@ class RademacherEngine:
     A table that fuses into M24 (chartab.fuses_into_m24), such as A5, is
     served through M24: the engine sweeps and stores the M24 class each
     of its classes fuses to, keyed as M24's, and answers its class names.
+    A target that is not a class of M24 at its class's level (n_g, h_g)
+    raises TableError here, by the oracle's rule (qseries.m24_classes).
     """
 
     def __init__(self, table: CharacterTable, cache: CoefficientCache | None = None):
-        # Served class name -> swept class name; None when both are table's.
-        self._fusion = None
+        # Served class name -> the swept class that serves it.
+        names = {c.name: c.name for c in table.classes}
         if fuses_into_m24(table):
-            self._fusion = {c.name: c.fusion_target for c in table.classes}
-            table = bundled_table("m24")
-        self._swept = table
+            from .qseries import m24_classes
+
+            names, table = m24_classes(table), bundled_table("m24")
+        self._swept = {name: table.class_named(swept) for name, swept in names.items()}
         self.group = table.group_name
         self.cache = cache if cache is not None else CoefficientCache(None)
 
-    def _swept_name(self, class_name: str) -> str:
+    def _swept_class(self, class_name: str) -> ConjugacyClass:
         """The swept class that serves class_name."""
-        if self._fusion is None:
-            return class_name
         try:
-            return self._fusion[class_name]
+            return self._swept[class_name]
         except KeyError:
             raise UnknownClassError(class_name) from None
 
@@ -368,7 +368,7 @@ class RademacherEngine:
         store; the misses are swept in one batch and appended to the store
         in first-seen order.
         """
-        cls = self._swept.class_named(self._swept_name(class_name))
+        cls = self._swept_class(class_name)
         grades = list(grades)
         got: dict[int, CoefficientRecord] = {}
         todo = []
@@ -389,9 +389,9 @@ class RademacherEngine:
         """c_g(n); a store hit is read from the stored record as it is."""
         if n < 1:
             return self.records(class_name, [n])[0].value
-        name = self._swept_name(class_name)
-        rec = self.cache.get(self.group, name, n)
+        cls = self._swept_class(class_name)
+        rec = self.cache.get(self.group, cls.name, n)
         if rec is None:
             # Swept at once: records would look the grade up a second time.
-            return self._compute(self._swept.class_named(name), [n])[n].value
+            return self._compute(cls, [n])[n].value
         return int(rec["value"])

@@ -10,8 +10,8 @@ appends one record, the line _encode writes, through a descriptor that it
 opens by path, locks, writes and closes, so a file deleted since the last
 append is created anew and no descriptor outlives its append.
 bundled_cache layers a writable file over the packaged store, which is
-only read: checked_writable refuses any cache file in DATA_DIR.  The
-module loads no engine and no numpy.
+only read: chartab.checked_writable refuses any cache file in DATA_DIR.
+The module loads no engine and no numpy.
 """
 
 from __future__ import annotations
@@ -201,13 +201,3 @@ def bundled_cache(path: str | os.PathLike | None = None) -> CoefficientCache:
             cache.seed(fh.read().splitlines())
     return cache
 
-
-def checked_writable(path: str) -> str:
-    """path, a cache file a command may append to or delete or an --out
-    file it writes, unless it lies in DATA_DIR: package data is never
-    written."""
-    data = os.path.realpath(DATA_DIR)
-    if os.path.commonpath([os.path.realpath(path), data]) == data:
-        raise ValueError(f"{path} lies in the package data directory "
-                         f"{DATA_DIR}, which is read-only")
-    return path

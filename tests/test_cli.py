@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 import moonmod.cli
-from moonmod import kernels
+from moonmod import qseries
 from moonmod.chartab import (DATA_DIR, MoonmodError, TableError, UnknownClassError,
                              bundled_table)
-from moonmod.cli import _make_engine, build_parser, main
+from moonmod.cli import BUNDLED_GROUPS, _make_engine, build_parser, main
 from moonmod.decomp import DecompositionError
 from moonmod.filtration import FiltrationError
 from moonmod.rademacher import NonConvergent, RademacherEngine
@@ -361,15 +361,17 @@ def test_every_failure_type_is_reported():
     ["decompose", "--n", "61", "--cache", "{missing}"],
     ["validate", "--out", "{missing}"],
 ], ids=["cache clear dir", "coeff cache dir", "cold coeff cache missing dir",
-        "cold decompose cache missing dir", "validate out missing dir"])
+        "decompose cache missing dir", "validate out missing dir"])
 def test_unopenable_file_exits_1(argv, tmp_path, monkeypatch, capsys):
     """A --cache or --out file the OS refuses to open is one error line with
     exit status 1, and a directory named as the cache file is left alone.
-    A cache file in a missing directory is refused before any sweep."""
-    def no_sweep(*_args, **_kwargs):
-        raise AssertionError("swept before the cache path was checked")
+    A cache file in a missing directory is refused before any value is
+    computed: by the engine's sweep (coeff) or the q-series (decompose)."""
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("computed before the cache path was checked")
 
-    monkeypatch.setattr(RademacherEngine, "_sweep", no_sweep)
+    monkeypatch.setattr(RademacherEngine, "_sweep", no_work)
+    monkeypatch.setattr(qseries, "coefficients", no_work)
     monkeypatch.delenv("MOONMOD_CACHE", raising=False)
     paths = {"dir": tmp_path / "store", "missing": tmp_path / "missing" / "x.ldjson"}
     paths["dir"].mkdir()
@@ -393,13 +395,13 @@ def test_nonconvergent_coeff_exits_1_and_appends_nothing(tmp_path, capsys):
     assert store.read_bytes() == before
 
 
-def test_out_in_missing_dir_refused_before_any_work(tmp_path, monkeypatch, capsys):
+def test_out_in_missing_dir_refused_before_table_and_series(tmp_path, monkeypatch, capsys):
     """An --out file whose directory is missing is refused before a table
-    is loaded or a coefficient swept: grade 61 is not in the store."""
+    is loaded or a q-series computed."""
     def refuse(*_args, **_kwargs):
         raise AssertionError("worked before the --out path was checked")
 
-    monkeypatch.setattr(kernels, "kloosterman_grades", refuse)
+    monkeypatch.setattr(qseries, "coefficients", refuse)
     monkeypatch.setattr(moonmod.cli, "_load_group", refuse)
     monkeypatch.delenv("MOONMOD_CACHE", raising=False)
     out_path = tmp_path / "missing" / "x.csv"
@@ -496,13 +498,16 @@ def test_cache_record_without_residual_skipped(tmp_path):
 
 @pytest.fixture
 def data_copy(tmp_path, monkeypatch):
-    """The store's package data directory, pointed at a copy of the store."""
-    import moonmod.store as store
+    """The package data directory, pointed at a copy of the store and of
+    both tables."""
+    import moonmod.chartab as chartab
 
     data = tmp_path / "data"
     data.mkdir()
     shutil.copyfile(REPO_CACHE, data / "m24_coeffs.ldjson")
-    monkeypatch.setattr(store, "DATA_DIR", str(data))
+    for name in BUNDLED_GROUPS:
+        shutil.copyfile(os.path.join(DATA_DIR, f"{name}.table"), data / f"{name}.table")
+    monkeypatch.setattr(chartab, "DATA_DIR", str(data))
     monkeypatch.delenv("MOONMOD_CACHE", raising=False)
     return data
 
@@ -549,7 +554,6 @@ def test_out_file_in_package_data_refused(argv, data_copy, tmp_path, monkeypatch
 
     monkeypatch.setattr(moonmod.cli, "_load_group", no_table)
     table = data_copy / "a5.table"
-    shutil.copyfile(os.path.join(DATA_DIR, "a5.table"), table)
     before = table.read_bytes()
     link = tmp_path / "link.table"
     link.symlink_to(table)
@@ -619,16 +623,17 @@ def run_child(argv, src_dir):
 # only the layers it uses, and none computes a coefficient.
 NOT_LOADED = {
     "validate": {"moonmod.rademacher", "moonmod.decomp", "moonmod.filtration",
-                 "moonmod.numerics", "moonmod.kernels"},
+                 "moonmod.numerics", "moonmod.kernels", "moonmod.store"},
     "coeff": {"moonmod.decomp", "moonmod.filtration", "moonmod.kernels"},
     "cache": {"moonmod.rademacher", "moonmod.numerics", "moonmod.decomp",
               "moonmod.filtration", "moonmod.kernels"},
     # The asymptotic filtration reads the table alone.
-    "filtrate --residue": {"moonmod.rademacher", "moonmod.kernels"},
-    # The exact commands read the q-series oracle, not the engine.
-    "decompose": {"moonmod.rademacher", "moonmod.kernels"},
-    "filtrate": {"moonmod.rademacher", "moonmod.kernels"},
-    "asympt": {"moonmod.rademacher", "moonmod.kernels"},
+    "filtrate --residue": {"moonmod.rademacher", "moonmod.kernels", "moonmod.store"},
+    # The exact commands read the q-series oracle, not the engine or the
+    # store, and check a --cache path without the store.
+    "decompose": {"moonmod.rademacher", "moonmod.kernels", "moonmod.store"},
+    "filtrate": {"moonmod.rademacher", "moonmod.kernels", "moonmod.store"},
+    "asympt": {"moonmod.rademacher", "moonmod.kernels", "moonmod.store"},
 }
 
 
@@ -681,30 +686,59 @@ def test_served_command_neither_reads_nor_appends_the_cache(argv, tmp_path, caps
     assert code == 1 and "omega-floor" in err
 
 
-def test_table_not_m24_goes_through_the_engine(tmp_path, monkeypatch, capsys):
-    """A5 without its fusion targets has classes that are not M24's: its
-    decomposition asks the Rademacher engine, which sweeps and appends."""
+def _a5_doc(**changes) -> dict:
+    """Bundled A5's table document, its class 2A updated by changes."""
     doc = json.loads(resources.files("moonmod.data").joinpath("a5.table").read_text())
+    doc["classes"][1].update(changes)
+    return doc
+
+
+def test_any_table_served_by_level_without_the_engine(tmp_path):
+    """A5 without its fusion targets is served by its classes' levels (n_g,
+    h_g): bundled A5's output, with neither the engine nor the store loaded
+    and nothing appended to the cache file.  A class at (6, 2), a level
+    M24 lacks, is one error line and exit status 1."""
+    doc = _a5_doc()
     for cls in doc["classes"]:
         del cls["fusion_target"]
     table = tmp_path / "a5_own.table"
     table.write_text(json.dumps(doc))
-    asked = []
-    value = RademacherEngine.value
-
-    def counting(self, class_name, n):
-        asked.append((class_name, n))
-        return value(self, class_name, n)
-
-    monkeypatch.setattr(RademacherEngine, "value", counting)
     store = tmp_path / "a5_coeffs.ldjson"
-    code, out, _ = run(capsys, ["decompose", "--group", str(table), "--n", "1",
-                                "--cache", str(store)])
-    assert code == 0
-    assert asked == [(c["name"], 1) for c in doc["classes"]]
-    assert [json.loads(line)["group"] for line in store.read_text().splitlines()] == \
-        ["A5"] * 5
-    assert run(capsys, ["decompose", "--group", "a5", "--n", "1"]) == (0, out, "")
+    argv = ["decompose", "--n", "1..5", "--cache", str(store)]
+    code, out, numeric, modules, _ = run_child(argv + ["--group", str(table)], SRC_DIR)
+    assert (code, numeric) == (0, [])
+    assert not {"moonmod.rademacher", "moonmod.store"} & set(modules)
+    assert not store.exists()
+    assert run_child(argv + ["--group", "a5"], SRC_DIR)[1] == out
+    doc["classes"][1].update(ng=6, hg=2)
+    table.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-c", CHILD, "decompose", "--n", "1",
+                           "--group", str(table)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC_DIR))
+    error, _, modules, _ = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert error == "error: class 2A: its level (n_g, h_g) = (6, 2) is not that of a class in M24"
+    assert "moonmod.rademacher" not in modules.split()
+
+
+@pytest.mark.parametrize("target", ["3A", "99Z"])
+@pytest.mark.parametrize("argv", [["coeff", "--n", "1"], ["decompose", "--n", "1"]],
+                         ids=" ".join)
+def test_fusion_target_off_its_level_refused(argv, target, tmp_path, monkeypatch, capsys):
+    """A fusion target that is not a class of M24 at its class's level
+    (A5's 2A, at (2, 1), fused to 3A or to no class at all) is one error
+    line and exit status 1 before any value is computed or read."""
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("computed before the fusion targets were checked")
+
+    monkeypatch.setattr(RademacherEngine, "_sweep", no_work)
+    monkeypatch.setattr(RademacherEngine, "records", no_work)
+    monkeypatch.setattr(qseries, "coefficients", no_work)
+    table = tmp_path / "a5_fused.table"
+    table.write_text(json.dumps(_a5_doc(fusion_target=target)))
+    assert run(capsys, ["validate", str(table)])[0] == 0
+    assert run(capsys, argv + ["--group", str(table)]) == (
+        1, "", f"error: class 2A: its level (n_g, h_g) = (2, 1) is not that of {target} in M24\n")
 
 
 def test_cache_command_loads_only_the_store(tmp_path):

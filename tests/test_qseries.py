@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from moonmod import qseries
-from moonmod.chartab import UnknownClassError, bundled_table, load_table
+from moonmod.chartab import TableError, UnknownClassError, bundled_table, load_table
 from moonmod.rademacher import RademacherEngine
 from moonmod.store import CoefficientCache
 
@@ -137,18 +137,37 @@ def test_provider_contract(m24_table, a5_table):
         [m24.value("5A", n) for n in range(1, 11)]
 
 
-def test_serves_m24_and_its_fusions_only(m24_table, a5_table):
-    """A table is served when it fuses into M24 or its classes are M24's
-    by name and (n_g, h_g); any other keeps the engine."""
+def test_oracle_serves_each_class_by_its_level(m24_table, a5_table):
+    """The oracle serves a class by the series of M24 at its level (n_g,
+    h_g), the series the engine sums for it: M24 by its own classes, A5
+    through its fusion targets or, without them, by its levels; a renamed
+    level is served as the level, and a level M24 lacks, or a target at
+    another level, is refused when the oracle is made."""
+    def served(table, names, top=12):
+        oracle = qseries.QSeriesOracle(table, top)
+        return [[oracle.value(name, n) for n in range(1, top + 1)] for name in names]
+
+    m24 = {name: s[1:13] for name, s in qseries.coefficients(12).items()}
+    assert served(m24_table, m24) == list(m24.values())
+    a5_names = [c.name for c in a5_table.classes]
+    assert served(a5_table, a5_names) == [m24[name] for name in ("1A", "2A", "3A", "5A", "5A")]
     doc = json.loads(resources.files("moonmod.data").joinpath("m24.table").read_text())
-    assert qseries.serves(m24_table) and qseries.serves(a5_table)
-    assert qseries.serves(load_table(doc))
     doc["classes"][2]["hg"] = 1  # 2B on the level of 2A
-    assert not qseries.serves(load_table(doc))
+    assert served(load_table(doc), ["2B"]) == [m24["2A"]] != [m24["2B"]]
     a5 = json.loads(resources.files("moonmod.data").joinpath("a5.table").read_text())
     for c in a5["classes"]:
         del c["fusion_target"]
-    assert not qseries.serves(load_table(a5))
+    assert served(load_table(a5), a5_names) == served(a5_table, a5_names)
+    a5["classes"][1].update(ng=6, hg=2)
+    with pytest.raises(TableError, match=r"class 2A: its level \(n_g, h_g\) = \(6, 2\)"):
+        qseries.QSeriesOracle(load_table(a5))
+    for target in ("3A", "99Z"):
+        a5 = json.loads(resources.files("moonmod.data").joinpath("a5.table").read_text())
+        a5["classes"][1]["fusion_target"] = target
+        with pytest.raises(TableError, match=f"is not that of {target} in M24"):
+            qseries.QSeriesOracle(load_table(a5))
+        with pytest.raises(TableError, match=f"is not that of {target} in M24"):
+            RademacherEngine(load_table(a5), cache=CoefficientCache(None))
 
 
 def test_engine_agrees_past_the_store():
