@@ -10,10 +10,11 @@ CharacterTable.twice_sums: twice sum_k |[g_k]| w_k chi_i(g_k) for integer
 weights w, as integer numerators keyed by squarefree radicand, so a class
 may mix values from several quadratic fields.  The table is square, so
 the row relation implies the column relation, which is not checked
-again.  A table whose classes all carry fusion targets into M24
-(fuses_into_m24) takes its coefficients from M24's classes.  Bundled
-files for M24 and A5 live in DATA_DIR, the package's data directory,
-which no command writes (checked_writable).
+again.  A twining function is fixed by its level (n_g, h_g): the oracle
+and the engine serve each class by the class of M24 at its level that
+m24_classes names (M24_LEVELS), and loading refuses a fusion target off
+its level.  Bundled files for M24 and A5 live in DATA_DIR, the package's
+data directory, which no command writes (checked_writable).
 MoonmodError is the base of every failure type of the package; a command
 reports exactly the MoonmodError, ValueError and OSError failures.
 """
@@ -29,6 +30,17 @@ from .quadratic import QuadraticValue, mul_roots
 
 # The package data, next to the modules: installs must be unpacked files.
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+# (n_g, h_g) of each class of M24, as the bundled table has them, and the
+# first class of M24 at each level.
+M24_LEVELS = {
+    "1A": (1, 1), "2A": (2, 1), "2B": (2, 2), "3A": (3, 1), "3B": (3, 3), "4A": (4, 2),
+    "4B": (4, 1), "4C": (4, 4), "5A": (5, 1), "6A": (6, 1), "6B": (6, 6), "7A": (7, 1),
+    "7B": (7, 1), "8A": (8, 1), "10A": (10, 2), "11A": (11, 1), "12A": (12, 2),
+    "12B": (12, 12), "14A": (14, 1), "14B": (14, 1), "15A": (15, 1), "15B": (15, 1),
+    "21A": (21, 3), "21B": (21, 3), "23A": (23, 1), "23B": (23, 1),
+}
+_FIRST_AT = {level: name for name, level in reversed(M24_LEVELS.items())}
 
 
 def checked_writable(path: str) -> str:
@@ -173,6 +185,8 @@ def _validate(table: CharacterTable) -> None:
             raise TableParseError(f"class {c.name}: ng = {c.ng} does not divide |G|")
         if c.ng % c.hg != 0:
             raise TableParseError(f"class {c.name}: hg = {c.hg} does not divide ng = {c.ng}")
+        if c.fusion_target:
+            _on_level(c, c.fusion_target)
     for chi in irreps:
         if chi.dim < 1:
             raise TableParseError(f"irrep {chi.name}: dim = {chi.dim} must be positive")
@@ -235,7 +249,8 @@ def load_table(source) -> CharacterTable:
                 element_order=int(c["element_order"]),
                 ng=int(c["ng"]),
                 hg=int(c["hg"]),
-                fusion_target=c.get("fusion_target"),
+                fusion_target=(None if c.get("fusion_target") is None
+                               else str(c["fusion_target"])),
             )
             for c in doc["classes"]
         )
@@ -273,7 +288,24 @@ def distinct_orders(table: CharacterTable) -> list[int]:
     return sorted({c.element_order for c in table.classes})
 
 
-def fuses_into_m24(table: CharacterTable) -> bool:
-    """Whether table is a subgroup of M24 whose classes all carry fusion
-    targets: its coefficients are those of M24 at the targets."""
-    return table.group_name != "M24" and all(c.fusion_target for c in table.classes)
+def _on_level(c: ConjugacyClass, target: str | None) -> str:
+    """target, if it names a class of M24 at c's level; else TableError."""
+    level = (c.ng, c.hg)
+    if M24_LEVELS.get(target) != level:
+        raise TableError(f"class {c.name}: its level (n_g, h_g) = {level} is not "
+                         f"that of {target or 'a class'} in M24")
+    return target
+
+
+def m24_classes(table: CharacterTable) -> dict[str, str]:
+    """The class of M24 that serves each class of table: its fusion target,
+    else M24's class of its name if at its level (n_g, h_g), which keeps
+    M24's 7B, 14B, 15B, 21B and 23B on their own store keys, else the
+    first class of M24 at its level.  TableError refuses a class at a
+    level that M24 lacks, or whose target lies off its level."""
+    out = {}
+    for c in table.classes:
+        level = (c.ng, c.hg)
+        own = c.name if M24_LEVELS.get(c.name) == level else _FIRST_AT.get(level)
+        out[c.name] = _on_level(c, c.fusion_target or own)
+    return out

@@ -11,59 +11,53 @@ reconstruction identities of decomposition and filtration follow from
 their exact integer arithmetic and are asserted by the tests, not
 re-checked here.
 
+One rule, chartab.m24_classes, serves every class of every table by a
+class of M24 at its level (n_g, h_g), in coeff's engine and the oracle
+alike.  Every command refuses a fusion target off its class's level when
+the table loads, and a level that M24 lacks when a value is read.
+
 Cache resolution precedence: --cache flag, then the MOONMOD_CACHE
-environment variable (a directory holding <group>_coeffs.ldjson, named
-after the group whose records the engine keeps: m24 for M24 and for a
-table that fuses into it, such as a5, whose engine sweeps and stores
-M24's classes).  The named file overlays the packaged precomputed store,
-which is read into memory: file records win, and new values are appended
-to the file only.  With neither, nothing is written.  Only coeff and
-cache read the file or append to it.  decompose, filtrate --n and asympt
-resolve the file and refuse it as coeff does, but never open it: they
-read their values, at any grade and for any table, from the exact
-q-series oracle (moonmod.qseries), which serves each class by M24's
-series at its level (n_g, h_g) and refuses a level that M24 lacks.  No
-command writes or deletes package data (chartab.checked_writable): an
---out file in the package data directory is refused before any table is
-loaded, a cache file there before any store is read.  An --out file
-whose directory is missing is refused before any table is loaded, and a
-cache file there before any value is read.
+environment variable (a directory holding m24_coeffs.ldjson, for every
+table: the engine keeps M24's records).  The named file overlays the
+packaged store, which is read into memory: file records win, and new
+values are appended to the file only.  With neither, nothing is
+written.  Only coeff and cache read the file or append to it.
+decompose, filtrate --n and asympt resolve the file and refuse it as
+coeff does, but never open it: they read their values, at any grade,
+from the exact q-series oracle (moonmod.qseries).  No command writes or
+deletes package data (chartab.checked_writable): an --out file in the
+package data directory is refused before any table is loaded, a cache
+file there before any store is read.  An --out file whose directory is
+missing is refused before any table is loaded, and a cache file there
+before any value is read.
 
 Each command imports the modules it uses when it runs: validate loads the
 table modules only, cache adds moonmod.store, coeff the store and the
-engine.  decompose adds decomp and qseries, filtrate --n and asympt
-filtration and numerics as well; none of them loads the store, the
-engine, numpy or mpmath.  filtrate --residue reads the table alone.
+engine.  decompose and asympt --free add decomp and qseries, filtrate
+--n filtration as well, and asympt --nonfree numerics too; none of them
+loads the store, the engine, numpy or mpmath.  filtrate --residue reads
+the table, filtration and numerics alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 
 from .chartab import (CharacterTable, MoonmodError, TableError, bundled_table,
-                      checked_writable, fuses_into_m24, load_table)
+                      checked_writable, load_table)
 
 BUNDLED_GROUPS = ("m24", "a5")
 
 
-def _resolve_cache(args, table: CharacterTable | None = None) -> str | None:
-    """The writable cache file, or None when only the packaged store applies;
-    a file in the package data directory is refused with ValueError.
-
-    Under MOONMOD_CACHE the file is named after the group whose records the
-    engine keeps, m24 for a table that fuses into M24; table is loaded from
-    --group if not given.
-    """
-    path, env_dir = args.cache, os.environ.get("MOONMOD_CACHE")
-    if not path and env_dir:
-        table = table or _load_group(args.group)
-        group = "m24" if fuses_into_m24(table) else table.group_name.lower()
-        path = os.path.join(env_dir, f"{group}_coeffs.ldjson")
+def _resolve_cache(args) -> str | None:
+    """The writable cache file (under MOONMOD_CACHE, m24_coeffs.ldjson: the
+    engine keeps M24's records for every table), or None when only the
+    packaged store applies; one in package data is refused with ValueError."""
+    env_dir = os.environ.get("MOONMOD_CACHE")
+    path = args.cache or (env_dir and os.path.join(env_dir, "m24_coeffs.ldjson"))
     return checked_writable(path) if path else None
 
 
@@ -73,10 +67,10 @@ def _load_group(name_or_path: str) -> CharacterTable:
     return load_table(name_or_path)
 
 
-def _checked_cache(args, table: CharacterTable) -> str | None:
+def _checked_cache(args) -> str | None:
     """The resolved cache file, refused if it lies in package data or in a
     missing directory."""
-    path = _resolve_cache(args, table)
+    path = _resolve_cache(args)
     return _in_existing_dir(path) if path else None
 
 
@@ -86,17 +80,16 @@ def _make_engine(args, table: CharacterTable):
     from .rademacher import RademacherEngine
     from .store import bundled_cache
 
-    return RademacherEngine(table, cache=bundled_cache(_checked_cache(args, table)))
+    return RademacherEngine(table, cache=bundled_cache(_checked_cache(args)))
 
 
 def _coefficients(args, table: CharacterTable, grades: list[int]):
     """The provider of decompose, filtrate --n and asympt: the q-series
-    oracle, computed to the largest of grades, serving each class by the
-    series of M24 at its level (n_g, h_g).  The cache file is refused as
-    for coeff, but never opened."""
+    oracle, computed to the largest of grades.  The cache file is refused
+    as for coeff, but never opened."""
     from .qseries import QSeriesOracle
 
-    _checked_cache(args, table)
+    _checked_cache(args)
     return QSeriesOracle(table, max(grades))
 
 
@@ -139,6 +132,9 @@ def _several_grades(spec: str) -> bool:
 
 def _csv(header: list[str], rows) -> str:
     """header and rows as CSV text, each line ended by a bare newline."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -157,23 +153,20 @@ def _emit(text: str, out_path: str | None) -> None:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    target = args.table or args.group
-    checks = []
     try:
-        table = _load_group(target)
+        table = _load_group(args.table or args.group)
     except TableError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    checks.append(f"parsed {table.group_name}: {len(table.classes)} classes, "
-                  f"{len(table.irreps)} irreps")
-    checks.append(f"class sizes sum to |G| = {table.group_order}")
-    # Implied by the row relation that load_table checks: for a square table
-    # it gives the column relation, whose entry at the identity is this sum.
-    checks.append(f"sum of dim^2 = {table.group_order} = |G|")
-    checks.append("row orthogonality exact")
-    checks.append("column orthogonality exact")
-    report = "\n".join("ok: " + line for line in checks) + "\npass\n"
-    _emit(report, args.out)
+    # The sum of dim^2 is implied by the row relation that load_table checks:
+    # for a square table it gives the column relation, whose entry at the
+    # identity is that sum.
+    checks = [f"parsed {table.group_name}: {len(table.classes)} classes, "
+              f"{len(table.irreps)} irreps",
+              f"class sizes sum to |G| = {table.group_order}",
+              f"sum of dim^2 = {table.group_order} = |G|",
+              "row orthogonality exact", "column orthogonality exact"]
+    _emit("".join(f"ok: {line}\n" for line in checks) + "pass\n", args.out)
     return 0
 
 
@@ -248,7 +241,7 @@ def cmd_filtrate(args) -> int:
 
 
 def cmd_asympt(args) -> int:
-    from . import decomp, filtration
+    from . import decomp
 
     table = _load_group(args.group)
     grades = _parse_grades(args.n)
@@ -258,6 +251,8 @@ def cmd_asympt(args) -> int:
                     ([prof.n, f"{prof.max_deviation:.6g}"]
                      for prof in decomp.ratio_profile(table, grades, coeffs)))
     else:
+        from . import filtration
+
         rows = []
         for n in grades:
             mv = decomp.multiplicities(table, n, coeffs)
@@ -291,10 +286,8 @@ def cmd_cache(args) -> int:
     by_class: dict[str, int] = {}
     for (_, cls, _n) in cache.records:
         by_class[cls] = by_class.get(cls, 0) + 1
-    lines = [f"{path or 'packaged store'}: {len(cache)} records"]
-    for cls in sorted(by_class):
-        lines.append(f"  {cls}: {by_class[cls]}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(f"{path or 'packaged store'}: {len(cache)} records\n"
+          + "".join(f"  {cls}: {by_class[cls]}\n" for cls in sorted(by_class)), args.out)
     return 0
 
 

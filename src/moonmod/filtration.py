@@ -34,7 +34,6 @@ import math
 
 from .chartab import CharacterTable, MoonmodError, distinct_orders
 from .decomp import MultiplicityVector
-from .numerics import asymptotic_leading, kloosterman_sum, selberg_roots
 
 
 class FiltrationError(MoonmodError):
@@ -119,6 +118,8 @@ def re_kloosterman_is_zero(n: int, c: int, ng: int, hg: int) -> bool:
     sum of (-1)^j (z^a - z^(4c-a)); it is zero iff Phi_4c divides that
     polynomial in z.  Its terms need not cancel in pairs.
     """
+    from .numerics import selberg_roots
+
     poly = [0] * (4 * c)
     for j in selberg_roots(n, c, ng, hg):
         sign = -1 if j & 1 else 1
@@ -129,6 +130,8 @@ def re_kloosterman_is_zero(n: int, c: int, ng: int, hg: int) -> bool:
 
 def _leading_sign(r: int, ng: int, hg: int) -> int:
     """sgn K_{n_g}(r), a real sum: 0 only where it vanishes exactly."""
+    from .numerics import kloosterman_sum
+
     if re_kloosterman_is_zero(r, ng, ng, hg):
         return 0
     re = kloosterman_sum(r, ng, ng, hg)
@@ -337,6 +340,8 @@ def nonfree_asymptotic(table: CharacterTable, signs, n: int) -> list[float]:
     tables).  Entries at i in J_1 vanish by construction.  Raises ValueError
     for n < 1, before it reads any level.
     """
+    from .numerics import asymptotic_leading, kloosterman_sum
+
     if n < 1:
         raise ValueError("n must be at least 1")
     orders = distinct_orders(table)

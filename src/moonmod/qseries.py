@@ -27,13 +27,11 @@ the largest grade its command asks for.  Nothing here imports the
 coefficient engine, the store, numpy or mpmath.
 
 A twining function is fixed by its level (n_g, h_g), as is the series the
-engine sums for it: m24_classes serves each class of any table by M24's
-series at its level, and refuses a level that M24 lacks or a fusion
-target at another level.  The engine (moonmod.rademacher) stays the
-method under test of coeff, cache and the packaged store, and checks
-fusion targets by the same rule; decompose, filtrate --n and asympt read
-their values here.  Tier-1 checks this module against every packaged
-record, through each class's Sturm bound.
+engine sums for it: the oracle serves each class by the class of M24
+that chartab.m24_classes names, as the engine does.  The engine stays
+the method under test of coeff, cache and the packaged store; decompose,
+filtrate --n and asympt read their values here.  Tier-1 checks this
+module against every packaged record, through each class's Sturm bound.
 """
 
 from __future__ import annotations
@@ -41,20 +39,10 @@ from __future__ import annotations
 import math
 from operator import add
 
-from .chartab import CharacterTable, TableError, UnknownClassError
+from .chartab import CharacterTable, UnknownClassError, m24_classes
 
 # The scale of every integer series: 24 * lcm(3, 4, 5, 11).
 D = 15840
-
-# (n_g, h_g) of each class of M24, as the bundled table has them.
-LEVELS = {
-    "1A": (1, 1), "2A": (2, 1), "2B": (2, 2), "3A": (3, 1), "3B": (3, 3),
-    "4A": (4, 2), "4B": (4, 1), "4C": (4, 4), "5A": (5, 1), "6A": (6, 1),
-    "6B": (6, 6), "7A": (7, 1), "7B": (7, 1), "8A": (8, 1), "10A": (10, 2),
-    "11A": (11, 1), "12A": (12, 2), "12B": (12, 12), "14A": (14, 1),
-    "14B": (14, 1), "15A": (15, 1), "15B": (15, 1), "21A": (21, 3),
-    "21B": (21, 3), "23A": (23, 1), "23B": (23, 1),
-}
 
 # chi(g), the number of points of {1..24} that g fixes; 0 where not named.
 CHI = {"1A": 24, "2A": 8, "3A": 6, "4B": 4, "5A": 4, "6A": 2, "7A": 3,
@@ -249,22 +237,6 @@ def coefficients(top: int) -> dict[str, list[int]]:
             coeffs.append(c)
         for name in names:
             out[name] = coeffs
-    return out
-
-
-def m24_classes(table: CharacterTable) -> dict[str, str]:
-    """The class of M24 whose series serves each class of table: its fusion
-    target, else the first class of M24 at its level (n_g, h_g), as the
-    engine sums that level.  TableError refuses a class at a level that M24
-    lacks, or whose target is not a class of M24 at its level."""
-    first = {level: name for name, level in reversed(LEVELS.items())}
-    out = {}
-    for c in table.classes:
-        level = (c.ng, c.hg)
-        out[c.name] = target = c.fusion_target or first.get(level)
-        if LEVELS.get(target) != level:
-            raise TableError(f"class {c.name}: its level (n_g, h_g) = {level} is not "
-                             f"that of {target or 'a class'} in M24")
     return out
 
 

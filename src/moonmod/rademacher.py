@@ -42,7 +42,7 @@ import math
 
 from .numerics import WORKING_DIGITS, _selberg_residue, kloosterman_table, selberg_roots
 from .chartab import (CharacterTable, ConjugacyClass, MoonmodError, UnknownClassError,
-                      bundled_table, fuses_into_m24)
+                      m24_classes)
 # perfbench/{run,setup_probe,selftest,make_reference,workloads,spans}.py read these here.
 from .store import CoefficientCache, CoefficientRecord, bundled_cache  # noqa: F401
 
@@ -226,24 +226,21 @@ def _kernel_chunk(name: str, n: int, st: _GradeState, cs, terms) -> None:
 
 
 class RademacherEngine:
-    """Coefficient provider for one group's classes, with cache and gates.
+    """Coefficient provider for any table's classes, with cache and gates.
 
-    A table that fuses into M24 (chartab.fuses_into_m24), such as A5, is
-    served through M24: the engine sweeps and stores the M24 class each
-    of its classes fuses to, keyed as M24's, and answers its class names.
-    A target that is not a class of M24 at its class's level (n_g, h_g)
-    raises TableError here, by the oracle's rule (qseries.m24_classes).
+    Each class is served by the class of M24 that chartab.m24_classes
+    names, at its level (n_g, h_g): the engine sweeps the class's own
+    level and keys the records as M24's, so every table reads and appends
+    M24's records (A5's 5A and 5B both read M24's 5A).  A class at a
+    level that M24 lacks raises TableError here.
     """
 
     def __init__(self, table: CharacterTable, cache: CoefficientCache | None = None):
-        # Served class name -> the swept class that serves it.
-        names = {c.name: c.name for c in table.classes}
-        if fuses_into_m24(table):
-            from .qseries import m24_classes
-
-            names, table = m24_classes(table), bundled_table("m24")
-        self._swept = {name: table.class_named(swept) for name, swept in names.items()}
-        self.group = table.group_name
+        # Served class name -> the swept class: M24's name, the class's level.
+        names = m24_classes(table)
+        self._swept = {c.name: ConjugacyClass(names[c.name], c.size, c.element_order,
+                                              c.ng, c.hg) for c in table.classes}
+        self.group = "M24"
         self.cache = cache if cache is not None else CoefficientCache(None)
 
     def _swept_class(self, class_name: str) -> ConjugacyClass:

@@ -4,11 +4,13 @@ import json
 import math
 import os
 import random
+import re
 
 import pytest
 
-from moonmod.chartab import (DATA_DIR, OrthogonalityError, SizeSumError, TableParseError,
-                             bundled_table, distinct_orders, fuses_into_m24, load_table)
+from moonmod.chartab import (DATA_DIR, M24_LEVELS, OrthogonalityError, SizeSumError,
+                             TableError, TableParseError, bundled_table, distinct_orders,
+                             load_table, m24_classes)
 from moonmod.cli import main
 from moonmod.quadratic import QuadraticValue, mul_roots
 
@@ -36,12 +38,59 @@ def test_bundled_m24_shape(m24):
     assert sum(chi.dim ** 2 for chi in m24.irreps) == m24.group_order
 
 
-def test_bundled_a5_shape(a5, m24):
+def test_bundled_a5_shape(a5):
     assert a5.group_order == 60
     assert len(a5.classes) == 5
     assert tuple(chi.dim for chi in a5.irreps) == (1, 3, 3, 4, 5)
     assert all(c.fusion_target for c in a5.classes)
-    assert fuses_into_m24(a5) and not fuses_into_m24(m24)
+
+
+def test_levels_are_the_bundled_tables(m24):
+    assert M24_LEVELS == {c.name: (c.ng, c.hg) for c in m24.classes}
+
+
+@pytest.mark.parametrize("group, name, served", [
+    ("m24", "7B", "7B"), ("m24", "23B", "23B"), ("a5", "5B", "5A"), ("a5", "2A", "2A")])
+def test_m24_classes_serves_by_target_then_name_then_level(group, name, served):
+    """A class is served by its fusion target (A5's 5B by 5A), else by the
+    class of M24 of its own name at its level (M24's 7B keeps its own
+    store key, though 7A sits at the same level)."""
+    assert m24_classes(bundled_table(group))[name] == served
+
+
+def test_m24_classes_without_targets_reads_levels():
+    """Without targets a class is served by M24's class of its own name if
+    that sits at its level, else by the first class of M24 at its level;
+    a level that M24 lacks still loads, and is refused when served."""
+    a5 = bundled_doc("a5")
+    for c in a5["classes"]:
+        del c["fusion_target"]
+    assert m24_classes(load_table(a5)) == {"1A": "1A", "2A": "2A", "3A": "3A",
+                                           "5A": "5A", "5B": "5A"}
+    m24 = bundled_doc("m24")
+    m24["classes"][2]["hg"] = 1  # 2B on the level of 2A
+    assert m24_classes(load_table(m24))["2B"] == "2A"
+    a5["classes"][1].update(ng=6, hg=2)
+    table = load_table(a5)
+    with pytest.raises(TableError, match=r"class 2A: its level \(n_g, h_g\) = \(6, 2\) "
+                                         r"is not that of a class in M24"):
+        m24_classes(table)
+
+
+@pytest.mark.parametrize("target", ["3A", "99Z", ["2A"]], ids=["3A", "99Z", "list"])
+def test_fusion_target_off_its_level_refused_at_load(target, tmp_path, capsys):
+    """A fusion target that is not a class of M24 at its class's level is
+    refused when the table loads, and validate reports it as a FAIL line;
+    a target that is no string is read as its text, as a class name is."""
+    doc = bundled_doc("a5")
+    doc["classes"][1]["fusion_target"] = target
+    message = f"class 2A: its level (n_g, h_g) = (2, 1) is not that of {target} in M24"
+    with pytest.raises(TableError, match=re.escape(message)):
+        load_table(doc)
+    path = tmp_path / "bad.table"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"FAIL: {message}\n")
 
 
 def test_distinct_orders(a5):

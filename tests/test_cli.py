@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import moonmod.cli
-from moonmod import qseries
+from moonmod import chartab, qseries
 from moonmod.chartab import (DATA_DIR, MoonmodError, TableError, UnknownClassError,
-                             bundled_table)
+                             bundled_table, load_table)
 from moonmod.cli import BUNDLED_GROUPS, _make_engine, build_parser, main
 from moonmod.decomp import DecompositionError
 from moonmod.filtration import FiltrationError
@@ -443,9 +443,10 @@ def test_cache_file_overlays_packaged_store(tmp_path, capsys):
 
 
 def test_cache_command_finds_the_ambient_store(tmp_path, monkeypatch, capsys):
-    """Under MOONMOD_CACHE, A5 commands read and append to m24_coeffs.ldjson
-    (their engine runs on M24), so `cache --group a5` reports and clears
-    that file, for a bundled name and for a table path alike."""
+    """Under MOONMOD_CACHE, every command reads and appends to
+    m24_coeffs.ldjson (the engine keeps M24's records for every table), so
+    `cache --group a5` reports and clears that file, for a bundled name and
+    for a table path alike."""
     line = json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "90",
                        "residual": 1e-5, "c_max_used": 127, "mode": "classical",
                        "gate": "dip"}, sort_keys=True)
@@ -458,6 +459,42 @@ def test_cache_command_finds_the_ambient_store(tmp_path, monkeypatch, capsys):
             (0, f"{store}: 1 records\n  1A: 1\n", "")
     assert run(capsys, ["cache", "--group", "a5", "--clear"]) == (0, f"removed {store}\n", "")
     assert not store.exists()
+
+
+def test_ambient_cache_is_m24s_for_every_table(tmp_path, monkeypatch, capsys):
+    """Under MOONMOD_CACHE a table without fusion targets reads and appends
+    m24_coeffs.ldjson: A5 without targets reads M24's 5A at n = 102 there
+    and appends its cold n = 101, both keyed as M24's.  cache names that
+    file without loading a table."""
+    seed = json.dumps({"group": "M24", "class": "5A", "n": 102, "value": "7",
+                       "residual": 1e-5, "c_max_used": 50, "mode": "classical",
+                       "gate": "dip"}, sort_keys=True)
+    store = tmp_path / "m24_coeffs.ldjson"
+    store.write_text(seed + "\n")
+    doc = _table_doc("a5", "2A")
+    for cls in doc["classes"]:
+        del cls["fusion_target"]
+    table = tmp_path / "a5_own.table"
+    table.write_text(json.dumps(doc))
+    monkeypatch.setenv("MOONMOD_CACHE", str(tmp_path))
+    code, out, _ = run(capsys, ["coeff", "--group", str(table), "--class", "5B",
+                                "--n", "101,102"])
+    assert code == 0
+    assert [row.split(",")[:3] for row in out.splitlines()[1:]] == \
+        [["5B", "101", "0"], ["5B", "102", "7"]]
+    [_, line] = store.read_text().splitlines()
+    assert {k: json.loads(line)[k] for k in ("group", "class", "n", "value")} == \
+        {"group": "M24", "class": "5A", "n": 101, "value": "0"}
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("cache loaded a table")
+
+    for module in (chartab, moonmod.cli):
+        monkeypatch.setattr(module, "load_table", refuse)
+        monkeypatch.setattr(module, "bundled_table", refuse)
+    for group in ("a5", str(table)):
+        assert run(capsys, ["cache", "--group", group]) == \
+            (0, f"{store}: 2 records\n  5A: 2\n", "")
 
 
 def test_cache_flag_loads_no_table(tmp_path, monkeypatch, capsys):
@@ -619,21 +656,25 @@ def run_child(argv, src_dir):
     return proc.returncode, proc.stdout, numeric.split(), modules.split(), stdlib.split()
 
 
-# The moonmod modules a warm command must not load: each command imports
-# only the layers it uses, and none computes a coefficient.
+# The moonmod modules a warm command must not load, by command and mode:
+# each imports only the layers it uses, and none computes a coefficient.
+ENGINE = {"moonmod.rademacher", "moonmod.kernels", "moonmod.store"}
 NOT_LOADED = {
     "validate": {"moonmod.rademacher", "moonmod.decomp", "moonmod.filtration",
-                 "moonmod.numerics", "moonmod.kernels", "moonmod.store"},
-    "coeff": {"moonmod.decomp", "moonmod.filtration", "moonmod.kernels"},
+                 "moonmod.numerics", "moonmod.kernels", "moonmod.store", "moonmod.qseries"},
+    # The engine serves a table by chartab.m24_classes, without the oracle.
+    "coeff": {"moonmod.decomp", "moonmod.filtration", "moonmod.kernels", "moonmod.qseries"},
     "cache": {"moonmod.rademacher", "moonmod.numerics", "moonmod.decomp",
-              "moonmod.filtration", "moonmod.kernels"},
+              "moonmod.filtration", "moonmod.kernels", "moonmod.qseries"},
     # The asymptotic filtration reads the table alone.
-    "filtrate --residue": {"moonmod.rademacher", "moonmod.kernels", "moonmod.store"},
+    "filtrate --residue": ENGINE | {"moonmod.qseries"},
     # The exact commands read the q-series oracle, not the engine or the
-    # store, and check a --cache path without the store.
-    "decompose": {"moonmod.rademacher", "moonmod.kernels", "moonmod.store"},
-    "filtrate": {"moonmod.rademacher", "moonmod.kernels", "moonmod.store"},
-    "asympt": {"moonmod.rademacher", "moonmod.kernels", "moonmod.store"},
+    # store, and check a --cache path without the store; only the
+    # non-free prediction reads numerics.
+    "decompose": ENGINE | {"moonmod.filtration", "moonmod.numerics"},
+    "filtrate": ENGINE | {"moonmod.numerics"},
+    "asympt --free": ENGINE | {"moonmod.filtration", "moonmod.numerics"},
+    "asympt --nonfree": ENGINE,
 }
 
 
@@ -646,8 +687,8 @@ def test_warm_command_loads_no_numeric_stack(argv, tmp_path, capsys):
     code, out, numeric, modules, stdlib = run_child(argv, SRC_DIR)
     assert (code, numeric, stdlib) == (0, [], [])
     assert "moonmod.chartab" in modules
-    mode = "filtrate --residue" if "--residue" in argv else argv[0]
-    assert not NOT_LOADED.get(mode, {"moonmod.kernels"}) & set(modules)
+    mode = " ".join([argv[0], *(a for a in argv if a in ("--residue", "--free", "--nonfree"))])
+    assert not NOT_LOADED[mode] & set(modules)
     assert run(capsys, argv) == (0, out, "")
     assert store.read_bytes() == before
 
@@ -686,10 +727,10 @@ def test_served_command_neither_reads_nor_appends_the_cache(argv, tmp_path, caps
     assert code == 1 and "omega-floor" in err
 
 
-def _a5_doc(**changes) -> dict:
-    """Bundled A5's table document, its class 2A updated by changes."""
-    doc = json.loads(resources.files("moonmod.data").joinpath("a5.table").read_text())
-    doc["classes"][1].update(changes)
+def _table_doc(group: str, cls: str, **changes) -> dict:
+    """A bundled table's document, its class cls updated by changes."""
+    doc = json.loads(resources.files("moonmod.data").joinpath(f"{group}.table").read_text())
+    next(c for c in doc["classes"] if c["name"] == cls).update(changes)
     return doc
 
 
@@ -698,12 +739,12 @@ def test_any_table_served_by_level_without_the_engine(tmp_path):
     h_g): bundled A5's output, with neither the engine nor the store loaded
     and nothing appended to the cache file.  A class at (6, 2), a level
     M24 lacks, is one error line and exit status 1."""
-    doc = _a5_doc()
+    doc = _table_doc("a5", "2A")
     for cls in doc["classes"]:
         del cls["fusion_target"]
     table = tmp_path / "a5_own.table"
     table.write_text(json.dumps(doc))
-    store = tmp_path / "a5_coeffs.ldjson"
+    store = tmp_path / "m24_coeffs.ldjson"
     argv = ["decompose", "--n", "1..5", "--cache", str(store)]
     code, out, numeric, modules, _ = run_child(argv + ["--group", str(table)], SRC_DIR)
     assert (code, numeric) == (0, [])
@@ -726,8 +767,9 @@ def test_any_table_served_by_level_without_the_engine(tmp_path):
                          ids=" ".join)
 def test_fusion_target_off_its_level_refused(argv, target, tmp_path, monkeypatch, capsys):
     """A fusion target that is not a class of M24 at its class's level
-    (A5's 2A, at (2, 1), fused to 3A or to no class at all) is one error
-    line and exit status 1 before any value is computed or read."""
+    (A5's 2A, at (2, 1), fused to 3A or to no class at all) is refused
+    when the table loads: validate's one FAIL line, and one error line
+    and exit status 1 before any value is computed or read."""
     def no_work(*_args, **_kwargs):
         raise AssertionError("computed before the fusion targets were checked")
 
@@ -735,10 +777,63 @@ def test_fusion_target_off_its_level_refused(argv, target, tmp_path, monkeypatch
     monkeypatch.setattr(RademacherEngine, "records", no_work)
     monkeypatch.setattr(qseries, "coefficients", no_work)
     table = tmp_path / "a5_fused.table"
-    table.write_text(json.dumps(_a5_doc(fusion_target=target)))
-    assert run(capsys, ["validate", str(table)])[0] == 0
-    assert run(capsys, argv + ["--group", str(table)]) == (
-        1, "", f"error: class 2A: its level (n_g, h_g) = (2, 1) is not that of {target} in M24\n")
+    table.write_text(json.dumps(_table_doc("a5", "2A", fusion_target=target)))
+    message = f"class 2A: its level (n_g, h_g) = (2, 1) is not that of {target} in M24\n"
+    assert run(capsys, ["validate", str(table)]) == (1, "", f"FAIL: {message}")
+    assert run(capsys, argv + ["--group", str(table)]) == (1, "", f"error: {message}")
+
+
+@pytest.mark.parametrize("doc, error", [
+    (_table_doc("m24", "2B", hg=1), None),
+    (_table_doc("a5", "2A", fusion_target=None), None),
+    (_table_doc("a5", "2A", fusion_target="3A"),
+     "class 2A: its level (n_g, h_g) = (2, 1) is not that of 3A in M24"),
+    (_table_doc("a5", "2A", fusion_target="99Z"),
+     "class 2A: its level (n_g, h_g) = (2, 1) is not that of 99Z in M24"),
+], ids=["m24 2B at (2, 1)", "a5 2A without target", "a5 2A fused to 3A",
+        "a5 2A fused to 99Z"])
+def test_coeff_and_oracle_serve_by_one_rule(doc, error, tmp_path, capsys):
+    """coeff's engine and the oracle of decompose serve a table by one
+    rule: where the store holds the grade, coeff prints the oracle's value
+    of every class and appends nothing (M24's 2B at (2, 1) reads 2A's
+    series).  A target off its level is refused at load: the same one line
+    from validate, coeff, decompose and filtrate --residue."""
+    table, store = tmp_path / "t.table", tmp_path / "m24_coeffs.ldjson"
+    table.write_text(json.dumps(doc))
+    store.write_text("")
+    coeff = ["coeff", "--group", str(table), "--n", "1..5", "--cache", str(store)]
+    if error is not None:
+        for argv in (["decompose", "--group", str(table), "--n", "1"], coeff,
+                     ["filtrate", "--group", str(table), "--residue", "0", "--modulus", "30"]):
+            assert run(capsys, argv) == (1, "", f"error: {error}\n"), argv
+        assert run(capsys, ["validate", str(table)]) == (1, "", f"FAIL: {error}\n")
+        return
+    oracle = qseries.QSeriesOracle(load_table(doc))
+    code, out, err = run(capsys, coeff)
+    rows = [row.split(",")[:3] for row in out.splitlines()[1:]]
+    assert (code, err, len(rows)) == (0, "", 5 * len(doc["classes"]))
+    assert [int(value) for _, _, value in rows] == \
+        [oracle.value(name, int(n)) for name, n, _ in rows]
+    assert store.read_text() == ""
+
+
+def test_a5_without_a_target_prints_bundled_a5s_coeff(tmp_path):
+    """A5 with 2A's fusion target removed serves 2A by M24's 2A, the class
+    of its name at its level: coeff --n 1..20 prints bundled A5's rows
+    byte for byte from the packaged store and appends nothing, and neither
+    loads moonmod.qseries or numpy."""
+    table, store = tmp_path / "a5.table", tmp_path / "m24_coeffs.ldjson"
+    table.write_text(json.dumps(_table_doc("a5", "2A", fusion_target=None)))
+    store.write_text("")
+    outs = []
+    for group in ("a5", str(table)):
+        code, out, numeric, modules, _ = run_child(
+            ["coeff", "--group", group, "--n", "1..20", "--cache", str(store)], SRC_DIR)
+        assert (code, numeric) == (0, [])
+        assert "moonmod.qseries" not in modules
+        outs.append(out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 1 + 5 * 20
+    assert store.read_text() == ""
 
 
 def test_cache_command_loads_only_the_store(tmp_path):

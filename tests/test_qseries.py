@@ -8,7 +8,8 @@ from importlib import resources
 import pytest
 
 from moonmod import qseries
-from moonmod.chartab import TableError, UnknownClassError, bundled_table, load_table
+from moonmod.chartab import (M24_LEVELS, TableError, UnknownClassError, bundled_table,
+                             load_table)
 from moonmod.rademacher import RademacherEngine
 from moonmod.store import CoefficientCache
 
@@ -65,11 +66,6 @@ def test_sturm_bound_of_every_class_lies_within_the_store(m24_table):
         assert set(range(1, bound + 1)) <= set(stored[name]), name
         assert [series[name][n] for n in range(1, bound + 1)] == \
             [stored[name][n] for n in range(1, bound + 1)], name
-
-
-def test_levels_are_the_bundled_tables(m24_table):
-    assert qseries.LEVELS == {c.name: (c.ng, c.hg) for c in m24_table.classes}
-    assert {name for names in qseries.FORMS for name in names} == set(qseries.LEVELS)
 
 
 def test_series_are_python_integers():
@@ -139,14 +135,16 @@ def test_provider_contract(m24_table, a5_table):
 
 def test_oracle_serves_each_class_by_its_level(m24_table, a5_table):
     """The oracle serves a class by the series of M24 at its level (n_g,
-    h_g), the series the engine sums for it: M24 by its own classes, A5
-    through its fusion targets or, without them, by its levels; a renamed
-    level is served as the level, and a level M24 lacks, or a target at
-    another level, is refused when the oracle is made."""
+    h_g), the series the engine sums for it, by chartab.m24_classes: M24
+    by its own classes, A5 through its fusion targets or, without them, by
+    its levels; a renamed level is served as the level, and a level M24
+    lacks is refused when the oracle or the engine is made (a target at
+    another level is refused when the table loads: test_chartab)."""
     def served(table, names, top=12):
         oracle = qseries.QSeriesOracle(table, top)
         return [[oracle.value(name, n) for n in range(1, top + 1)] for name in names]
 
+    assert {name for names in qseries.FORMS for name in names} == set(M24_LEVELS)
     m24 = {name: s[1:13] for name, s in qseries.coefficients(12).items()}
     assert served(m24_table, m24) == list(m24.values())
     a5_names = [c.name for c in a5_table.classes]
@@ -159,15 +157,10 @@ def test_oracle_serves_each_class_by_its_level(m24_table, a5_table):
         del c["fusion_target"]
     assert served(load_table(a5), a5_names) == served(a5_table, a5_names)
     a5["classes"][1].update(ng=6, hg=2)
-    with pytest.raises(TableError, match=r"class 2A: its level \(n_g, h_g\) = \(6, 2\)"):
-        qseries.QSeriesOracle(load_table(a5))
-    for target in ("3A", "99Z"):
-        a5 = json.loads(resources.files("moonmod.data").joinpath("a5.table").read_text())
-        a5["classes"][1]["fusion_target"] = target
-        with pytest.raises(TableError, match=f"is not that of {target} in M24"):
-            qseries.QSeriesOracle(load_table(a5))
-        with pytest.raises(TableError, match=f"is not that of {target} in M24"):
-            RademacherEngine(load_table(a5), cache=CoefficientCache(None))
+    table = load_table(a5)
+    for make in (qseries.QSeriesOracle, RademacherEngine):
+        with pytest.raises(TableError, match=r"class 2A: its level \(n_g, h_g\) = \(6, 2\)"):
+            make(table)
 
 
 def test_engine_agrees_past_the_store():

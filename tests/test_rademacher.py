@@ -879,15 +879,17 @@ def test_fused_engine_refuses_classes_it_lacks(a5_table, warm_cache, name, read)
     assert str(exc.value) == f"unknown conjugacy class {name!r}"
 
 
-def test_unfused_table_is_swept_as_itself(m24_table, warm_cache):
-    """A table whose classes carry no fusion targets is swept and keyed as
-    itself; S3's 2A and 3A sit at M24 2A's and 3A's levels (n_g, h_g)."""
+def test_unfused_table_is_swept_as_m24(m24_table, warm_cache):
+    """A table whose classes carry no fusion targets is served by M24's
+    classes at their levels (n_g, h_g) and keyed as M24's: S3's 2A and 3A
+    sit at M24 2A's and 3A's levels, and a cold sweep appends M24 records."""
     s3 = load_table(tf.S3_DOC)
     cache = CoefficientCache(None)
     eng = RademacherEngine(s3, cache=cache)
+    assert eng.group == "M24"
     assert [eng.value(name, 1) for name in ("2A", "3A")] == \
         [int(warm_cache.get("M24", name, 1)["value"]) for name in ("2A", "3A")]
-    assert sorted(cache.records) == [("S3", "2A", 1), ("S3", "3A", 1)]
+    assert sorted(cache.records) == [("M24", "2A", 1), ("M24", "3A", 1)]
     with pytest.raises(UnknownClassError):
         eng.value("23A", 1)
 
