@@ -14,7 +14,7 @@ again.  A twining function is fixed by its level (n_g, h_g): the oracle
 and the engine serve each class by the class of M24 at its level that
 m24_classes names (M24_LEVELS), and loading refuses a fusion target off
 its level.  Bundled files for M24 and A5 live in DATA_DIR, the package's
-data directory, which no command writes (checked_writable).
+data directory, which no command writes (moonmod.cli refuses a path there).
 MoonmodError is the base of every failure type of the package; a command
 reports exactly the MoonmodError, ValueError and OSError failures.
 """
@@ -41,17 +41,6 @@ M24_LEVELS = {
     "21A": (21, 3), "21B": (21, 3), "23A": (23, 1), "23B": (23, 1),
 }
 _FIRST_AT = {level: name for name, level in reversed(M24_LEVELS.items())}
-
-
-def checked_writable(path: str) -> str:
-    """path, a cache file a command may append to or delete or an --out
-    file it writes, unless it lies in DATA_DIR: package data is never
-    written."""
-    data = os.path.realpath(DATA_DIR)
-    if os.path.commonpath([os.path.realpath(path), data]) == data:
-        raise ValueError(f"{path} lies in the package data directory "
-                         f"{DATA_DIR}, which is read-only")
-    return path
 
 
 class MoonmodError(Exception):
@@ -158,6 +147,15 @@ def _parse_value(obj, where: str) -> QuadraticValue:
         raise TableParseError(f"bad character value at {where}: {exc}") from exc
 
 
+def _parse_values(irrep, classes) -> tuple[QuadraticValue, ...]:
+    """An irrep document's values, one per class; a count that is not the
+    number of classes is refused before any value is read."""
+    values = irrep["values"]
+    if len(values) != len(classes):
+        raise TableParseError(f"irrep {irrep['name']}: wrong number of values")
+    return tuple(_parse_value(v, f"{irrep['name']}/{c.name}") for c, v in zip(classes, values))
+
+
 def _validate(table: CharacterTable) -> None:
     order = table.group_order
     classes, irreps = table.classes, table.irreps
@@ -190,8 +188,6 @@ def _validate(table: CharacterTable) -> None:
     for chi in irreps:
         if chi.dim < 1:
             raise TableParseError(f"irrep {chi.name}: dim = {chi.dim} must be positive")
-        if len(chi.values) != len(classes):
-            raise TableParseError(f"irrep {chi.name}: wrong number of values")
         ident_val = chi.values[0]
         if not (ident_val.is_rational and ident_val.a == 2 * chi.dim):
             raise TableParseError(f"irrep {chi.name}: identity value differs from dim")
@@ -258,10 +254,7 @@ def load_table(source) -> CharacterTable:
             Irreducible(
                 name=str(r["name"]),
                 dim=int(r["dim"]),
-                values=tuple(
-                    _parse_value(v, f"{r['name']}/{classes[k].name}")
-                    for k, v in enumerate(r["values"])
-                ),
+                values=_parse_values(r, classes),
             )
             for r in doc["irreps"]
         )

@@ -16,20 +16,18 @@ class of M24 at its level (n_g, h_g), in coeff's engine and the oracle
 alike.  Every command refuses a fusion target off its class's level when
 the table loads, and a level that M24 lacks when a value is read.
 
-Cache resolution precedence: --cache flag, then the MOONMOD_CACHE
-environment variable (a directory holding m24_coeffs.ldjson, for every
-table: the engine keeps M24's records).  The named file overlays the
-packaged store, which is read into memory: file records win, and new
-values are appended to the file only.  With neither, nothing is
-written.  Only coeff and cache read the file or append to it.
-decompose, filtrate --n and asympt resolve the file and refuse it as
-coeff does, but never open it: they read their values, at any grade,
-from the exact q-series oracle (moonmod.qseries).  No command writes or
-deletes package data (chartab.checked_writable): an --out file in the
-package data directory is refused before any table is loaded, a cache
-file there before any store is read.  An --out file whose directory is
-missing is refused before any table is loaded, and a cache file there
-before any value is read.
+main reads every argument that can fail once, before any command loads
+a layer, and refuses a bad one with its one error line: it parses --n
+into args.grades, resolves the cache file into args.cache (the --cache
+flag, then the MOONMOD_CACHE environment variable, a directory holding
+m24_coeffs.ldjson for every table: the engine keeps M24's records), and
+refuses (_writable) a cache or --out file in the package data
+directory, which no command writes or deletes, one that is a directory,
+and one in a missing directory.  The cache file overlays the packaged store, which is read
+into memory: file records win, and new values are appended to the file
+only.  With neither, nothing is written.  Only coeff and cache read the
+file or append to it: decompose, filtrate --n and asympt read their
+values, at any grade, from the exact q-series oracle (moonmod.qseries).
 
 Each command imports the modules it uses when it runs: validate loads the
 table modules only, cache adds moonmod.store, coeff the store and the
@@ -42,23 +40,15 @@ the table, filtration and numerics alone.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 
-from .chartab import (CharacterTable, MoonmodError, TableError, bundled_table,
-                      checked_writable, load_table)
+from . import chartab
+from .chartab import CharacterTable, MoonmodError, TableError, bundled_table, load_table
 
 BUNDLED_GROUPS = ("m24", "a5")
-
-
-def _resolve_cache(args) -> str | None:
-    """The writable cache file (under MOONMOD_CACHE, m24_coeffs.ldjson: the
-    engine keeps M24's records for every table), or None when only the
-    packaged store applies; one in package data is refused with ValueError."""
-    env_dir = os.environ.get("MOONMOD_CACHE")
-    path = args.cache or (env_dir and os.path.join(env_dir, "m24_coeffs.ldjson"))
-    return checked_writable(path) if path else None
 
 
 def _load_group(name_or_path: str) -> CharacterTable:
@@ -67,40 +57,29 @@ def _load_group(name_or_path: str) -> CharacterTable:
     return load_table(name_or_path)
 
 
-def _checked_cache(args) -> str | None:
-    """The resolved cache file, refused if it lies in package data or in a
-    missing directory."""
-    path = _resolve_cache(args)
-    return _in_existing_dir(path) if path else None
+def _writable(path: str) -> None:
+    """Refuse path, a cache file a command may append to or delete or an
+    --out file it writes: in the package data directory (chartab.DATA_DIR,
+    read at call time), which is never written, with ValueError; as a
+    directory, or in a missing one, with the OSError its first write
+    would meet."""
+    data = os.path.realpath(chartab.DATA_DIR)
+    if os.path.commonpath([os.path.realpath(path), data]) == data:
+        raise ValueError(f"{path} lies in the package data directory "
+                         f"{chartab.DATA_DIR}, which is read-only")
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _make_engine(args, table: CharacterTable):
     """The coefficient engine of coeff, serving table's classes over the
-    packaged store and the resolved cache file."""
+    packaged store and the resolved cache file args.cache."""
     from .rademacher import RademacherEngine
     from .store import bundled_cache
 
-    return RademacherEngine(table, cache=bundled_cache(_checked_cache(args)))
-
-
-def _coefficients(args, table: CharacterTable, grades: list[int]):
-    """The provider of decompose, filtrate --n and asympt: the q-series
-    oracle, computed to the largest of grades.  The cache file is refused
-    as for coeff, but never opened."""
-    from .qseries import QSeriesOracle
-
-    _checked_cache(args)
-    return QSeriesOracle(table, max(grades))
-
-
-def _in_existing_dir(path: str) -> str:
-    """path, unless its directory is missing: then the FileNotFoundError
-    that the first write would meet, raised before any work runs."""
-    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        import errno
-
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-    return path
+    return RademacherEngine(table, cache=bundled_cache(args.cache))
 
 
 def _parse_grades(spec: str) -> list[int]:
@@ -119,15 +98,6 @@ def _parse_grades(spec: str) -> list[int]:
             raise ValueError(f"empty grade range {part!r}")
         out.extend(range(lo, hi + 1))
     return out
-
-
-def _several_grades(spec: str) -> bool:
-    """Whether a grade spec names more than one grade; a malformed spec is
-    left to the command, which reports it."""
-    try:
-        return len(_parse_grades(spec)) > 1
-    except ValueError:
-        return False
 
 
 def _csv(header: list[str], rows) -> str:
@@ -178,7 +148,7 @@ def cmd_coeff(args) -> int:
                    else [c.name for c in table.classes])
     # Each grade once: first-seen order keeps cold store appends in request
     # order, and the rows are sorted by n.
-    grades = list(dict.fromkeys(_parse_grades(args.n)))
+    grades = list(dict.fromkeys(args.grades))
     rows = []
     for name in class_names:
         recs = sorted(engine.records(name, grades), key=lambda rec: rec.n)
@@ -195,10 +165,11 @@ def cmd_coeff(args) -> int:
 
 def cmd_decompose(args) -> int:
     from . import decomp
+    from .qseries import QSeriesOracle
 
     table = _load_group(args.group)
-    grades = _parse_grades(args.n)
-    coeffs = _coefficients(args, table, grades)
+    grades = args.grades
+    coeffs = QSeriesOracle(table, max(grades))
     profiles = {p.n: p for p in decomp.ratio_profile(
         table, [n for n in grades if n >= 1], coeffs)}
     # In request order: (n, multiplicities, profile); below n = 1 a grade
@@ -231,8 +202,10 @@ def cmd_filtrate(args) -> int:
         result = filtration.filtrate_asymptotic(table, profile, args.residue,
                                                 args.modulus)
     else:
-        [n] = _parse_grades(args.n)
-        coeffs = _coefficients(args, table, [n])
+        from .qseries import QSeriesOracle
+
+        [n] = args.grades
+        coeffs = QSeriesOracle(table, n)
         mv = decomp.multiplicities(table, n, coeffs)
         signs = filtration.signs_at(table, coeffs, n)
         result = filtration.filtrate_exact(mv, table, signs)
@@ -242,10 +215,11 @@ def cmd_filtrate(args) -> int:
 
 def cmd_asympt(args) -> int:
     from . import decomp
+    from .qseries import QSeriesOracle
 
     table = _load_group(args.group)
-    grades = _parse_grades(args.n)
-    coeffs = _coefficients(args, table, grades)
+    grades = args.grades
+    coeffs = QSeriesOracle(table, max(grades))
     if args.free:
         text = _csv(["n", "max_deviation"],
                     ([prof.n, f"{prof.max_deviation:.6g}"]
@@ -270,7 +244,7 @@ def cmd_asympt(args) -> int:
 def cmd_cache(args) -> int:
     from .store import CoefficientCache, bundled_cache
 
-    path = _resolve_cache(args)
+    path = args.cache
     if path is None and args.clear:
         print("no cache file to clear: the packaged store is read-only; "
               "name one with --cache or MOONMOD_CACHE", file=sys.stderr)
@@ -379,11 +353,17 @@ def main(argv=None) -> int:
         parser.error("argument --modulus: not allowed with argument --n")
     if args.command == "filtrate" and args.residue is not None and args.modulus is None:
         parser.error("argument --residue: requires argument --modulus")
-    if args.command == "filtrate" and args.n is not None and _several_grades(args.n):
-        parser.error("argument --n: filtrate takes a single grade")
     try:
-        if args.out:
-            _in_existing_dir(checked_writable(args.out))
+        # Every argument that can fail, read once before a command loads a layer.
+        args.grades = None if getattr(args, "n", None) is None else _parse_grades(args.n)
+        if args.command == "filtrate" and args.grades is not None and len(args.grades) > 1:
+            parser.error("argument --n: filtrate takes a single grade")
+        env_dir = os.environ.get("MOONMOD_CACHE")
+        if not args.cache:
+            args.cache = os.path.join(env_dir, "m24_coeffs.ldjson") if env_dir else None
+        for path in (args.cache, args.out):
+            if path:
+                _writable(path)
         return COMMANDS[args.command](args)
     except (MoonmodError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ appends one record, the line _encode writes, through a descriptor that it
 opens by path, locks, writes and closes, so a file deleted since the last
 append is created anew and no descriptor outlives its append.
 bundled_cache layers a writable file over the packaged store, which is
-only read: chartab.checked_writable refuses any cache file in DATA_DIR.
+only read: moonmod.cli refuses any cache file in DATA_DIR.
 The module loads no engine and no numpy.
 """
 

@@ -357,3 +357,33 @@ def test_nonpositive_level_refused(ng, hg, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("FAIL: class 2A: ng = ")
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["irreps"][1]["values"][3].update(d=20) or doc,
+     "bad character value at chi3a/5A: d = 20 is not squarefree"),
+    (lambda doc: {**doc, "irreps": doc["irreps"][:4]}, "5 classes but 4 irreps in A5"),
+    (lambda doc: doc["classes"][0].update(element_order=2) or doc,
+     "first class must be the identity (size 1, order 1)"),
+    (lambda doc: doc["classes"][1].update(ng=7) or doc, "class 2A: ng = 7 does not divide |G|"),
+    (lambda doc: doc["classes"][2].update(hg=2) or doc, "class 3A: hg = 2 does not divide ng = 3"),
+    (lambda doc: doc["irreps"][3].update(values=doc["irreps"][3]["values"][:4]) or doc,
+     "irrep chi4: wrong number of values"),
+    (lambda doc: doc["irreps"][3]["values"].append(doc["irreps"][3]["values"][0]) or doc,
+     "irrep chi4: wrong number of values"),
+    (lambda doc: {**doc, "irreps": doc["irreps"][:3] + doc["irreps"][:2:-1]},
+     "irrep chi4: dims not non-decreasing"),
+    (lambda doc: [doc], "cannot parse table: top-level document must be an object"),
+], ids=["d not squarefree", "class and irrep counts", "first class not identity",
+        "ng not dividing |G|", "hg not dividing ng", "too few values", "too many values",
+        "dims decreasing", "top-level array"])
+def test_table_refusal(edit, message, tmp_path, capsys):
+    """Each refusal of an edited copy of a5.table is one TableParseError
+    with its message, and validate FILE reports it as one FAIL line."""
+    path = tmp_path / "bad.table"
+    path.write_text(json.dumps(edit(bundled_doc("a5"))))
+    with pytest.raises(TableParseError) as err:
+        load_table(str(path))
+    assert str(err.value) == message
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"FAIL: {message}\n")

@@ -581,15 +581,16 @@ def test_cache_dir_in_package_data_refused(argv, data_copy, monkeypatch, capsys)
     assert store.read_bytes() == before
 
 
+def _no_table(_name):
+    raise AssertionError("a table loaded before the arguments were checked")
+
+
 @pytest.mark.parametrize("argv", [["validate", "--group", "a5"],
                                   ["decompose", "--group", "a5", "--n", "1"]], ids=" ".join)
 def test_out_file_in_package_data_refused(argv, data_copy, tmp_path, monkeypatch, capsys):
     """--out naming a package data file, directly or through a link, is
     refused before any table is loaded, and the file is left as it was."""
-    def no_table(_name):
-        raise AssertionError("table loaded before the --out path was checked")
-
-    monkeypatch.setattr(moonmod.cli, "_load_group", no_table)
+    monkeypatch.setattr(moonmod.cli, "_load_group", _no_table)
     table = data_copy / "a5.table"
     before = table.read_bytes()
     link = tmp_path / "link.table"
@@ -600,6 +601,86 @@ def test_out_file_in_package_data_refused(argv, data_copy, tmp_path, monkeypatch
         assert err == (f"error: {path} lies in the package data directory "
                        f"{data_copy}, which is read-only\n")
     assert table.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["coeff", "--class", "1A", "--n", "1"], ["decompose", "--n", "1"],
+    ["filtrate", "--n", "30"], ["filtrate", "--residue", "0", "--modulus", "30"],
+    ["asympt", "--free", "--n", "1"], ["cache"]], ids=" ".join)
+def test_bad_path_refused_before_any_layer(argv, data_copy, tmp_path, monkeypatch, capsys):
+    """Every command refuses a --cache or --out file in package data, in a
+    missing directory or naming a directory, with one error line and exit
+    status 1, before it loads a table; the package data is left as it was."""
+    monkeypatch.setattr(moonmod.cli, "_load_group", _no_table)
+    store, table = data_copy / "m24_coeffs.ldjson", data_copy / "a5.table"
+    before = store.read_bytes(), table.read_bytes()
+    missing = tmp_path / "missing" / "x.ldjson"
+    read_only = f"lies in the package data directory {data_copy}, which is read-only"
+    enoent = f"[Errno 2] No such file or directory: {str(missing)!r}"
+    eisdir = f"[Errno 21] Is a directory: {str(tmp_path)!r}"
+    for flag, path, message in (("--cache", store, f"{store} {read_only}"),
+                                ("--cache", missing, enoent),
+                                ("--cache", tmp_path, eisdir),
+                                ("--out", table, f"{table} {read_only}"),
+                                ("--out", missing, enoent),
+                                ("--out", tmp_path, eisdir)):
+        assert run(capsys, argv + [flag, str(path)]) == (1, "", f"error: {message}\n"), flag
+    assert (store.read_bytes(), table.read_bytes()) == before
+    assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("x", "bad grade 'x' in grade spec 'x'"),
+    ("1,,2", "bad grade '' in grade spec '1,,2'"),
+    ("5..1", "empty grade range '5..1'")], ids=["x", "1,,2", "5..1"])
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--class", "1A"], ["decompose"], ["filtrate"], ["asympt", "--free"],
+    ["asympt", "--nonfree"]], ids=" ".join)
+def test_malformed_grade_refused_before_any_layer(argv, spec, message, monkeypatch, capsys):
+    """Every command that takes --n refuses a malformed spec with one error
+    line and exit status 1 before it loads a table; filtrate reads its
+    single-grade usage error from the parsed grades, so a malformed spec
+    there is this error, not that one."""
+    monkeypatch.setattr(moonmod.cli, "_load_group", _no_table)
+    monkeypatch.delenv("MOONMOD_CACHE", raising=False)
+    assert run(capsys, argv + ["--n", spec]) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["filtrate", "--n", "1,2"], "argument --n: filtrate takes a single grade"),
+    (["filtrate", "--residue", "0"], "--residue: requires argument --modulus"),
+    (["filtrate", "--n", "1", "--modulus", "30"], "--modulus: not allowed with argument --n"),
+    (["coeff", "--n", "x", "--tol", "1"], "unrecognized arguments: --tol"),
+    (["decompose"], "the following arguments are required: --n")],
+    ids=["filtrate --n 1,2", "filtrate --residue", "filtrate --modulus", "coeff --tol",
+         "decompose"])
+def test_usage_error_before_argument_checks(argv, message, data_copy, tmp_path,
+                                            monkeypatch, capsys):
+    """A usage error exits 2 before a bad --cache or --out is refused."""
+    monkeypatch.setattr(moonmod.cli, "_load_group", _no_table)
+    bad = ["--cache", str(data_copy / "m24_coeffs.ldjson"),
+           "--out", str(tmp_path / "missing" / "x")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + bad)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and message in err
+
+
+def test_exact_filtration_of_the_polar_grade_exits_1(monkeypatch, capsys):
+    """Grade -1 decomposes to -2 times the trivial irrep, which the exact
+    filtration refuses."""
+    monkeypatch.delenv("MOONMOD_CACHE", raising=False)
+    assert run(capsys, ["filtrate", "--n", "-1"]) == \
+        (1, "", "error: exact filtration requires a nonnegative multiplicity vector\n")
+
+
+def test_cache_reports_an_absent_file(tmp_path, capsys):
+    """A cache file that does not exist, in a directory that does, is
+    reported as absent; it is not created."""
+    path = tmp_path / "absent.ldjson"
+    assert run(capsys, ["cache", "--cache", str(path)]) == (1, "", "no cache file\n")
+    assert not path.exists()
 
 
 # -- import boundary ---------------------------------------------------------

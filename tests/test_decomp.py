@@ -2,7 +2,7 @@
 
 import pytest
 
-from moonmod.decomp import (MultiplicityVector, NegativeMultiplicity,
+from moonmod.decomp import (DecompositionError, MultiplicityVector, NegativeMultiplicity,
                             NonIntegral, free_part_split,
                             multiplicities, ratio_profile)
 
@@ -118,3 +118,12 @@ def test_ratio_profile_rejects_nonpositive_n(a5_table):
     with pytest.raises(ValueError):
         ratio_profile(a5_table, [0], Reg())
 
+
+
+def test_ratio_profile_refuses_a_nonpositive_total(a5_table):
+    """A grade whose class values are all 0 decomposes to the zero vector,
+    which has no shares: ratio_profile raises DecompositionError."""
+    zero = {c.name: 0 for c in a5_table.classes}
+    with pytest.raises(DecompositionError,
+                       match="grade n=3 has nonpositive total multiplicity 0"):
+        ratio_profile(a5_table, [3], zero)

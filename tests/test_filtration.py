@@ -476,3 +476,34 @@ def test_asymptotic_chains_pinned(group, residues, digest, m24_table, a5_table):
     text = "\n".join(result_to_json(filtrate_asymptotic(table, profile, r, profile.N), table)
                      for r in residues)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("group, ng, n", [("S3", 1, 25523), ("S3", 2, 102090),
+                                          ("a5", 2, 102090), ("m24", 2, 102090)])
+def test_overflowing_prediction_is_a_value_error(group, ng, n, a5_table, m24_table):
+    """exp(D_n / n_g) overflows a float from n = 25523 at n_g = 1 and from
+    n = 102090 at n_g = 2, the order-2 level of M24 and A5: the leading
+    term and the non-free prediction raise ValueError naming n and n_g
+    there, and are finite one grade below.  No series runs: the signs are
+    given."""
+    if group == "S3":
+        doc = json.loads(json.dumps(S3_DOC))
+        doc["classes"][1]["ng"] = ng
+        table = load_table(doc)
+    else:
+        table = {"a5": a5_table, "m24": m24_table}[group]
+    signs = {c.name: 1 for c in table.classes}
+    assert math.isfinite(asymptotic_leading(ng, n - 1))
+    assert all(map(math.isfinite, nonfree_asymptotic(table, signs, n - 1)))
+    message = f"the leading term at n = {n}, n_g = {ng} overflows a float"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        asymptotic_leading(ng, n)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        nonfree_asymptotic(table, signs, n)
+
+
+def test_all_zero_direction_is_degenerate():
+    """A direction with no positive entry has no minimizer."""
+    with pytest.raises(DegenerateLevel,
+                       match="^degenerate level at element order 3: all normalizers zero$"):
+        minimizer_set({0: 0, 1: 0}, {0: 2, 1: -2}, 3)

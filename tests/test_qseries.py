@@ -68,6 +68,14 @@ def test_sturm_bound_of_every_class_lies_within_the_store(m24_table):
             [stored[name][n] for n in range(1, bound + 1)], name
 
 
+def test_wrong_weight_leaves_an_indivisible_numerator(monkeypatch):
+    """4B's weight 4 on Lam_4 written as 3 leaves a numerator that D does
+    not divide: coefficients raises ArithmeticError naming the class."""
+    monkeypatch.setitem(qseries.FORMS, ("4B",), ((3, 1, ("L", 4)), (-4, 1, ("L", 2))))
+    with pytest.raises(ArithmeticError, match=r"^class 4B: -?\d+ is not divisible by D = 15840$"):
+        qseries.coefficients(5)
+
+
 def test_series_are_python_integers():
     """No float enters a series: (-1)**m with m < 0, for one, is a float."""
     block = qseries._Block(40)
