@@ -20,10 +20,11 @@ main reads every argument that can fail once, before any command loads
 a layer, and refuses a bad one with its one error line: it parses --n
 into args.grades, resolves the cache file into args.cache (the --cache
 flag, then the MOONMOD_CACHE environment variable, a directory holding
-m24_coeffs.ldjson for every table: the engine keeps M24's records), and
-refuses (_writable) a cache or --out file in the package data
-directory, which no command writes or deletes, one that is a directory,
-and one in a missing directory.  The cache file overlays the packaged store, which is read
+m24_coeffs.ldjson for every table: the engine keeps M24's records, so
+cache loads no table and takes no --group), and refuses (_writable) a
+cache or --out file in the package data directory, which no command
+writes or deletes, one that is a directory, and one in a missing
+directory.  The cache file overlays the packaged store, which is read
 into memory: file records win, and new values are appended to the file
 only.  With neither, nothing is written.  Only coeff and cache read the
 file or append to it: decompose, filtrate --n and asympt read their
@@ -267,9 +268,10 @@ def cmd_cache(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--group", default="m24",
-                   help="bundled group name (m24, a5) or a table file path")
+def _add_common(p: argparse.ArgumentParser, table: bool = True) -> None:
+    if table:
+        p.add_argument("--group", default="m24",
+                       help="bundled group name (m24, a5) or a table file path")
     # On every command, validate included: perfbench's cli_session and
     # make_reference.py append --cache <copy> to each command they run.
     p.add_argument("--cache", help="coefficient cache file (ldjson)")
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache", help="inspect or clear the coefficient cache")
     p.add_argument("--clear", action="store_true")
-    _add_common(p)
+    _add_common(p, table=False)
 
     return parser
 

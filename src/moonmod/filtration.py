@@ -214,14 +214,13 @@ def direction_vector(raw: dict[int, int], order: int) -> dict[int, int]:
 # -- filtration results ------------------------------------------------------
 
 class ChainLevel:
-    __slots__ = ("level_order", "r", "direction", "support", "J")
+    __slots__ = ("level_order", "r", "direction", "J")
 
     def __init__(self, level_order: int, r: int | None, direction: dict[int, int],
-                 support: tuple[int, ...], J: tuple[int, ...]) -> None:
+                 J: tuple[int, ...]) -> None:
         self.level_order = level_order
         self.r = r  # None in asymptotic mode
-        self.direction = direction  # support index -> coefficient
-        self.support = support  # X_j
+        self.direction = direction  # index -> coefficient over the support X_j
         self.J = J  # minimizer set defining the next level (empty at the end)
 
 
@@ -280,7 +279,7 @@ def _chain(table: CharacterTable, signs: tuple[int, ...], remaining: list[int] |
             except DegenerateLevel as exc:
                 skipped.append(exc.order)
             k += 1
-        chain.append(ChainLevel(level_order, r, L, support, J))
+        chain.append(ChainLevel(level_order, r, L, J))
         if not J:
             blocks.append(support)
             return tuple(chain), tuple(blocks), tuple(skipped)

@@ -383,12 +383,5 @@ class RademacherEngine:
         return [got[n] for n in grades]
 
     def value(self, class_name: str, n: int) -> int:
-        """c_g(n); a store hit is read from the stored record as it is."""
-        if n < 1:
-            return self.records(class_name, [n])[0].value
-        cls = self._swept_class(class_name)
-        rec = self.cache.get(self.group, cls.name, n)
-        if rec is None:
-            # Swept at once: records would look the grade up a second time.
-            return self._compute(cls, [n])[n].value
-        return int(rec["value"])
+        """c_g(n): the value of records(class_name, [n])."""
+        return self.records(class_name, [n])[0].value

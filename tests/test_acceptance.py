@@ -142,7 +142,7 @@ def test_criterion_7_a5_example(a5_table, warm_cache):
     # the source text's own description of the level-2 support contradicts
     # its block ordering; the computed chain is reported as-is
     chain_note = "computed X_2 support = " + str(
-        tuple(names[i] for i in result.chain[1].support))
+        tuple(names[i] for i in result.chain[1].direction))
     for n in (40, 70, 100):
         mv = multiplicities(a5_table, n, provider)
         res = filtrate_exact(mv, a5_table, signs_at(a5_table, provider, n))

@@ -199,8 +199,10 @@ def test_filtrate_exact_mode_refuses_modulus(capsys):
     (["coeff", "--n", "1", "--tol", "1e-3"], "unrecognized arguments: --tol"),
     (["coeff", "--n", "1", "--precision", "100"], "unrecognized arguments: --precision"),
     (["filtrate", "--n", "1,2"], "argument --n: filtrate takes a single grade"),
+    # cache loads no table: its file is M24's for every table.
+    (["cache", "--group", "a5"], "unrecognized arguments: --group a5"),
 ], ids=["filtrate --residue without --modulus", "coeff --tol", "coeff --precision",
-        "filtrate --n 1,2"])
+        "filtrate --n 1,2", "cache --group"])
 def test_usage_error_exits_2(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -445,19 +447,15 @@ def test_cache_file_overlays_packaged_store(tmp_path, capsys):
 def test_cache_command_finds_the_ambient_store(tmp_path, monkeypatch, capsys):
     """Under MOONMOD_CACHE, every command reads and appends to
     m24_coeffs.ldjson (the engine keeps M24's records for every table), so
-    `cache --group a5` reports and clears that file, for a bundled name and
-    for a table path alike."""
+    `cache` reports and clears that file."""
     line = json.dumps({"group": "M24", "class": "1A", "n": 1, "value": "90",
                        "residual": 1e-5, "c_max_used": 127, "mode": "classical",
                        "gate": "dip"}, sort_keys=True)
     store = tmp_path / "m24_coeffs.ldjson"
     store.write_text(line + "\n")
     monkeypatch.setenv("MOONMOD_CACHE", str(tmp_path))
-    a5_path = str(resources.files("moonmod.data").joinpath("a5.table"))
-    for group in ("a5", a5_path):
-        assert run(capsys, ["cache", "--group", group]) == \
-            (0, f"{store}: 1 records\n  1A: 1\n", "")
-    assert run(capsys, ["cache", "--group", "a5", "--clear"]) == (0, f"removed {store}\n", "")
+    assert run(capsys, ["cache"]) == (0, f"{store}: 1 records\n  1A: 1\n", "")
+    assert run(capsys, ["cache", "--clear"]) == (0, f"removed {store}\n", "")
     assert not store.exists()
 
 
@@ -492,17 +490,14 @@ def test_ambient_cache_is_m24s_for_every_table(tmp_path, monkeypatch, capsys):
     for module in (chartab, moonmod.cli):
         monkeypatch.setattr(module, "load_table", refuse)
         monkeypatch.setattr(module, "bundled_table", refuse)
-    for group in ("a5", str(table)):
-        assert run(capsys, ["cache", "--group", group]) == \
-            (0, f"{store}: 2 records\n  5A: 2\n", "")
+    assert run(capsys, ["cache"]) == (0, f"{store}: 2 records\n  5A: 2\n", "")
 
 
 def test_cache_flag_loads_no_table(tmp_path, monkeypatch, capsys):
     store = tmp_path / "anything.ldjson"
     store.write_text("")
     monkeypatch.setattr(moonmod.cli, "_load_group", None)
-    assert run(capsys, ["cache", "--group", "a5", "--cache", str(store)]) == \
-        (0, f"{store}: 0 records\n", "")
+    assert run(capsys, ["cache", "--cache", str(store)]) == (0, f"{store}: 0 records\n", "")
 
 
 def test_cache_record_with_foreign_mode_refused(tmp_path, capsys):
@@ -566,7 +561,7 @@ def test_cache_file_in_package_data_refused(argv, data_copy, tmp_path, capsys):
     assert store.read_bytes() == before
 
 
-@pytest.mark.parametrize("argv", [["cache", "--clear"], ["cache", "--group", "a5"],
+@pytest.mark.parametrize("argv", [["cache", "--clear"], ["cache"],
                                   ["coeff", "--class", "1A", "--n", "61"]], ids=" ".join)
 def test_cache_dir_in_package_data_refused(argv, data_copy, monkeypatch, capsys):
     """MOONMOD_CACHE naming the package data directory is refused before

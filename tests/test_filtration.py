@@ -179,7 +179,7 @@ def _compare(table, provider, n):
     for lvl, (order, r, L, support, J) in zip(result.chain, o_chain):
         assert lvl.level_order == order, f"order differs at n={n}"
         assert lvl.r == r, f"r differs at n={n}: {lvl.r} vs {r}"
-        assert lvl.support == support
+        assert tuple(lvl.direction) == support
         assert lvl.J == J
         assert lvl.direction == {i: L[i] for i in support}
     assert result.residual == o_resid, f"residual differs at n={n}"
@@ -259,7 +259,7 @@ def test_a5_asymptotic_blocks(a5_table):
     assert blocks == [("chi3a", "chi3b"), ("chi4",), ("chi1", "chi5")]
     assert result.skipped_orders == (3,)
     # X chain strictly decreasing beyond the full support
-    supports = [lvl.support for lvl in result.chain]
+    supports = [tuple(lvl.direction) for lvl in result.chain]
     assert supports[0] == (0, 1, 2, 3, 4)
     for a, b in zip(supports, supports[1:]):
         assert set(b) < set(a)
@@ -331,7 +331,7 @@ def test_split_signs_refused_past_the_chain_end(m24_table):
     result = filtrate_exact(mv, m24_table, signs)
     # The order-21 minimizers empty the support of the order-15 level.
     last = result.chain[-1]
-    assert last.level_order == 15 and last.J == last.support
+    assert last.level_order == 15 and last.J == tuple(last.direction)
     with pytest.raises(IrrationalDirection) as exc:
         filtrate_exact(mv, m24_table, {**signs, "23B": -1})
     assert exc.value.order == 23

@@ -820,21 +820,6 @@ def test_sweep_stops_near_the_accepting_c(m24_table, warm_cache, monkeypatch):
     assert sum(_lifts(c) for c in scanned) <= 1.2 * useful + 4 * kernels._BLOCK
 
 
-def test_store_hit_builds_no_record(m24_table, warm_cache, monkeypatch):
-    """value() answers a hit from the stored dict: no class lookup, no record."""
-    eng = RademacherEngine(m24_table, cache=warm_cache)
-
-    def refuse(*_args):
-        raise AssertionError("a store hit built a record")
-
-    monkeypatch.setattr(CoefficientRecord, "from_json", refuse)
-    monkeypatch.setattr(RademacherEngine, "records", refuse)
-    monkeypatch.setattr(type(m24_table), "class_named", refuse)
-    before = warm_cache.hits
-    assert [eng.value("1A", n) for n in (1, 2, 3)] == [90, 462, 1540]
-    assert warm_cache.hits == before + 3
-
-
 def test_store_miss_is_looked_up_once(m24_table, monkeypatch):
     """A miss goes on to the sweep without a second lookup; its record is stored."""
     cache = CoefficientCache(None)
@@ -904,31 +889,52 @@ def test_fused_cold_miss_appends_m24_record(m24_table, a5_table, tmp_path):
     assert json.loads(line) == {**want.json_fields(), "group": "M24"}
 
 
-# Sweeps 7B n = 24, accepted in its first chunk, then 1A n = 1, which needs
-# kernel chunks, with a session cache; prints each record's value, gate and
-# c_max_used, and whether moonmod.kernels is loaded after it.
+# The batches of FIRST_CHUNK_BATCHES in turn, on one engine with a session
+# cache.  After each it prints one line: each record's value, gate and
+# c_max_used, whether moonmod.kernels and mpmath are loaded, and how many
+# Kloosterman tables numerics holds.
 FIRST_CHUNK_CHILD = (
     "import sys\n"
+    "from moonmod import numerics\n"
     "from moonmod.chartab import bundled_table\n"
     "from moonmod.rademacher import RademacherEngine\n"
     "from moonmod.store import CoefficientCache\n"
     "engine = RademacherEngine(bundled_table('m24'), cache=CoefficientCache(None))\n"
-    "for cls, n in (('7B', 24), ('1A', 1)):\n"
-    "    [rec] = engine.records(cls, [n])\n"
-    "    print(rec.value, rec.gate, rec.c_max_used, 'moonmod.kernels' in sys.modules)\n"
+    "for arg in sys.argv[1:]:\n"
+    "    cls, grades = arg.split(':')\n"
+    "    recs = engine.records(cls, [int(n) for n in grades.split(',')])\n"
+    "    print(*[f'{r.value} {r.gate} {r.c_max_used}' for r in recs],\n"
+    "          'moonmod.kernels' in sys.modules, 'mpmath' in sys.modules,\n"
+    "          numerics.kloosterman_table.cache_info().currsize)\n"
 )
+
+# (class, grades, kernels loaded after, Kloosterman tables held after).  7B
+# n = 24 has no head term and is accepted in its first chunk, c = 7..56,
+# which the scalar pass sweeps from the tables of those 8 c.  So is each of
+# the ten 7B grades after it, a batch whose first chunk (10 grades times
+# 7 + 14 + ... + 56 = 2520 of work) once went to the kernel: each is a dip
+# at c = 56, with no kernel call and no new table.  1A n = 1 is the first
+# grade that needs a kernel chunk: the tables of its own first chunk, c =
+# 1..50, are added, and the kernel chunks past it add none.
+FIRST_CHUNK_BATCHES = [("7B", [24], False, 8),
+                       ("7B", [2, 3, 5, 9, 10, 12, 16, 17, 19, 23], False, 8),
+                       ("1A", [1], True, 51)]
 
 
 def test_first_chunk_value_loads_no_kernel():
     """A grade accepted in the scalar pass gets its stored record without
-    loading moonmod.kernels; the first grade that needs a kernel chunk
-    loads it."""
+    loading moonmod.kernels, and a grade without a head term loads no
+    mpmath; the first grade that needs a kernel chunk loads the kernel."""
     stored = bundled_cache().records
     want = []
-    for cls, n, loaded in (("7B", 24, False), ("1A", 1, True)):
-        rec = CoefficientRecord.from_json(stored[("M24", cls, n)])
-        want.append(f"{rec.value} {rec.gate} {rec.c_max_used} {loaded}")
-    proc = subprocess.run([sys.executable, "-c", FIRST_CHUNK_CHILD], env=_src_env(),
+    for cls, grades, loaded, tables in FIRST_CHUNK_BATCHES:
+        recs = [CoefficientRecord.from_json(stored[("M24", cls, n)]) for n in grades]
+        if cls == "7B":
+            assert {(r.gate, r.c_max_used) for r in recs} == {("dip", 56)}
+        want.append(" ".join([*(f"{r.value} {r.gate} {r.c_max_used}" for r in recs),
+                              str(loaded), "False", str(tables)]))
+    argv = [f"{cls}:{','.join(map(str, grades))}" for cls, grades, _, _ in FIRST_CHUNK_BATCHES]
+    proc = subprocess.run([sys.executable, "-c", FIRST_CHUNK_CHILD, *argv], env=_src_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == want
