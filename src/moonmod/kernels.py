@@ -1,9 +1,10 @@
 r"""Hot loop for the Rademacher tail: Kloosterman sums by their Selberg form.
 
-kloosterman_grades is numpy code vectorised over tiles of (c, lift) cells,
-whose cost grows far more slowly with a call than its fixed set-up of
-0.05-0.2 ms.  The sweep in moonmod.rademacher runs the first chunk of c,
-up to the first c its gate reads, in plain Python on
+kloosterman_grades is numpy code vectorised over tiles of (c, lift) cells.
+A one-grade call takes what no grade changes from a memoised plan (_plan),
+so it pays little beyond its tiles, but every call still costs tens of
+microseconds of numpy set-up.  The sweep in moonmod.rademacher runs the
+first chunk of c, up to the first c its gate reads, in plain Python on
 numerics.kloosterman_table, and sends every later chunk here.  This
 module is the only one that imports numpy at module level.
 
@@ -42,14 +43,20 @@ The screen runs in float32 when every c of a call is below _F32_LIMIT =
 4000: there every lift that can hold a root has 8U + 1 < 2**24, where
 float32 holds the integers and their square roots floor exactly (see the
 constant), and in float64 otherwise.  One grade (w = 1) and a batch share
-the set-up, the row order and the tile loop, _screen, and differ in the
-screen's test and the settle: with one column a lift holds at most one
-root, 8U + 1 = (2j + 1)^2, so the screen asks for an exact square and j is
-read off its root.  One grade also skips what only a batch reads: the
-column widths w, half in row order, and the wrap of columns g >= s.
+the tile loop, _screen, and the terms, and differ in the screen's test and
+the settle: with one column a lift holds at most one root,
+8U + 1 = (2j + 1)^2, so the screen asks for an exact square and j is read
+off its root.  One grade's rows, their order, tiles and constants depend
+only on the c of the call, so they come from a plan built once per set of
+c and level (at most _PLANS of them, least recently used out), sized for
+each row's most lifts at any grade; a call works out only its shift, base,
+screen and settle, in the float operations a batch uses.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +67,11 @@ USE_NUMBA = False
 # sums.  It bounds the kernel's working memory, and with it the peak RSS of
 # a cold coefficient computation; the sweep sizes its chunks of c from it.
 _BLOCK = 16384
+
+# One-grade plans kept at once, least recently used first out.  Each holds
+# eight arrays as long as its c and its tiles; the cold coefficients of the
+# benchmark's passes use 56 sets of c and level in all.
+_PLANS = 128
 
 # Square roots of integers 8U + 1 < 2c^2 + 16c (c the largest in a call,
 # a tile's padding lifts included) are taken in float64: below 2**52 the
@@ -104,57 +116,117 @@ def _count(t: np.ndarray) -> np.ndarray:
     return (np.floor(x).astype(np.int64) + 1) >> 1
 
 
-def _tiles(lifts: np.ndarray):
+def _tiles(lifts: np.ndarray, block: int):
     """(r0, r1, k0, k1): rows r0 <= r < r1 and lifts k0 <= k < k1, at most
-    _BLOCK cells of the (row, lift) grid, covering every lift of every row.
+    block cells of the (row, lift) grid, covering every lift of every row.
 
     lifts is sorted in increasing order, so a run of rows is as wide as its
-    last row: from r0, the rows fit while (count) * (last width) <= _BLOCK.
-    A row wider than _BLOCK gets tiles of its own.
+    last row: from r0, the rows fit while (count) * (last width) <= block.
+    A row wider than block gets tiles of its own.
     """
     r0 = int(np.searchsorted(lifts, 0, side="right"))
     while r0 < len(lifts):
         width = int(lifts[r0])
-        if width > _BLOCK:
-            for k0 in range(0, width, _BLOCK):
-                yield r0, r0 + 1, k0, min(k0 + _BLOCK, width)
+        if width > block:
+            for k0 in range(0, width, block):
+                yield r0, r0 + 1, k0, min(k0 + block, width)
             r0 += 1
             continue
-        span = lifts[r0:r0 + _BLOCK // width]
-        r1 = r0 + int(np.count_nonzero(np.arange(1, len(span) + 1) * span <= _BLOCK))
+        span = lifts[r0:r0 + block // width]
+        r1 = r0 + int(np.count_nonzero(np.arange(1, len(span) + 1) * span <= block))
         yield r0, r1, 0, int(lifts[r1 - 1])
         r0 = r1
 
 
-def _screen(lifts: np.ndarray, step8: np.ndarray, base8: np.ndarray,
-            wide8: np.ndarray | None, dtype: type):
+def _screen(tiles, step8: np.ndarray, base8: np.ndarray, wide8: np.ndarray | None,
+            cells: int):
     """(r, k, x) for each tile's hits: the rows r and lifts k, in row-major
     order, whose 8U + 1 = step8*k + base8 passes the screen.
 
+    tiles come from _tiles, and cells is the most cells of any of them.
     One grade (wide8 None) asks for an exact square root x of 8U + 1 and
     yields the roots; a batch asks for a square in (8U + 1 - wide8, 8U + 1]
-    and yields x = None.  Every tile reuses the same two _BLOCK-cell buffers.
+    and yields x = None.  Every tile reuses the same three buffers of cells.
     """
-    v_buf, x_buf = np.empty(_BLOCK, dtype), np.empty(_BLOCK, dtype)
-    for r0, r1, k0, k1 in _tiles(lifts):
-        shape = (r1 - r0, k1 - k0)
-        v = v_buf[:shape[0] * shape[1]].reshape(shape)
-        np.multiply(step8[r0:r1], np.arange(k0, k1, dtype=dtype), out=v)
-        v += base8[r0:r1]
-        x = np.sqrt(v, out=x_buf[:v.size].reshape(shape))
+    v_buf, x_buf = np.empty(cells, step8.dtype), np.empty(cells, step8.dtype)
+    hit_buf = np.empty(cells, bool)
+    for r0, r1, k0, k1 in tiles:
+        size = (r1 - r0) * (k1 - k0)
+        v, x, is_hit = v_buf[:size], x_buf[:size], hit_buf[:size]
+        grid = v.reshape(r1 - r0, k1 - k0)
+        np.multiply(step8[r0:r1], np.arange(k0, k1, dtype=step8.dtype), out=grid)
+        grid += base8[r0:r1]
+        np.sqrt(v, out=x)
         if wide8 is None:
-            hit = np.flatnonzero(x == np.floor(x))
-            root = x_buf[hit]
+            np.floor(x, out=v)
+            np.equal(x, v, out=is_hit)
         else:
+            grid -= wide8[r0:r1]
             np.floor(x, out=x)
             x *= x
-            v -= wide8[r0:r1]
             # Lifts past a row's last one hold only j >= c/2, dropped as roots.
-            hit = np.flatnonzero(x > v)
-            root = None
+            np.greater(x, v, out=is_hit)
+        hit = is_hit.nonzero()[0]
         if len(hit):
             r, k = np.divmod(hit, k1 - k0)
-            yield r + r0, k + k0, root
+            yield r + r0, k + k0, (x[hit] if wide8 is None else None)
+
+
+def _terms(r: np.ndarray, j: np.ndarray, k: np.ndarray, cs: np.ndarray, mid: np.ndarray,
+           even: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """The signed, folded terms of the roots j at (row r, lift k): rows in
+    order, j < mid counting twice; for even c, lift k is negative when
+    k + flip is odd."""
+    term = np.sin(np.pi * (2 * j + 1) / (2 * cs[r]))
+    term *= np.where(j < mid[r], 2.0, 1.0)
+    np.negative(term, out=term, where=((j + even[r] * (k + flip[r])) & 1).astype(bool))
+    return term
+
+
+class _Plan(NamedTuple):
+    """What a one-grade call at given c needs that no grade changes, rows
+    in order of their lift counts (order holds the caller's row of each)."""
+
+    order: np.ndarray
+    cs: np.ndarray
+    c2m: np.ndarray      # c^2/(n_g h_g)
+    even: np.ndarray
+    step: np.ndarray
+    mid: np.ndarray
+    root_c: np.ndarray   # sqrt(c)
+    step8: np.ndarray    # 8 step, a column in the screen's dtype
+    tiles: tuple
+    cells: int
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _plan(key: bytes, ng: int, hg: int, block: int) -> _Plan:
+    """The plan of the c whose int64 bytes are key, in tiles of block cells.
+
+    A row's lifts are its most at any grade, T_j of the largest j < c/2
+    over the step, plus one: a grade's own count is that or one less (its
+    base is below the step), and the lift it may pad holds only j >= c/2,
+    which x <= c drops.  So the rows' order and tiles serve every grade.
+    Raises ValueError, and caches nothing, for c off the n_g grid.  The
+    arrays are read-only, since every later call shares them.
+    """
+    cs = np.frombuffer(key, dtype=np.int64)
+    _check_grid(cs, ng, hg)
+    dtype = np.float32 if int(cs.max()) < _F32_LIMIT else np.float64
+    even = 1 - (cs & 1)
+    step = cs >> even
+    half = (cs + 1) >> 1
+    lifts = half * (half - 1) // 2 // step + 1
+    order = np.argsort(lifts, kind="stable")
+    cs, even, step, half, lifts = (a[order] for a in (cs, even, step, half, lifts))
+    tiles = tuple(_tiles(lifts, block))
+    plan = _Plan(order, cs, cs * cs // (ng * hg), even, step, np.where(even, -1, half - 1),
+                 np.sqrt(cs.astype(np.float64)), (8 * step[:, None]).astype(dtype), tiles,
+                 max((r1 - r0) * (k1 - k0) for r0, r1, k0, k1 in tiles))
+    for a in plan:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return plan
 
 
 def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
@@ -167,14 +239,35 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     negatively.  _screen keeps the lifts whose 8U + 1 can hold a root, rows
     in order of their lift counts, and they are settled exactly: a batch's
     roots are N(U - w) <= j < N(U), j < c/2, and one grade's is j = x >> 1,
-    kept if x^2 = 8U + 1 in int64.  Raises ValueError, before any work,
-    for c off the n_g grid or if the root search could leave the exact range.
+    kept if x^2 = 8U + 1 in int64 and x <= c.  One grade takes its rows,
+    tiles and constants from the memoised _plan of cs and works out only
+    the shift, the base, the screen and the settle.  Raises ValueError,
+    before any work, for c off the n_g grid or if the root search could
+    leave the exact range.
     """
     cs = np.asarray(cs, dtype=np.int64)
     if not len(cs):
         return
     c_max = int(cs.max())
     _check_bounds(n0, n1, c_max)
+    if n0 == n1:
+        # A lift holds at most one root, 8U + 1 = x^2 with x = 2j + 1;
+        # padding lifts and rounded roots fail x^2 = 8U + 1 or x <= c.  One
+        # bincount sums each row's terms in increasing j.
+        p = _plan(cs.tobytes(), ng, hg, _BLOCK)
+        flip, base = np.divmod((p.c2m - n0) % p.cs, p.step)
+        base8 = 8 * base + 1
+        acc = np.zeros(len(cs))
+        hits = list(_screen(p.tiles, p.step8, base8[:, None].astype(p.step8.dtype), None,
+                            p.cells))
+        if hits:
+            r, k, x = hits[0] if len(hits) == 1 else (np.concatenate(a) for a in zip(*hits))
+            x = x.astype(np.int64)
+            keep = (x * x == base8[r] + 8 * p.step[r] * k) & (x <= p.cs[r])
+            r, k, j = r[keep], k[keep], x[keep] >> 1
+            acc = np.bincount(r, _terms(r, j, k, p.cs, p.mid, p.even, flip), len(cs))
+        out[p.order, 0] = acc * p.root_c
+        return
     _check_grid(cs, ng, hg)
     dtype = np.float32 if c_max < _F32_LIMIT else np.float64
     ncols = n1 - n0 + 1
@@ -185,80 +278,56 @@ def kloosterman_grades(n0: int, n1: int, cs: np.ndarray, ng: int, hg: int,
     # Roots j < half; for odd c, j < mid counts twice (mid = -1 for even c).
     half = (cs + 1) >> 1
     mid = np.where(even, -1, half - 1)
-    # Lifts up to T_j of the largest j < c/2, and w - 1 more for a batch.
-    top = half * (half - 1) // 2 - base
-    if ncols > 1:
-        w = np.minimum(step, ncols)
-        top += w - 1
-    lifts = top // step + 1
+    # Lifts up to T_j of the largest j < c/2, plus w - 1.
+    w = np.minimum(step, ncols)
+    lifts = (half * (half - 1) // 2 - base + w - 1) // step + 1
     # Rows in order of their lift counts, so a tile's rows are about as
     # wide as each other; acc holds them in that order.
     order = np.argsort(lifts, kind="stable")
-    cs, shift, even, step, base, mid, lifts = (
-        a[order] for a in (cs, shift, even, step, base, mid, lifts))
+    cs, shift, even, step, base, mid, lifts, w, half = (
+        a[order] for a in (cs, shift, even, step, base, mid, lifts, w, half))
     # Even c: lift k is negative when k + shift // s is odd (shift < s for odd c).
     flip = shift // step
     # 8U + 1 = step8*k + base8 (and 8w) in dtype, exact wherever a root can lie.
     step8 = (8 * step[:, None]).astype(dtype)
     base8 = (8 * base[:, None] + 1).astype(dtype)
+    acc = np.zeros((len(cs), ncols))
 
-    def terms(r: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """The signed, folded terms of the roots j at (row r, lift k)."""
-        term = np.sin(np.pi * (2 * j + 1) / (2 * cs[r]))
-        term *= np.where(j < mid[r], 2.0, 1.0)
-        np.negative(term, out=term, where=((j + even[r] * (k + flip[r])) & 1).astype(bool))
-        return term
+    def settle(r: np.ndarray, k: np.ndarray) -> None:
+        """Add the roots of the lifts (row r, lift k), in row-major order,
+        to acc's columns U - T_j."""
+        u = base[r] + step[r] * k
+        j = _count(u - w[r])
+        many = np.maximum(np.minimum(_count(u), half[r]) - j, 0)
+        r, j, u, k = (np.repeat(a, many) for a in (r, j, u, k))
+        if not len(r):
+            return
+        if many.max() > 1:
+            j += np.arange(len(j)) - np.repeat(np.cumsum(many) - many, many)
+        term = _terms(r, j, k, cs, mid, even, flip)
+        # bincount adds in input order; each column's running total goes
+        # first, then its roots in increasing j.
+        r_lo, r_hi = int(r[0]), int(r[-1]) + 1
+        size = (r_hi - r_lo) * ncols
+        bins = np.concatenate([np.arange(size), (r - r_lo) * ncols + u - (j * (j + 1) >> 1)])
+        wts = np.concatenate([acc[r_lo:r_hi].ravel(), term])
+        acc[r_lo:r_hi] = np.bincount(bins, wts, size).reshape(-1, ncols)
 
-    if ncols == 1:
-        # A lift holds at most one root, 8U + 1 = x^2 with x = 2j + 1;
-        # padding lifts and rounded roots fail x^2 = 8U + 1 or x <= c.  One
-        # bincount sums each row's terms in increasing j.
-        acc = np.zeros((len(cs), 1))
-        hits = list(_screen(lifts, step8, base8, None, dtype))
-        if hits:
-            r, k, x = (np.concatenate(a) for a in zip(*hits))
-            x = x.astype(np.int64)
-            keep = (x * x == 8 * (base[r] + step[r] * k) + 1) & (x <= cs[r])
-            r, k, j = r[keep], k[keep], x[keep] >> 1
-            acc[:, 0] = np.bincount(r, terms(r, j, k), len(cs))
-    else:
-        w, half = w[order], half[order]
-        acc = np.zeros((len(cs), ncols))
-
-        def settle(r: np.ndarray, k: np.ndarray) -> None:
-            """Add the roots of the lifts (row r, lift k), in row-major order,
-            to acc's columns U - T_j."""
-            u = base[r] + step[r] * k
-            j = _count(u - w[r])
-            many = np.maximum(np.minimum(_count(u), half[r]) - j, 0)
-            r, j, u, k = (np.repeat(a, many) for a in (r, j, u, k))
-            if not len(r):
-                return
-            if many.max() > 1:
-                j += np.arange(len(j)) - np.repeat(np.cumsum(many) - many, many)
-            term = terms(r, j, k)
-            # bincount adds in input order; each column's running total goes
-            # first, then its roots in increasing j.
-            r_lo, r_hi = int(r[0]), int(r[-1]) + 1
-            size = (r_hi - r_lo) * ncols
-            bins = np.concatenate([np.arange(size), (r - r_lo) * ncols + u - (j * (j + 1) >> 1)])
-            wts = np.concatenate([acc[r_lo:r_hi].ravel(), term])
-            acc[r_lo:r_hi] = np.bincount(bins, wts, size).reshape(-1, ncols)
-
-        rows_hit, k_hit, held = [], [], 0
-        for r, k, _ in _screen(lifts, step8, base8, (8 * w[:, None]).astype(dtype), dtype):
-            rows_hit.append(r)
-            k_hit.append(k)
-            held += len(r)
-            if held >= _BLOCK:
-                settle(np.concatenate(rows_hit), np.concatenate(k_hit))
-                rows_hit, k_hit, held = [], [], 0
-        if held:
+    rows_hit, k_hit, held = [], [], 0
+    for r, k, _ in _screen(_tiles(lifts, _BLOCK), step8, base8, (8 * w[:, None]).astype(dtype),
+                           _BLOCK):
+        rows_hit.append(r)
+        k_hit.append(k)
+        held += len(r)
+        if held >= _BLOCK:
             settle(np.concatenate(rows_hit), np.concatenate(k_hit))
+            rows_hit, k_hit, held = [], [], 0
+    if held:
+        settle(np.concatenate(rows_hit), np.concatenate(k_hit))
     acc *= np.sqrt(cs.astype(np.float64))[:, None]
     # Column g is column g mod s, negated for even c when g // s is odd;
-    # 0.0 - x negates without making -0.0.  One grade has column 0 only.
-    wrap = np.flatnonzero(step < ncols) if ncols > 1 else ()
+    # 0.0 - x negates without making -0.0.
+    wrap = np.flatnonzero(step < ncols)
     if len(wrap):
         g = np.arange(ncols)
         src = acc[wrap[:, None], g % step[wrap, None]]

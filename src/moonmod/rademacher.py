@@ -77,9 +77,12 @@ HEAD_SWITCH = 20.0
 # levels' first chunks hold 58 distinct c <= 69, 1735 floats in all.
 # Every chunk ends on the grid, the last at
 # the last grid c at or below C_MAX_LIMIT.  The second ends at
-# sqrt(2 kernels._BLOCK n_g) rounded down to the grid, where
-# kernels._BLOCK = 16384 nominal (c, d) pairs, d < c, from c = 1 end (c = 181
-# on the 1A grid, 851 on the 23A grid).  Each later one at least doubles
+# sqrt(8 kernels._BLOCK n_g) rounded down to the grid, where
+# 4 kernels._BLOCK = 65536 nominal (c, d) pairs, d < c, from c = 1 end (c = 362
+# on the 1A grid, 1725 on the 23A grid): a one-grade kernel call takes its
+# rows and tiles from a memoised plan, so its cost is mostly its tiles, and
+# a chunk ending at a quarter of those pairs (c = 181 on the 1A grid) would
+# cost one more call for about 3000 cells.  Each later one at least doubles
 # the last c, hi, but takes at most max(1, 16 * kernels._BLOCK // hi) grid
 # steps past it, about 262144 pairs.  The kernel screens about c/8 lifts
 # per odd c and c/4 per even c, so a capped chunk below c = 20000 on the
@@ -299,7 +302,7 @@ class RademacherEngine:
 
         # The first chunk runs as the scalar pass and ends at the first c the
         # dip gate reads, or at the last tail start if that is later.  Every
-        # chunk ends on the grid; the second where kernels._BLOCK nominal
+        # chunk ends on the grid; the second where 4 kernels._BLOCK nominal
         # pairs from c = 1 do.  moonmod.kernels loads only once a grade
         # survives the scalar pass.
         last = C_MAX_LIMIT - C_MAX_LIMIT % step
@@ -312,7 +315,7 @@ class RademacherEngine:
 
             from . import kernels
 
-            second = math.isqrt(2 * kernels._BLOCK * step) // step * step
+            second = math.isqrt(8 * kernels._BLOCK * step) // step * step
         while active and hi < last:
             lo, hi = hi + step, min(max(hi * 2, second), last,
                                     hi + step * max(1, 16 * kernels._BLOCK // hi))

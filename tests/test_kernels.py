@@ -27,10 +27,13 @@ from moonmod.store import CoefficientCache
 
 @pytest.fixture(autouse=True)
 def _drop_kloosterman_tables():
-    """kloosterman_sum at a large c builds and memoises a whole table; drop
-    them after each test, so that the suite does not hold them all."""
+    """kloosterman_sum at a large c builds and memoises a whole table, and a
+    one-grade kernel call a plan; drop both after each test, so that the
+    suite does not hold them all and no test reads another test's plans."""
+    kernels._plan.cache_clear()
     yield
     kloosterman_table.cache_clear()
+    kernels._plan.cache_clear()
 
 
 def _on_grid(c, ng, hg=1):
@@ -191,6 +194,63 @@ def test_single_grade_equals_scalar_sum():
     for k, c in enumerate(cs):
         z = kloosterman_sum(5, c, 1, 1)
         assert z != 0 and out[k, 0] == z, c
+
+
+def test_one_grade_plan_keeps_the_tables_bits(m24_table, monkeypatch):
+    """A one-grade call served from a memoised plan has the bits of
+    kloosterman_table(c) and of the batch row, the sign of zero included:
+    at every level, for shuffled and repeated c on both sides of
+    _F32_LIMIT, on the call that builds the plan (a miss), on later calls
+    at other grades (hits), and after _BLOCK changes (a new plan)."""
+    rng = random.Random(23)
+    limit = kernels._F32_LIMIT
+    levels = sorted({(cls.ng, cls.hg) for cls in m24_table.classes})
+    assert len(levels) == 21
+    zeros = 0
+    for ng, hg in levels:
+        grid = [c for c in range(ng, limit + 4 * 24, ng) if c * c % (ng * hg) == 0]
+        below = grid[:4] + [c for c in grid if c < limit][-3:]
+        above = [c for c in grid if c >= limit][:3]
+        assert len(above) == 3, (ng, hg)
+        for side in (below, above):
+            cs = rng.sample(side, len(side)) + rng.sample(side, 2)
+            grades = [-1, 1, rng.randrange(2, 5000)]
+            for block in (kernels._BLOCK, 64):
+                monkeypatch.setattr(kernels, "_BLOCK", block)
+                for i, n in enumerate(grades):
+                    info = kernels._plan.cache_info()
+                    one = _grades(n, n, cs, ng, hg)[:, 0]
+                    after = kernels._plan.cache_info()
+                    if i:
+                        assert after.hits == info.hits + 1, (ng, hg, n, block)
+                    else:
+                        assert after.misses == info.misses + 1, (ng, hg, n, block)
+                    want = np.array([kloosterman_table(c)[(c * c // (ng * hg) - n) % c]
+                                     for c in cs])
+                    assert one.tobytes() == want.tobytes(), (ng, hg, n, block)
+                    row = _grades(n, n + 1, cs, ng, hg)[:, 0]
+                    assert one.tobytes() == row.tobytes(), (ng, hg, n, block)
+                    zeros += int((one == 0).sum())
+            monkeypatch.undo()
+    assert zeros, "no zero sum drawn: the sign of zero went unchecked"
+
+
+def test_one_grade_plans_are_bounded_and_read_only():
+    """The plan cache holds at most _PLANS plans; a plan's arrays are shared
+    by every later call, so an edit in place raises."""
+    assert kernels._plan.cache_info().maxsize == kernels._PLANS
+    for lo in range(1, kernels._PLANS + 6):
+        _grades(3, 3, np.arange(lo, lo + 4), 1, 1)
+    assert kernels._plan.cache_info().currsize == kernels._PLANS
+    cs = np.array([30, 7, 12], dtype=np.int64)
+    _grades(3, 3, cs, 1, 1)
+    plan = kernels._plan(cs.tobytes(), 1, 1, kernels._BLOCK)
+    arrays = [a for a in plan if isinstance(a, np.ndarray)]
+    assert len(arrays) == 8
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_kloosterman_table_has_the_kernels_bits(m24_table):
@@ -407,11 +467,12 @@ def _stored(name, n):
 
 def test_dense_chunk_enters_the_lift_search(m24_table, monkeypatch):
     """Every chunk after the first enters the kernel: a cold 1A n = 23 sweeps
-    c = 1..50 in the scalar first chunk and the eight chunks from c = 51 on,
-    363..724 among them, in the kernel.  At every level, a grade swept to a
-    C_MAX_LIMIT off most grids sends the kernel non-empty chunks of grid
-    c's, each from the grid c after the last one's end, up to the last grid
-    c at or below the limit.  A batch of 60 grades, the shape of a store
+    c = 1..50 in the scalar first chunk and the seven chunks from c = 51
+    on, 51..362 and 363..724 among them, in the kernel.  At every level, a
+    grade swept to a C_MAX_LIMIT off most grids sends the kernel non-empty
+    chunks of grid c's, each from the grid c after the last one's end, up
+    to the last grid c at or below the limit.  A batch of 60 grades, the
+    shape of a store
     rebuild's batch, runs its first chunk as the scalar pass too: at every
     level it first enters the kernel at the grid c after the first gated c."""
     class Stop(Exception):
@@ -427,7 +488,7 @@ def test_dense_chunk_enters_the_lift_search(m24_table, monkeypatch):
     monkeypatch.setattr(kernels, "kloosterman_grades", recording)
     [rec] = RademacherEngine(m24_table, cache=CoefficientCache(None)).records("1A", [23])
     assert (rec.value, rec.gate, rec.c_max_used) == _stored("1A", 23)
-    assert len(calls) == 8 and calls[0][2] == 51 and (23, 23, 363, 724) in calls
+    assert len(calls) == 7 and calls[0][2:] == (51, 362) and (23, 23, 363, 724) in calls
     assert [lo for _, _, lo, _ in calls[1:]] == [hi + 1 for _, _, _, hi in calls[:-1]]
     assert calls[-1][2] <= rec.c_max_used <= calls[-1][3]
 
@@ -473,18 +534,21 @@ def test_dense_chunk_enters_the_lift_search(m24_table, monkeypatch):
                                      (-3, 1, 1), (2, 2, 4)])
 def test_off_grid_c_raises(c, ng, hg):
     """Both functions refuse c unless n_g | c and n_g h_g | c^2: the scalar
-    before it builds a table, the kernel for a short and a long call,
-    before it writes to out."""
+    before it builds a table, the kernel for a short and a long call, of
+    one grade and of four, before it writes to out and on every call."""
     tables = kloosterman_table.cache_info().currsize
     with pytest.raises(ValueError, match="grid"):
         kloosterman_sum(1, c, ng, hg)
     assert kloosterman_table.cache_info().currsize == tables
     on_grid = [_on_grid(k * 50, ng, hg) for k in range(1, 20)]
-    for n1, cs in [(1, [c]), (4, on_grid + [c])]:
+    for n1, cs in [(1, [c]), (4, on_grid + [c]), (1, on_grid + [c])]:
         out = np.full((len(cs), n1), 7.0)
-        with pytest.raises(ValueError, match="grid"):
-            kernels.kloosterman_grades(1, n1, np.array(cs), ng, hg, out)
-        assert (out == 7.0).all()
+        # Every call raises: a one-grade plan is never cached for cs.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="grid"):
+                kernels.kloosterman_grades(1, n1, np.array(cs), ng, hg, out)
+            assert (out == 7.0).all()
+            assert kernels._plan.cache_info().currsize == 0
 
 
 def test_packaged_23_stability_records_recompute(m24_table):
